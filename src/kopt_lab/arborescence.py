@@ -352,10 +352,6 @@ class PairCertificate:
     failures: list = field(default_factory=list)
 
 
-def _build_for_class(inst, tprime, path, chords, e0):
-    return build_arborescence(inst, tprime, path, chords, e0=e0)
-
-
 def certify_pair(inst: Instance, t_opt: Tour, s_2opt: Tour,
                  recheck_s2opt: bool = True) -> PairCertificate:
     """Full pipeline: uncross, partition, build and verify all arborescences."""
@@ -396,7 +392,7 @@ def certify_pair(inst: Instance, t_opt: Tour, s_2opt: Tour,
         else:
             class_chords = list(chords)
             use_e0 = e0 if name in ("S1'", "S2'") else None
-            arb = _build_for_class(vp, pair.tprime, path, class_chords, use_e0)
+            arb = build_arborescence(vp, pair.tprime, path, class_chords, e0=use_e0)
             cert_ineq = verify_combined_inequalities(arb)
             cert_lem = verify_lemma_suite(arb)
             stat.update({

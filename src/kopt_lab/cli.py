@@ -14,7 +14,7 @@ import time
 from . import lowerbound, tsplib
 from .arborescence import certify_pair
 from .harness import SCHEMA, ExperimentConfig, gen_random, random_tour, run_experiment
-from .tour import Instance, Tour, exact_opt, tour_length, two_opt
+from .tour import Instance, exact_opt, tour_length, two_opt
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
@@ -109,12 +109,15 @@ def cmd_certify(args) -> int:
 
 def cmd_scan_kopt(args) -> int:
     if args.instance:
+        if not args.tour:
+            raise ValueError("--tour is required with --instance")
         inst = _load_instance(args.instance)
-        lb = None
+        with open(args.tour) as f:
+            tour = tsplib.read_tour(f)
     else:
         lb = lowerbound.generate_lb_instance(args.k, args.p, args.q)
         inst = lb.as_instance()
-    tour = lowerbound.build_lb_tour(lb) if lb is not None else _read_tour_arg(args)
+        tour = lowerbound.build_lb_tour(lb)
     t0 = time.perf_counter()
     rep = lowerbound.scan_2opt_optimality(inst, tour)
     elapsed = time.perf_counter() - t0
@@ -129,13 +132,6 @@ def cmd_scan_kopt(args) -> int:
         "timing": {"seconds": elapsed},
     }, args.out)
     return EXIT_OK
-
-
-def _read_tour_arg(args) -> Tour:
-    if not args.tour:
-        raise SystemExit("--tour is required with --instance")
-    with open(args.tour) as f:
-        return tsplib.read_tour(f)
 
 
 def cmd_report(args) -> int:

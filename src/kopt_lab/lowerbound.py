@@ -14,10 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-import numpy as np
-
 from .geometry import PNorm, Point, Point3, pdist3, pt
-from .tour import Instance, Tour
+from .tour import Instance, Tour, _best_2move
 
 SQRT3_HALF = math.sqrt(3) / 2
 
@@ -234,62 +232,27 @@ class ScanReport:
 def scan_2opt_optimality(inst: Instance, tour: Tour) -> ScanReport:
     """Exhaustive improving-2-move scan over all non-adjacent edge pairs.
 
-    Vectorized; exact for integer coordinates (int64 arithmetic).  The verdict
-    is reported, not asserted: local optimality of the hand-built tour is only
-    guaranteed for large q.
+    Runs the 2-move engine of `tour` for the best gain less its threshold,
+    which is exact (threshold 0) for integer coordinates under the 1-norm.
+    The verdict is reported, not asserted: local optimality of the
+    hand-built tour is only guaranteed for large q.
     """
     n = inst.n
     if n > 20000:
         raise ValueError("exhaustive pair scan limited to n <= 20000")
     tour.validate(inst)
-    o = np.array(tour.order, dtype=np.int64)
-    heads = np.roll(o, -1)
-
-    if inst.exact:
-        xs = np.array([int(p.x) for p in inst.points], dtype=np.int64)
-        ys = np.array([int(p.y) for p in inst.points], dtype=np.int64)
-
-        def d(u, v):
-            return np.abs(xs[u] - xs[v]) + np.abs(ys[u] - ys[v])
-    elif inst.dim == 2 and inst.norm.is_two:
-        xs = np.array([float(p.x) for p in inst.points])
-        ys = np.array([float(p.y) for p in inst.points])
-
-        def d(u, v):
-            return np.hypot(xs[u] - xs[v], ys[u] - ys[v])
-    else:
-        pp = float(inst.norm.p) if inst.dim == 2 else 2.0
-        coords = np.array([[float(c) for c in pnt] for pnt in inst.points])
-
-        def d(u, v):
-            return (np.abs(coords[u] - coords[v]) ** pp).sum(axis=-1) ** (1.0 / pp)
-
-    edge_len = d(o, heads)
-    best_gain = None
+    best = _best_2move(inst, tour)
+    improving = best is not None and best.gain > 0
     witness = None
-    pairs = 0
-    for i in range(n - 1):
-        a, b = o[i], heads[i]
-        js = np.arange(i + 2, n if i > 0 else n - 1)
-        if js.size == 0:
-            continue
-        pairs += js.size
-        gains = edge_len[i] + edge_len[js] - d(a, o[js]) - d(b, heads[js])
-        if not inst.exact:
-            gains = gains - 1e-9 * (edge_len[i] + edge_len[js])
-        jmax = int(np.argmax(gains))
-        g = gains[jmax]
-        if best_gain is None or g > best_gain:
-            best_gain = g
-            j = int(js[jmax])
-            witness = ((int(a), int(b)), (int(o[j]), int(heads[j])))
-    improving = best_gain is not None and best_gain > 0
+    if improving:
+        o = tour.order
+        witness = ((o[best.i], o[best.i + 1]), (o[best.j], o[(best.j + 1) % n]))
     return ScanReport(
         n=n,
-        pairs_scanned=pairs,
+        pairs_scanned=max(0, n * (n - 3) // 2),  # every non-adjacent pair of the n edges
         two_optimal=not improving,
-        witness=witness if improving else None,
-        best_gain=best_gain.item() if best_gain is not None else 0,
+        witness=witness,
+        best_gain=best.gain if best is not None else 0,
     )
 
 

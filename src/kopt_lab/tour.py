@@ -1,15 +1,18 @@
 """Tours, 2-Opt/3-Opt local search, k-optimality checks, exact small solvers.
 
 Everything is parametrized by the instance's distance oracle, so 2-D p-norm
-instances and 3-D Euclidean instances share the same engine.
+instances and 3-D Euclidean instances share the same engine.  One vectorized
+2-move engine (`_gain_blocks`) serves 2-Opt, the 2-optimality verdict and the
+lower-bound family's exhaustive scan.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .geometry import (
     Cross,
@@ -26,6 +29,8 @@ from .geometry import (
 )
 
 DEFAULT_GAIN_EPS = 1e-9
+# Upper bound on the distance evaluations of one block of rows of the 2-move scan.
+_BLOCK_CELLS = 1 << 15
 
 
 class Instance:
@@ -60,6 +65,36 @@ class Instance:
     def segment(self, i: int, j: int) -> Segment:
         return Segment(self.points[i], self.points[j])
 
+    @cached_property
+    def _pair_dist(self):
+        """`dist` over numpy index arrays: d(u, v)[...] == dist(u[...], v[...]), broadcast.
+
+        Built on first use and kept on the instance.  Exact instances keep
+        their integer coordinates, as int64 when the coordinate span keeps
+        every sum of two distances below 2**63 and as Python ints otherwise.
+        Other instances keep the n x n matrix of `dist` itself (8 n^2 bytes
+        of float64, or Fractions for the 1-norm on rational points), so the
+        values are bit-identical to `dist`.
+        """
+        if self.exact:
+            xs = [int(p.x) for p in self.points]
+            ys = [int(p.y) for p in self.points]
+            x0, y0 = min(xs, default=0), min(ys, default=0)
+            span = max(xs, default=0) - x0 + max(ys, default=0) - y0
+            dtype = np.int64 if 2 * span < 2**63 else object
+            # Shifted to start at 0: every coordinate and difference is within the span.
+            xa = np.array([x - x0 for x in xs], dtype=dtype)
+            ya = np.array([y - y0 for y in ys], dtype=dtype)
+            return lambda u, v: np.abs(xa[u] - xa[v]) + np.abs(ya[u] - ya[v])
+        n = self.n
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = self.dist(i, i)  # read by the scan's masked-out pairs
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = self.dist(i, j)
+        matrix = np.array(rows, dtype=object if self.dim == 2 and self.norm.is_one else float)
+        return lambda u, v: matrix[u, v]
+
 
 class Tour(NamedTuple):
     """An oriented cycle given as a permutation of vertex indices."""
@@ -93,36 +128,62 @@ def tour_length(inst: Instance, t: Tour):
     return sum(inst.dist(o[i], o[(i + 1) % len(o)]) for i in range(len(o)))
 
 
-def _gain_threshold(inst: Instance, removed_total) -> float:
-    if inst.exact:
-        return 0
-    return DEFAULT_GAIN_EPS * float(removed_total)
+def _gain_threshold(inst: Instance, removed):
+    """A move improves iff its gain exceeds this; `removed` may be a numpy array."""
+    return 0 if inst.exact else DEFAULT_GAIN_EPS * removed
+
+
+def _gain_blocks(inst: Instance, t: Tour):
+    """The 2-move engine: gains of all non-adjacent edge pairs, a block of rows at a time.
+
+    Yields (i0, j0, gain, threshold, valid) in lexicographic (i, j) order:
+    gain[r, c] = (c_ab + c_xy) - c_ax - c_by for the move on tour positions
+    (i0 + r, j0 + c), in the arithmetic of `inst.dist`, and valid[r, c]
+    marks the pairs with j >= i + 2 that are not the adjacent (0, n-1).
+    """
+    n = t.n
+    if n < 4:
+        return  # no two edges of a triangle are non-adjacent
+    d = inst._pair_dist
+    ring = np.array(t.order + t.order[:1], dtype=np.intp)  # ring[k + 1] follows ring[k]
+    edge = d(ring[:-1], ring[1:])
+    step = max(1, _BLOCK_CELLS // n)
+    for i0 in range(0, n - 2, step):  # rows i > n - 3 have no partner
+        i1, j0 = min(i0 + step, n - 2), i0 + 2
+        r = d(ring[i0 : i1 + 1, None], ring[None, j0:])
+        removed = edge[i0:i1, None] + edge[None, j0:]
+        gain = removed - r[:-1, :-1] - r[1:, 1:]
+        valid = np.arange(n - j0) >= np.arange(i1 - i0)[:, None]
+        if i0 == 0:
+            valid[0, -1] = False
+        yield i0, j0, gain, _gain_threshold(inst, removed), valid
 
 
 def find_improving_2move(inst: Instance, t: Tour) -> Optional[TwoMove]:
     """First improving 2-move in lexicographic (i, j) scan order, if any."""
-    o = t.order
-    n = len(o)
-    if inst.exact:
-        # Integer fast path: avoids Fraction overhead on large exact scans.
-        xs = [int(p.x) for p in inst.points]
-        ys = [int(p.y) for p in inst.points]
-
-        def d(u, v):
-            return abs(xs[u] - xs[v]) + abs(ys[u] - ys[v])
-    else:
-        d = inst.dist
-    for i in range(n - 1):
-        a, b = o[i], o[i + 1]
-        c_ab = d(a, b)
-        j_hi = n if i > 0 else n - 1  # edges (i, j) must be non-adjacent in the cycle
-        for j in range(i + 2, j_hi):
-            x, y = o[j], o[(j + 1) % n]
-            removed = c_ab + d(x, y)
-            gain = removed - d(a, x) - d(b, y)
-            if gain > _gain_threshold(inst, removed):
-                return TwoMove(i, j, gain)
+    for i0, j0, gain, threshold, valid in _gain_blocks(inst, t):
+        hit = valid & (gain > threshold)
+        if hit.any():
+            r, c = np.unravel_index(hit.argmax(), hit.shape)
+            return TwoMove(i0 + int(r), j0 + int(c), gain.item(r, c))
     return None
+
+
+def _best_2move(inst: Instance, t: Tour) -> Optional[TwoMove]:
+    """The 2-move whose gain most exceeds its threshold, first in scan order among ties.
+
+    Its `gain` is that margin, gain - threshold: positive iff the move improves.
+    None when the tour has no pair of non-adjacent edges.
+    """
+    best = None
+    for i0, j0, gain, threshold, valid in _gain_blocks(inst, t):
+        margin = gain - threshold
+        floor = np.iinfo(np.int64).min if margin.dtype == np.int64 else -np.inf
+        margin = np.where(valid, margin, floor)  # every block holds a valid pair
+        r, c = np.unravel_index(margin.argmax(), margin.shape)
+        if best is None or margin[r, c] > best.gain:
+            best = TwoMove(i0 + int(r), j0 + int(c), margin.item(r, c))
+    return best
 
 
 def apply_2move(t: Tour, m: TwoMove) -> Tour:

@@ -75,6 +75,11 @@ class TestScanAndReport:
         rep = json.loads((workdir / "scan.json").read_text())
         assert rep["two_optimal"] is True
 
+    def test_scan_instance_without_tour_is_usage_error(self, workdir, capsys):
+        run("gen-random", "--n", "6", "--grid", "100", "--seed", "4", "--out", "r.tsp")
+        assert run("scan-kopt", "--instance", "r.tsp") == 2
+        assert "--tour is required with --instance" in capsys.readouterr().err
+
     def test_report(self, workdir):
         assert run("report", "--seed", "6", "--trials", "3",
                    "--out", "exp.json") == 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -12,7 +13,7 @@ from kopt_lab.harness import (
     run_trial,
     strip_timing,
 )
-from kopt_lab.tour import is_degenerate
+from kopt_lab.tour import is_degenerate, two_opt
 
 
 class TestGenRandom:
@@ -76,3 +77,25 @@ class TestExperiment:
         report = run_experiment(ExperimentConfig(seed=2, trials=2))
         stripped = strip_timing(report)
         assert "timing" not in json.dumps(stripped)
+
+
+class TestSeededOutputs:
+    """Seeded outputs pinned to the values of the pure-Python 2-move scan."""
+
+    def test_experiment_digest(self):
+        report = strip_timing(run_experiment(ExperimentConfig(seed=1, trials=20)))
+        text = json.dumps(report, sort_keys=True, default=float)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "604fb16397eb348637959473e6bd780c8b460e26d8d95f404a86b3ef4ff11055")
+
+    @pytest.mark.parametrize("seed,order", [
+        (1, (26, 14, 3, 19, 24, 8, 20, 13, 9, 0, 16, 5, 11, 23, 4, 15, 12, 1, 22, 28,
+             10, 27, 6, 7, 18, 17, 2, 25, 21, 29)),
+        (2, (3, 12, 11, 15, 7, 8, 4, 9, 25, 28, 26, 29, 2, 27, 20, 17, 10, 1, 19, 18,
+             6, 21, 22, 16, 24, 5, 0, 13, 14, 23)),
+        (3, (26, 13, 18, 23, 2, 16, 6, 24, 19, 21, 15, 0, 8, 5, 9, 1, 22, 20, 14, 25,
+             28, 17, 7, 10, 3, 12, 4, 29, 27, 11)),
+    ])
+    def test_two_opt_orders(self, seed, order):
+        inst = gen_random(30, 10**6, seed=seed)
+        assert two_opt(inst, random_tour(30, random.Random(seed))).order == order

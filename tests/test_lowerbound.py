@@ -17,6 +17,8 @@ from kopt_lab.lowerbound import (
 )
 from kopt_lab.tour import Tour, find_improving_2move, is_k_optimal, tour_length
 
+from reference_scan import reference_first_2move
+
 
 @pytest.fixture(scope="module")
 def lb3():
@@ -128,7 +130,7 @@ class TestBigScan:
         tour = build_lb_tour(lb3)
         report = scan_2opt_optimality(inst, tour)
         assert report.n == 2916
-        move = find_improving_2move(inst, tour)
+        move = reference_first_2move(inst, tour)
         assert report.two_optimal == (move is None)
 
     def test_detects_improvable_tour(self, lb3):
@@ -137,10 +139,12 @@ class TestBigScan:
         # reversing an interior block creates crossings the scan must find
         o = list(tour.order)
         o[100:200] = reversed(o[100:200])
-        report = scan_2opt_optimality(inst, Tour(tuple(o)))
+        planted = Tour(tuple(o))
+        report = scan_2opt_optimality(inst, planted)
         assert not report.two_optimal
         assert report.witness is not None
         assert report.best_gain > 0
+        assert find_improving_2move(inst, planted) == reference_first_2move(inst, planted)
 
 
 class TestThreeDFamily:
