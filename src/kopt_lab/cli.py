@@ -58,8 +58,7 @@ def cmd_gen_3d(args) -> int:
     _save_instance(inst3.as_instance(), args.out)
     if args.tours_out:
         with open(args.tours_out, "w") as f:
-            tsplib.write_tour(f, inst3.tour_t, name=f"I3d_k{args.k}_T")
-            tsplib.write_tour(f, inst3.tour_s, name=f"I3d_k{args.k}_S")
+            tsplib.write_tour(f, inst3.tour_t, inst3.tour_s, name=f"I3d_k{args.k}_T_S")
     return EXIT_OK
 
 

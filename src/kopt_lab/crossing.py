@@ -60,8 +60,8 @@ def find_crossings(inst: Instance, t: Tour, s: Tour) -> list[tuple[tuple, tuple,
 def _edge_param(a: Point, b: Point, p: Point) -> Fraction:
     """Position of p along segment a->b, as an exact rational in (0, 1)."""
     if b.x != a.x:
-        return (p.x - a.x) / (b.x - a.x)
-    return (p.y - a.y) / (b.y - a.y)
+        return Fraction(p.x - a.x, b.x - a.x)
+    return Fraction(p.y - a.y, b.y - a.y)
 
 
 def make_crossing_free(inst: Instance, t: Tour, s: Tour) -> CrossingFreePair:

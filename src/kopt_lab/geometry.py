@@ -1,9 +1,11 @@
 """Exact planar predicates and p-norm metrics.
 
-All topological predicates (orientation, segment intersection, containment)
-work on exact rational coordinates, so downstream certificates never suffer
-from floating-point misclassification.  Lengths are floating point except for
-the 1-norm on integer/rational inputs, which stays exact.
+Integral coordinates are Python ints; a coordinate is a Fraction only where
+geometry creates a rational point: a crossing point, an edge parameter or a
+midpoint.  All topological predicates (orientation, segment intersection,
+containment) are exact on int, Fraction or mixed points, so downstream
+certificates never suffer from floating-point misclassification.  Lengths are
+floating point except for the 1-norm, which stays exact.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from typing import NamedTuple, Sequence
 
 
 class Point(NamedTuple):
-    x: Fraction
-    y: Fraction
+    x: int | Fraction
+    y: int | Fraction
 
 
 class Point3(NamedTuple):
@@ -25,9 +27,17 @@ class Point3(NamedTuple):
     z: float
 
 
+def _exact(v) -> int | Fraction:
+    """v as an exact rational: an int when it is integral, else a Fraction."""
+    if type(v) is int:
+        return v
+    f = Fraction(v)
+    return int(f.numerator) if f.denominator == 1 else f
+
+
 def pt(x, y) -> Point:
-    """Build a Point, normalizing coordinates to exact rationals."""
-    return Point(Fraction(x), Fraction(y))
+    """Build a Point, normalizing coordinates to ints or exact rationals."""
+    return Point(_exact(x), _exact(y))
 
 
 @dataclass(frozen=True)
@@ -113,7 +123,7 @@ def _line_intersection(e: Segment, f: Segment) -> Point:
     x1, y1, x2, y2 = e.a.x, e.a.y, e.b.x, e.b.y
     x3, y3, x4, y4 = f.a.x, f.a.y, f.b.x, f.b.y
     den = (x1 - x2) * (y3 - y4) - (y1 - y2) * (x3 - x4)
-    t = ((x1 - x3) * (y3 - y4) - (y1 - y3) * (x3 - x4)) / den
+    t = Fraction((x1 - x3) * (y3 - y4) - (y1 - y3) * (x3 - x4), den)
     return Point(x1 + t * (x2 - x1), y1 + t * (y2 - y1))
 
 
@@ -209,13 +219,13 @@ def point_in_polygon(p: Point, poly: Sequence[Point], *, assume_simple: bool = F
     for i in range(n):
         a, b = poly[i], poly[(i + 1) % n]
         if (a.y > p.y) != (b.y > p.y):
-            x_int = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
+            x_int = a.x + Fraction((p.y - a.y) * (b.x - a.x), b.y - a.y)
             if x_int > p.x:
                 inside = not inside
     return "interior" if inside else "exterior"
 
 
-def bounding_box(points: Sequence[Point]) -> tuple[Fraction, Fraction]:
+def bounding_box(points: Sequence[Point]) -> tuple[int | Fraction, int | Fraction]:
     """Side lengths (d_x, d_y) of the axis-aligned bounding rectangle."""
     if not points:
         raise ValueError("bounding_box of empty point set")

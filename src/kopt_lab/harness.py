@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
 
 from .arborescence import certify_pair
-from .geometry import PNorm, orientation, pt
+from .geometry import PNorm, pt
 from .tour import Instance, Tour, exact_opt, tour_length, two_opt
 
 SCHEMA = "kopt-lab/1"
@@ -18,9 +19,32 @@ class RejectionBudgetExceeded(RuntimeError):
     pass
 
 
+def _on_common_line(cand, points) -> bool:
+    """Is cand collinear with two of the points?  O(len(points)).
+
+    Two points lie on one line through cand iff their gcd-reduced,
+    sign-normalized directions from cand are equal.
+    """
+    seen = set()
+    for p in points:
+        dx, dy = p.x - cand.x, p.y - cand.y
+        g = math.gcd(dx, dy)
+        dx, dy = dx // g, dy // g
+        if dx < 0 or (dx == 0 and dy < 0):
+            dx, dy = -dx, -dy
+        if (dx, dy) in seen:
+            return True
+        seen.add((dx, dy))
+    return False
+
+
 def gen_random(n: int, grid: int, seed: int, p: float = 2, name: str = "",
                budget: int = 100000) -> Instance:
-    """n distinct integer-grid points in general position (no collinear triple)."""
+    """n distinct integer-grid points in general position (no collinear triple).
+
+    Each candidate is tested in O(n) against the points placed so far, so
+    generation is O(n^2) overall when few candidates are rejected.
+    """
     if grid < n:
         raise ValueError("grid bound must be at least n")
     rng = random.Random(seed)
@@ -31,12 +55,7 @@ def gen_random(n: int, grid: int, seed: int, p: float = 2, name: str = "",
         if tries > budget:
             raise RejectionBudgetExceeded(f"could not place {n} points after {budget} tries")
         cand = pt(rng.randrange(grid + 1), rng.randrange(grid + 1))
-        if cand in points:
-            continue
-        if any(
-            orientation(points[i], points[j], cand) == 0
-            for i in range(len(points)) for j in range(i + 1, len(points))
-        ):
+        if cand in points or _on_common_line(cand, points):
             continue
         points.append(cand)
     return Instance(points, PNorm(p), name or f"rand-n{n}-seed{seed}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator
 
 from .geometry import PNorm, Point, Point3, pdist3, pt

@@ -38,7 +38,7 @@ class EdgePartition:
 
 
 def _midpoint(a: Point, b: Point) -> Point:
-    return Point((a.x + b.x) / 2, (a.y + b.y) / 2)
+    return Point(Fraction(a.x + b.x, 2), Fraction(a.y + b.y, 2))
 
 
 def classify_edges(pair: CrossingFreePair) -> tuple[list, list, list]:

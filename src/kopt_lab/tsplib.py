@@ -2,13 +2,14 @@
 
 Supported keywords: NAME, TYPE, COMMENT, DIMENSION, EDGE_WEIGHT_TYPE,
 NODE_COORD_SECTION (1-based, integer coordinates), TOUR_SECTION, EOF.
+A TOUR_SECTION may hold a collection of tours, each ended by -1; the
+reader returns the first.
 Non-Euclidean p is encoded as EDGE_WEIGHT_TYPE: SPECIAL plus a
 "PNORM=<p>" comment; 3-D instances use EUC_3D.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TextIO
 
 from .geometry import PNorm, Point3, pt
@@ -98,18 +99,23 @@ def read_instance(f: TextIO) -> Instance:
     return Instance(coords, norm, name)
 
 
-def write_tour(f: TextIO, tour: Tour, name: str = "tour"):
+def write_tour(f: TextIO, *tours: Tour, name: str = "tour"):
+    """One TOUR file; several tours share its TOUR_SECTION, each ended by -1."""
+    if not tours or len({t.n for t in tours}) != 1:
+        raise TsplibError("need one or more tours of the same dimension")
     f.write(f"NAME : {name}\n")
     f.write("TYPE : TOUR\n")
-    f.write("DIMENSION : %d\n" % tour.n)
+    f.write("DIMENSION : %d\n" % tours[0].n)
     f.write("TOUR_SECTION\n")
-    for v in tour.order:
-        f.write(f"{v + 1}\n")
-    f.write("-1\n")
+    for tour in tours:
+        for v in tour.order:
+            f.write(f"{v + 1}\n")
+        f.write("-1\n")
     f.write("EOF\n")
 
 
 def read_tour(f: TextIO) -> Tour:
+    """The first tour of the file's TOUR_SECTION."""
     order = []
     in_section = False
     for raw in f.read().splitlines():
@@ -121,8 +127,7 @@ def read_tour(f: TextIO) -> Tour:
             continue
         if in_section:
             if line == "-1":
-                in_section = False
-                continue
+                break
             order.append(int(line) - 1)
     if not order:
         raise TsplibError("no TOUR_SECTION found")

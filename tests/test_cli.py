@@ -31,7 +31,15 @@ class TestGenerators:
         assert run("gen-3d", "--k", "4", "--out", "d.tsp",
                    "--tours-out", "d.tour") == 0
         assert "EUC_3D" in (workdir / "d.tsp").read_text()
-        assert (workdir / "d.tour").read_text().count("TOUR_SECTION") == 2
+        text = (workdir / "d.tour").read_text()
+        assert text.count("TOUR_SECTION") == 1 and text.count("-1\n") == 2
+
+    def test_gen_3d_tours_read_back(self, workdir):
+        assert run("gen-3d", "--k", "4", "--out", "p.tsp",
+                   "--tours-out", "p.tour") == 0
+        assert run("scan-kopt", "--instance", "p.tsp", "--tour", "p.tour",
+                   "--out", "scan.json") == 0
+        assert json.loads((workdir / "scan.json").read_text())["n"] == 16
 
     def test_gen_lb_bad_q(self, workdir):
         assert run("gen-lb", "--q", "4", "--out", "x.tsp") == 2

@@ -1,13 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from kopt_lab.crossing import (
     GeneralPositionViolation,
+    _edge_param,
     find_crossings,
     make_crossing_free,
 )
-from kopt_lab.geometry import PNorm, pt
+from kopt_lab.geometry import PNorm, orientation, pt
+from kopt_lab.harness import gen_random, random_tour
 from kopt_lab.tour import Instance, Tour, is_simple, tour_length, two_opt
 
 from worked_examples import TWELVE_CROSSINGS, twelve_point_pair
@@ -95,3 +98,35 @@ class TestRandomPairs:
                 tour_length(inst, t), rel=1e-9
             )
             assert find_crossings(pair.instance, pair.tprime, pair.sprime) == []
+
+
+class TestExactSubdivision:
+    def test_crossing_points_are_exact_and_on_both_segments(self):
+        crossings = 0
+        for seed in range(20):
+            inst = gen_random(30, 10**6, seed=seed)
+            rng = random.Random(seed)
+            t = two_opt(inst, random_tour(30, rng))
+            s = two_opt(inst, random_tour(30, rng))
+            pair = make_crossing_free(inst, t, s)
+            for p in pair.instance.points:
+                assert all(type(c) in (int, Fraction) for c in p), p
+            for i, (kind, tag) in enumerate(pair.provenance):
+                if kind != "crossing":
+                    continue
+                p = pair.instance.points[i]
+                for u, v in tag:
+                    a, b = inst.points[u], inst.points[v]
+                    assert orientation(a, b, p) == 0
+                    param = _edge_param(a, b, p)
+                    assert type(param) is Fraction and 0 < param < 1
+            crossings += pair.crossings
+        assert crossings == 4  # seeds 5, 6, 14 and 18 have one crossing each
+
+    def test_edge_param_of_int_points_is_a_fraction(self):
+        for a, b, p, want in (
+            (pt(0, 0), pt(4, 2), pt(2, 1), Fraction(1, 2)),
+            (pt(3, 0), pt(3, 8), pt(3, 2), Fraction(1, 4)),
+        ):
+            param = _edge_param(a, b, p)
+            assert type(param) is Fraction and param == want

@@ -25,6 +25,38 @@ from kopt_lab.geometry import (
 from kopt_lab.geometry import Point3
 
 
+class TestExactCoordinates:
+    def test_integral_coordinates_are_ints(self):
+        p = pt(3, 4)
+        assert type(p.x) is int and type(p.y) is int
+        q = pt(Fraction(6, 3), 4.0)
+        assert type(q.x) is int and type(q.y) is int
+
+    def test_rational_coordinate_stays_fraction(self):
+        p = pt(Fraction(1, 2), 0)
+        assert type(p.x) is Fraction and p.x == Fraction(1, 2)
+        assert type(p.y) is int
+
+    def test_int_and_fraction_points_are_interchangeable(self):
+        a, b = pt(3, 4), Point(Fraction(3), Fraction(4))
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+
+    def test_crossing_of_int_segments_is_exact(self):
+        rel = segment_relation(
+            Segment(pt(0, 0), pt(3, 1)), Segment(pt(1, 1), pt(2, -1))
+        )
+        assert isinstance(rel, Cross)
+        assert all(isinstance(c, (int, Fraction)) for c in rel.point)
+        assert rel.point == Point(Fraction(9, 7), Fraction(3, 7))
+
+    def test_point_in_polygon_exact_near_edge(self):
+        # The ray from p meets the slanted edge at x = 10**17 + 1/3; floats
+        # would round that crossing onto p itself.
+        tri = [pt(0, 0), pt(3 * 10**17 + 1, 3), pt(0, 3)]
+        assert point_in_polygon(pt(10**17, 1), tri) == "interior"
+
+
 class TestPNorm:
     def test_euclidean(self):
         assert pdist(PNorm(2), pt(0, 0), pt(3, 4)) == 5.0

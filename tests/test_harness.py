@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from kopt_lab.geometry import orientation, pt
 from kopt_lab.harness import (
     ExperimentConfig,
     RejectionBudgetExceeded,
@@ -16,10 +17,36 @@ from kopt_lab.harness import (
 from kopt_lab.tour import is_degenerate, two_opt
 
 
+def reference_gen_points(n, grid, seed, budget=100000):
+    """gen_random's points by the original O(k^2)-per-candidate orientation test."""
+    rng = random.Random(seed)
+    points = []
+    tries = 0
+    while len(points) < n:
+        tries += 1
+        if tries > budget:
+            raise RejectionBudgetExceeded(f"could not place {n} points after {budget} tries")
+        cand = pt(rng.randrange(grid + 1), rng.randrange(grid + 1))
+        if cand in points:
+            continue
+        if any(
+            orientation(points[i], points[j], cand) == 0
+            for i in range(len(points)) for j in range(i + 1, len(points))
+        ):
+            continue
+        points.append(cand)
+    return points
+
+
+def _outcome(gen, *args):
+    try:
+        return list(gen(*args))
+    except RejectionBudgetExceeded as exc:
+        return str(exc)
+
+
 class TestGenRandom:
     def test_general_position(self):
-        from kopt_lab.geometry import orientation
-
         inst = gen_random(12, 50, seed=3)
         pts = inst.points
         for i in range(len(pts)):
@@ -38,6 +65,26 @@ class TestGenRandom:
     def test_budget_exhaustion(self):
         with pytest.raises(RejectionBudgetExceeded):
             gen_random(5, 10, seed=1, budget=3)
+
+    # Budgets near the median number of tries make about half the seeds of
+    # the small grids run out; at (24, 24) about half the candidates are
+    # rejected.
+    @pytest.mark.parametrize("n,grid,budget,both_outcomes", [
+        (8, 8, 11, True),
+        (12, 20, 14, True),
+        (20, 100, 21, True),
+        (30, 10**6, 100000, False),
+        (24, 24, 55, True),
+    ])
+    def test_matches_reference_generator(self, n, grid, budget, both_outcomes):
+        outcomes = set()
+        for seed in range(40):
+            want = _outcome(reference_gen_points, n, grid, seed, budget)
+            got = _outcome(lambda *a: gen_random(*a, budget=budget).points,
+                           n, grid, seed)
+            assert got == want, seed
+            outcomes.add(type(want))
+        assert outcomes == ({list, str} if both_outcomes else {list})
 
     def test_random_tour_is_permutation(self):
         t = random_tour(8, random.Random(5))
@@ -99,3 +146,9 @@ class TestSeededOutputs:
     def test_two_opt_orders(self, seed, order):
         inst = gen_random(30, 10**6, seed=seed)
         assert two_opt(inst, random_tour(30, random.Random(seed))).order == order
+
+    def test_gen_random_200_points(self):
+        inst = gen_random(200, 10**6, seed=1)
+        coords = repr([(int(p.x), int(p.y)) for p in inst.points])
+        assert hashlib.sha256(coords.encode()).hexdigest() == (
+            "9ea09963f99470e79ffa1d906948e795c82957ec6bea2c44aeade3d6c8056771")

@@ -95,3 +95,19 @@ class TestTourIO:
         text = "TYPE : TOUR\nDIMENSION : 3\nTOUR_SECTION\n1\n1\n3\n-1\nEOF\n"
         with pytest.raises(tsplib.TsplibError):
             tsplib.read_tour(io.StringIO(text))
+
+    def test_collection_of_tours_reads_first(self):
+        buf = io.StringIO()
+        tsplib.write_tour(buf, Tour((0, 2, 1, 3)), Tour((3, 2, 1, 0)), name="ts")
+        text = buf.getvalue()
+        assert text.count("TOUR_SECTION") == 1 and text.count("-1\n") == 2
+        assert tsplib.read_tour(io.StringIO(text)).order == (0, 2, 1, 3)
+
+    def test_non_permutation_first_tour_rejected(self):
+        text = "TYPE : TOUR\nDIMENSION : 3\nTOUR_SECTION\n1\n1\n-1\n1\n2\n3\n-1\nEOF\n"
+        with pytest.raises(tsplib.TsplibError):
+            tsplib.read_tour(io.StringIO(text))
+
+    def test_tours_of_different_sizes_rejected(self):
+        with pytest.raises(tsplib.TsplibError):
+            tsplib.write_tour(io.StringIO(), Tour((0, 1, 2)), Tour((0, 1, 2, 3)))
