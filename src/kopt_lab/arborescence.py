@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .crossing import CrossingFreePair, make_crossing_free
-from .partition import EdgePartition, partition_edges
+from .crossing import make_crossing_free
+from .partition import partition_edges
 from .tour import Instance, Tour, is_k_optimal, tour_length
 
 CERT_EPS = 1e-9
@@ -40,8 +40,6 @@ class Arborescence:
     n_nodes: int
     edges: list          # list[ArbEdge]
     root: int = 0
-    # region boundaries (node id -> dict with 'tour_edges' and 'chords'), optional
-    regions: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self._children = {v: [] for v in range(self.n_nodes)}
@@ -74,21 +72,9 @@ class Arborescence:
                 stack.append(self.edges[ci].head)
         return total
 
-    def descendant_edges(self, edge_idx: int) -> list[int]:
-        """Edge indices of A_e, including edge_idx itself."""
-        out = [edge_idx]
-        stack = [self.edges[edge_idx].head]
-        while stack:
-            node = stack.pop()
-            for ci in self._children[node]:
-                out.append(ci)
-                stack.append(self.edges[ci].head)
-        return out
-
 
 def build_arborescence(
     inst: Instance,
-    tprime: Tour,
     path: list,
     chords: list,
     e0: Optional[tuple] = None,
@@ -129,8 +115,6 @@ def build_arborescence(
     # Sort so that any containing interval precedes its contents.
     intervals.sort(key=lambda t: (t[0], -t[1]))
     node_of = {}          # chord -> node id of the region just inside it
-    node_interval = {0: None}   # root
-    in_chord = {}         # node id -> chord bounding it from the parent side
     parents = {}
     stack = []            # chain of open intervals (chord, lo, hi, node)
     next_node = 1
@@ -139,10 +123,8 @@ def build_arborescence(
             stack.pop()
         parent = stack[-1][2] if stack else 0
         node_of[ch] = next_node
-        in_chord[next_node] = ch
         parents[next_node] = parent
         stack.append((lo, hi, next_node))
-        node_interval[next_node] = (lo, hi)
         next_node += 1
 
     n_nodes = next_node
@@ -158,23 +140,14 @@ def build_arborescence(
     path_edge_len = [float(inst.dist(path[t], path[t + 1])) for t in range(m)]
 
     w_of = [0.0] * n_nodes
-    regions: dict = {v: {"tour_edges": [], "chords": []} for v in range(n_nodes)}
     for t in range(m):
         w_of[owner[t]] += path_edge_len[t]
-        regions[owner[t]]["tour_edges"].append((path[t], path[t + 1]))
-    for node, ch in in_chord.items():
-        regions[node]["chords"].append(ch)
-        regions[parents[node]]["chords"].append(ch)
-    # The root region is additionally bounded by the tour edges off the path.
-    off_path = [e for e in tprime.edges() if not (
-        e[0] in pos and e[1] in pos and abs(pos[e[0]] - pos[e[1]]) == 1)]
-    regions[0]["tour_edges"].extend(off_path)
 
     edges = [
         ArbEdge(tail=parents[node], head=node, c=chord_len[ch], w=w_of[node], chord=ch)
         for ch, node in node_of.items()
     ]
-    return Arborescence(n_nodes=n_nodes, edges=edges, regions=regions)
+    return Arborescence(n_nodes=n_nodes, edges=edges)
 
 
 @dataclass
@@ -214,9 +187,6 @@ def verify_combined_inequalities(arb: Arborescence) -> ArborescenceCertificate:
             cert.two_opt.append(
                 InequalityCheck(f"2opt[{idx},{f}]", slack >= -_eps(lhs4, rhs4), slack)
             )
-    cert.params["n_edges"] = len(arb.edges)
-    cert.params["c_total"] = arb.c_total()
-    cert.params["w_total"] = arb.w_total()
     return cert
 
 
@@ -275,12 +245,12 @@ def verify_lemma_suite(arb: Arborescence) -> ArborescenceCertificate:
             r = (4 / l) ** i * wA
             if r <= 0:
                 break
-            val = c_of(subset_E_r(arb, l, r))
+            er = subset_E_r(arb, l, r)
+            val = c_of(er)
             checks.append(InequalityCheck(
                 f"E_r(l={l:g},i={i}): c(E_r) <= 2*w(A)",
                 val <= 2 * wA + _eps(val, wA), 2 * wA - val))
             # The minimal-cover decomposition used in the E_r proof.
-            er = subset_E_r(arb, l, r)
             cover = _topmost(arb, er)
             wsum = sum(arb.subtree_w(e) for e in cover)
             checks.append(InequalityCheck(
@@ -352,8 +322,7 @@ class PairCertificate:
     failures: list = field(default_factory=list)
 
 
-def certify_pair(inst: Instance, t_opt: Tour, s_2opt: Tour,
-                 recheck_s2opt: bool = True) -> PairCertificate:
+def certify_pair(inst: Instance, t_opt: Tour, s_2opt: Tour) -> PairCertificate:
     """Full pipeline: uncross, partition, build and verify all arborescences."""
     verdict = is_k_optimal(inst, s_2opt, 2)
     if not verdict.optimal:
@@ -364,10 +333,9 @@ def certify_pair(inst: Instance, t_opt: Tour, s_2opt: Tour,
     pair = make_crossing_free(inst, t_opt, s_2opt)
     vp = pair.instance
 
-    if recheck_s2opt:
-        sp_verdict = is_k_optimal(vp, pair.sprime, 2)
-        if not sp_verdict.optimal:
-            raise AssertionError("subdivided tour S' lost 2-optimality")
+    # Subdividing S at the crossings must keep it 2-optimal on V'.
+    if not is_k_optimal(vp, pair.sprime, 2).optimal:
+        raise AssertionError("subdivided tour S' lost 2-optimality")
 
     part = partition_edges(pair)
     failures = []
@@ -390,16 +358,16 @@ def certify_pair(inst: Instance, t_opt: Tour, s_2opt: Tour,
             if chord_len > len_t + _eps(chord_len, len_t):
                 failures.append(f"{name}: single chord longer than c(T)")
         else:
-            class_chords = list(chords)
             use_e0 = e0 if name in ("S1'", "S2'") else None
-            arb = build_arborescence(vp, pair.tprime, path, class_chords, e0=use_e0)
+            arb = build_arborescence(vp, path, chords, e0=use_e0)
             cert_ineq = verify_combined_inequalities(arb)
             cert_lem = verify_lemma_suite(arb)
+            c_total, w_total = arb.c_total(), arb.w_total()
             stat.update({
                 "n_edges": len(arb.edges),
-                "c_total": arb.c_total(),
-                "w_total": arb.w_total(),
-                "ratio_cw": arb.c_total() / arb.w_total() if arb.w_total() else None,
+                "c_total": c_total,
+                "w_total": w_total,
+                "ratio_cw": c_total / w_total if w_total else None,
                 "combined_pass": cert_ineq.all_pass,
                 "lemmas_pass": cert_lem.all_pass,
             })

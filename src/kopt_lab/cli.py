@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 import time
 
 from . import lowerbound, tsplib
-from .arborescence import certify_pair
-from .harness import SCHEMA, ExperimentConfig, gen_random, random_tour, run_experiment
+from .harness import (SCHEMA, ExperimentConfig, certify_instance, gen_random, random_tour,
+                      run_experiment)
 from .tour import Instance, exact_opt, tour_length, two_opt
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
@@ -64,8 +65,7 @@ def cmd_gen_3d(args) -> int:
 
 def cmd_solve_2opt(args) -> int:
     inst = _load_instance(args.instance)
-    import random as _random
-    start = random_tour(inst.n, _random.Random(args.seed))
+    start = random_tour(inst.n, random.Random(args.seed))
     t = two_opt(inst, start)
     if args.out:
         with open(args.out, "w") as f:
@@ -86,24 +86,12 @@ def cmd_solve_exact(args) -> int:
 
 def cmd_certify(args) -> int:
     inst = _load_instance(args.instance)
-    import random as _random
-    s = two_opt(inst, random_tour(inst.n, _random.Random(args.seed)))
-    t_opt, _ = exact_opt(inst)
-    cert = certify_pair(inst, t_opt, s)
-    _write_json({
-        "schema": SCHEMA,
-        "instance": inst.name,
-        "n": inst.n,
-        "ratio": cert.ratio,
-        "certified_bound": cert.bound,
-        "nprime": cert.nprime,
-        "crossings": cert.crossings,
-        "partition_sizes": cert.part_sizes,
-        "arborescences": cert.arb_stats,
-        "passed": cert.passed,
-        "failures": cert.failures,
-    }, args.out)
-    return EXIT_OK if cert.passed else EXIT_FAIL
+    rec = certify_instance(inst, random_tour(inst.n, random.Random(args.seed)))
+    passed = rec.pop("certificate_passed")
+    del rec["lengths"], rec["timing"]
+    _write_json({"schema": SCHEMA, "instance": inst.name, "n": inst.n, "passed": passed, **rec},
+                args.out)
+    return EXIT_OK if passed else EXIT_FAIL
 
 
 def cmd_scan_kopt(args) -> int:

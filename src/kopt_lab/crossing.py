@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Cross, Disjoint, Overlap, Point, SharedEndpoint, Touch, segment_relation
+from .geometry import Cross, Overlap, Point, Touch, segment_relation
 from .tour import Instance, Tour, is_simple
 
 

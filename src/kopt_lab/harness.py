@@ -5,11 +5,11 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arborescence import certify_pair
 from .geometry import PNorm, pt
-from .tour import Instance, Tour, exact_opt, tour_length, two_opt
+from .tour import EXACT_MAX_N, Instance, Tour, exact_opt, two_opt
 
 SCHEMA = "kopt-lab/1"
 GENERATOR = "python-random-mt19937"
@@ -76,25 +76,30 @@ class ExperimentConfig:
     p: float = 2
     trials: int = 10
 
+    def __post_init__(self):
+        # Checked up front: a bad range would otherwise fail every trial alike.
+        if self.n_min < 3:
+            raise ValueError(f"n_min must be at least 3, got {self.n_min}")
+        if self.n_min > self.n_max:
+            raise ValueError(f"n_min ({self.n_min}) must not exceed n_max ({self.n_max})")
+        if self.n_max > EXACT_MAX_N:
+            raise ValueError(f"n_max must be at most {EXACT_MAX_N} (Held-Karp), got {self.n_max}")
+        if self.grid < self.n_max:
+            raise ValueError(f"grid ({self.grid}) must be at least n_max ({self.n_max})")
 
-def run_trial(config: ExperimentConfig, trial: int) -> dict:
-    """gen -> 2-opt from a random start -> exact optimum -> certificate."""
-    rng = random.Random(config.seed * 1_000_003 + trial)
-    n = rng.randint(config.n_min, config.n_max)
-    inst = gen_random(n, config.grid, seed=rng.randrange(2**62), p=config.p,
-                      name=f"trial{trial}")
+
+def certify_instance(inst: Instance, start: Tour) -> dict:
+    """2-Opt from `start`, the exact optimum and the ratio certificate of the pair.
+
+    Returns the record fields shared by `report` trials and `certify`.
+    """
     t0 = time.perf_counter()
-    s = two_opt(inst, random_tour(n, rng))
+    s = two_opt(inst, start)
     t_opt, opt_len = exact_opt(inst)
     cert = certify_pair(inst, t_opt, s)
     elapsed = time.perf_counter() - t0
     return {
-        "trial": trial,
-        "instance": inst.name,
-        "n": n,
-        "p": config.p,
-        "seed": config.seed,
-        "lengths": {"two_opt": float(tour_length(inst, s)), "exact": float(opt_len)},
+        "lengths": {"two_opt": cert.lengths["s"], "exact": float(opt_len)},
         "ratio": cert.ratio,
         "certified_bound": cert.bound,
         "nprime": cert.nprime,
@@ -104,6 +109,22 @@ def run_trial(config: ExperimentConfig, trial: int) -> dict:
         "certificate_passed": cert.passed,
         "failures": cert.failures,
         "timing": {"seconds": elapsed},
+    }
+
+
+def run_trial(config: ExperimentConfig, trial: int) -> dict:
+    """gen -> 2-opt from a random start -> exact optimum -> certificate."""
+    rng = random.Random(config.seed * 1_000_003 + trial)
+    n = rng.randint(config.n_min, config.n_max)
+    inst = gen_random(n, config.grid, seed=rng.randrange(2**62), p=config.p,
+                      name=f"trial{trial}")
+    return {
+        "trial": trial,
+        "instance": inst.name,
+        "n": n,
+        "p": config.p,
+        "seed": config.seed,
+        **certify_instance(inst, random_tour(n, rng)),
     }
 
 

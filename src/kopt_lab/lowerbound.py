@@ -10,10 +10,9 @@ integers; everything here is exact for integer p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
 
-from .geometry import PNorm, Point, Point3, pdist3, pt
+from .geometry import PNorm, Point3, pt
 from .tour import Instance, Tour, _best_2move
 
 SQRT3_HALF = math.sqrt(3) / 2
@@ -117,27 +116,33 @@ def lb_tour_edges(lb: LowerBoundInstance) -> list[tuple[tuple, tuple]]:
     return edges
 
 
-def build_lb_tour(lb: LowerBoundInstance) -> Tour:
-    """Assemble the edge groups into a Hamiltonian cycle (degree-2 + connectivity checked)."""
-    coords = lb.all_points()
-    index = {c: i for i, c in enumerate(coords)}
-    adj: dict[int, list[int]] = {i: [] for i in range(lb.n)}
-    for a, b in lb_tour_edges(lb):
-        ia, ib = index[a], index[b]
-        adj[ia].append(ib)
-        adj[ib].append(ia)
-    for v, nbrs in adj.items():
+def _cycle_from_edges(n: int, edges) -> Tour:
+    """The tour that walks the edges on vertices 0..n-1 from vertex 0.
+
+    Checks that every vertex has degree 2 and that the walk is a single
+    Hamiltonian cycle closing back at vertex 0.
+    """
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for v, nbrs in enumerate(adj):
         if len(nbrs) != 2:
-            raise AssertionError(f"vertex {coords[v]} has degree {len(nbrs)} in the tour")
-    order = [0]
-    prev, cur = None, 0
-    for _ in range(lb.n - 1):
+            raise AssertionError(f"tour vertex {v} has degree {len(nbrs)}")
+    order, prev, cur = [0], None, 0
+    for _ in range(n - 1):
         nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
         order.append(nxt)
         prev, cur = cur, nxt
-    if len(set(order)) != lb.n or (order[-1] not in adj[0]):
-        raise AssertionError("tour edge groups do not form a single Hamiltonian cycle")
+    if len(set(order)) != n or order[-1] not in adj[0]:
+        raise AssertionError("tour edges do not form a single Hamiltonian cycle")
     return Tour(tuple(order))
+
+
+def build_lb_tour(lb: LowerBoundInstance) -> Tour:
+    """Assemble the edge groups into a Hamiltonian cycle (degree-2 + connectivity checked)."""
+    index = {c: i for i, c in enumerate(lb.all_points())}
+    return _cycle_from_edges(lb.n, ((index[a], index[b]) for a, b in lb_tour_edges(lb)))
 
 
 def lb_tour_length_exact(lb: LowerBoundInstance) -> int:
@@ -298,21 +303,5 @@ def generate_3d_instance(k: int) -> ThreeDInstance:
         + [(C(2 * i), C(2 * i + 1)) for i in range(1, k // 2)]
     )
 
-    def to_tour(edges) -> Tour:
-        adj: dict[int, list[int]] = {v: [] for v in range(4 * k)}
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for v, nbrs in adj.items():
-            if len(nbrs) != 2:
-                raise AssertionError(f"3-D tour vertex {v} has degree {len(nbrs)}")
-        order, prev, cur = [0], None, 0
-        for _ in range(4 * k - 1):
-            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-            order.append(nxt)
-            prev, cur = cur, nxt
-        if len(set(order)) != 4 * k:
-            raise AssertionError("3-D tour edges do not form a Hamiltonian cycle")
-        return Tour(tuple(order))
-
-    return ThreeDInstance(k=k, points=points, tour_t=to_tour(t_edges), tour_s=to_tour(s_edges))
+    return ThreeDInstance(k=k, points=points, tour_t=_cycle_from_edges(4 * k, t_edges),
+                          tour_s=_cycle_from_edges(4 * k, s_edges))

@@ -15,10 +15,8 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .geometry import (
-    Cross,
     Disjoint,
     PNorm,
-    Point,
     Point3,
     Segment,
     SharedEndpoint,
@@ -29,6 +27,8 @@ from .geometry import (
 )
 
 DEFAULT_GAIN_EPS = 1e-9
+# Largest n that Held-Karp (exact_opt) accepts.
+EXACT_MAX_N = 18
 # Upper bound on the distance evaluations of one block of rows of the 2-move scan.
 _BLOCK_CELLS = 1 << 15
 
@@ -312,8 +312,8 @@ def exact_opt(inst: Instance, cross_check: bool = False) -> tuple[Tour, object]:
     """Provably optimal tour via Held-Karp (n <= 18); optional brute-force cross-check."""
     if inst.n < 3:
         raise ValueError("need n >= 3")
-    if inst.n > 18:
-        raise ValueError(f"exact_opt limited to n <= 18, got {inst.n}")
+    if inst.n > EXACT_MAX_N:
+        raise ValueError(f"exact_opt limited to n <= {EXACT_MAX_N}, got {inst.n}")
     tour, length = _held_karp(inst)
     if cross_check:
         if inst.n > 9:

@@ -20,6 +20,15 @@ class TsplibError(ValueError):
     pass
 
 
+def _number(kind, token: str, lineno: int, raw: str):
+    """kind(token) for kind int or float; a bad token is a TsplibError naming its line."""
+    try:
+        return kind(token)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise TsplibError(f"line {lineno}: {token!r} is not {noun} in {raw.strip()!r}") from None
+
+
 def write_instance(f: TextIO, inst: Instance):
     f.write(f"NAME : {inst.name or 'instance'}\n")
     f.write("TYPE : TSP\n")
@@ -45,9 +54,8 @@ def write_instance(f: TextIO, inst: Instance):
 def read_instance(f: TextIO) -> Instance:
     name, dim, ewt, pnorm = "", None, None, None
     coords = []
-    lines = iter(f.read().splitlines())
     in_coords = False
-    for raw in lines:
+    for lineno, raw in enumerate(f.read().splitlines(), 1):
         line = raw.strip()
         if not line or line == "EOF":
             in_coords = False
@@ -57,11 +65,11 @@ def read_instance(f: TextIO) -> Instance:
             if ewt == "EUC_3D":
                 if len(parts) != 4:
                     raise TsplibError(f"malformed 3-D coord line: {raw!r}")
-                coords.append(Point3(float(parts[1]), float(parts[2]), float(parts[3])))
+                coords.append(Point3(*(_number(float, v, lineno, raw) for v in parts[1:])))
             else:
                 if len(parts) != 3:
                     raise TsplibError(f"malformed coord line: {raw!r}")
-                coords.append(pt(int(parts[1]), int(parts[2])))
+                coords.append(pt(*(_number(int, v, lineno, raw) for v in parts[1:])))
             continue
         if line == "NODE_COORD_SECTION":
             in_coords = True
@@ -75,13 +83,13 @@ def read_instance(f: TextIO) -> Instance:
                 if val.upper() != "TSP":
                     raise TsplibError(f"unsupported TYPE {val}")
             elif key == "DIMENSION":
-                dim = int(val)
+                dim = _number(int, val, lineno, raw)
             elif key == "EDGE_WEIGHT_TYPE":
                 ewt = val.upper()
                 if ewt not in ("EUC_2D", "EUC_3D", "SPECIAL"):
                     raise TsplibError(f"unsupported EDGE_WEIGHT_TYPE {val}")
             elif key == "COMMENT" and val.upper().startswith("PNORM="):
-                pnorm = float(val[6:])
+                pnorm = _number(float, val[6:], lineno, raw)
         else:
             raise TsplibError(f"unrecognized line: {raw!r}")
     if ewt is None or dim is None:
@@ -118,7 +126,7 @@ def read_tour(f: TextIO) -> Tour:
     """The first tour of the file's TOUR_SECTION."""
     order = []
     in_section = False
-    for raw in f.read().splitlines():
+    for lineno, raw in enumerate(f.read().splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
@@ -128,7 +136,7 @@ def read_tour(f: TextIO) -> Tour:
         if in_section:
             if line == "-1":
                 break
-            order.append(int(line) - 1)
+            order.append(_number(int, line, lineno, raw) - 1)
     if not order:
         raise TsplibError("no TOUR_SECTION found")
     if sorted(order) != list(range(len(order))):

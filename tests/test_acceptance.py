@@ -4,7 +4,6 @@ The terminal summary (see conftest) prints one pass/fail line per criterion.
 Runtime budgets are asserted with wall-clock margins suitable for a laptop.
 """
 
-import math
 import random
 import time
 
@@ -12,7 +11,6 @@ import pytest
 
 from kopt_lab.arborescence import (
     build_arborescence,
-    certified_ratio_bound,
     certify_pair,
     verify_combined_inequalities,
     verify_lemma_suite,
@@ -73,7 +71,7 @@ def corpus():
                 continue
             arbs.append(
                 build_arborescence(
-                    pair.instance, pair.tprime, path, list(chords),
+                    pair.instance, path, list(chords),
                     e0=e0 if use_e0 else None,
                 )
             )

@@ -29,9 +29,7 @@ def fortytwo_arb():
     inst, t, s = fortytwo_point_pair()
     pair = make_crossing_free(inst, t, s)
     part = partition_edges(pair)
-    arb = build_arborescence(
-        pair.instance, pair.tprime, part.e0_path, part.s1p, e0=part.e0
-    )
+    arb = build_arborescence(pair.instance, part.e0_path, part.s1p, e0=part.e0)
     return pair, part, arb
 
 
@@ -72,16 +70,14 @@ class TestConstruction:
 
     def test_crossing_chords_rejected(self):
         inst = Instance([pt(i, (i * i) % 7) for i in range(6)], PNorm(2))
-        tprime = Tour((0, 1, 2, 3, 4, 5))
         path = [0, 1, 2, 3, 4, 5]
         with pytest.raises(ChordCrossingError):
-            build_arborescence(inst, tprime, path, [(0, 3), (2, 5)])
+            build_arborescence(inst, path, [(0, 3), (2, 5)])
 
     def test_virtual_root_adopts_top_level_chords(self):
         # no full-span chord: both chords hang off the root directly
         inst = Instance([pt(i, (3 * i + 1) % 11) for i in range(6)], PNorm(2))
-        tprime = Tour((0, 1, 2, 3, 4, 5))
-        arb = build_arborescence(inst, tprime, [0, 1, 2, 3, 4, 5], [(0, 2), (3, 5)])
+        arb = build_arborescence(inst, [0, 1, 2, 3, 4, 5], [(0, 2), (3, 5)])
         assert len(arb.child_edges(arb.root)) == 2
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -61,6 +62,13 @@ class TestSolveAndCertify:
         assert cert["passed"] is True
         assert cert["ratio"] <= cert["certified_bound"]
 
+    def test_certify_json_is_pinned(self, workdir):
+        run("gen-random", "--n", "9", "--grid", "200", "--seed", "8", "--out", "r.tsp")
+        assert run("certify", "r.tsp", "--seed", "1", "--out", "c.json") == 0
+        text = (workdir / "c.json").read_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "80fb27457b7b86a7f854b7c4f3b58cb9a2939ac19de8357ca84c900bdf27795c")
+
     def test_missing_file_is_usage_error(self, workdir):
         assert run("solve-2opt", "missing.tsp") == 2
 
@@ -94,6 +102,17 @@ class TestScanAndReport:
         rep = json.loads((workdir / "exp.json").read_text())
         assert rep["aggregate"]["completed"] == 3
         assert rep["aggregate"]["all_certificates_passed"] is True
+
+    @pytest.mark.parametrize("argv, field", [
+        (("--n-min", "10", "--n-max", "5"), "n_min"),
+        (("--n-min", "2"), "n_min"),
+        (("--n-max", "19"), "n_max"),
+        (("--grid", "5"), "grid"),
+    ])
+    def test_report_rejects_config_before_any_trial(self, workdir, capsys, argv, field):
+        assert run("report", "--trials", "2", *argv, "--out", "exp.json") == 2
+        assert f"error: {field}" in capsys.readouterr().err
+        assert not (workdir / "exp.json").exists()
 
     def test_unknown_command_is_usage_error(self):
         assert run("no-such-command") == 2

@@ -8,13 +8,14 @@ from kopt_lab.geometry import orientation, pt
 from kopt_lab.harness import (
     ExperimentConfig,
     RejectionBudgetExceeded,
+    certify_instance,
     gen_random,
     random_tour,
     run_experiment,
     run_trial,
     strip_timing,
 )
-from kopt_lab.tour import is_degenerate, two_opt
+from kopt_lab.tour import tour_length, two_opt
 
 
 def reference_gen_points(n, grid, seed, budget=100000):
@@ -119,6 +120,19 @@ class TestExperiment:
         assert rec["ratio"] >= 1.0 - 1e-12
         assert rec["ratio"] <= rec["certified_bound"]
         assert "timing" in rec
+
+    def test_trial_record_is_header_plus_certify_instance(self):
+        cfg = ExperimentConfig(seed=11, trials=1)
+        rec = strip_timing(run_trial(cfg, 0))
+        # Redraw the trial's instance and start as run_trial does.
+        rng = random.Random(cfg.seed * 1_000_003)
+        n = rng.randint(cfg.n_min, cfg.n_max)
+        inst = gen_random(n, cfg.grid, seed=rng.randrange(2**62), p=cfg.p, name="trial0")
+        start = random_tour(n, rng)
+        shared = strip_timing(certify_instance(inst, start))
+        assert rec == {"trial": 0, "instance": "trial0", "n": n, "p": cfg.p, "seed": cfg.seed,
+                       **shared}
+        assert shared["lengths"]["two_opt"] == float(tour_length(inst, two_opt(inst, start)))
 
     def test_strip_timing_removes_all_timing(self):
         report = run_experiment(ExperimentConfig(seed=2, trials=2))

@@ -1,9 +1,8 @@
-import math
-
 import pytest
 
 from kopt_lab.geometry import PNorm
 from kopt_lab.lowerbound import (
+    _cycle_from_edges,
     build_lb_tour,
     doubled_spanning_tree_tour,
     estimate_inequality,
@@ -78,6 +77,16 @@ class TestHandBuiltTour:
             degree[b] = degree.get(b, 0) + 1
         assert len(degree) == lb3.n
         assert set(degree.values()) == {2}
+
+
+class TestCycleFromEdges:
+    def test_degree_three_rejected(self):
+        with pytest.raises(AssertionError, match="vertex 0 has degree 3"):
+            _cycle_from_edges(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
+
+    def test_two_disjoint_triangles_rejected(self):
+        with pytest.raises(AssertionError, match="single Hamiltonian cycle"):
+            _cycle_from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
 
 
 class TestSpanningTreeBound:

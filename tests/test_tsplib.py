@@ -76,6 +76,17 @@ class TestInstanceIO:
         with pytest.raises(tsplib.TsplibError):
             tsplib.read_instance(io.StringIO(text))
 
+    @pytest.mark.parametrize("text, lineno, token", [
+        ("TYPE : TSP\nDIMENSION : 1.5\nEDGE_WEIGHT_TYPE : EUC_2D\nEOF\n", 2, "1.5"),
+        ("TYPE : TSP\nDIMENSION : 2\nEDGE_WEIGHT_TYPE : EUC_2D\n"
+         "NODE_COORD_SECTION\n1 0 0\n2 1.5 1\nEOF\n", 6, "1.5"),
+        ("TYPE : TSP\nDIMENSION : 1\nEDGE_WEIGHT_TYPE : EUC_3D\n"
+         "NODE_COORD_SECTION\n1 0 zero 0\nEOF\n", 5, "zero"),
+    ], ids=["dimension", "coordinate", "3d-coordinate"])
+    def test_bad_number_names_its_line(self, text, lineno, token):
+        with pytest.raises(tsplib.TsplibError, match=f"line {lineno}: '{token}' is not"):
+            tsplib.read_instance(io.StringIO(text))
+
 
 class TestTourIO:
     def test_roundtrip(self):
@@ -106,6 +117,11 @@ class TestTourIO:
     def test_non_permutation_first_tour_rejected(self):
         text = "TYPE : TOUR\nDIMENSION : 3\nTOUR_SECTION\n1\n1\n-1\n1\n2\n3\n-1\nEOF\n"
         with pytest.raises(tsplib.TsplibError):
+            tsplib.read_tour(io.StringIO(text))
+
+    def test_bad_entry_names_its_line(self):
+        text = "TYPE : TOUR\nDIMENSION : 3\nTOUR_SECTION\n1\n2.0\n3\n-1\nEOF\n"
+        with pytest.raises(tsplib.TsplibError, match="line 5: '2.0' is not an integer"):
             tsplib.read_tour(io.StringIO(text))
 
     def test_tours_of_different_sizes_rejected(self):
