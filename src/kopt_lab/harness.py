@@ -86,6 +86,10 @@ class ExperimentConfig:
             raise ValueError(f"n_max must be at most {EXACT_MAX_N} (Held-Karp), got {self.n_max}")
         if self.grid < self.n_max:
             raise ValueError(f"grid ({self.grid}) must be at least n_max ({self.n_max})")
+        if not 1 <= self.p < math.inf:  # also rejects NaN
+            raise ValueError(f"p must be a finite number at least 1 (the p-norm), got {self.p}")
+        if self.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
 
 
 def certify_instance(inst: Instance, start: Tour) -> dict:

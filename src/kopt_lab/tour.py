@@ -29,7 +29,8 @@ from .geometry import (
 DEFAULT_GAIN_EPS = 1e-9
 # Largest n that Held-Karp (exact_opt) accepts.
 EXACT_MAX_N = 18
-# Upper bound on the distance evaluations of one block of rows of the 2-move scan.
+# Upper bound on the cells of one block: distance evaluations of the 2-move scan,
+# (mask, c, u) candidates of Held-Karp.
 _BLOCK_CELLS = 1 << 15
 
 
@@ -259,42 +260,57 @@ def is_k_optimal(inst: Instance, t: Tour, k: int) -> KOptVerdict:
 
 
 def _held_karp(inst: Instance) -> tuple[Tour, object]:
+    """Held-Karp over dense arrays, filled one layer of subsets per size.
+
+    Vertex 0 anchors the tour; column c stands for vertex c + 1, and bit c
+    of a mask for that vertex.  cost[mask, c] is the cheapest path from 0
+    through the vertices of mask that ends at column c, as a left fold of
+    `dist` in path order, and pred[mask, c] is its second-to-last column
+    (-1 for the anchor).  For each mask of size k and each c in it, the
+    minimum over u of cost[mask ^ bit(c), u] + d(u, c) goes to the largest
+    u among ties, as does the closing edge into 0.  A layer is processed in
+    blocks of at most `_BLOCK_CELLS` (mask, c, u) candidates.
+    """
     n = inst.n
-    dist = [[inst.dist(i, j) for j in range(n)] for i in range(n)]
-    full = 1 << (n - 1)  # subsets of vertices 1..n-1, vertex 0 is the anchor
-    INF = float("inf")
-    dp = [dict() for _ in range(full)]
-    for v in range(1, n):
-        dp[1 << (v - 1)][v] = (dist[0][v], 0)
-    for mask in range(1, full):
-        row = dp[mask]
-        if not row:
-            continue
-        for last, (cost, _) in list(row.items()):
-            for v in range(1, n):
-                bit = 1 << (v - 1)
-                if mask & bit:
-                    continue
-                nmask = mask | bit
-                ncost = cost + dist[last][v]
-                cur = dp[nmask].get(v)
-                if cur is None or ncost < cur[0]:
-                    dp[nmask][v] = (ncost, last)
-    best, best_last = INF, None
-    for last, (cost, _) in dp[full - 1].items():
-        total = cost + dist[last][0]
-        if total < best:
-            best, best_last = total, last
-    order = [0]
-    mask, last = full - 1, best_last
+    m = n - 1
+    ends = np.arange(n)
+    d = inst._pair_dist(ends[:, None], ends[None, :])  # the values of `dist`, cached
+    if d.dtype == np.int64 and n * int(d.max()) >= 2**63:
+        d = d.astype(object)  # a tour of n edges could overflow int64
+    dm = d[1:, 1:].ravel()
+    cols = np.arange(m)
+    # Flat tables: entry mask * m + c holds state (mask, c).
+    cost = np.empty(m << m, dtype=d.dtype)
+    pred = np.empty(m << m, dtype=np.int8)
+    cost[(1 << cols) * m + cols] = d[0, 1:]
+    pred[(1 << cols) * m + cols] = -1
+    for k in range(2, m + 1):
+        # The masks of size k, each as its columns in descending order, so that
+        # argmin over u takes the largest u among ties.
+        layer = np.array(list(itertools.combinations(range(m - 1, -1, -1), k)), dtype=np.intp)
+        j = np.arange(k - 1)
+        others = j + (j >= np.arange(k)[:, None])  # row a: 0..k-1 without a, in order
+        step = max(1, _BLOCK_CELLS // (k * (k - 1)))
+        for b0 in range(0, len(layer), step):
+            v = layer[b0 : b0 + step]
+            mask = (1 << v).sum(axis=1, keepdims=True)
+            u = v[:, others]
+            prev = (mask ^ (1 << v))[:, :, None] * m + u  # state (mask ^ bit(c), u)
+            cand = cost.take(prev) + dm.take(u * m + v[:, :, None])
+            pick = cand.argmin(axis=2).ravel() + np.arange(0, cand.size, k - 1)
+            state = (mask * m + v).ravel()
+            cost[state] = cand.take(pick)
+            pred[state] = u.take(pick)
+    full = (1 << m) - 1
+    last = cols[::-1]
+    total = cost[full * m + last] + d[last + 1, 0]
+    pick = int(total.argmin())
+    best, c, mask = total.item(pick), int(last[pick]), full
     chain = []
-    while last != 0:
-        chain.append(last)
-        _, prev = dp[mask][last]
-        mask ^= 1 << (last - 1)
-        last = prev
-    order += list(reversed(chain))
-    return Tour(tuple(order)), best
+    while c >= 0:
+        chain.append(c + 1)
+        mask, c = mask ^ (1 << c), int(pred[mask * m + c])
+    return Tour((0,) + tuple(reversed(chain))), best
 
 
 def _brute_force_opt(inst: Instance) -> tuple[Tour, object]:
@@ -319,7 +335,11 @@ def exact_opt(inst: Instance, cross_check: bool = False) -> tuple[Tour, object]:
         if inst.n > 9:
             raise ValueError("cross-check mode limited to n <= 9")
         _, bf_length = _brute_force_opt(inst)
-        if abs(float(length) - float(bf_length)) > 1e-12 * max(1.0, abs(float(bf_length))):
+        if inst.dim == 2 and inst.norm.is_one:  # int or Fraction lengths: exact equality
+            agree = length == bf_length
+        else:
+            agree = abs(float(length) - float(bf_length)) <= 1e-12 * max(1.0, abs(float(bf_length)))
+        if not agree:
             raise AssertionError(
                 f"Held-Karp ({length}) disagrees with brute force ({bf_length})"
             )

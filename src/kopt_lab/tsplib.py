@@ -123,8 +123,9 @@ def write_tour(f: TextIO, *tours: Tour, name: str = "tour"):
 
 
 def read_tour(f: TextIO) -> Tour:
-    """The first tour of the file's TOUR_SECTION."""
+    """The first tour of the file's TOUR_SECTION; its length must match a given DIMENSION."""
     order = []
+    dim = None
     in_section = False
     for lineno, raw in enumerate(f.read().splitlines(), 1):
         line = raw.strip()
@@ -137,8 +138,14 @@ def read_tour(f: TextIO) -> Tour:
             if line == "-1":
                 break
             order.append(_number(int, line, lineno, raw) - 1)
+        elif ":" in line:
+            key, _, val = line.partition(":")
+            if key.strip().upper() == "DIMENSION":
+                dim = _number(int, val.strip(), lineno, raw)
     if not order:
         raise TsplibError("no TOUR_SECTION found")
+    if dim is not None and len(order) != dim:
+        raise TsplibError(f"DIMENSION {dim} but the first tour has {len(order)} entries")
     if sorted(order) != list(range(len(order))):
         raise TsplibError("tour section is not a permutation")
     return Tour(tuple(order))

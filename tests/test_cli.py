@@ -108,6 +108,11 @@ class TestScanAndReport:
         (("--n-min", "2"), "n_min"),
         (("--n-max", "19"), "n_max"),
         (("--grid", "5"), "grid"),
+        (("--p", "0.5"), "p"),
+        (("--p", "nan"), "p"),
+        (("--p", "inf"), "p"),
+        (("--trials", "0"), "trials"),
+        (("--trials", "-1"), "trials"),
     ])
     def test_report_rejects_config_before_any_trial(self, workdir, capsys, argv, field):
         assert run("report", "--trials", "2", *argv, "--out", "exp.json") == 2

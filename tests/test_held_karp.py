@@ -1,0 +1,119 @@
+"""The numpy Held-Karp against the dict-based reference DP.
+
+`exact_opt` must return the identical tour and an identical length, equal
+in value and type (int, float or Fraction), on every norm, on 3-D and
+rational instances, on grids small enough for many ties, and past int64.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from kopt_lab import tour
+from kopt_lab.geometry import PNorm, Point3, pt
+from kopt_lab.tour import EXACT_MAX_N, Instance, Tour, exact_opt, is_k_optimal, two_opt
+
+from reference_held_karp import reference_held_karp
+
+
+def grid_instance(rng, n, p, grid):
+    coords = {}
+    while len(coords) < n:
+        coords[(rng.randint(0, grid), rng.randint(0, grid))] = None
+    return Instance([pt(*c) for c in coords], PNorm(p))
+
+
+def instances():
+    rng = random.Random(5151)
+    for p in (1, 1.5, 2, 3):
+        for n in range(3, 13):
+            # Grids as small as n put many tours at one length under p=1.
+            for grid in (n, 3 * n, 1000):
+                yield f"p{p}-n{n}-g{grid}", grid_instance(rng, n, p, grid)
+    for n in (4, 7, 10):
+        coords = {(rng.randint(0, 20), rng.randint(0, 20), rng.randint(0, 20)): None
+                  for _ in range(3 * n)}
+        yield f"3d-n{n}", Instance([Point3(*c) for c in list(coords)[:n]], PNorm(2))
+    for n in (5, 8, 11):
+        coords = {(Fraction(rng.randint(0, 60), rng.choice((1, 2, 3))), rng.randint(0, 20)): None
+                  for _ in range(3 * n)}
+        yield f"rational-n{n}", Instance([pt(*c) for c in list(coords)[:n]], PNorm(1))
+
+
+# One candidate per block, a few masks per block, and the default.
+@pytest.fixture(params=[1, 50, tour._BLOCK_CELLS])
+def block_cells(request, monkeypatch):
+    monkeypatch.setattr(tour, "_BLOCK_CELLS", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("name,inst", list(instances()), ids=lambda v: v if isinstance(v, str) else "")
+def test_exact_opt_matches_reference(name, inst, block_cells):
+    got, want = exact_opt(inst), reference_held_karp(inst)
+    assert got == want
+    assert type(got[1]) is type(want[1])
+
+
+def test_instances_take_every_dtype():
+    kinds = {}
+    for _, inst in instances():
+        kinds.setdefault((inst.exact, inst.dim, inst.norm.is_one), inst)
+    assert type(exact_opt(kinds[(True, 2, True)])[1]) is int
+    assert type(exact_opt(kinds[(False, 2, True)])[1]) is Fraction
+    assert type(exact_opt(kinds[(False, 3, False)])[1]) is float
+
+
+def test_closing_tie_goes_to_the_largest_last_vertex():
+    # Under p=1 a tour and its mirror image tie exactly; the larger last vertex wins.
+    inst = Instance([pt(x, y) for x in range(3) for y in range(3)], PNorm(1))
+    t, length = exact_opt(inst)
+    mirror = Tour((0,) + tuple(reversed(t.order[1:])))
+    assert tour.tour_length(inst, mirror) == length == 10
+    assert t.order[-1] > t.order[1]
+
+
+def test_overflow_past_int64(block_cells):
+    # 12 points in [0, 2^61)^2: int64 holds every distance but not every tour length.
+    r = random.Random(1)
+    inst = Instance([pt(r.randrange(2**61), r.randrange(2**61)) for _ in range(12)], PNorm(1))
+    t, length = exact_opt(inst)
+    assert length == 9_121_563_848_623_123_684 and type(length) is int
+    assert (t, length) == reference_held_karp(inst)
+
+
+def test_largest_instance_is_2_and_3_optimal():
+    rng = random.Random(18)
+    inst = grid_instance(rng, EXACT_MAX_N, 2, 1000)
+    t, length = exact_opt(inst)
+    t.validate(inst)
+    assert length <= tour.tour_length(inst, two_opt(inst, Tour(tuple(range(inst.n))))) + 1e-9
+    assert is_k_optimal(inst, t, 2).optimal
+    assert is_k_optimal(inst, t, 3).optimal
+
+
+def test_cross_check_compares_exact_lengths_exactly(monkeypatch):
+    inst = Instance([pt(0, 0), pt(2**60, 0), pt(2**60, 2**60), pt(0, 2**60)], PNorm(1))
+    assert exact_opt(inst, cross_check=True)[1] == 2**62
+    held_karp = tour._held_karp
+
+    def off_by_one(inst):
+        t, length = held_karp(inst)
+        return t, length + 1
+
+    # 2^62 + 1 and 2^62 are the same float: a relative tolerance would pass it.
+    monkeypatch.setattr(tour, "_held_karp", off_by_one)
+    with pytest.raises(AssertionError, match="disagrees"):
+        exact_opt(inst, cross_check=True)
+
+
+def test_no_distance_calls_once_the_cache_is_built(monkeypatch):
+    inst = grid_instance(random.Random(3), 10, 2, 1000)
+    two_opt(inst, Tour(tuple(range(inst.n))))  # builds the distance cache
+    want = reference_held_karp(inst)
+
+    def no_pdist(*args):
+        raise AssertionError("pdist called")
+
+    monkeypatch.setattr(tour, "pdist", no_pdist)
+    assert exact_opt(inst) == want

@@ -124,6 +124,15 @@ class TestTourIO:
         with pytest.raises(tsplib.TsplibError, match="line 5: '2.0' is not an integer"):
             tsplib.read_tour(io.StringIO(text))
 
+    def test_first_tour_shorter_than_dimension_rejected(self):
+        text = "TYPE : TOUR\nDIMENSION : 5\nTOUR_SECTION\n1\n2\n3\n-1\nEOF\n"
+        with pytest.raises(tsplib.TsplibError, match="DIMENSION 5 but the first tour has 3"):
+            tsplib.read_tour(io.StringIO(text))
+
+    def test_tour_without_dimension_reads(self):
+        text = "TYPE : TOUR\nTOUR_SECTION\n1\n3\n2\n-1\nEOF\n"
+        assert tsplib.read_tour(io.StringIO(text)).order == (0, 2, 1)
+
     def test_tours_of_different_sizes_rejected(self):
         with pytest.raises(tsplib.TsplibError):
             tsplib.write_tour(io.StringIO(), Tour((0, 1, 2)), Tour((0, 1, 2, 3)))
