@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import Cross, Overlap, Point, Touch, segment_relation
-from .tour import Instance, Tour, is_simple
+from .tour import Instance, Tour, _candidate_pairs, is_simple
 
 
 class GeneralPositionViolation(ValueError):
@@ -37,23 +37,22 @@ class CrossingFreePair:
 
 
 def find_crossings(inst: Instance, t: Tour, s: Tour) -> list[tuple[tuple, tuple, Point]]:
-    """All (T-edge, S-edge, point) crossings; Touch/Overlap raise."""
+    """All (T-edge, S-edge, point) crossings, ordered by T edge then S edge; Touch/Overlap raise."""
     for tour in (t, s):
         verdict = is_simple(inst, tour)
         if not verdict.simple:
             raise ValueError(f"tour is not simple; crossing pair {verdict.witness}")
+    t_edges, s_edges = t.edges(), s.edges()
     out = []
-    s_edges = s.edges()
-    for te in t.edges():
-        seg_t = inst.segment(*te)
-        for se in s_edges:
-            if frozenset(te) == frozenset(se):
-                continue  # shared identical edge, not a crossing
-            rel = segment_relation(seg_t, inst.segment(*se))
-            if isinstance(rel, Cross):
-                out.append((te, se, rel.point))
-            elif isinstance(rel, (Touch, Overlap)):
-                raise GeneralPositionViolation(te, se, rel)
+    for i, j in _candidate_pairs(inst, t, s):
+        te, se = t_edges[i], s_edges[j]
+        if frozenset(te) == frozenset(se):
+            continue  # shared identical edge, not a crossing
+        rel = segment_relation(inst.segment(*te), inst.segment(*se))
+        if isinstance(rel, Cross):
+            out.append((te, se, rel.point))
+        elif isinstance(rel, (Touch, Overlap)):
+            raise GeneralPositionViolation(te, se, rel)
     return out
 
 

@@ -1,11 +1,11 @@
 """Exact planar predicates and p-norm metrics.
 
 Integral coordinates are Python ints; a coordinate is a Fraction only where
-geometry creates a rational point: a crossing point, an edge parameter or a
-midpoint.  All topological predicates (orientation, segment intersection,
-containment) are exact on int, Fraction or mixed points, so downstream
-certificates never suffer from floating-point misclassification.  Lengths are
-floating point except for the 1-norm, which stays exact.
+geometry creates a rational point: a crossing point or an edge parameter.
+All topological predicates (orientation, segment intersection, containment)
+are exact on int, Fraction or mixed points, so downstream certificates never
+suffer from floating-point misclassification.  Lengths are floating point
+except for the 1-norm, which stays exact.
 """
 
 from __future__ import annotations
@@ -175,47 +175,20 @@ def segment_relation(e: Segment, f: Segment) -> SegmentRelation:
     return Disjoint()
 
 
-class NonSimplePolygonError(ValueError):
-    pass
+def point_in_polygon(p: Point, poly: Sequence[Point]) -> str:
+    """Exact ray-casting verdict for a simple polygon: 'interior', 'boundary' or 'exterior'.
 
-
-def polygon_edges(poly: Sequence[Point]) -> list[Segment]:
-    return [Segment(poly[i], poly[(i + 1) % len(poly)]) for i in range(len(poly))]
-
-
-def is_simple_polygon(poly: Sequence[Point]) -> bool:
-    n = len(poly)
-    if n < 3 or len(set(poly)) != n:
-        return False
-    edges = polygon_edges(poly)
-    for i in range(n):
-        for j in range(i + 1, n):
-            rel = segment_relation(edges[i], edges[j])
-            adjacent = j == i + 1 or (i == 0 and j == n - 1)
-            if adjacent:
-                if not isinstance(rel, SharedEndpoint):
-                    return False
-            elif not isinstance(rel, Disjoint):
-                return False
-    return True
-
-
-def point_in_polygon(p: Point, poly: Sequence[Point], *, assume_simple: bool = False) -> str:
-    """Exact ray-casting verdict: 'interior', 'boundary', or 'exterior'.
-
-    The polygon must be simple; pass assume_simple=True to skip the O(n^2)
-    verification when the caller already knows it.
+    The polygon's simplicity is the caller's to guarantee.  No certificate
+    step calls this: `partition.classify_edges` places chords by a cone test.
     """
-    if not assume_simple and not is_simple_polygon(poly):
-        raise NonSimplePolygonError("point_in_polygon requires a simple polygon")
-
-    for seg in polygon_edges(poly):
+    n = len(poly)
+    for i in range(n):
+        seg = Segment(poly[i], poly[(i + 1) % n])
         if orientation(seg.a, seg.b, p) == 0 and _on_segment(seg, p):
             return "boundary"
 
     # Horizontal ray towards +x; count strict crossings with exact rationals.
     inside = False
-    n = len(poly)
     for i in range(n):
         a, b = poly[i], poly[(i + 1) % n]
         if (a.y > p.y) != (b.y > p.y):

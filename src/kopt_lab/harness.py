@@ -152,7 +152,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "aggregate": {
             "completed": len(ok),
             "failed": len(records) - len(ok),
-            "all_certificates_passed": all(r["certificate_passed"] for r in ok) if ok else True,
+            # Nothing completed is nothing certified.
+            "all_certificates_passed": bool(ok) and all(r["certificate_passed"] for r in ok),
             "max_ratio": max((r["ratio"] for r in ok), default=None),
             "mean_ratio": (sum(r["ratio"] for r in ok) / len(ok)) if ok else None,
         },

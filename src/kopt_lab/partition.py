@@ -8,11 +8,10 @@ compatibility with a reference path along T'.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .crossing import CrossingFreePair
-from .geometry import Point, point_in_polygon
+from .geometry import Point, orientation
 from .tour import Tour
 
 
@@ -37,32 +36,56 @@ class EdgePartition:
     f0_path: Optional[list] = None
 
 
-def _midpoint(a: Point, b: Point) -> Point:
-    return Point(Fraction(a.x + b.x, 2), Fraction(a.y + b.y, 2))
+def _in_cone(p: Point, u: Point, q: Point, v: Point) -> Optional[bool]:
+    """Does the chord u -> v leave u into the interior of a counterclockwise polygon?
+
+    p -> u -> q are consecutive polygon vertices, so the interior near u is
+    the cone left of both p -> u and u -> q: their intersection when u is
+    convex or straight, their union when u is reflex (O'Rourke's InCone).
+    True when v lies in the open cone, False when it lies outside the closed
+    cone, None when it lies on the cone's boundary: along u -> p or u -> q.
+    """
+    cq = orientation(u, q, v)  # > 0: v left of u -> q
+    cp = orientation(u, v, p)  # > 0: v left of p -> u
+    if orientation(u, q, p) >= 0:
+        inside, closed = cq > 0 and cp > 0, cq >= 0 and cp >= 0
+    else:
+        inside, closed = cq > 0 or cp > 0, cq >= 0 or cp >= 0
+    return inside if inside == closed else None
 
 
 def classify_edges(pair: CrossingFreePair) -> tuple[list, list, list]:
-    """Split E(S') into (S1 interior, S2 exterior, S3 on T')."""
-    inst = pair.instance
-    poly = [inst.points[i] for i in pair.tprime.order]
+    """Split E(S') into (S1 interior, S2 exterior, S3 on T').
+
+    S' meets the simple polygon T' only at shared vertices, so a chord
+    (u, v) lies on the side into which it leaves its tail u: a cone test
+    against u's two neighbours on T', which are taken in counterclockwise
+    order.  T''s orientation is the turn at its lowest-then-leftmost vertex,
+    which is strictly convex.
+    """
+    pts = pair.instance.points
+    order = pair.tprime.order
+    n = len(order)
+    low = min(range(n), key=lambda k: (pts[order[k]].y, pts[order[k]].x))
+    ccw = orientation(pts[order[low - 1]], pts[order[low]], pts[order[(low + 1) % n]]) > 0
+    ring = {}  # vertex -> (previous, next) in counterclockwise order along T'
+    for k, u in enumerate(order):
+        prev, nxt = order[k - 1], order[(k + 1) % n]
+        ring[u] = (prev, nxt) if ccw else (nxt, prev)
     t_edge_set = {frozenset(e) for e in pair.tprime.edges()}
     s1, s2, s3 = [], [], []
     for u, v in pair.sprime.edges():
         if frozenset((u, v)) in t_edge_set:
             s3.append((u, v))
             continue
-        where = point_in_polygon(
-            _midpoint(inst.points[u], inst.points[v]), poly, assume_simple=True
-        )
-        if where == "interior":
-            s1.append((u, v))
-        elif where == "exterior":
-            s2.append((u, v))
-        else:
+        prev, nxt = ring[u]
+        inside = _in_cone(pts[prev], pts[u], pts[nxt], pts[v])
+        if inside is None:
             raise PartitionError(
-                f"midpoint of S' edge {(u, v)} lies on the polygon boundary; "
+                f"S' edge {(u, v)} leaves {u} along an edge of T'; "
                 "upstream crossing-free transform is inconsistent"
             )
+        (s1 if inside else s2).append((u, v))
     return s1, s2, s3
 
 

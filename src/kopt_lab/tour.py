@@ -3,7 +3,8 @@
 Everything is parametrized by the instance's distance oracle, so 2-D p-norm
 instances and 3-D Euclidean instances share the same engine.  One vectorized
 2-move engine (`_gain_blocks`) serves 2-Opt, the 2-optimality verdict and the
-lower-bound family's exhaustive scan.
+lower-bound family's exhaustive scan; one vectorized orientation-sign filter
+(`_candidate_pairs`) serves the simplicity test and the crossing search.
 """
 
 from __future__ import annotations
@@ -30,8 +31,11 @@ DEFAULT_GAIN_EPS = 1e-9
 # Largest n that Held-Karp (exact_opt) accepts.
 EXACT_MAX_N = 18
 # Upper bound on the cells of one block: distance evaluations of the 2-move scan,
-# (mask, c, u) candidates of Held-Karp.
+# (mask, c, u) candidates of Held-Karp, edge pairs of the orientation-sign filter.
 _BLOCK_CELLS = 1 << 15
+# Coordinate span below which the orientation-sign filter works in int64: every
+# product of two coordinate differences stays below 2**62.
+_INT64_SPAN = 1 << 31
 
 
 class Instance:
@@ -95,6 +99,26 @@ class Instance:
                 rows[i][j] = rows[j][i] = self.dist(i, j)
         matrix = np.array(rows, dtype=object if self.dim == 2 and self.norm.is_one else float)
         return lambda u, v: matrix[u, v]
+
+    @cached_property
+    def _xy(self):
+        """The 2-D coordinates as two numpy arrays, each axis shifted to start at 0.
+
+        Built on first use and kept on the instance.  int64 when every
+        coordinate is an integer and both spans are below `_INT64_SPAN`;
+        otherwise object arrays of Python ints, or of Fractions when a
+        coordinate is not integral.
+        """
+        axes = []
+        for k in (0, 1):
+            col = [p[k] for p in self.points]
+            lo = min(col, default=0)
+            axes.append([c - lo for c in col])
+        if all(c.denominator == 1 for col in axes for c in col):
+            axes = [[int(c) for c in col] for col in axes]
+            if max((c for col in axes for c in col), default=0) < _INT64_SPAN:
+                return tuple(np.array(col, dtype=np.int64) for col in axes)
+        return tuple(np.array(col, dtype=object) for col in axes)
 
 
 class Tour(NamedTuple):
@@ -351,19 +375,71 @@ class SimpleVerdict(NamedTuple):
     witness: Optional[tuple]  # pair of crossing tour edges
 
 
+def _candidate_pairs(inst: Instance, t: Tour, s: Optional[Tour] = None):
+    """The orientation-sign filter: edge pairs that need `segment_relation`, a block at a time.
+
+    Yields, in lexicographic (i, j) order, every pair of edge i of t and
+    edge j of s (of t itself, with j > i, when s is None) that the four
+    orientation signs of `segment_relation` leave open.  Edge i joins tour
+    positions i and i + 1.  The signs settle two kinds of pair, for which
+    `segment_relation` would return Disjoint or SharedEndpoint:
+    - both endpoints of one segment lie strictly on one side of the other's
+      line, so the segments are disjoint;
+    - the segments share one vertex and their other endpoints are not
+      collinear with it, so they meet only there.
+    The signs are exact; `Instance._xy` gives the arithmetic.
+    """
+    xs, ys = inst._xy
+
+    def segments(tour: Tour) -> tuple:
+        """Tail and head vertices, tail coordinates and direction of each edge."""
+        ring = np.array(tour.order + tour.order[:1], dtype=np.intp)
+        x, y = xs[ring], ys[ring]
+        return ring[:-1], ring[1:], x[:-1], y[:-1], x[1:] - x[:-1], y[1:] - y[:-1]
+
+    upper = s is None
+    e_all = segments(t)
+    f_all = e_all if upper else segments(s)
+    n, m = t.n, len(f_all[0])
+    step = max(1, _BLOCK_CELLS // max(m, 1))
+    for i0 in range(0, n, step):
+        j0 = i0 + 1 if upper else 0
+        if j0 >= m:
+            return
+        ea, eb, ex, ey, edx, edy = (v[i0 : i0 + step, None] for v in e_all)
+        fa, fb, fx, fy, fdx, fdy = (v[None, j0:] for v in f_all)
+        gx, gy = ex - fx, ey - fy  # f's tail -> e's tail
+        cross = fdx * edy - fdy * edx
+        # Side of e's tail, then head, against f's line; side of f's tail, then
+        # head, against e's line, both negated.  Each sum is itself an
+        # orientation, so no value leaves the int64 range.
+        e_side = fdx * gy - fdy * gx
+        f_side = edx * gy - edy * gx
+        s1, s2 = np.sign(e_side), np.sign(e_side + cross)
+        s3, s4 = np.sign(f_side), np.sign(f_side + cross)
+        settled = (s1 * s2 > 0) | (s3 * s4 > 0)
+        # A shared vertex lies on the other's line: a zero sign beside a nonzero one.
+        shared = (ea == fa) | (ea == fb) | (eb == fa) | (eb == fb)
+        settled |= shared & (s1 != s2)
+        if upper:
+            settled |= np.arange(j0, m) <= np.arange(i0, i0 + len(ea))[:, None]
+        r, c = np.nonzero(~settled)
+        yield from zip((r + i0).tolist(), (c + j0).tolist())
+
+
 def is_simple(inst: Instance, t: Tour) -> SimpleVerdict:
-    """No two tour edges intersect in a point interior to either segment."""
+    """No two tour edges intersect in a point interior to either segment.
+
+    The witness is the first offending pair of edges in (i, j) order.
+    """
     if inst.dim != 2:
         raise ValueError("is_simple supports 2-D instances only")
     t.validate(inst)
     edges = t.edges()
-    n = len(edges)
-    for i in range(n):
-        si = inst.segment(*edges[i])
-        for j in range(i + 1, n):
-            rel = segment_relation(si, inst.segment(*edges[j]))
-            if not isinstance(rel, (Disjoint, SharedEndpoint)):
-                return SimpleVerdict(False, (edges[i], edges[j]))
+    for i, j in _candidate_pairs(inst, t):
+        rel = segment_relation(inst.segment(*edges[i]), inst.segment(*edges[j]))
+        if not isinstance(rel, (Disjoint, SharedEndpoint)):
+            return SimpleVerdict(False, (edges[i], edges[j]))
     return SimpleVerdict(True, None)
 
 

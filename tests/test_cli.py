@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from kopt_lab import harness
 from kopt_lab.cli import main
+from kopt_lab.harness import RejectionBudgetExceeded
 
 
 @pytest.fixture()
@@ -102,6 +104,15 @@ class TestScanAndReport:
         rep = json.loads((workdir / "exp.json").read_text())
         assert rep["aggregate"]["completed"] == 3
         assert rep["aggregate"]["all_certificates_passed"] is True
+
+    def test_report_with_no_completed_trial_fails(self, workdir, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise RejectionBudgetExceeded("could not place the points")
+        monkeypatch.setattr(harness, "gen_random", exhausted)
+        assert run("report", "--trials", "2", "--out", "exp.json") == 1
+        agg = json.loads((workdir / "exp.json").read_text())["aggregate"]
+        assert agg["completed"] == 0
+        assert agg["all_certificates_passed"] is False
 
     @pytest.mark.parametrize("argv, field", [
         (("--n-min", "10", "--n-max", "5"), "n_min"),

