@@ -64,7 +64,10 @@ def _edge_param(a: Point, b: Point, p: Point) -> Fraction:
 
 
 def make_crossing_free(inst: Instance, t: Tour, s: Tour) -> CrossingFreePair:
-    """Subdivide both tours at all mutual crossings (merged rational points)."""
+    """Subdivide both tours at all mutual crossings (merged rational points).
+
+    Without a crossing the pair's instance is `inst` itself, not a copy.
+    """
     crossings = find_crossings(inst, t, s)
 
     new_points: dict[Point, tuple] = {}  # point -> provenance tag
@@ -83,7 +86,10 @@ def make_crossing_free(inst: Instance, t: Tour, s: Tour) -> CrossingFreePair:
         points.append(p)
         provenance.append(new_points[p])
 
-    vprime = Instance(points, inst.norm, name=f"{inst.name}+crossings" if inst.name else "")
+    if crossings:
+        vprime = Instance(points, inst.norm, name=f"{inst.name}+crossings" if inst.name else "")
+    else:
+        vprime = inst  # V' = V: keeps the distance cache already built on V
 
     def subdivide(tour: Tour, splits: dict) -> Tour:
         order = []

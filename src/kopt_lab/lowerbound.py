@@ -3,19 +3,31 @@
 The 2-D family places exponentially spaced vertex rows on q+1 horizontal
 layers (plus a shifted copy, a filled top layer, and vertical connector
 columns) so that the hand-built tour T is locally optimal while a doubled
-spanning tree certifies a far shorter optimum.  All coordinates are big
-integers; everything here is exact for integer p.
+spanning tree certifies a far shorter optimum.  Its coordinates, tour
+walk and checks are numpy int64 arithmetic, which `MAX_LAYERED_N` keeps
+far from overflow; the closed forms (`layered_sizes`) are big integers.
+Everything here is exact for integer p.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .geometry import PNorm, Point3, pt
+import numpy as np
+
+from .geometry import PNorm, Point, Point3
 from .tour import Instance, Tour, _best_2move
 
 SQRT3_HALF = math.sqrt(3) / 2
+
+
+# Largest point count `generate_lb_instance` builds.  (p, q) = (3, 3), at
+# 1,966,332 points, is the largest family below it; the next ones, (1, 5) and
+# (4, 3), have over 10^7 points.  Below it every coordinate and tour length
+# fits int64 with room to spare.
+MAX_LAYERED_N = 1 << 21
 
 
 def layer_offset(i: int, q: int, p: int) -> int:
@@ -25,27 +37,68 @@ def layer_offset(i: int, q: int, p: int) -> int:
     return sum(q ** ((p + 1) * (q - s) - 1) for s in range(i))
 
 
+class LayeredSizes(NamedTuple):
+    n: int        # points
+    length: int   # c(S): the 1-norm length of the hand-built tour
+    tree: int     # length of the explicit spanning tree
+
+
+def _layers(p: int, q: int):
+    """Width w and, per layer i = 0..q, its y offset, row gap and row vertices per copy."""
+    offsets = [layer_offset(i, q, p) for i in range(q + 1)]
+    gaps = [q ** ((p + 1) * (q - i)) for i in range(q + 1)]
+    rows = [q ** ((p + 1) * i) + 1 for i in range(q + 1)]
+    return gaps[0], offsets, gaps, rows
+
+
+def _columns(i: int, w: int) -> tuple[int, int]:
+    """x of the connector columns from layer i to i + 1: original copy, shifted copy."""
+    return (0, 3 * w) if i % 2 == 0 else (w, 2 * w)
+
+
+def layered_sizes(p: int, q: int) -> LayeredSizes:
+    """Closed forms of the (p, q) layered family, in big ints; nothing is built.
+
+    With w = q^((p+1)q) and h_i = q^((p+1)(q-i)-1), the rise from layer i to
+    layer i + 1: each copy has q^((p+1)i) + 1 row vertices on layer i, each
+    of its q + 1 layers spans w, and so do the top layer's filled middle and
+    the bottom bridge, so c(S) = (2q + 4) w + 2 sum_{i<q} h_i.  The tree
+    climbs h_i above every row vertex of layer i < q and spans the top layer
+    (3w).
+    """
+    w, offsets, _, rows = _layers(p, q)
+    rises = [offsets[i + 1] - offsets[i] for i in range(q)]
+    return LayeredSizes(
+        n=2 * sum(rows) + w - 1 + 2 * sum(h - 1 for h in rises),
+        length=(2 * q + 4) * w + 2 * sum(rises),
+        tree=3 * w + 2 * sum(h * r for h, r in zip(rises, rows)),
+    )
+
+
 @dataclass
 class LowerBoundInstance:
+    """The layered family as int64 coordinate arrays.
+
+    Vertices are indexed group by group: v1, the row vertices of layers
+    0..q of the original copy, layer by layer from the left; v2, the same
+    shifted right by 2w; v3, the filled middle of the top layer; v4, the
+    connector columns, band by band, original column first, bottom up.
+    `groups` holds the four group sizes.
+    """
     k: int
     p: int
     q: int
-    v1: list
-    v2: list
-    v3: list
-    v4: list
-    n: int = 0
+    xs: np.ndarray
+    ys: np.ndarray
+    groups: tuple[int, int, int, int]
 
-    def __post_init__(self):
-        self.n = len(self.v1) + len(self.v2) + len(self.v3) + len(self.v4)
-
-    def all_points(self) -> list:
-        return self.v1 + self.v2 + self.v3 + self.v4
+    @property
+    def n(self) -> int:
+        return len(self.xs)
 
     def as_instance(self) -> Instance:
-        norm = PNorm(self.p)
-        name = f"I_q{self.q}_p{self.p}"
-        return Instance([pt(x, y) for x, y in self.all_points()], norm, name)
+        points = list(map(Point._make, zip(self.xs.tolist(), self.ys.tolist())))
+        return Instance(points, PNorm(self.p), f"I_q{self.q}_p{self.p}")
 
 
 def _check_params(k: int, p: int, q: int):
@@ -57,67 +110,151 @@ def _check_params(k: int, p: int, q: int):
         raise ValueError("k must be >= 2")
 
 
+def _check_size(p: int, q: int) -> LayeredSizes:
+    """The family's closed forms; ValueError naming n when n > MAX_LAYERED_N."""
+    e = (p + 1) * q
+    if e >= MAX_LAYERED_N.bit_length():
+        # n > w = q^e >= 3^e > MAX_LAYERED_N, and n itself may be too large to print.
+        raise ValueError(f"the layered family p={p}, q={q} has n > {q}^{e} points, "
+                         f"above the limit of {MAX_LAYERED_N}")
+    sizes = layered_sizes(p, q)
+    if sizes.n > MAX_LAYERED_N:
+        raise ValueError(f"the layered family p={p}, q={q} has n = {sizes.n} points, "
+                         f"above the limit of {MAX_LAYERED_N}")
+    return sizes
+
+
 def generate_lb_instance(k: int, p: int, q: int) -> LowerBoundInstance:
-    """The four vertex groups of the layered instance, exact integer coordinates."""
+    """The layered instance's points, built as int64 arrays group by group.
+
+    Raises ValueError naming n, before building anything, when n exceeds
+    `MAX_LAYERED_N`.
+    """
     _check_params(k, p, q)
-    width = q ** ((p + 1) * q)
-    s = [layer_offset(i, q, p) for i in range(q + 1)]
+    sizes = _check_size(p, q)
+    w, offsets, gaps, rows = _layers(p, q)
+    row_x = np.concatenate([np.arange(r, dtype=np.int64) * g for r, g in zip(rows, gaps)])
+    row_y = np.repeat(np.array(offsets, dtype=np.int64), rows)
+    col_x, col_y = [], []
+    for i in range(q):
+        run = np.arange(offsets[i] + 1, offsets[i + 1], dtype=np.int64)
+        for x in _columns(i, w):
+            col_x.append(np.full(len(run), x, dtype=np.int64))
+            col_y.append(run)
+    xs = np.concatenate([row_x, row_x + 2 * w, np.arange(w + 1, 2 * w, dtype=np.int64), *col_x])
+    ys = np.concatenate([row_y, row_y, np.full(w - 1, offsets[q], dtype=np.int64), *col_y])
+    groups = (len(row_x), len(row_x), w - 1, sum(len(c) for c in col_x))
+    lb = LowerBoundInstance(k=k, p=p, q=q, xs=xs, ys=ys, groups=groups)
+    if lb.n != sizes.n:
+        raise AssertionError(f"point count {lb.n} != formula value {sizes.n}")
+    return lb
 
-    v1, v2 = [], []
+
+def _walk_order(lb: LowerBoundInstance) -> np.ndarray:
+    """The hand-built tour as a concatenation of index runs, from vertex 0 to vertex 1.
+
+    After layer 0 of the original copy the walk crosses the bottom bridge and
+    climbs the shifted copy: each even layer left to right and each odd one
+    right to left, then up the connector at x = 3w from an even layer or 2w
+    from an odd one.  It comes back along the top layer through v3 and
+    descends the original copy the same way, by the connector at x = 0 below
+    an even layer or w below an odd one, to vertex 0.
+    """
+    q = lb.q
+    w, offsets, _, rows = _layers(lb.p, q)
+    col_len = [offsets[i + 1] - offsets[i] - 1 for i in range(q)]  # vertices per connector column
+    row_start = np.cumsum([0] + rows).tolist()
+    v2, v3 = row_start[-1], 2 * row_start[-1]
+    col_start = (v3 + w - 1 + 2 * np.cumsum([0] + col_len)).tolist()
+
+    def run(start, count, forward):
+        return np.arange(start, start + count) if forward else np.arange(start + count - 1, start - 1, -1)
+
+    runs = [run(0, rows[0], True)]
     for i in range(q + 1):
-        gap = q ** ((p + 1) * (q - i))
-        for j in range(q ** ((p + 1) * i) + 1):
-            v1.append((j * gap, s[i]))
-            v2.append((j * gap + 2 * width, s[i]))
-
-    v3 = [(width + j, s[q]) for j in range(1, width)]
-
-    v4 = []
-    for i in range(q):
-        xs = (0, 3 * width) if i % 2 == 0 else (width, 2 * width)
-        for x in xs:
-            for j in range(1, q ** ((p + 1) * (q - i) - 1)):
-                v4.append((x, j + s[i]))
-
-    inst = LowerBoundInstance(k=k, p=p, q=q, v1=v1, v2=v2, v3=v3, v4=v4)
-    expected = (
-        2 * sum(q ** ((p + 1) * i) + 1 for i in range(q + 1))
-        + width - 1
-        + 2 * sum(q ** ((p + 1) * (q - i) - 1) - 1 for i in range(q))
-    )
-    if inst.n != expected:
-        raise AssertionError(f"point count {inst.n} != formula value {expected}")
-    return inst
+        runs.append(run(v2 + row_start[i], rows[i], i % 2 == 0))
+        if i < q:
+            runs.append(run(col_start[i] + col_len[i], col_len[i], True))
+    runs.append(run(v3, w - 1, False))
+    for i in range(q, 0, -1):
+        runs.append(run(row_start[i], rows[i], i % 2 == 0))
+        runs.append(run(col_start[i - 1], col_len[i - 1], False))
+    return np.concatenate(runs)
 
 
-def lb_tour_edges(lb: LowerBoundInstance) -> list[tuple[tuple, tuple]]:
-    """The five coordinate edge groups of the hand-built tour, concatenated."""
+def lb_tour_edges(lb: LowerBoundInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The hand-built tour's walk: its vertex order and their x and y, int64 arrays.
+
+    Tour edge k runs from walk point k to walk point k + 1; the last edge
+    closes the cycle back to walk point 0.
+    """
+    order = _walk_order(lb)
+    return order, lb.xs[order], lb.ys[order]
+
+
+def _step_lengths(wx: np.ndarray, wy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|dx| and |dy| of every tour edge of a walk."""
+    return np.abs(np.roll(wx, -1) - wx), np.abs(np.roll(wy, -1) - wy)
+
+
+def build_lb_tour(lb: LowerBoundInstance) -> Tour:
+    """The hand-built tour, checked to be a Hamiltonian cycle of axis-parallel edges of length c(S)."""
+    order, wx, wy = lb_tour_edges(lb)
+    seen = np.zeros(lb.n, dtype=bool)
+    seen[order] = True
+    if len(order) != lb.n or not seen.all():
+        raise AssertionError("tour order is not a permutation of the vertices")
+    dx, dy = _step_lengths(wx, wy)
+    slanted = np.flatnonzero((dx != 0) & (dy != 0))
+    if len(slanted):
+        k = int(slanted[0])
+        raise AssertionError(f"tour edge {k} from vertex {order[k]} is not axis-parallel")
+    length, want = int(dx.sum() + dy.sum()), layered_sizes(lb.p, lb.q).length
+    if length != want:
+        raise AssertionError(f"tour length {length} != closed form c(S) = {want}")
+    return Tour(tuple(order.tolist()))
+
+
+def lb_tour_length_exact(lb: LowerBoundInstance) -> int:
+    """Exact 1-norm length of the hand-built tour (integer p only for exactness)."""
+    _, wx, wy = lb_tour_edges(lb)
+    dx, dy = _step_lengths(wx, wy)
+    return int(dx.sum() + dy.sum())
+
+
+def doubled_spanning_tree_tour(lb: LowerBoundInstance) -> tuple[int, int]:
+    """Length of the explicit spanning tree and its doubled tour upper bound.
+
+    The tree consists of the vertical connector of every non-top row vertex to
+    the next layer (these segments absorb the connector-column vertices) plus
+    the full top layer; its length is at most 7 * q^((p+1)q).  Every vertex
+    is checked to lie on it: on the top layer, or in the band s_i <= y < s_{i+1}
+    of some layer i < q at a multiple of that layer's row gap within a copy.
+    A tree point at y = s_{i+1} on a band-i segment needs no second test: the
+    gap of layer i + 1 divides that of layer i, or i + 1 is the top layer.
+    """
     p, q = lb.p, lb.q
-    width = q ** ((p + 1) * q)
-    s = [layer_offset(i, q, p) for i in range(q + 1)]
-    edges = []
-    # E1/E2: horizontal runs along each layer, original and shifted copy.
-    for shift in (0, 2 * width):
-        for i in range(q + 1):
-            gap = q ** ((p + 1) * (q - i))
-            for j in range(q ** ((p + 1) * i)):
-                edges.append(((j * gap + shift, s[i]), ((j + 1) * gap + shift, s[i])))
-    # E3: unit edges across the filled middle of the top layer.
-    for j in range(width):
-        edges.append(((width + j, s[q]), (width + j + 1, s[q])))
-    # E4: unit edges up the vertical connector columns.
-    for i in range(q):
-        xs = (0, 3 * width) if i % 2 == 0 else (width, 2 * width)
-        for x in xs:
-            for j in range(q ** ((p + 1) * (q - i) - 1)):
-                edges.append(((x, j + s[i]), (x, j + 1 + s[i])))
-    # E5: the bottom bridge.
-    edges.append(((width, 0), (2 * width, 0)))
-    return edges
+    w, offsets, gaps, _ = _layers(p, q)
+    xs, ys = lb.xs, lb.ys
+    band = np.searchsorted(np.array(offsets, dtype=np.int64), ys, side="right") - 1
+    in_band = (band >= 0) & (band < q)
+    gap = np.array(gaps[:q], dtype=np.int64)[np.clip(band, 0, q - 1)]
+    x_in_copy = np.where(xs >= 2 * w, xs - 2 * w, xs)
+    on_column = in_band & (x_in_copy >= 0) & (x_in_copy <= w) & (x_in_copy % gap == 0)
+    on_top = (ys == offsets[q]) & (xs >= 0) & (xs <= 3 * w)
+    off_tree = np.flatnonzero(~(on_column | on_top))
+    if len(off_tree):
+        v = int(off_tree[0])
+        raise AssertionError(f"explicit spanning tree does not cover vertex {v} at "
+                             f"({int(xs[v])}, {int(ys[v])})")
+    tree_len = layered_sizes(p, q).tree
+    if tree_len > 7 * w:
+        raise AssertionError(f"tree length {tree_len} exceeds 7*q^((p+1)q) = {7 * w}")
+    return tree_len, 2 * tree_len
 
 
 def _cycle_from_edges(n: int, edges) -> Tour:
-    """The tour that walks the edges on vertices 0..n-1 from vertex 0.
+    """The tour that walks the edges on vertices 0..n-1 from vertex 0 (3-D family).
 
     Checks that every vertex has degree 2 and that the walk is a single
     Hamiltonian cycle closing back at vertex 0.
@@ -137,63 +274,6 @@ def _cycle_from_edges(n: int, edges) -> Tour:
     if len(set(order)) != n or order[-1] not in adj[0]:
         raise AssertionError("tour edges do not form a single Hamiltonian cycle")
     return Tour(tuple(order))
-
-
-def build_lb_tour(lb: LowerBoundInstance) -> Tour:
-    """Assemble the edge groups into a Hamiltonian cycle (degree-2 + connectivity checked)."""
-    index = {c: i for i, c in enumerate(lb.all_points())}
-    return _cycle_from_edges(lb.n, ((index[a], index[b]) for a, b in lb_tour_edges(lb)))
-
-
-def lb_tour_length_exact(lb: LowerBoundInstance) -> int:
-    """Exact 1-norm length of the hand-built tour (integer p only for exactness)."""
-    total = 0
-    for (ax, ay), (bx, by) in lb_tour_edges(lb):
-        total += abs(ax - bx) + abs(ay - by)
-    return total
-
-
-def doubled_spanning_tree_tour(lb: LowerBoundInstance) -> tuple[int, int]:
-    """Length of the explicit spanning tree and its doubled tour upper bound.
-
-    The tree consists of the vertical connector of every non-top row vertex to
-    the next layer (these segments absorb the connector-column vertices) plus
-    the full top layer; its length is at most 7 * q^((p+1)q).
-    """
-    p, q = lb.p, lb.q
-    width = q ** ((p + 1) * q)
-    s = [layer_offset(i, q, p) for i in range(q + 1)]
-
-    vertex_set = set(lb.all_points())
-    covered = set()
-    tree_len = 0
-    # Vertical connectors from every layer-i row vertex (i < q) up to layer i+1.
-    for i in range(q):
-        gap_y = s[i + 1] - s[i]
-        gap = q ** ((p + 1) * (q - i))
-        for shift in (0, 2 * width):
-            for j in range(q ** ((p + 1) * i) + 1):
-                x = j * gap + shift
-                tree_len += gap_y
-                for y in range(s[i], s[i + 1] + 1):
-                    if (x, y) in vertex_set:
-                        covered.add((x, y))
-    # The full top layer across both copies and the filled middle.
-    tree_len += 3 * width
-    for x in range(3 * width + 1):
-        if (x, s[q]) in vertex_set:
-            covered.add((x, s[q]))
-
-    if covered != vertex_set:
-        raise AssertionError("explicit spanning tree does not cover all vertices")
-    formula = 3 * width + 2 * sum(
-        q ** ((p + 1) * (q - i) - 1) * (q ** ((p + 1) * i) + 1) for i in range(q)
-    )
-    if tree_len != formula:
-        raise AssertionError(f"tree length {tree_len} != closed form {formula}")
-    if tree_len > 7 * width:
-        raise AssertionError(f"tree length {tree_len} exceeds 7*q^((p+1)q) = {7 * width}")
-    return tree_len, 2 * tree_len
 
 
 def estimate_inequality(a: int, b: int, k: int, p: int, q: int, s: int) -> bool:

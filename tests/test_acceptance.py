@@ -87,7 +87,7 @@ def test_criterion_1_lower_bound_generator_fidelity():
     lb = generate_lb_instance(2, 1, 3)
     elapsed = time.perf_counter() - t0
     assert lb.n == 2916
-    assert (len(lb.v1), len(lb.v2), len(lb.v3), len(lb.v4)) == (824, 824, 728, 540)
+    assert lb.groups == (824, 824, 728, 540)
     assert elapsed < 1.0
 
 

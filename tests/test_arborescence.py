@@ -16,9 +16,11 @@ from kopt_lab.arborescence import (
     verify_lemma_suite,
 )
 from kopt_lab.crossing import make_crossing_free
-from kopt_lab.geometry import PNorm, pt
+from kopt_lab import tour as tour_module
+from kopt_lab.geometry import PNorm, pdist, pt
+from kopt_lab.harness import gen_random, random_tour
 from kopt_lab.partition import partition_edges
-from kopt_lab.tour import Instance, Tour, tour_length
+from kopt_lab.tour import Instance, Tour, exact_opt, tour_length, two_opt
 
 from synthetic import random_feasible_arborescence
 from worked_examples import fortytwo_point_pair, twelve_point_pair
@@ -183,3 +185,23 @@ class TestCertifyPair:
         inst = Instance([pt(0, 0), pt(2, 0), pt(2, 2), pt(0, 2)], PNorm(2))
         with pytest.raises(ValueError):
             certify_pair(inst, Tour((0, 1, 2, 3)), Tour((0, 2, 1, 3)))
+
+    def test_crossing_free_pair_builds_one_distance_cache(self, monkeypatch):
+        n = 12
+        inst = gen_random(n, 1000, seed=2)
+        t, _ = exact_opt(inst)
+        s = two_opt(inst, random_tour(n, random.Random(2)))
+        inst = gen_random(n, 1000, seed=2)  # no distance cache built yet
+        assert make_crossing_free(inst, t, s).instance is inst
+        calls = []
+        monkeypatch.setattr(tour_module, "pdist", lambda *a: calls.append(a) or pdist(*a))
+        cert = certify_pair(inst, t, s)
+        assert cert.passed and cert.crossings == 0 and cert.nprime == n
+        # One n x n cache, shared by both 2-optimality checks, and two tour_length passes.
+        assert len(calls) == n * (n + 1) // 2 + 2 * n
+
+    def test_pair_with_crossings_gets_new_instance(self):
+        inst, t, s = twelve_point_pair()
+        pair = make_crossing_free(inst, t, s)
+        assert pair.instance is not inst
+        assert pair.instance.n == inst.n + pair.crossings == 15

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from kopt_lab import harness
+from kopt_lab import harness, lowerbound
 from kopt_lab.cli import main
 from kopt_lab.harness import RejectionBudgetExceeded
 
@@ -46,6 +46,18 @@ class TestGenerators:
 
     def test_gen_lb_bad_q(self, workdir):
         assert run("gen-lb", "--q", "4", "--out", "x.tsp") == 2
+
+    @pytest.mark.parametrize("command", ["gen-lb", "scan-kopt"])
+    def test_layered_family_too_large(self, workdir, capsys, monkeypatch, command):
+        class NoArrays:
+            def __getattr__(self, name):
+                raise AssertionError(f"numpy.{name} used before the size guard")
+
+        monkeypatch.setattr(lowerbound, "np", NoArrays())
+        assert run(command, "--q", "9", "--out", "x.out") == 2
+        n = lowerbound.layered_sizes(1, 9).n
+        assert f"error: the layered family p=1, q=9 has n = {n} points" in capsys.readouterr().err
+        assert not (workdir / "x.out").exists()
 
 
 class TestSolveAndCertify:

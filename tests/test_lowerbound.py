@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from kopt_lab.geometry import PNorm
@@ -29,19 +30,17 @@ class TestLayeredGenerator:
         assert [layer_offset(i, 3, 1) for i in (0, 1, 2, 3)] == [0, 243, 270, 273]
 
     def test_group_sizes(self, lb3):
-        assert (len(lb3.v1), len(lb3.v2), len(lb3.v3), len(lb3.v4)) == (
-            824, 824, 728, 540,
-        )
+        assert lb3.groups == (824, 824, 728, 540)
         assert lb3.n == 2916
 
     def test_points_are_distinct(self, lb3):
-        pts = lb3.all_points()
+        pts = lb3.as_instance().points
         assert len(set(pts)) == len(pts)
 
     def test_k_does_not_change_geometry(self):
         a = generate_lb_instance(2, 1, 3)
         b = generate_lb_instance(5, 1, 3)
-        assert a.all_points() == b.all_points()
+        assert a.xs.tolist() == b.xs.tolist() and a.ys.tolist() == b.ys.tolist()
 
     def test_even_q_rejected(self):
         with pytest.raises(ValueError):
@@ -49,7 +48,7 @@ class TestLayeredGenerator:
 
     def test_p2_instance_also_wellformed(self):
         lb = generate_lb_instance(2, 2, 3)
-        assert lb.n == len(set(lb.all_points()))
+        assert lb.n == len(set(lb.as_instance().points))
         assert lb.as_instance().norm == PNorm(2)
 
 
@@ -71,12 +70,17 @@ class TestHandBuiltTour:
         assert lb_tour_length_exact(lb3) >= 2187
 
     def test_edge_groups_cover_every_vertex_twice(self, lb3):
-        degree = {}
-        for a, b in lb_tour_edges(lb3):
-            degree[a] = degree.get(a, 0) + 1
-            degree[b] = degree.get(b, 0) + 1
+        order, _, _ = lb_tour_edges(lb3)
+        degree = (np.bincount(order, minlength=lb3.n)
+                  + np.bincount(np.roll(order, -1), minlength=lb3.n))
         assert len(degree) == lb3.n
-        assert set(degree.values()) == {2}
+        assert set(degree.tolist()) == {2}
+
+    def test_walk_arrays_follow_the_tour(self, lb3):
+        order, wx, wy = lb_tour_edges(lb3)
+        assert tuple(order.tolist()) == build_lb_tour(lb3).order
+        assert wx.dtype == wy.dtype == np.int64
+        assert (wx.tolist(), wy.tolist()) == (lb3.xs[order].tolist(), lb3.ys[order].tolist())
 
 
 class TestCycleFromEdges:
