@@ -37,7 +37,14 @@ class CrossingFreePair:
 
 
 def find_crossings(inst: Instance, t: Tour, s: Tour) -> list[tuple[tuple, tuple, Point]]:
-    """All (T-edge, S-edge, point) crossings, ordered by T edge then S edge; Touch/Overlap raise."""
+    """All (T-edge, S-edge, point) crossings, ordered by T edge then S edge.
+
+    Both tours must be simple (ValueError otherwise).  A T x S pair that
+    touches or overlaps raises `GeneralPositionViolation`, an invariant
+    guard: such a pair puts a vertex, which both tours visit, inside an edge
+    of one of them, which makes that tour non-simple, so only a broken
+    simplicity test can reach it.
+    """
     for tour in (t, s):
         verdict = is_simple(inst, tour)
         if not verdict.simple:

@@ -2,9 +2,10 @@
 
 Everything is parametrized by the instance's distance oracle, so 2-D p-norm
 instances and 3-D Euclidean instances share the same engine.  One vectorized
-2-move engine (`_gain_blocks`) serves 2-Opt, the 2-optimality verdict and the
-lower-bound family's exhaustive scan; one vectorized orientation-sign filter
-(`_candidate_pairs`) serves the simplicity test and the crossing search.
+2-move engine (`_gain_blocks`, over a `_TourState`) serves 2-Opt, the
+2-optimality verdict and the lower-bound family's exhaustive scan; one
+vectorized orientation-sign filter (`_candidate_pairs`) serves the simplicity
+test and the crossing search.
 """
 
 from __future__ import annotations
@@ -72,14 +73,16 @@ class Instance:
 
     @cached_property
     def _pair_dist(self):
-        """`dist` over numpy index arrays: d(u, v)[...] == dist(u[...], v[...]), broadcast.
+        """The values of `dist` for numpy, over the vertices in index order.
 
-        Built on first use and kept on the instance.  Exact instances keep
-        their integer coordinates, as int64 when the coordinate span keeps
-        every sum of two distances below 2**63 and as Python ints otherwise.
-        Other instances keep the n x n matrix of `dist` itself (8 n^2 bytes
-        of float64, or Fractions for the 1-norm on rational points), so the
-        values are bit-identical to `dist`.
+        Built on first use and kept on the instance; the 2-move engine and
+        Held-Karp read it, and `take` re-indexes it by tour position.  Exact
+        instances keep their integer coordinates (`_CoordinateDistances`), as
+        int64 when the coordinate span keeps every sum of two distances below
+        2**63 and as Python ints otherwise.  Other instances keep the n x n
+        matrix of `dist` itself (`_MatrixDistances`: 8 n^2 bytes of float64,
+        or Fractions for the 1-norm on rational points), so the values are
+        bit-identical to `dist`.
         """
         if self.exact:
             xs = [int(p.x) for p in self.points]
@@ -88,17 +91,16 @@ class Instance:
             span = max(xs, default=0) - x0 + max(ys, default=0) - y0
             dtype = np.int64 if 2 * span < 2**63 else object
             # Shifted to start at 0: every coordinate and difference is within the span.
-            xa = np.array([x - x0 for x in xs], dtype=dtype)
-            ya = np.array([y - y0 for y in ys], dtype=dtype)
-            return lambda u, v: np.abs(xa[u] - xa[v]) + np.abs(ya[u] - ya[v])
+            return _CoordinateDistances(np.array([x - x0 for x in xs], dtype=dtype),
+                                        np.array([y - y0 for y in ys], dtype=dtype))
         n = self.n
         rows = [[None] * n for _ in range(n)]
         for i in range(n):
             rows[i][i] = self.dist(i, i)  # read by the scan's masked-out pairs
             for j in range(i + 1, n):
                 rows[i][j] = rows[j][i] = self.dist(i, j)
-        matrix = np.array(rows, dtype=object if self.dim == 2 and self.norm.is_one else float)
-        return lambda u, v: matrix[u, v]
+        return _MatrixDistances(
+            np.array(rows, dtype=object if self.dim == 2 and self.norm.is_one else float))
 
     @cached_property
     def _xy(self):
@@ -119,6 +121,63 @@ class Instance:
             if max((c for col in axes for c in col), default=0) < _INT64_SPAN:
                 return tuple(np.array(col, dtype=np.int64) for col in axes)
         return tuple(np.array(col, dtype=object) for col in axes)
+
+
+class _MatrixDistances:
+    """Distances between positions as a matrix: matrix[k, l] = dist(v_k, v_l).
+
+    v_k is the vertex at position k: the vertex k itself in the instance's
+    cache, or the k-th vertex of a tour's ring, (n + 1) x (n + 1), in a
+    `_TourState`.
+    """
+
+    def __init__(self, matrix: np.ndarray):
+        self.matrix = matrix
+        self.edge = matrix.diagonal(1)  # a view: edge[k] = matrix[k, k + 1], kept current
+
+    def take(self, positions: np.ndarray) -> _MatrixDistances:
+        """The distances between the given positions, in their order (a copy)."""
+        return _MatrixDistances(self.matrix[positions[:, None], positions])
+
+    def outer(self, rows: slice, cols: slice) -> np.ndarray:
+        """d(rows[a], cols[b]) at [a, b]: a view of the matrix."""
+        return self.matrix[rows, cols]
+
+    def reverse(self, lo: int, hi: int):
+        """Reverse positions lo..hi-1 in place: the rows, then the columns, O(n (hi - lo))."""
+        m = self.matrix
+        m[lo:hi] = m[lo:hi][::-1]
+        m[:, lo:hi] = m[:, lo:hi][:, ::-1]
+
+
+class _CoordinateDistances:
+    """Exact 1-norm distances between positions, |dx| + |dy| over the coordinates in position order.
+
+    O(n) memory: no matrix is ever built.  `edge[k]` is the distance from
+    position k to position k + 1.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        self.x, self.y = x, y
+        self.edge = np.abs(x[:-1] - x[1:]) + np.abs(y[:-1] - y[1:])
+
+    def take(self, positions: np.ndarray) -> _CoordinateDistances:
+        """The distances between the given positions, in their order (a copy)."""
+        return _CoordinateDistances(self.x[positions], self.y[positions])
+
+    def outer(self, rows: slice, cols: slice) -> np.ndarray:
+        """d(rows[a], cols[b]) at [a, b]."""
+        x, y = self.x, self.y
+        return np.abs(x[rows, None] - x[None, cols]) + np.abs(y[rows, None] - y[None, cols])
+
+    def reverse(self, lo: int, hi: int):
+        """Reverse positions lo..hi-1 in place, 0 < lo < hi < len(x), and their edges, O(hi - lo)."""
+        x, y = self.x, self.y
+        x[lo:hi] = x[lo:hi][::-1]
+        y[lo:hi] = y[lo:hi][::-1]
+        # Edges lo - 1 .. hi - 1 are those with an end among the reversed positions.
+        self.edge[lo - 1 : hi] = (np.abs(x[lo - 1 : hi] - x[lo : hi + 1])
+                                  + np.abs(y[lo - 1 : hi] - y[lo : hi + 1]))
 
 
 class Tour(NamedTuple):
@@ -158,40 +217,70 @@ def _gain_threshold(inst: Instance, removed):
     return 0 if inst.exact else DEFAULT_GAIN_EPS * removed
 
 
-def _gain_blocks(inst: Instance, t: Tour):
+class _TourState:
+    """One tour as the 2-move engine sees it, kept in step with the tour as 2-Opt moves it.
+
+    `dist` holds the distances between the tour's ring positions 0..n
+    (position n is position 0 again), gathered once from the instance's
+    cache; `reverse` then follows each applied move in place, so a scan is
+    block slices and arithmetic.  `blocks` lists the scan's row blocks
+    (i0, i1, j0, valid), which depend only on n: rows i0 <= i < i1 against
+    columns j >= j0 = i0 + 2, and valid[r, c] marks the pairs with j >= i + 2
+    that are not the adjacent (0, n - 1).  Every mask is a view of one array
+    of at most `_BLOCK_CELLS` cells (n cells when n exceeds that budget).
+    """
+
+    def __init__(self, inst: Instance, t: Tour):
+        n = t.n
+        self.dist = inst._pair_dist.take(np.array(t.order + t.order[:1], dtype=np.intp))
+        self.blocks = []
+        if n < 4:
+            return  # no two edges of a triangle are non-adjacent
+        step = max(1, _BLOCK_CELLS // n)
+        # Row i0 + r against column j0 + c is valid iff c >= r, in every block;
+        # block i0 reads the first n - j0 columns, so only block 0 reaches the
+        # last one, which holds (0, n - 1) in its first row.
+        valid = np.arange(n - 2) >= np.arange(min(step, n - 2))[:, None]
+        valid[0, -1] = False
+        for i0 in range(0, n - 2, step):  # rows i > n - 3 have no partner
+            i1, j0 = min(i0 + step, n - 2), i0 + 2
+            self.blocks.append((i0, i1, j0, valid[: i1 - i0, : n - j0]))
+
+    def reverse(self, m: TwoMove):
+        """Follow `apply_2move(t, m)`: reverse tour positions m.i + 1 .. m.j."""
+        self.dist.reverse(m.i + 1, m.j + 1)
+
+
+def _gain_blocks(inst: Instance, state: _TourState):
     """The 2-move engine: gains of all non-adjacent edge pairs, a block of rows at a time.
 
     Yields (i0, j0, gain, threshold, valid) in lexicographic (i, j) order:
     gain[r, c] = (c_ab + c_xy) - c_ax - c_by for the move on tour positions
-    (i0 + r, j0 + c), in the arithmetic of `inst.dist`, and valid[r, c]
-    marks the pairs with j >= i + 2 that are not the adjacent (0, n-1).
+    (i0 + r, j0 + c), in the arithmetic of `inst.dist`, and valid is the
+    block's mask from `state.blocks`.
     """
-    n = t.n
-    if n < 4:
-        return  # no two edges of a triangle are non-adjacent
-    d = inst._pair_dist
-    ring = np.array(t.order + t.order[:1], dtype=np.intp)  # ring[k + 1] follows ring[k]
-    edge = d(ring[:-1], ring[1:])
-    step = max(1, _BLOCK_CELLS // n)
-    for i0 in range(0, n - 2, step):  # rows i > n - 3 have no partner
-        i1, j0 = min(i0 + step, n - 2), i0 + 2
-        r = d(ring[i0 : i1 + 1, None], ring[None, j0:])
+    d = state.dist
+    edge = d.edge
+    for i0, i1, j0, valid in state.blocks:
+        r = d.outer(slice(i0, i1 + 1), slice(j0, None))
         removed = edge[i0:i1, None] + edge[None, j0:]
         gain = removed - r[:-1, :-1] - r[1:, 1:]
-        valid = np.arange(n - j0) >= np.arange(i1 - i0)[:, None]
-        if i0 == 0:
-            valid[0, -1] = False
         yield i0, j0, gain, _gain_threshold(inst, removed), valid
+
+
+def _first_2move(inst: Instance, state: _TourState) -> Optional[TwoMove]:
+    """First improving 2-move in lexicographic (i, j) scan order, if any."""
+    for i0, j0, gain, threshold, valid in _gain_blocks(inst, state):
+        hit = valid & (gain > threshold)
+        r, c = divmod(int(hit.argmax()), hit.shape[1])
+        if hit[r, c]:
+            return TwoMove(i0 + r, j0 + c, gain.item(r, c))
+    return None
 
 
 def find_improving_2move(inst: Instance, t: Tour) -> Optional[TwoMove]:
     """First improving 2-move in lexicographic (i, j) scan order, if any."""
-    for i0, j0, gain, threshold, valid in _gain_blocks(inst, t):
-        hit = valid & (gain > threshold)
-        if hit.any():
-            r, c = np.unravel_index(hit.argmax(), hit.shape)
-            return TwoMove(i0 + int(r), j0 + int(c), gain.item(r, c))
-    return None
+    return _first_2move(inst, _TourState(inst, t))
 
 
 def _best_2move(inst: Instance, t: Tour) -> Optional[TwoMove]:
@@ -201,13 +290,13 @@ def _best_2move(inst: Instance, t: Tour) -> Optional[TwoMove]:
     None when the tour has no pair of non-adjacent edges.
     """
     best = None
-    for i0, j0, gain, threshold, valid in _gain_blocks(inst, t):
+    for i0, j0, gain, threshold, valid in _gain_blocks(inst, _TourState(inst, t)):
         margin = gain - threshold
         floor = np.iinfo(np.int64).min if margin.dtype == np.int64 else -np.inf
         margin = np.where(valid, margin, floor)  # every block holds a valid pair
-        r, c = np.unravel_index(margin.argmax(), margin.shape)
+        r, c = divmod(int(margin.argmax()), margin.shape[1])
         if best is None or margin[r, c] > best.gain:
-            best = TwoMove(i0 + int(r), j0 + int(c), margin.item(r, c))
+            best = TwoMove(i0 + r, j0 + c, margin.item(r, c))
     return best
 
 
@@ -221,14 +310,19 @@ def apply_2move(t: Tour, m: TwoMove) -> Tour:
 
 
 def two_opt(inst: Instance, start: Tour) -> Tour:
-    """Run the 2-Opt heuristic to a local optimum (first-improvement pivot)."""
+    """Run the 2-Opt heuristic to a local optimum (first-improvement pivot).
+
+    Each scan restarts at (0, 0) on one `_TourState`, built once and
+    reversed in place after every move that `apply_2move` makes.
+    """
     start.validate(inst)
-    t = start
+    t, state = start, _TourState(inst, start)
     while True:
-        m = find_improving_2move(inst, t)
+        m = _first_2move(inst, state)
         if m is None:
             return t
         t = apply_2move(t, m)
+        state.reverse(m)
 
 
 class KOptVerdict(NamedTuple):
@@ -297,8 +391,7 @@ def _held_karp(inst: Instance) -> tuple[Tour, object]:
     """
     n = inst.n
     m = n - 1
-    ends = np.arange(n)
-    d = inst._pair_dist(ends[:, None], ends[None, :])  # the values of `dist`, cached
+    d = inst._pair_dist.outer(slice(None), slice(None))  # the values of `dist`, cached
     if d.dtype == np.int64 and n * int(d.max()) >= 2**63:
         d = d.astype(object)  # a tour of n edges could overflow int64
     dm = d[1:, 1:].ravel()

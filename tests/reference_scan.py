@@ -4,9 +4,11 @@
 scan order, the same arithmetic (Python ints for exact instances,
 `inst.dist` otherwise) and the same threshold rule.  `reference_best_2move`
 is the brute-force maximum of gain less threshold over the same pairs.
+`reference_two_opt` is the pivot 2-Opt ran before it kept a position-ordered
+state: a fresh scan of the current tour after every move.
 """
 
-from kopt_lab.tour import DEFAULT_GAIN_EPS, TwoMove
+from kopt_lab.tour import DEFAULT_GAIN_EPS, Tour, TwoMove
 
 
 def _dist_and_threshold(inst):
@@ -53,3 +55,12 @@ def reference_best_2move(inst, t):
         if best is None or margin > best.gain:
             best = TwoMove(i, j, margin)
     return best
+
+
+def reference_two_opt(inst, start):
+    """2-Opt by first improvement from (0, 0) on every scan: the final tour and the moves applied."""
+    o, moves = start.order, []
+    while (m := reference_first_2move(inst, Tour(o))) is not None:
+        moves.append(m)
+        o = o[: m.i + 1] + o[m.i + 1 : m.j + 1][::-1] + o[m.j + 1 :]
+    return Tour(o), moves

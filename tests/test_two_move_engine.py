@@ -2,10 +2,15 @@
 
 Both modes must agree with the reference exactly: the same (i, j), the same
 gain and the same type of gain (int, float or Fraction), on every norm and
-on 3-D, rational and huge-coordinate instances.
+on 3-D, rational and huge-coordinate instances.  2-Opt, which keeps one
+position-ordered state and reverses it in place after every move, must make
+the reference pivot's moves, one by one.
 """
 
+import functools
+import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,11 +18,16 @@ import pytest
 from kopt_lab import tour
 from kopt_lab.crossing import make_crossing_free
 from kopt_lab.geometry import PNorm, pt
-from kopt_lab.harness import gen_random
-from kopt_lab.lowerbound import generate_3d_instance, scan_2opt_optimality
+from kopt_lab.harness import gen_random, random_tour
+from kopt_lab.lowerbound import (
+    build_lb_tour,
+    generate_3d_instance,
+    generate_lb_instance,
+    scan_2opt_optimality,
+)
 from kopt_lab.tour import Instance, Tour, _best_2move, find_improving_2move, two_opt
 
-from reference_scan import reference_best_2move, reference_first_2move
+from reference_scan import reference_best_2move, reference_first_2move, reference_two_opt
 
 
 def grid_instance(rng, n, p, grid=1000, offset=0):
@@ -33,7 +43,7 @@ def grid_instance(rng, n, p, grid=1000, offset=0):
 def rational_instance(rng, n):
     """The 1-norm on rational points: V' of two simple tours, or random fractions."""
     inst = gen_random(n, 1000, seed=rng.randrange(2**32))
-    t, s = (two_opt(inst, Tour(tuple(rng.sample(range(n), n)))) for _ in range(2))
+    t, s = (reference_two_opt(inst, Tour(tuple(rng.sample(range(n), n))))[0] for _ in range(2))
     points = make_crossing_free(inst, t, s).instance.points
     if len(points) == n:  # no crossing: random rational points instead
         points = list({pt(Fraction(rng.randint(0, 9999), 7), rng.randint(0, 999)): None
@@ -42,10 +52,14 @@ def rational_instance(rng, n):
 
 
 def tours(rng, inst, count=3):
-    """Random tours, a 2-optimal tour, and 2-optimal tours with a reversed segment."""
+    """Random tours, a 2-optimal tour, and 2-optimal tours with a reversed segment.
+
+    The inputs come from the reference pivot, so a broken engine cannot
+    change them (or loop forever building them).
+    """
     n = inst.n
     out = [Tour(tuple(rng.sample(range(n), n))) for _ in range(count)]
-    local = two_opt(inst, out[0])
+    local = reference_two_opt(inst, out[0])[0]
     out.append(local)
     for _ in range(count):
         i, j = sorted(rng.sample(range(n), 2))
@@ -89,14 +103,106 @@ def block_cells(request, monkeypatch):
     return request.param
 
 
-@pytest.mark.parametrize("name,inst", list(instances()), ids=lambda v: v if isinstance(v, str) else "")
+instance_ids = pytest.mark.parametrize("name,inst", list(instances()),
+                                       ids=lambda v: v if isinstance(v, str) else "")
+
+
+@functools.cache
+def reference_runs(name, inst):
+    """(start, final tour, moves) of the reference pivot from each of the instance's `tours`."""
+    return [(t, *reference_two_opt(inst, t)) for t in tours(random.Random(name), inst)]
+
+
+@instance_ids
 def test_engine_matches_reference(name, inst, block_cells):
-    rng = random.Random(name)
     planted = 0
-    for t in tours(rng, inst):
+    for t, _, _ in reference_runs(name, inst):
         if assert_engine_matches(inst, t) is not None:
             planted += 1
     assert planted > 0  # the improving branch is exercised on every instance
+
+
+def same_array(a, b):
+    """Equal bit for bit, dtype and shape included; object arrays by element type and value."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    if a.dtype == object:
+        return [(type(v), v) for v in a.ravel().tolist()] == [(type(v), v) for v in b.ravel().tolist()]
+    return a.tobytes() == b.tobytes()
+
+
+def assert_same_state(got, want):
+    assert type(got.dist) is type(want.dist)
+    assert vars(got.dist).keys() == vars(want.dist).keys()
+    for key, array in vars(want.dist).items():
+        assert same_array(vars(got.dist)[key], array), key
+    assert [b[:3] for b in got.blocks] == [b[:3] for b in want.blocks]
+    assert all(same_array(g[3], w[3]) for g, w in zip(got.blocks, want.blocks))
+
+
+@instance_ids
+def test_two_opt_matches_reference_pivot(name, inst, block_cells, monkeypatch):
+    """The reference pivot's final order and moves, from one state kept in step with the tour.
+
+    Every move goes through the module's `apply_2move`: the bench counts
+    2-Opt's moves as the `apply_2move` calls nested in `two_opt`.
+    """
+    real_apply, real_state = tour.apply_2move, tour._TourState
+    applied = []
+
+    def counting_apply(t, m):
+        applied.append(m)
+        return real_apply(t, m)
+
+    class CheckedState(real_state):
+        """After every reversal, equal to a state built fresh for the moved tour."""
+
+        def __init__(self, inst, t):
+            super().__init__(inst, t)
+            self.inst, self.tour = inst, t
+
+        def reverse(self, m):
+            super().reverse(m)
+            self.tour = real_apply(self.tour, m)
+            assert_same_state(self, real_state(self.inst, self.tour))
+
+    monkeypatch.setattr(tour, "apply_2move", counting_apply)
+    monkeypatch.setattr(tour, "_TourState", CheckedState)
+    moved = 0
+    for start, want, moves in reference_runs(name, inst):
+        applied.clear()
+        assert tour.two_opt(inst, start) == want
+        assert [(m.i, m.j, m.gain, type(m.gain)) for m in applied] == [
+            (m.i, m.j, m.gain, type(m.gain)) for m in moves]
+        moved += len(moves)
+    assert moved > 0  # a state was reversed, checked and scanned again on every instance
+
+
+def test_two_opt_order_pin_at_two_blocks():
+    # n = 200 takes 163 rows per block at the default budget: two blocks a scan.
+    inst = gen_random(200, 10**6, seed=1)
+    order = two_opt(inst, random_tour(200, random.Random(1))).order
+    assert hashlib.sha256(repr(order).encode()).hexdigest() == (
+        "c257e08faac2ccfc9e1444a6a774c23c6e5046e45adb21a39498d8cf19f3bb4e")
+
+
+def test_exact_scans_stay_linear_in_memory():
+    """(p, q) = (1, 3), 2916 points: one n x n int64 array would be 68 MB."""
+    lb = generate_lb_instance(2, 1, 3)
+    inst, hand = lb.as_instance(), build_lb_tour(lb)
+    tracemalloc.start()
+    try:
+        assert two_opt(inst, hand) == hand
+        assert scan_2opt_optimality(inst, hand).two_optimal
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    # The scan's masks are views of one array of at most _BLOCK_CELLS cells, not one per block.
+    blocks = tour._TourState(inst, hand).blocks
+    base = blocks[0][3].base
+    assert base is not None and base.size <= tour._BLOCK_CELLS
+    assert all(valid.base is base for *_, valid in blocks)
 
 
 def test_rational_instances_take_the_fraction_path():
