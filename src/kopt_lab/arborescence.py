@@ -162,7 +162,7 @@ class ArborescenceCertificate:
     triangle: list = field(default_factory=list)  # combined triangle inequality, per edge
     two_opt: list = field(default_factory=list)   # combined 2-optimality, per edge pair
     lemma_checks: list = field(default_factory=list)
-    params: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)  # "main_lemma": "checked" or "vacuous"
 
     @property
     def all_pass(self) -> bool:
@@ -222,8 +222,6 @@ def verify_lemma_suite(arb: Arborescence) -> ArborescenceCertificate:
     checks = cert.lemma_checks
     cA, wA = arb.c_total(), arb.w_total()
     n_edges = len(arb.edges)
-    cert.params.update({"n_edges": n_edges, "c_total": cA, "w_total": wA,
-                        "ratio": cA / wA if wA else math.inf})
     if n_edges == 0:
         return cert
 
@@ -231,7 +229,6 @@ def verify_lemma_suite(arb: Arborescence) -> ArborescenceCertificate:
     l_main = cA / wA if wA > 0 else None
     if l_main is not None and l_main > 0:
         l_values.append(l_main)
-    cert.params["l_values"] = list(l_values)
 
     def c_of(idxs):
         return sum(arb.edges[i].c for i in idxs)

@@ -115,11 +115,9 @@ def select_reference_edge(chords: list, tprime: Tour) -> tuple[tuple, list]:
         others = endpoints - {a, b}
         for clear, carrier in ((fwd, bwd), (bwd, fwd)):
             if not (set(clear[1:-1]) & others):
-                if set(carrier[1:-1]) >= others or not others:
-                    cand = ((a, b), carrier)
-                    if best is None or a < best[0][0]:
-                        best = cand
-                    break
+                if best is None or a < best[0][0]:
+                    best = ((a, b), carrier)
+                break
     if best is None:
         raise PartitionError("no reference chord found; chord set is not laminar along T'")
     return best

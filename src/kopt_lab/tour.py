@@ -34,8 +34,10 @@ EXACT_MAX_N = 18
 # Upper bound on the cells of one block: distance evaluations of the 2-move scan,
 # (mask, c, u) candidates of Held-Karp, edge pairs of the orientation-sign filter.
 _BLOCK_CELLS = 1 << 15
-# Coordinate span below which the orientation-sign filter works in int64: every
-# product of two coordinate differences stays below 2**62.
+# Coordinate span below which `Instance._xy` gives int64: every product of two
+# coordinate differences stays below 2**62 (orientation signs), and every 1-norm
+# distance below 2**32, so a sum of a few, a 2-move gain or a Held-Karp tour of
+# at most EXACT_MAX_N edges, stays far inside int64.
 _INT64_SPAN = 1 << 31
 
 
@@ -76,50 +78,38 @@ class Instance:
         """The values of `dist` for numpy, over the vertices in index order.
 
         Built on first use and kept on the instance; the 2-move engine and
-        Held-Karp read it, and `take` re-indexes it by tour position.  Exact
-        instances keep their integer coordinates (`_CoordinateDistances`), as
-        int64 when the coordinate span keeps every sum of two distances below
-        2**63 and as Python ints otherwise.  Other instances keep the n x n
-        matrix of `dist` itself (`_MatrixDistances`: 8 n^2 bytes of float64,
-        or Fractions for the 1-norm on rational points), so the values are
-        bit-identical to `dist`.
+        Held-Karp read it, and `take` re-indexes it by tour position.  A 2-D
+        1-norm instance, integral or rational, keeps its coordinates from
+        `_xy` (`_CoordinateDistances`, O(n)).  Every other instance keeps the
+        n x n float64 matrix of `dist` itself (`_MatrixDistances`, 8 n^2
+        bytes), so the values are bit-identical to `dist`.
         """
-        if self.exact:
-            xs = [int(p.x) for p in self.points]
-            ys = [int(p.y) for p in self.points]
-            x0, y0 = min(xs, default=0), min(ys, default=0)
-            span = max(xs, default=0) - x0 + max(ys, default=0) - y0
-            dtype = np.int64 if 2 * span < 2**63 else object
-            # Shifted to start at 0: every coordinate and difference is within the span.
-            return _CoordinateDistances(np.array([x - x0 for x in xs], dtype=dtype),
-                                        np.array([y - y0 for y in ys], dtype=dtype))
+        if self.dim == 2 and self.norm.is_one:
+            return _CoordinateDistances(*self._xy)
         n = self.n
         rows = [[None] * n for _ in range(n)]
         for i in range(n):
             rows[i][i] = self.dist(i, i)  # read by the scan's masked-out pairs
             for j in range(i + 1, n):
                 rows[i][j] = rows[j][i] = self.dist(i, j)
-        return _MatrixDistances(
-            np.array(rows, dtype=object if self.dim == 2 and self.norm.is_one else float))
+        return _MatrixDistances(np.array(rows, dtype=float))
 
     @cached_property
     def _xy(self):
-        """The 2-D coordinates as two numpy arrays, each axis shifted to start at 0.
+        """The 2-D coordinates as two numpy arrays: the one place they become arrays.
 
-        Built on first use and kept on the instance.  int64 when every
-        coordinate is an integer and both spans are below `_INT64_SPAN`;
-        otherwise object arrays of Python ints, or of Fractions when a
-        coordinate is not integral.
+        Built on first use and kept on the instance.  int64, each axis
+        shifted to start at 0, when every coordinate is an integer and both
+        spans are below `_INT64_SPAN`.  Otherwise object arrays of the
+        coordinates themselves, unshifted, so that a difference, distance or
+        gain equals that of `pdist` in value and type.
         """
-        axes = []
-        for k in (0, 1):
-            col = [p[k] for p in self.points]
-            lo = min(col, default=0)
-            axes.append([c - lo for c in col])
+        axes = [[p[k] for p in self.points] for k in (0, 1)]
         if all(c.denominator == 1 for col in axes for c in col):
-            axes = [[int(c) for c in col] for col in axes]
-            if max((c for col in axes for c in col), default=0) < _INT64_SPAN:
-                return tuple(np.array(col, dtype=np.int64) for col in axes)
+            lows = [min(col, default=0) for col in axes]
+            if all(max(col, default=0) - lo < _INT64_SPAN for col, lo in zip(axes, lows)):
+                return tuple(np.array([int(c - lo) for c in col], dtype=np.int64)
+                             for col, lo in zip(axes, lows))
         return tuple(np.array(col, dtype=object) for col in axes)
 
 
@@ -151,7 +141,7 @@ class _MatrixDistances:
 
 
 class _CoordinateDistances:
-    """Exact 1-norm distances between positions, |dx| + |dy| over the coordinates in position order.
+    """1-norm distances between positions, |dx| + |dy| over the coordinates in position order.
 
     O(n) memory: no matrix is ever built.  `edge[k]` is the distance from
     position k to position k + 1.
@@ -392,8 +382,6 @@ def _held_karp(inst: Instance) -> tuple[Tour, object]:
     n = inst.n
     m = n - 1
     d = inst._pair_dist.outer(slice(None), slice(None))  # the values of `dist`, cached
-    if d.dtype == np.int64 and n * int(d.max()) >= 2**63:
-        d = d.astype(object)  # a tour of n edges could overflow int64
     dm = d[1:, 1:].ravel()
     cols = np.arange(m)
     # Flat tables: entry mask * m + c holds state (mask, c).
@@ -430,37 +418,13 @@ def _held_karp(inst: Instance) -> tuple[Tour, object]:
     return Tour((0,) + tuple(reversed(chain))), best
 
 
-def _brute_force_opt(inst: Instance) -> tuple[Tour, object]:
-    n = inst.n
-    best_t, best = None, None
-    for perm in itertools.permutations(range(1, n)):
-        t = Tour((0,) + perm)
-        length = tour_length(inst, t)
-        if best is None or length < best:
-            best_t, best = t, length
-    return best_t, best
-
-
-def exact_opt(inst: Instance, cross_check: bool = False) -> tuple[Tour, object]:
-    """Provably optimal tour via Held-Karp (n <= 18); optional brute-force cross-check."""
+def exact_opt(inst: Instance) -> tuple[Tour, object]:
+    """Provably optimal tour via Held-Karp (n <= 18)."""
     if inst.n < 3:
         raise ValueError("need n >= 3")
     if inst.n > EXACT_MAX_N:
         raise ValueError(f"exact_opt limited to n <= {EXACT_MAX_N}, got {inst.n}")
-    tour, length = _held_karp(inst)
-    if cross_check:
-        if inst.n > 9:
-            raise ValueError("cross-check mode limited to n <= 9")
-        _, bf_length = _brute_force_opt(inst)
-        if inst.dim == 2 and inst.norm.is_one:  # int or Fraction lengths: exact equality
-            agree = length == bf_length
-        else:
-            agree = abs(float(length) - float(bf_length)) <= 1e-12 * max(1.0, abs(float(bf_length)))
-        if not agree:
-            raise AssertionError(
-                f"Held-Karp ({length}) disagrees with brute force ({bf_length})"
-            )
-    return tour, length
+    return _held_karp(inst)
 
 
 class SimpleVerdict(NamedTuple):

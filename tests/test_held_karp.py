@@ -14,7 +14,7 @@ from kopt_lab import tour
 from kopt_lab.geometry import PNorm, Point3, pt
 from kopt_lab.tour import EXACT_MAX_N, Instance, Tour, exact_opt, is_k_optimal, two_opt
 
-from reference_held_karp import reference_held_karp
+from reference_held_karp import brute_force_check, reference_held_karp
 
 
 def grid_instance(rng, n, p, grid):
@@ -74,7 +74,7 @@ def test_closing_tie_goes_to_the_largest_last_vertex():
 
 
 def test_overflow_past_int64(block_cells):
-    # 12 points in [0, 2^61)^2: int64 holds every distance but not every tour length.
+    # 12 points in [0, 2^61)^2: a tour length past 2^63, summed in Python ints.
     r = random.Random(1)
     inst = Instance([pt(r.randrange(2**61), r.randrange(2**61)) for _ in range(12)], PNorm(1))
     t, length = exact_opt(inst)
@@ -94,7 +94,7 @@ def test_largest_instance_is_2_and_3_optimal():
 
 def test_cross_check_compares_exact_lengths_exactly(monkeypatch):
     inst = Instance([pt(0, 0), pt(2**60, 0), pt(2**60, 2**60), pt(0, 2**60)], PNorm(1))
-    assert exact_opt(inst, cross_check=True)[1] == 2**62
+    assert brute_force_check(inst)[1] == 2**62
     held_karp = tour._held_karp
 
     def off_by_one(inst):
@@ -104,7 +104,7 @@ def test_cross_check_compares_exact_lengths_exactly(monkeypatch):
     # 2^62 + 1 and 2^62 are the same float: a relative tolerance would pass it.
     monkeypatch.setattr(tour, "_held_karp", off_by_one)
     with pytest.raises(AssertionError, match="disagrees"):
-        exact_opt(inst, cross_check=True)
+        brute_force_check(inst)
 
 
 def test_no_distance_calls_once_the_cache_is_built(monkeypatch):

@@ -181,7 +181,11 @@ class TestSpans:
         inst = spanned_instance(12, span, random.Random(span), offset=-(span // 3))
         xs, ys = inst._xy
         assert xs.dtype == dtype and ys.dtype == dtype
-        assert min(xs) == 0 and max(xs) == span and max(ys) == span
+        if dtype == np.int64:  # each axis shifted to start at 0
+            assert min(xs) == min(ys) == 0 and max(xs) == span and max(ys) == span
+        else:  # the points' own coordinates, unshifted
+            for k, axis in enumerate((xs, ys)):
+                assert [(type(c), c) for c in axis.tolist()] == [(type(p[k]), p[k]) for p in inst.points]
 
     @pytest.mark.parametrize("span", [2**31 - 1, 2**31, 2**40])
     def test_large_spans_match_reference(self, span):

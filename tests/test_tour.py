@@ -17,6 +17,8 @@ from kopt_lab.tour import (
     two_opt,
 )
 
+from reference_held_karp import brute_force_check
+
 
 def rand_instance(rng, n, grid=100, p=2):
     seen = set()
@@ -121,14 +123,14 @@ class TestThreeOpt:
 class TestExactOpt:
     def test_square(self):
         inst = Instance([pt(0, 0), pt(2, 0), pt(2, 2), pt(0, 2)], PNorm(2))
-        t, length = exact_opt(inst, cross_check=True)
+        t, length = brute_force_check(inst)
         assert length == pytest.approx(8.0)
 
     def test_matches_brute_force_on_random(self):
         rng = random.Random(17)
         for _ in range(5):
             inst = rand_instance(rng, 8)
-            exact_opt(inst, cross_check=True)  # raises on disagreement
+            brute_force_check(inst)  # raises on disagreement
 
     def test_size_limit(self):
         rng = random.Random(2)
@@ -171,5 +173,5 @@ class TestSimpleAndDegenerate:
         xs = rng.sample(range(50), 7)
         inst = Instance([pt(x, 3 * x + 1) for x in xs], PNorm(2))
         t = two_opt(inst, Tour(tuple(rng.sample(range(7), 7))))
-        _, opt_len = exact_opt(inst, cross_check=True)
+        _, opt_len = brute_force_check(inst)
         assert tour_length(inst, t) == pytest.approx(float(opt_len), rel=1e-12)

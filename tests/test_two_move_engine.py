@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from kopt_lab import tour
+from kopt_lab import geometry, tour
 from kopt_lab.crossing import make_crossing_free
 from kopt_lab.geometry import PNorm, pt
 from kopt_lab.harness import gen_random, random_tour
@@ -211,6 +211,26 @@ def test_rational_instances_take_the_fraction_path():
     t = Tour(tuple(random.Random(4).sample(range(inst.n), inst.n)))
     m = find_improving_2move(inst, t)
     assert m == reference_first_2move(inst, t) and isinstance(m.gain, Fraction)
+
+
+def test_rational_scans_call_no_pdist(monkeypatch):
+    """The 1-norm on rational points scans its coordinates: no n x n matrix of `pdist` calls."""
+    inst = rational_instance(random.Random(12), 12)
+    assert not inst.exact and any(type(c) is Fraction for p in inst.points for c in p)
+    start = Tour(tuple(random.Random(13).sample(range(inst.n), inst.n)))
+    want = reference_two_opt(inst, start)[0]
+    real, calls = geometry.pdist, []
+
+    def counting_pdist(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (geometry, tour):  # every namespace that binds it
+        monkeypatch.setattr(module, "pdist", counting_pdist)
+    got = two_opt(inst, start)
+    report = scan_2opt_optimality(inst, got)
+    assert len(calls) == 0
+    assert got == want and report.two_optimal
 
 
 def test_overflowing_square_regression():
