@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import PNorm, Point, Point3
+from .geometry import PNorm, Point3
 from .tour import Instance, Tour, _best_2move
 
 SQRT3_HALF = math.sqrt(3) / 2
@@ -97,8 +97,7 @@ class LowerBoundInstance:
         return len(self.xs)
 
     def as_instance(self) -> Instance:
-        points = list(map(Point._make, zip(self.xs.tolist(), self.ys.tolist())))
-        return Instance(points, PNorm(self.p), f"I_q{self.q}_p{self.p}")
+        return Instance.from_xy(self.xs, self.ys, PNorm(self.p), f"I_q{self.q}_p{self.p}")
 
 
 def _check_params(k: int, p: int, q: int):

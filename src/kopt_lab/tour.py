@@ -11,6 +11,7 @@ test and the crossing search.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
@@ -19,6 +20,7 @@ import numpy as np
 from .geometry import (
     Disjoint,
     PNorm,
+    Point,
     Point3,
     Segment,
     SharedEndpoint,
@@ -44,11 +46,16 @@ _INT64_SPAN = 1 << 31
 class Instance:
     """A finite set of distinct points plus a norm; the distance oracle."""
 
+    # The int64 coordinate arrays of an instance built by `from_xy`; None for
+    # one built from its points.
+    _columns: Optional[tuple] = None
+
     def __init__(self, points: Sequence, norm: PNorm = PNorm(2), name: str = ""):
         points = list(points)
         if len(set(points)) != len(points):
             raise ValueError("instance points must be pairwise distinct")
         self.points = points
+        self.n = len(points)
         self.norm = norm
         self.name = name
         self.dim = 3 if points and isinstance(points[0], Point3) else 2
@@ -61,9 +68,39 @@ class Instance:
             and all(p.x.denominator == 1 and p.y.denominator == 1 for p in points)
         )
 
-    @property
-    def n(self) -> int:
-        return len(self.points)
+    @classmethod
+    def from_xy(cls, xs, ys, norm: PNorm = PNorm(2), name: str = "") -> Instance:
+        """A 2-D instance on integer coordinate arrays, without building its points.
+
+        Keeps read-only int64 copies of the arrays, which `_xy` reads; the
+        `points` are built from them only when something reads them.  The
+        points must be pairwise distinct, as for `Instance(points)`; one
+        lexsort over (x, y) checks it.
+        """
+        xs, ys = np.asarray(xs), np.asarray(ys)
+        if xs.ndim != 1 or xs.shape != ys.shape:
+            raise ValueError("from_xy needs two 1-D coordinate arrays of one length")
+        if not (np.can_cast(xs.dtype, np.int64) and np.can_cast(ys.dtype, np.int64)):
+            raise ValueError(f"from_xy needs integer coordinates, got {xs.dtype} and {ys.dtype}")
+        xs, ys = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
+        order = np.lexsort((ys, xs))
+        sx, sy = xs[order], ys[order]
+        if ((sx[1:] == sx[:-1]) & (sy[1:] == sy[:-1])).any():
+            raise ValueError("instance points must be pairwise distinct")
+        xs.flags.writeable = ys.flags.writeable = False
+        inst = cls.__new__(cls)
+        inst._columns = (xs, ys)
+        inst.n, inst.norm, inst.name, inst.dim = len(xs), norm, name, 2
+        inst.exact = norm.is_one
+        return inst
+
+    @cached_property
+    def points(self) -> list:
+        """The points as int-field `Point`s, built on first use (`from_xy` instances only).
+
+        `Instance(points)` sets this attribute itself.
+        """
+        return list(map(Point._make, zip(*(col.tolist() for col in self._columns))))
 
     def dist(self, i: int, j: int):
         if self.dim == 3:
@@ -98,19 +135,42 @@ class Instance:
     def _xy(self):
         """The 2-D coordinates as two numpy arrays: the one place they become arrays.
 
-        Built on first use and kept on the instance.  int64, each axis
-        shifted to start at 0, when every coordinate is an integer and both
-        spans are below `_INT64_SPAN`.  Otherwise object arrays of the
-        coordinates themselves, unshifted, so that a difference, distance or
-        gain equals that of `pdist` in value and type.
+        Built on first use and kept on the instance, by `_coordinate_arrays`
+        from the `from_xy` arrays or else from the points.
         """
-        axes = [[p[k] for p in self.points] for k in (0, 1)]
-        if all(c.denominator == 1 for col in axes for c in col):
-            lows = [min(col, default=0) for col in axes]
-            if all(max(col, default=0) - lo < _INT64_SPAN for col, lo in zip(axes, lows)):
-                return tuple(np.array([int(c - lo) for c in col], dtype=np.int64)
-                             for col, lo in zip(axes, lows))
-        return tuple(np.array(col, dtype=object) for col in axes)
+        columns = self._columns
+        if columns is None:
+            columns = [[p[k] for p in self.points] for k in (0, 1)]
+        return _coordinate_arrays(*columns)
+
+
+def _coordinate_arrays(xs, ys) -> tuple:
+    """The dtype rule of `Instance._xy`, on two coordinate columns.
+
+    A column is an int64 array (`Instance.from_xy`) or a list of the
+    points' int or Fraction coordinates.  The result is int64, each column
+    shifted to start at 0, when every coordinate is an integer and both
+    spans are below `_INT64_SPAN`.  Otherwise it is object arrays of the
+    coordinates themselves, unshifted, so that a difference, distance or
+    gain equals that of `pdist` in value and type.
+    """
+    shifted = []
+    for col in (xs, ys):
+        if isinstance(col, np.ndarray):
+            lo, hi = (int(col.min()), int(col.max())) if len(col) else (0, 0)
+            if hi - lo >= _INT64_SPAN:
+                break
+            shifted.append(col - lo)
+        else:
+            if not all(c.denominator == 1 for c in col):
+                break
+            lo, hi = min(col, default=0), max(col, default=0)
+            if hi - lo >= _INT64_SPAN:
+                break
+            shifted.append(np.array([int(c - lo) for c in col], dtype=np.int64))
+    else:
+        return tuple(shifted)
+    return tuple(np.array(col, dtype=object) for col in (xs, ys))
 
 
 class _MatrixDistances:
@@ -197,8 +257,26 @@ class TwoMove(NamedTuple):
 
 
 def tour_length(inst: Instance, t: Tour):
+    """The sum of `inst.dist` over the tour's edges, left to right from position 0.
+
+    A 2-D instance under p = 1 or p = 2 gathers its coordinates from `_xy`
+    in tour order once, with the same value and type as that sum: p = 1
+    sums |dx| + |dy|, as a Python int over int64 coordinates and left to
+    right over object arrays; p = 2 sums `math.hypot(dx, dy)` left to right,
+    the function `pdist` calls on the same doubles.  Other p and 3-D
+    instances fold `inst.dist` edge by edge.
+    """
     t.validate(inst)
     o = t.order
+    if inst.dim == 2 and (inst.norm.is_one or inst.norm.is_two):
+        xs, ys = inst._xy
+        ring = np.array(o + o[:1], dtype=np.intp)
+        x, y = xs[ring], ys[ring]
+        dx, dy = x[1:] - x[:-1], y[1:] - y[:-1]
+        if inst.norm.is_two:
+            return sum(map(math.hypot, dx.tolist(), dy.tolist()))
+        steps = np.abs(dx) + np.abs(dy)
+        return int(steps.sum()) if steps.dtype == np.int64 else sum(steps.tolist())
     return sum(inst.dist(o[i], o[(i + 1) % len(o)]) for i in range(len(o)))
 
 

@@ -1,7 +1,8 @@
 """TSPLIB subset reader/writer for instances and tours.
 
 Supported keywords: NAME, TYPE, COMMENT, DIMENSION, EDGE_WEIGHT_TYPE,
-NODE_COORD_SECTION (1-based, integer coordinates), TOUR_SECTION, EOF.
+NODE_COORD_SECTION (1-based node ids in any order, integer
+coordinates), TOUR_SECTION, EOF.
 A TOUR_SECTION may hold a collection of tours, each ended by -1; the
 reader returns the first.
 Non-Euclidean p is encoded as EDGE_WEIGHT_TYPE: SPECIAL plus a
@@ -52,8 +53,13 @@ def write_instance(f: TextIO, inst: Instance):
 
 
 def read_instance(f: TextIO) -> Instance:
+    """The instance of a TSPLIB file; node i of its NODE_COORD_SECTION becomes vertex i - 1.
+
+    Node ids may come in any order; each must lie in 1..DIMENSION and occur
+    once.
+    """
     name, dim, ewt, pnorm = "", None, None, None
-    coords = []
+    nodes = []  # (id, point, line number, line) in file order
     in_coords = False
     for lineno, raw in enumerate(f.read().splitlines(), 1):
         line = raw.strip()
@@ -65,11 +71,12 @@ def read_instance(f: TextIO) -> Instance:
             if ewt == "EUC_3D":
                 if len(parts) != 4:
                     raise TsplibError(f"malformed 3-D coord line: {raw!r}")
-                coords.append(Point3(*(_number(float, v, lineno, raw) for v in parts[1:])))
+                p = Point3(*(_number(float, v, lineno, raw) for v in parts[1:]))
             else:
                 if len(parts) != 3:
                     raise TsplibError(f"malformed coord line: {raw!r}")
-                coords.append(pt(*(_number(int, v, lineno, raw) for v in parts[1:])))
+                p = pt(*(_number(int, v, lineno, raw) for v in parts[1:]))
+            nodes.append((_number(int, parts[0], lineno, raw), p, lineno, raw))
             continue
         if line == "NODE_COORD_SECTION":
             in_coords = True
@@ -94,17 +101,25 @@ def read_instance(f: TextIO) -> Instance:
             raise TsplibError(f"unrecognized line: {raw!r}")
     if ewt is None or dim is None:
         raise TsplibError("missing DIMENSION or EDGE_WEIGHT_TYPE")
-    if len(coords) != dim:
-        raise TsplibError(f"DIMENSION {dim} but {len(coords)} coordinates")
-    if len(set(coords)) != len(coords):
-        raise TsplibError("duplicate points")
+    if len(nodes) != dim:
+        raise TsplibError(f"DIMENSION {dim} but {len(nodes)} coordinates")
+    coords = [None] * dim
+    for node, p, lineno, raw in nodes:
+        if not 1 <= node <= dim:
+            raise TsplibError(f"line {lineno}: node id {node} is outside 1..{dim} in {raw.strip()!r}")
+        if coords[node - 1] is not None:
+            raise TsplibError(f"line {lineno}: node id {node} is repeated in {raw.strip()!r}")
+        coords[node - 1] = p
     if ewt == "SPECIAL":
         if pnorm is None:
             raise TsplibError("SPECIAL edge weights require a PNORM comment")
         norm = PNorm(int(pnorm) if pnorm == int(pnorm) else pnorm)
     else:
         norm = PNorm(2)
-    return Instance(coords, norm, name)
+    try:
+        return Instance(coords, norm, name)
+    except ValueError:
+        raise TsplibError("duplicate points") from None
 
 
 def write_tour(f: TextIO, *tours: Tour, name: str = "tour"):

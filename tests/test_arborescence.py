@@ -197,8 +197,8 @@ class TestCertifyPair:
         monkeypatch.setattr(tour_module, "pdist", lambda *a: calls.append(a) or pdist(*a))
         cert = certify_pair(inst, t, s)
         assert cert.passed and cert.crossings == 0 and cert.nprime == n
-        # One n x n cache, shared by both 2-optimality checks, and two tour_length passes.
-        assert len(calls) == n * (n + 1) // 2 + 2 * n
+        # One n x n cache, shared by both 2-optimality checks; tour_length reads `_xy`.
+        assert len(calls) == n * (n + 1) // 2
 
     def test_pair_with_crossings_gets_new_instance(self):
         inst, t, s = twelve_point_pair()

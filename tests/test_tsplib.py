@@ -88,6 +88,42 @@ class TestInstanceIO:
             tsplib.read_instance(io.StringIO(text))
 
 
+def coord_file(section: str, dim: int = 3, ewt: str = "EUC_2D") -> str:
+    return (f"TYPE : TSP\nDIMENSION : {dim}\nEDGE_WEIGHT_TYPE : {ewt}\n"
+            f"NODE_COORD_SECTION\n{section}EOF\n")
+
+
+class TestNodeIds:
+    def test_ids_out_of_order(self):
+        inst = tsplib.read_instance(io.StringIO(coord_file("3 0 0\n1 5 0\n2 0 7\n")))
+        assert inst.points == [pt(5, 0), pt(0, 7), pt(0, 0)]
+        tour = tsplib.read_tour(io.StringIO("TYPE : TOUR\nDIMENSION : 3\nTOUR_SECTION\n3\n1\n2\n-1\n"))
+        assert [inst.points[v] for v in tour.order] == [pt(0, 0), pt(5, 0), pt(0, 7)]
+
+    def test_3d_ids_out_of_order(self):
+        inst = tsplib.read_instance(io.StringIO(coord_file("2 1 0 0\n1 0 0 1\n", 2, "EUC_3D")))
+        assert [tuple(p) for p in inst.points] == [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0)]
+
+    def test_repeated_id_rejected(self):
+        with pytest.raises(tsplib.TsplibError, match="line 7: node id 1 is repeated"):
+            tsplib.read_instance(io.StringIO(coord_file("3 0 0\n1 5 0\n1 0 7\n")))
+
+    @pytest.mark.parametrize("node", [0, 4, -1])
+    def test_id_outside_dimension_rejected(self, node):
+        with pytest.raises(tsplib.TsplibError, match=f"line 6: node id {node} is outside 1..3"):
+            tsplib.read_instance(io.StringIO(coord_file(f"1 0 0\n{node} 5 0\n2 0 7\n")))
+
+    def test_writer_output_reads_back_unchanged(self):
+        inst = Instance([pt(4, 1), pt(0, 0), pt(9, 3), pt(2, 8)], PNorm(1), name="four")
+        buf = io.StringIO()
+        tsplib.write_instance(buf, inst)
+        back = tsplib.read_instance(io.StringIO(buf.getvalue()))
+        assert back.points == inst.points
+        out = io.StringIO()
+        tsplib.write_instance(out, back)
+        assert out.getvalue() == buf.getvalue()
+
+
 class TestTourIO:
     def test_roundtrip(self):
         buf = io.StringIO()
