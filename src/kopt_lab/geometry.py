@@ -196,24 +196,3 @@ def point_in_polygon(p: Point, poly: Sequence[Point]) -> str:
             if x_int > p.x:
                 inside = not inside
     return "interior" if inside else "exterior"
-
-
-def bounding_box(points: Sequence[Point]) -> tuple[int | Fraction, int | Fraction]:
-    """Side lengths (d_x, d_y) of the axis-aligned bounding rectangle."""
-    if not points:
-        raise ValueError("bounding_box of empty point set")
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
-    return max(xs) - min(xs), max(ys) - min(ys)
-
-
-def perimeter_lower_bound(poly: Sequence[Point], norm: PNorm):
-    """2 * (d_x^p + d_y^p)^(1/p) for the polygon's bounding box.
-
-    Any closed walk through the polygon's vertices has p-perimeter at least
-    this value; callers compare it against the measured perimeter.
-    """
-    if len(poly) < 2:
-        raise ValueError("need at least 2 points")
-    dx, dy = bounding_box(poly)
-    return 2 * pdist(norm, pt(0, 0), Point(dx, dy))

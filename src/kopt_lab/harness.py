@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from .arborescence import certify_pair
 from .geometry import PNorm, pt
-from .tour import EXACT_MAX_N, Instance, Tour, exact_opt, two_opt
+from .tour import EXACT_MAX_N, Instance, Tour, _check_exact_n, _check_planar, exact_opt, two_opt
 
 SCHEMA = "kopt-lab/1"
 GENERATOR = "python-random-mt19937"
@@ -95,8 +95,12 @@ class ExperimentConfig:
 def certify_instance(inst: Instance, start: Tour) -> dict:
     """2-Opt from `start`, the exact optimum and the ratio certificate of the pair.
 
-    Returns the record fields shared by `report` trials and `certify`.
+    Returns the record fields shared by `report` trials and `certify`.  An
+    instance that Held-Karp or the simplicity test cannot take, n outside
+    3..EXACT_MAX_N or not 2-D, raises their ValueError before 2-Opt runs.
     """
+    _check_exact_n(inst.n)
+    _check_planar(inst)
     t0 = time.perf_counter()
     s = two_opt(inst, start)
     t_opt, opt_len = exact_opt(inst)

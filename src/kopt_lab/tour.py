@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -24,7 +24,6 @@ from .geometry import (
     Point3,
     Segment,
     SharedEndpoint,
-    orientation,
     pdist,
     pdist3,
     segment_relation,
@@ -445,63 +444,113 @@ def is_k_optimal(inst: Instance, t: Tour, k: int) -> KOptVerdict:
     raise ValueError(f"unsupported k={k}; only k in {{2, 3}}")
 
 
+class _HeldKarpBlock(NamedTuple):
+    """The read-only index arrays of one Held-Karp block: the states of some masks of one size k.
+
+    For a mask and a column c in it, the state (mask, c) takes the minimum
+    over the k - 1 other columns u of the mask of cost[mask ^ bit(c), u] +
+    d(u, c).  The block lists its states mask by mask, each mask's columns
+    in descending order, and holds per state:
+    - `state`: mask * m + c, its flat index in the cost table;
+    - `prev`: (mask ^ bit(c)) * m, so that prev + u indexes the state (mask ^ bit(c), u);
+    - `cell`: c * m, so that cell + u indexes d(u, c) in the transposed distances;
+    and `u`, (k - 1) x states, int8: each state's candidates u down a
+    column, in descending order.
+    """
+
+    state: np.ndarray
+    prev: np.ndarray
+    cell: np.ndarray
+    u: np.ndarray
+
+
+@cache
+def _held_karp_plan(m: int, block_cells: int) -> tuple:
+    """The `_HeldKarpBlock`s of the m-column DP, layer by layer, at most `block_cells` candidates each.
+
+    They depend only on m and the block budget, so one plan per pair serves
+    every instance of n = m + 1 vertices.  `state` and `prev` are int16
+    while the m 2^m table entries fit, else int32; `cell` is int16.  At
+    m = 17 (n = 18) the plan takes 10 bytes per state and 1 per candidate,
+    19 MB.
+    """
+    index = np.int16 if m << m <= 1 << 15 else np.int32
+    blocks = []
+    for k in range(2, m + 1):
+        # The masks of size k, each as its columns in descending order.
+        combos = itertools.combinations(range(m - 1, -1, -1), k)
+        v = np.fromiter(itertools.chain.from_iterable(combos), dtype=np.int8).reshape(-1, k)
+        j = np.arange(k - 1)
+        others = j + (j >= np.arange(k)[:, None])  # row a: 0..k-1 without a, in order
+        bit = np.left_shift(1, v, dtype=index)
+        mask = bit.sum(axis=1, dtype=index, keepdims=True)
+        state = (mask * m + v).ravel()
+        prev = ((mask ^ bit) * m).ravel()
+        cell = (v.astype(np.int16) * m).ravel()
+        u = v[:, others.T].transpose(1, 0, 2).reshape(k - 1, -1)  # u[j, (mask, a)]
+        for a in (state, prev, cell, u):
+            a.flags.writeable = False
+        step = k * max(1, block_cells // (k * (k - 1)))  # states per block, whole masks
+        for s0 in range(0, len(state), step):
+            s = slice(s0, s0 + step)
+            blocks.append(_HeldKarpBlock(state[s], prev[s], cell[s], u[:, s]))
+    return tuple(blocks)
+
+
 def _held_karp(inst: Instance) -> tuple[Tour, object]:
     """Held-Karp over dense arrays, filled one layer of subsets per size.
 
     Vertex 0 anchors the tour; column c stands for vertex c + 1, and bit c
     of a mask for that vertex.  cost[mask, c] is the cheapest path from 0
     through the vertices of mask that ends at column c, as a left fold of
-    `dist` in path order, and pred[mask, c] is its second-to-last column
-    (-1 for the anchor).  For each mask of size k and each c in it, the
+    `dist` in path order.  For each mask of size k and each c in it, the
     minimum over u of cost[mask ^ bit(c), u] + d(u, c) goes to the largest
     u among ties, as does the closing edge into 0.  A layer is processed in
-    blocks of at most `_BLOCK_CELLS` (mask, c, u) candidates.
+    blocks of at most `_BLOCK_CELLS` (mask, c, u) candidates, whose indices
+    come from the plan that `_held_karp_plan` caches per size: a call only
+    gathers, adds, takes minima and scatters.  No predecessor table is
+    kept: the tour is walked back from its last column, recomputing each
+    state's candidates in the same arithmetic, and the predecessor is the
+    largest u whose candidate equals the state's cost.
     """
     n = inst.n
     m = n - 1
     d = inst._pair_dist.outer(slice(None), slice(None))  # the values of `dist`, cached
-    dm = d[1:, 1:].ravel()
+    dt = d[1:, 1:].T.ravel()  # dt[c * m + u] = d(u, c)
     cols = np.arange(m)
-    # Flat tables: entry mask * m + c holds state (mask, c).
+    # A flat table: entry mask * m + c holds state (mask, c).
     cost = np.empty(m << m, dtype=d.dtype)
-    pred = np.empty(m << m, dtype=np.int8)
     cost[(1 << cols) * m + cols] = d[0, 1:]
-    pred[(1 << cols) * m + cols] = -1
-    for k in range(2, m + 1):
-        # The masks of size k, each as its columns in descending order, so that
-        # argmin over u takes the largest u among ties.
-        layer = np.array(list(itertools.combinations(range(m - 1, -1, -1), k)), dtype=np.intp)
-        j = np.arange(k - 1)
-        others = j + (j >= np.arange(k)[:, None])  # row a: 0..k-1 without a, in order
-        step = max(1, _BLOCK_CELLS // (k * (k - 1)))
-        for b0 in range(0, len(layer), step):
-            v = layer[b0 : b0 + step]
-            mask = (1 << v).sum(axis=1, keepdims=True)
-            u = v[:, others]
-            prev = (mask ^ (1 << v))[:, :, None] * m + u  # state (mask ^ bit(c), u)
-            cand = cost.take(prev) + dm.take(u * m + v[:, :, None])
-            pick = cand.argmin(axis=2).ravel() + np.arange(0, cand.size, k - 1)
-            state = (mask * m + v).ravel()
-            cost[state] = cand.take(pick)
-            pred[state] = u.take(pick)
+    for blk in _held_karp_plan(m, _BLOCK_CELLS):
+        cand = cost.take(blk.prev + blk.u) + dt.take(blk.cell + blk.u)
+        cost[blk.state] = cand.min(axis=0)
     full = (1 << m) - 1
     last = cols[::-1]
     total = cost[full * m + last] + d[last + 1, 0]
     pick = int(total.argmin())
     best, c, mask = total.item(pick), int(last[pick]), full
-    chain = []
-    while c >= 0:
-        chain.append(c + 1)
-        mask, c = mask ^ (1 << c), int(pred[mask * m + c])
+    chain = [c + 1]
+    while mask != 1 << c:
+        prev, target = mask ^ (1 << c), cost.item(mask * m + c)
+        u = m - 1
+        while not (prev >> u & 1 and cost.item(prev * m + u) + dt.item(c * m + u) == target):
+            u -= 1
+        chain.append(u + 1)
+        mask, c = prev, u
     return Tour((0,) + tuple(reversed(chain))), best
+
+
+def _check_exact_n(n: int):
+    """Raise the ValueError of `exact_opt` unless 3 <= n <= EXACT_MAX_N."""
+    if n < 3:
+        raise ValueError("need n >= 3")
+    if n > EXACT_MAX_N:
+        raise ValueError(f"exact_opt limited to n <= {EXACT_MAX_N}, got {n}")
 
 
 def exact_opt(inst: Instance) -> tuple[Tour, object]:
     """Provably optimal tour via Held-Karp (n <= 18)."""
-    if inst.n < 3:
-        raise ValueError("need n >= 3")
-    if inst.n > EXACT_MAX_N:
-        raise ValueError(f"exact_opt limited to n <= {EXACT_MAX_N}, got {inst.n}")
+    _check_exact_n(inst.n)
     return _held_karp(inst)
 
 
@@ -562,13 +611,18 @@ def _candidate_pairs(inst: Instance, t: Tour, s: Optional[Tour] = None):
         yield from zip((r + i0).tolist(), (c + j0).tolist())
 
 
+def _check_planar(inst: Instance):
+    """Raise the ValueError of `is_simple` unless the instance is 2-D."""
+    if inst.dim != 2:
+        raise ValueError("is_simple supports 2-D instances only")
+
+
 def is_simple(inst: Instance, t: Tour) -> SimpleVerdict:
     """No two tour edges intersect in a point interior to either segment.
 
     The witness is the first offending pair of edges in (i, j) order.
     """
-    if inst.dim != 2:
-        raise ValueError("is_simple supports 2-D instances only")
+    _check_planar(inst)
     t.validate(inst)
     edges = t.edges()
     for i, j in _candidate_pairs(inst, t):
@@ -576,14 +630,3 @@ def is_simple(inst: Instance, t: Tour) -> SimpleVerdict:
         if not isinstance(rel, (Disjoint, SharedEndpoint)):
             return SimpleVerdict(False, (edges[i], edges[j]))
     return SimpleVerdict(True, None)
-
-
-def is_degenerate(inst: Instance) -> bool:
-    """True iff all points lie on one line (exact orientation tests)."""
-    if inst.dim != 2:
-        raise ValueError("is_degenerate supports 2-D instances only")
-    pts = inst.points
-    if len(pts) <= 2:
-        return True
-    a, b = pts[0], pts[1]
-    return all(orientation(a, b, c) == 0 for c in pts[2:])

@@ -16,7 +16,7 @@ from kopt_lab.arborescence import (
     verify_lemma_suite,
 )
 from kopt_lab.crossing import make_crossing_free
-from kopt_lab.geometry import PNorm, orientation, pdist, perimeter_lower_bound, pt
+from kopt_lab.geometry import PNorm, orientation, pdist, pt
 from kopt_lab.harness import gen_random, random_tour
 from kopt_lab.lowerbound import (
     build_lb_tour,
@@ -37,6 +37,7 @@ from kopt_lab.tour import (
     two_opt,
 )
 
+from planar_helpers import perimeter_lower_bound
 from reference_held_karp import brute_force_check
 from reference_scan import reference_first_2move
 from synthetic import random_feasible_arborescence

@@ -83,6 +83,19 @@ class TestSolveAndCertify:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "80fb27457b7b86a7f854b7c4f3b58cb9a2939ac19de8357ca84c900bdf27795c")
 
+    @pytest.mark.parametrize("gen, message", [
+        (("gen-random", "--n", "20", "--grid", "100"), "exact_opt limited to n <= 18, got 20"),
+        (("gen-random", "--n", "2", "--grid", "100"), "need n >= 3"),
+        (("gen-3d", "--k", "2"), "is_simple supports 2-D instances only"),
+    ])
+    def test_certify_rejects_before_two_opt(self, workdir, capsys, monkeypatch, gen, message):
+        assert run(*gen, "--out", "x.tsp") == 0
+        calls = []
+        monkeypatch.setattr(harness, "two_opt", lambda *args: calls.append(args))
+        assert run("certify", "x.tsp", "--out", "c.json") == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert calls == [] and not (workdir / "c.json").exists()
+
     def test_missing_file_is_usage_error(self, workdir):
         assert run("solve-2opt", "missing.tsp") == 2
 

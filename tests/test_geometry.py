@@ -11,16 +11,15 @@ from kopt_lab.geometry import (
     Segment,
     SharedEndpoint,
     Touch,
-    bounding_box,
     orientation,
     pdist,
     pdist3,
-    perimeter_lower_bound,
     pt,
     segment_relation,
 )
 from kopt_lab.geometry import Point3
 
+from planar_helpers import bounding_box, perimeter_lower_bound
 from reference_predicates import NonSimplePolygonError, is_simple_polygon, point_in_polygon
 
 

@@ -8,6 +8,7 @@ rational instances, on grids small enough for many ties, and past int64.
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kopt_lab import tour
@@ -53,6 +54,56 @@ def test_exact_opt_matches_reference(name, inst, block_cells):
     got, want = exact_opt(inst), reference_held_karp(inst)
     assert got == want
     assert type(got[1]) is type(want[1])
+
+
+def plan_blocks_fit(blocks, cells):
+    """Every block holds at most `cells` candidates, or the states of one mask."""
+    return all(b.u.size <= cells or b.u.shape[1] == b.u.shape[0] + 1 for b in blocks)
+
+
+def test_a_plan_serves_only_its_own_block_budget(monkeypatch):
+    inst = grid_instance(random.Random(9), 10, 2, 1000)
+    want = reference_held_karp(inst)
+    plan, served = tour._held_karp_plan, []
+
+    def recorded(m, cells):
+        served.append(plan(m, cells))
+        return served[-1]
+
+    monkeypatch.setattr(tour, "_held_karp_plan", recorded)
+    for cells in (tour._BLOCK_CELLS, 1, 50, tour._BLOCK_CELLS, 1):
+        monkeypatch.setattr(tour, "_BLOCK_CELLS", cells)
+        assert exact_opt(inst) == want
+        assert plan_blocks_fit(served[-1], cells)
+    # One block per mask under a budget of 1: 2^9 - 1 - 9 masks of size >= 2.
+    assert len(served[0]) == 8 < len(served[2]) < len(served[1]) == 2**9 - 10
+    assert served[1] is served[4] and served[0] is served[3]
+
+
+def dtype_kinds(rng, n):
+    """Instances of n points whose distance cache is int64, float64 and object (twice)."""
+    rational = {(Fraction(rng.randint(0, 60), rng.choice((2, 3))), rng.randint(0, 20)): None
+                for _ in range(3 * n)}
+    return [
+        (np.int64, grid_instance(rng, n, 1, 1000)),
+        (np.float64, grid_instance(rng, n, 2, 1000)),
+        (object, Instance([pt(*c) for c in list(rational)[:n]], PNorm(1))),
+        (object, Instance([pt(rng.randrange(2**61), rng.randrange(2**61)) for _ in range(n)],
+                          PNorm(1))),
+    ]
+
+
+def test_plans_are_shared_across_dtypes_and_sizes():
+    rng = random.Random(1212)
+    for n in (12, 6, 12):
+        kinds = dtype_kinds(rng, n)
+        for dtype, inst in kinds + kinds[::-1]:  # each plan alternates between dtypes
+            assert inst._pair_dist.outer(slice(None), slice(None)).dtype == dtype
+            got, want = exact_opt(inst), reference_held_karp(inst)
+            assert got == want and type(got[1]) is type(want[1])
+    for m in (11, 5):
+        blocks = tour._held_karp_plan(m, tour._BLOCK_CELLS)
+        assert blocks and all(not a.flags.writeable for block in blocks for a in block)
 
 
 def test_instances_take_every_dtype():

@@ -1,10 +1,16 @@
-"""Every name a kopt_lab module imports is used in that module.
+"""Every name a kopt_lab module imports is used in that module, and every public function has a user.
 
 No linter ships with the package, so this test is the dead-import check.
 `__init__.py` is skipped: its imports are the package's exports.
+
+It is also the dead-helper check: a public function of `src/kopt_lab` must
+be referenced by `src` code outside its own body, be named by a metric of
+`BENCHMARK.json`, or be used by the benchmark's code (its `paths`).  A
+helper that only tests call belongs in `tests/`.
 """
 
 import ast
+import json
 from pathlib import Path
 
 import pytest
@@ -12,6 +18,13 @@ import pytest
 import kopt_lab
 
 MODULES = sorted(p for p in Path(kopt_lab.__file__).parent.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(kopt_lab.__file__).resolve().parents[2]
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+# Public functions kept without a caller in `src`, each with its reason.
+KEPT = {
+    "lowerbound.estimate_scan": "the paper's estimate of when the layered tour is k-optimal, "
+                                "reported by the tests and the ROADMAP's q-table",
+}
 
 
 def imported_names(tree: ast.Module) -> dict:
@@ -46,3 +59,73 @@ def test_checker_flags_an_unused_import():
 def test_checker_sees_attribute_and_annotation_uses():
     src = "import os.path\nfrom typing import List\n\ndef f(x: List[int]):\n    return os.path.sep\n"
     assert unused_imports(src) == []
+
+
+def read_names(tree: ast.AST) -> set:
+    """Every name that a Name or Attribute node of `tree` reads."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def unused_functions(sources: dict, named: set, used_elsewhere: set) -> list:
+    """`<module>.<function>` of every public top-level function of `sources` that nothing uses.
+
+    `sources` maps module names to their code.  A function is used when
+    `named` holds `<module>.<function>`, when `used_elsewhere` holds its
+    name, or when a top-level statement of some module reads its name,
+    other than the function itself and the functions found unused: a helper
+    that only unused functions call is unused too.  Names match by name
+    alone, whatever module they are read from.
+    """
+    statements, candidates = [], {}
+    for mod, src in sources.items():
+        for node in ast.parse(src).body:
+            public = isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            qualified = f"{mod}.{node.name}" if public else None
+            statements.append((qualified, read_names(node)))
+            if public and qualified not in named and node.name not in used_elsewhere:
+                candidates[qualified] = node.name
+    unused, changed = set(), True
+    while changed:
+        changed = False
+        for qualified, name in candidates.items():
+            if qualified not in unused and not any(
+                    name in names for owner, names in statements
+                    if owner != qualified and owner not in unused):
+                unused.add(qualified)
+                changed = True
+    return sorted(unused)
+
+
+def benchmark_names() -> set:
+    """`<layer>.<function>` of every per-layer metric of BENCHMARK.json."""
+    return {metric["name"].rpartition(".")[0] for metric in SPEC["per_layer"]}
+
+
+def benchmark_code_reads() -> set:
+    """Every name that the benchmark's code reads."""
+    return set().union(*(read_names(ast.parse(path.read_text()))
+                         for d in SPEC["paths"] for path in sorted((ROOT / d).rglob("*.py"))))
+
+
+def test_every_public_function_has_a_user():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    unused = unused_functions(sources, benchmark_names() | set(KEPT), benchmark_code_reads())
+    assert unused == []
+
+
+def test_checker_flags_a_function_only_tests_or_itself_call():
+    sources = {
+        "a": "def used():\n    return 1\n\ndef dead():\n    return used()\n\n"
+             "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
+             "def _private():\n    pass\n",
+        "b": "from . import a\n\ndef caller():\n    return a.used()\n\n"
+             "def traced():\n    pass\n\ndef benched():\n    pass\n\n"
+             "if __name__ == '__main__':\n    caller()\n",
+    }
+    assert unused_functions(sources, {"b.traced"}, {"benched"}) == ["a.dead", "a.recursive"]
+
+
+def test_checker_flags_a_helper_that_only_unused_functions_call():
+    sources = {"a": "def helper():\n    return 1\n\ndef dead():\n    return helper()\n"}
+    assert unused_functions(sources, set(), set()) == ["a.dead", "a.helper"]

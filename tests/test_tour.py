@@ -10,13 +10,13 @@ from kopt_lab.tour import (
     apply_2move,
     exact_opt,
     find_improving_2move,
-    is_degenerate,
     is_k_optimal,
     is_simple,
     tour_length,
     two_opt,
 )
 
+from planar_helpers import is_degenerate
 from reference_held_karp import brute_force_check
 
 
