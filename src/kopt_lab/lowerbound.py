@@ -28,6 +28,9 @@ SQRT3_HALF = math.sqrt(3) / 2
 # (4, 3), have over 10^7 points.  Below it every coordinate and tour length
 # fits int64 with room to spare.
 MAX_LAYERED_N = 1 << 21
+# Largest n that `scan_2opt_optimality` scans over an n x n distance matrix:
+# its float64 matrix and the scan's ring-ordered copy take 3.2 GB each here.
+MATRIX_SCAN_MAX_N = 20000
 
 
 def layer_offset(i: int, q: int, p: int) -> int:
@@ -318,11 +321,14 @@ def scan_2opt_optimality(inst: Instance, tour: Tour) -> ScanReport:
     Runs the 2-move engine of `tour` for the best gain less its threshold,
     which is exact (threshold 0) for integer coordinates under the 1-norm.
     The verdict is reported, not asserted: local optimality of the
-    hand-built tour is only guaranteed for large q.
+    hand-built tour is only guaranteed for large q.  An instance whose
+    distances need an n x n matrix (any but a 2-D 1-norm one) is limited to
+    n <= MATRIX_SCAN_MAX_N, checked before any distance is computed; the
+    coordinate path takes O(n) memory at every n.
     """
     n = inst.n
-    if n > 20000:
-        raise ValueError("exhaustive pair scan limited to n <= 20000")
+    if n > MATRIX_SCAN_MAX_N and not inst._coordinate_cache:
+        raise ValueError(f"exhaustive pair scan over a distance matrix limited to n <= {MATRIX_SCAN_MAX_N}")
     tour.validate(inst)
     best = _best_2move(inst, tour)
     improving = best is not None and best.gain > 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -109,6 +109,11 @@ class Instance:
     def segment(self, i: int, j: int) -> Segment:
         return Segment(self.points[i], self.points[j])
 
+    @property
+    def _coordinate_cache(self) -> bool:
+        """Whether `_pair_dist` keeps O(n) coordinates rather than an n x n matrix."""
+        return self.dim == 2 and self.norm.is_one
+
     @cached_property
     def _pair_dist(self):
         """The values of `dist` for numpy, over the vertices in index order.
@@ -120,7 +125,7 @@ class Instance:
         n x n float64 matrix of `dist` itself (`_MatrixDistances`, 8 n^2
         bytes), so the values are bit-identical to `dist`.
         """
-        if self.dim == 2 and self.norm.is_one:
+        if self._coordinate_cache:
             return _CoordinateDistances(*self._xy)
         n = self.n
         rows = [[None] * n for _ in range(n)]
@@ -172,6 +177,26 @@ def _coordinate_arrays(xs, ys) -> tuple:
     return tuple(np.array(col, dtype=object) for col in (xs, ys))
 
 
+def _scan_dtype(x: np.ndarray, y: np.ndarray) -> np.dtype:
+    """The narrowest signed integer dtype in which the 2-move engine's sums over x, y are exact.
+
+    For int64 coordinates, which `_xy` shifts to start at 0 so that each
+    axis's largest value is its span, let D be the sum of the two spans.
+    Every 1-norm distance is at most D and every sum of two distances, or
+    gain (c_ab + c_xy) - c_ax - c_by, lies in [-2D, 2D]; so the dtype is
+    int16 while D < 2^14 and int32 while D < 2^30, else int64, and the
+    dtype's minimum stays below every gain.  Object coordinates keep their
+    dtype.
+    """
+    if x.dtype != np.int64:
+        return x.dtype
+    span = int(x.max(initial=0)) + int(y.max(initial=0))
+    for dtype, bound in ((np.int16, 1 << 14), (np.int32, 1 << 30)):
+        if span < bound:
+            return np.dtype(dtype)
+    return x.dtype
+
+
 class _MatrixDistances:
     """Distances between positions as a matrix: matrix[k, l] = dist(v_k, v_l).
 
@@ -188,8 +213,8 @@ class _MatrixDistances:
         """The distances between the given positions, in their order (a copy)."""
         return _MatrixDistances(self.matrix[positions[:, None], positions])
 
-    def outer(self, rows: slice, cols: slice) -> np.ndarray:
-        """d(rows[a], cols[b]) at [a, b]: a view of the matrix."""
+    def outer(self, rows: slice, cols: slice, out=None, scratch=None) -> np.ndarray:
+        """d(rows[a], cols[b]) at [a, b]: a view of the matrix, so the buffers go unused."""
         return self.matrix[rows, cols]
 
     def reverse(self, lo: int, hi: int):
@@ -211,13 +236,32 @@ class _CoordinateDistances:
         self.edge = np.abs(x[:-1] - x[1:]) + np.abs(y[:-1] - y[1:])
 
     def take(self, positions: np.ndarray) -> _CoordinateDistances:
-        """The distances between the given positions, in their order (a copy)."""
-        return _CoordinateDistances(self.x[positions], self.y[positions])
+        """The distances between the given positions, in their order (a copy).
 
-    def outer(self, rows: slice, cols: slice) -> np.ndarray:
-        """d(rows[a], cols[b]) at [a, b]."""
+        int64 coordinates are narrowed to `_scan_dtype`'s dtype; object
+        coordinates stay object.
+        """
+        dtype = _scan_dtype(self.x, self.y)
+        return _CoordinateDistances(self.x[positions].astype(dtype, copy=False),
+                                    self.y[positions].astype(dtype, copy=False))
+
+    def outer(self, rows: slice, cols: slice, out=None, scratch=None) -> np.ndarray:
+        """d(rows[a], cols[b]) at [a, b].
+
+        Given two flat buffers of at least that many cells, the result is
+        written into the front of `out`, and `scratch` is overwritten;
+        otherwise it is a new array.
+        """
         x, y = self.x, self.y
-        return np.abs(x[rows, None] - x[None, cols]) + np.abs(y[rows, None] - y[None, cols])
+        if out is not None:
+            shape = len(x[rows]), len(x[cols])
+            cells = shape[0] * shape[1]
+            out, scratch = out[:cells].reshape(shape), scratch[:cells].reshape(shape)
+        out = np.subtract(x[rows, None], x[None, cols], out=out)
+        np.abs(out, out=out)
+        scratch = np.subtract(y[rows, None], y[None, cols], out=scratch)
+        out += np.abs(scratch, out=scratch)
+        return out
 
     def reverse(self, lo: int, hi: int):
         """Reverse positions lo..hi-1 in place, 0 < lo < hi < len(x), and their edges, O(hi - lo)."""
@@ -284,34 +328,61 @@ def _gain_threshold(inst: Instance, removed):
     return 0 if inst.exact else DEFAULT_GAIN_EPS * removed
 
 
+@lru_cache(maxsize=32)
+def _scan_blocks(n: int, block_cells: int) -> tuple:
+    """The 2-move scan's row blocks (i0, i1, j0, valid) for a tour of n vertices.
+
+    Rows i0 <= i < i1 against columns j >= j0 = i0 + 2, at most
+    `block_cells` cells a block (one row when n exceeds that budget), and
+    valid[r, c] marks the pairs with j >= i + 2 that are not the adjacent
+    (0, n - 1).  Every mask is a read-only view of one array of at most
+    `block_cells` cells (n cells when n exceeds that budget).  They depend
+    only on n and the budget, so the last few sizes' blocks are kept and
+    shared by every tour of that size.
+    """
+    if n < 4:
+        return ()  # no two edges of a triangle are non-adjacent
+    step = max(1, block_cells // n)
+    # Row i0 + r against column j0 + c is valid iff c >= r, in every block;
+    # block i0 reads the first n - j0 columns, so only block 0 reaches the
+    # last one, which holds (0, n - 1) in its first row.
+    valid = np.arange(n - 2) >= np.arange(min(step, n - 2))[:, None]
+    valid[0, -1] = False
+    valid.flags.writeable = False
+    blocks = []
+    for i0 in range(0, n - 2, step):  # rows i > n - 3 have no partner
+        i1, j0 = min(i0 + step, n - 2), i0 + 2
+        blocks.append((i0, i1, j0, valid[: i1 - i0, : n - j0]))
+    return tuple(blocks)
+
+
 class _TourState:
     """One tour as the 2-move engine sees it, kept in step with the tour as 2-Opt moves it.
 
     `dist` holds the distances between the tour's ring positions 0..n
     (position n is position 0 again), gathered once from the instance's
     cache; `reverse` then follows each applied move in place, so a scan is
-    block slices and arithmetic.  `blocks` lists the scan's row blocks
-    (i0, i1, j0, valid), which depend only on n: rows i0 <= i < i1 against
-    columns j >= j0 = i0 + 2, and valid[r, c] marks the pairs with j >= i + 2
-    that are not the adjacent (0, n - 1).  Every mask is a view of one array
-    of at most `_BLOCK_CELLS` cells (n cells when n exceeds that budget).
+    block slices and arithmetic.  `blocks` are the scan's row blocks from
+    `_scan_blocks`, for n and `_BLOCK_CELLS`.  The scan's work arrays are
+    reused by every block.  `buffers` are two flat arrays of `dist`'s dtype,
+    each as large as the first block's distances, (rows + 1) x (n + 1).
+    `views[k]` holds block k's gain, a view of the second buffer in the
+    block's shape, and a spare bool mask of that shape; they are built
+    once, so a scan slices nothing for them.
     """
 
     def __init__(self, inst: Instance, t: Tour):
         n = t.n
         self.dist = inst._pair_dist.take(np.array(t.order + t.order[:1], dtype=np.intp))
-        self.blocks = []
-        if n < 4:
-            return  # no two edges of a triangle are non-adjacent
-        step = max(1, _BLOCK_CELLS // n)
-        # Row i0 + r against column j0 + c is valid iff c >= r, in every block;
-        # block i0 reads the first n - j0 columns, so only block 0 reaches the
-        # last one, which holds (0, n - 1) in its first row.
-        valid = np.arange(n - 2) >= np.arange(min(step, n - 2))[:, None]
-        valid[0, -1] = False
-        for i0 in range(0, n - 2, step):  # rows i > n - 3 have no partner
-            i1, j0 = min(i0 + step, n - 2), i0 + 2
-            self.blocks.append((i0, i1, j0, valid[: i1 - i0, : n - j0]))
+        self.blocks, self.views = _scan_blocks(n, _BLOCK_CELLS), []
+        if not self.blocks:
+            return
+        valid = self.blocks[0][3]  # block 0's mask is the whole mask array
+        cells, dtype = (len(valid) + 1) * (n + 1), self.dist.edge.dtype
+        self.buffers = np.empty(cells, dtype), np.empty(cells, dtype)
+        gains, flags = self.buffers[1], np.empty(valid.size, bool)
+        self.views = [(gains[: v.size].reshape(v.shape), flags[: v.size].reshape(v.shape))
+                      for *_, v in self.blocks]
 
     def reverse(self, m: TwoMove):
         """Follow `apply_2move(t, m)`: reverse tour positions m.i + 1 .. m.j."""
@@ -321,24 +392,31 @@ class _TourState:
 def _gain_blocks(inst: Instance, state: _TourState):
     """The 2-move engine: gains of all non-adjacent edge pairs, a block of rows at a time.
 
-    Yields (i0, j0, gain, threshold, valid) in lexicographic (i, j) order:
-    gain[r, c] = (c_ab + c_xy) - c_ax - c_by for the move on tour positions
-    (i0 + r, j0 + c), in the arithmetic of `inst.dist`, and valid is the
-    block's mask from `state.blocks`.
+    Yields (i0, j0, gain, threshold, valid, spare) in lexicographic (i, j)
+    order: gain[r, c] = (c_ab + c_xy) - c_ax - c_by for the move on tour
+    positions (i0 + r, j0 + c), in the arithmetic of `inst.dist` (on the
+    coordinate path in `dist`'s integer dtype, which `_scan_dtype` keeps
+    exact), valid is the block's mask from `state.blocks`, and spare a bool
+    array of gain's shape for the caller.  gain and spare are the block's
+    `state.views`, over buffers that the next block overwrites; the caller
+    may overwrite them too.
     """
     d = state.dist
     edge = d.edge
-    for i0, i1, j0, valid in state.blocks:
-        r = d.outer(slice(i0, i1 + 1), slice(j0, None))
-        removed = edge[i0:i1, None] + edge[None, j0:]
-        gain = removed - r[:-1, :-1] - r[1:, 1:]
-        yield i0, j0, gain, _gain_threshold(inst, removed), valid
+    for (i0, i1, j0, valid), (gain, spare) in zip(state.blocks, state.views):
+        r = d.outer(slice(i0, i1 + 1), slice(j0, None), *state.buffers)
+        np.add(edge[i0:i1, None], edge[None, j0:], gain)
+        threshold = _gain_threshold(inst, gain)  # of the removed length, before it becomes the gain
+        gain -= r[:-1, :-1]
+        gain -= r[1:, 1:]
+        yield i0, j0, gain, threshold, valid, spare
 
 
 def _first_2move(inst: Instance, state: _TourState) -> Optional[TwoMove]:
     """First improving 2-move in lexicographic (i, j) scan order, if any."""
-    for i0, j0, gain, threshold, valid in _gain_blocks(inst, state):
-        hit = valid & (gain > threshold)
+    for i0, j0, gain, threshold, valid, hit in _gain_blocks(inst, state):
+        np.greater(gain, threshold, hit)
+        hit &= valid
         r, c = divmod(int(hit.argmax()), hit.shape[1])
         if hit[r, c]:
             return TwoMove(i0 + r, j0 + c, gain.item(r, c))
@@ -356,13 +434,17 @@ def _best_2move(inst: Instance, t: Tour) -> Optional[TwoMove]:
     Its `gain` is that margin, gain - threshold: positive iff the move improves.
     None when the tour has no pair of non-adjacent edges.
     """
+    state = _TourState(inst, t)
+    dtype = state.dist.edge.dtype
+    floor = np.iinfo(dtype).min if dtype.kind == "i" else -np.inf
     best = None
-    for i0, j0, gain, threshold, valid in _gain_blocks(inst, _TourState(inst, t)):
-        margin = gain - threshold
-        floor = np.iinfo(np.int64).min if margin.dtype == np.int64 else -np.inf
-        margin = np.where(valid, margin, floor)  # every block holds a valid pair
+    for i0, j0, margin, threshold, valid, invalid in _gain_blocks(inst, state):
+        if not inst.exact:
+            margin -= threshold
+        np.logical_not(valid, out=invalid)
+        np.copyto(margin, floor, where=invalid)  # every block holds a valid pair
         r, c = divmod(int(margin.argmax()), margin.shape[1])
-        if best is None or margin[r, c] > best.gain:
+        if best is None or margin.item(r, c) > best.gain:
             best = TwoMove(i0 + r, j0 + c, margin.item(r, c))
     return best
 

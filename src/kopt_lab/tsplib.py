@@ -11,7 +11,10 @@ Non-Euclidean p is encoded as EDGE_WEIGHT_TYPE: SPECIAL plus a
 
 from __future__ import annotations
 
+import itertools
 from typing import TextIO
+
+import numpy as np
 
 from .geometry import PNorm, Point3, pt
 from .tour import Instance, Tour
@@ -56,10 +59,12 @@ def read_instance(f: TextIO) -> Instance:
     """The instance of a TSPLIB file; node i of its NODE_COORD_SECTION becomes vertex i - 1.
 
     Node ids may come in any order; each must lie in 1..DIMENSION and occur
-    once.
+    once.  A 2-D file whose coordinates fit int64 becomes an
+    `Instance.from_xy` instance, which builds no `Point` until one is read;
+    an EUC_3D file, or one with larger coordinates, becomes `Instance(points)`.
     """
     name, dim, ewt, pnorm = "", None, None, None
-    nodes = []  # (id, point, line number, line) in file order
+    nodes = []  # (id, coordinates, line number, line) in file order
     in_coords = False
     for lineno, raw in enumerate(f.read().splitlines(), 1):
         line = raw.strip()
@@ -68,18 +73,18 @@ def read_instance(f: TextIO) -> Instance:
             continue
         if in_coords:
             parts = line.split()
-            if ewt == "EUC_3D":
-                if len(parts) != 4:
-                    raise TsplibError(f"malformed 3-D coord line: {raw!r}")
-                p = Point3(*(_number(float, v, lineno, raw) for v in parts[1:]))
-            else:
-                if len(parts) != 3:
-                    raise TsplibError(f"malformed coord line: {raw!r}")
-                p = pt(*(_number(int, v, lineno, raw) for v in parts[1:]))
-            nodes.append((_number(int, parts[0], lineno, raw), p, lineno, raw))
+            if len(parts) != size:
+                raise TsplibError(f"malformed {what} line: {raw!r}")
+            try:
+                node, coords = int(parts[0]), tuple(map(kind, parts[1:]))
+            except ValueError:  # name the first bad token: coordinates, then the id
+                coords = tuple(_number(kind, v, lineno, raw) for v in parts[1:])
+                node = _number(int, parts[0], lineno, raw)
+            nodes.append((node, coords, lineno, raw))
             continue
         if line == "NODE_COORD_SECTION":
             in_coords = True
+            kind, size, what = (float, 4, "3-D coord") if ewt == "EUC_3D" else (int, 3, "coord")
             continue
         if ":" in line:
             key, _, val = line.partition(":")
@@ -104,20 +109,29 @@ def read_instance(f: TextIO) -> Instance:
     if len(nodes) != dim:
         raise TsplibError(f"DIMENSION {dim} but {len(nodes)} coordinates")
     coords = [None] * dim
-    for node, p, lineno, raw in nodes:
+    for node, c, lineno, raw in nodes:
         if not 1 <= node <= dim:
             raise TsplibError(f"line {lineno}: node id {node} is outside 1..{dim} in {raw.strip()!r}")
         if coords[node - 1] is not None:
             raise TsplibError(f"line {lineno}: node id {node} is repeated in {raw.strip()!r}")
-        coords[node - 1] = p
+        coords[node - 1] = c
     if ewt == "SPECIAL":
         if pnorm is None:
             raise TsplibError("SPECIAL edge weights require a PNORM comment")
         norm = PNorm(int(pnorm) if pnorm == int(pnorm) else pnorm)
     else:
         norm = PNorm(2)
+    xy = None
+    if ewt != "EUC_3D":
+        try:
+            xy = np.fromiter(itertools.chain.from_iterable(coords), np.int64, 2 * dim).reshape(dim, 2)
+        except OverflowError:  # a coordinate outside int64
+            pass
     try:
-        return Instance(coords, norm, name)
+        if xy is not None:
+            return Instance.from_xy(xy[:, 0], xy[:, 1], norm, name)
+        point = Point3 if ewt == "EUC_3D" else pt
+        return Instance([point(*c) for c in coords], norm, name)
     except ValueError:
         raise TsplibError("duplicate points") from None
 

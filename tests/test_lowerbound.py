@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from kopt_lab import geometry
+from kopt_lab import tour as tour_module
 from kopt_lab.geometry import PNorm
 from kopt_lab.lowerbound import (
+    MATRIX_SCAN_MAX_N,
     _cycle_from_edges,
     build_lb_tour,
     doubled_spanning_tree_tour,
@@ -15,9 +20,9 @@ from kopt_lab.lowerbound import (
     lb_tour_length_exact,
     scan_2opt_optimality,
 )
-from kopt_lab.tour import Tour, find_improving_2move, is_k_optimal, tour_length
+from kopt_lab.tour import Instance, Tour, find_improving_2move, is_k_optimal, tour_length
 
-from reference_scan import reference_first_2move
+from reference_scan import reference_best_2move, reference_first_2move
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +163,72 @@ class TestBigScan:
         assert report.witness is not None
         assert report.best_gain > 0
         assert find_improving_2move(inst, planted) == reference_first_2move(inst, planted)
+
+
+    def test_pins_the_1_3_verdicts(self, lb3):
+        inst, tour = lb3.as_instance(), build_lb_tour(lb3)
+        report = scan_2opt_optimality(inst, tour)
+        assert (report.n, report.pairs_scanned) == (2916, 4_247_154)
+        assert report.two_optimal and report.witness is None
+        assert report.best_gain == -2 and type(report.best_gain) is int
+        assert is_k_optimal(inst, tour, 2) == (True, None)
+
+
+def two_rows(m, p):
+    """2m + 1 points, x = 0..m on the row y = 0 and x = 0..m-1 on y = 1, and a tour.
+
+    The tour runs along row 0 and back along row 1.  Under the 1-norm it is
+    optimal, since its length 2(m + 1) is the bounding box's perimeter.
+    """
+    xs, ys = list(range(m + 1)) + list(range(m)), [0] * (m + 1) + [1] * m
+    order = tuple(range(m + 1)) + tuple(range(2 * m, m, -1))
+    return Instance.from_xy(xs, ys, PNorm(p)), Tour(order)
+
+
+class TestScanSizeCap:
+    """The n x n matrix scan stops at MATRIX_SCAN_MAX_N; the O(n) coordinate scan does not."""
+
+    def test_coordinate_scan_runs_past_the_matrix_cap(self, monkeypatch):
+        inst, tour = two_rows(10_000, 1)
+        assert inst.n == MATRIX_SCAN_MAX_N + 1
+        built = []
+
+        class CountedState(tour_module._TourState):
+            def __init__(self, *args):
+                built.append(self)
+                super().__init__(*args)
+
+        monkeypatch.setattr(tour_module, "_TourState", CountedState)
+        tracemalloc.start()
+        try:
+            report = scan_2opt_optimality(inst, tour)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(built) == 1  # a single scan of one state
+        assert report.pairs_scanned == inst.n * (inst.n - 3) // 2
+        assert report.two_optimal and report.witness is None
+        # The best pair is the one a small copy of the family has, against the reference.
+        small, small_tour = two_rows(20, 1)
+        assert reference_best_2move(small, small_tour).gain == 0
+        assert report.best_gain == 0 and type(report.best_gain) is int
+        # About 600 bytes of blocks and work views per row block, one row each at this n;
+        # one n x n int16 array would be 800 MB.
+        assert peak < 16 * 2**20
+
+    def test_matrix_scan_cap_is_checked_before_any_distance(self, monkeypatch):
+        inst, tour = two_rows(10_000, 2)
+        real, calls = geometry.pdist, []
+
+        def counting_pdist(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in (geometry, tour_module):  # every namespace that binds it
+            monkeypatch.setattr(module, "pdist", counting_pdist)
+        with pytest.raises(ValueError, match=f"limited to n <= {MATRIX_SCAN_MAX_N}"):
+            scan_2opt_optimality(inst, tour)
+        assert calls == [] and "_pair_dist" not in vars(inst)
 
 
 class TestThreeDFamily:

@@ -5,7 +5,7 @@ import pytest
 from kopt_lab import tsplib
 from kopt_lab.geometry import PNorm, pt
 from kopt_lab.lowerbound import generate_3d_instance
-from kopt_lab.tour import Instance, Tour
+from kopt_lab.tour import Instance, Tour, tour_length
 
 
 def roundtrip(inst):
@@ -82,9 +82,41 @@ class TestInstanceIO:
          "NODE_COORD_SECTION\n1 0 0\n2 1.5 1\nEOF\n", 6, "1.5"),
         ("TYPE : TSP\nDIMENSION : 1\nEDGE_WEIGHT_TYPE : EUC_3D\n"
          "NODE_COORD_SECTION\n1 0 zero 0\nEOF\n", 5, "zero"),
-    ], ids=["dimension", "coordinate", "3d-coordinate"])
+        ("TYPE : TSP\nDIMENSION : 2\nEDGE_WEIGHT_TYPE : EUC_2D\n"
+         "NODE_COORD_SECTION\n1 0 0\nb 1 1\nEOF\n", 6, "b"),
+        ("TYPE : TSP\nDIMENSION : 2\nEDGE_WEIGHT_TYPE : EUC_2D\n"
+         "NODE_COORD_SECTION\n1 0 0\nb 1 y\nEOF\n", 6, "y"),
+    ], ids=["dimension", "coordinate", "3d-coordinate", "node-id", "coordinate-before-id"])
     def test_bad_number_names_its_line(self, text, lineno, token):
         with pytest.raises(tsplib.TsplibError, match=f"line {lineno}: '{token}' is not"):
+            tsplib.read_instance(io.StringIO(text))
+
+
+class TestCoordinateArrays:
+    """Integer 2-D files read into `Instance.from_xy`; larger coordinates into `Instance(points)`."""
+
+    def test_integer_file_builds_no_points(self):
+        inst = Instance([pt(4, -1), pt(0, 0), pt(9, 3)], PNorm(1), name="three")
+        back = roundtrip(inst)
+        assert back._columns is not None and "points" not in vars(back)
+        assert (back.n, back.norm, back.name, back.exact) == (3, PNorm(1), "three", True)
+        assert back.points == inst.points
+        assert all(type(c) is int for p in back.points for c in p)
+
+    @pytest.mark.parametrize("big", [2**63, 2**70, -(2**63) - 1])
+    def test_coordinates_outside_int64_roundtrip(self, big):
+        inst = Instance([pt(big, 0), pt(0, 1), pt(5, big + 3)], PNorm(1), name="huge")
+        back = roundtrip(inst)
+        assert back._columns is None
+        assert back.points == inst.points and back.exact
+        assert all(type(c) is int for p in back.points for c in p)
+        assert all(col.dtype == object for col in back._xy)
+        t = Tour((0, 1, 2))
+        assert tour_length(back, t) == tour_length(inst, t)
+
+    def test_duplicate_points_outside_int64_rejected(self):
+        text = coord_file(f"1 {2**70} 5\n2 {2**70} 5\n", dim=2)
+        with pytest.raises(tsplib.TsplibError, match="^duplicate points$"):
             tsplib.read_instance(io.StringIO(text))
 
 

@@ -13,6 +13,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kopt_lab import geometry, tour
@@ -27,7 +28,7 @@ from kopt_lab.lowerbound import (
 )
 from kopt_lab.tour import Instance, Tour, _best_2move, find_improving_2move, two_opt
 
-from reference_scan import reference_best_2move, reference_first_2move, reference_two_opt
+from reference_scan import _moves, reference_best_2move, reference_first_2move, reference_two_opt
 
 
 def grid_instance(rng, n, p, grid=1000, offset=0):
@@ -205,6 +206,18 @@ def test_exact_scans_stay_linear_in_memory():
     assert all(valid.base is base for *_, valid in blocks)
 
 
+def test_tours_of_one_size_share_read_only_blocks():
+    """The blocks are cached per size and budget, so no state may write a mask."""
+    rng = random.Random(8)
+    a, b = grid_instance(rng, 40, 1), grid_instance(rng, 40, 2)
+    sa, sb = (tour._TourState(inst, Tour(tuple(rng.sample(range(40), 40)))) for inst in (a, b))
+    assert sa.blocks is sb.blocks
+    assert not any(valid.flags.writeable for *_, valid in sa.blocks)
+    assert not sa.blocks[0][3].base.flags.writeable
+    # Work arrays are the state's own.
+    assert not any(np.shares_memory(x, y) for x in sa.buffers for y in sb.buffers)
+
+
 def test_rational_instances_take_the_fraction_path():
     inst = rational_instance(random.Random(3), 9)
     assert not inst.exact and inst.norm.is_one
@@ -251,6 +264,92 @@ def test_int64_boundary(side):
     crossed = Tour((0, 2, 1, 3))
     assert find_improving_2move(inst, crossed) == reference_first_2move(inst, crossed)
     assert scan_2opt_optimality(inst, crossed).best_gain == 2 * side
+
+
+# D, the sum of the two coordinate spans, on each side of the dtype rule's bounds,
+# with the dtype the rule picks.  One step past each bound, 2^15 and 2^31, a
+# crossed square's gain is 2^15 or 2^31 itself, which the narrower dtype would wrap.
+SPAN_DTYPES = [
+    (2**14 - 1, np.int16), (2**14, np.int32), (2**15, np.int32),
+    (2**30 - 1, np.int32), (2**30, np.int64), (2**31, np.int64),
+]
+span_dtypes = pytest.mark.parametrize("span,dtype", SPAN_DTYPES, ids=[f"D{s}" for s, _ in SPAN_DTYPES])
+
+
+def spanned_instance(rng, span, n, offset=-(2**40) + 3):
+    """n distinct integer points, far from the origin, whose x- and y-spans sum to `span`.
+
+    Two opposite corners of the box fix the spans; a cluster at each of them
+    gives pairs of short edges whose swap loses almost 2 * span.
+    """
+    w = span // 2
+    h = span - w
+    pts = {(0, 0): None, (w, h): None}
+    while len(pts) < n:
+        near = rng.choice([(0, 0), (w, h), None])
+        if near is None:
+            c = (rng.randint(0, w), rng.randint(0, h))
+        else:
+            c = tuple(min(max(v + rng.randint(-3, 3), 0), top) for v, top in zip(near, (w, h)))
+        pts[c] = None
+    return Instance([pt(offset + x, offset + y) for x, y in pts], PNorm(1))
+
+
+@span_dtypes
+def test_scan_dtype_is_the_narrowest_exact_one(span, dtype):
+    inst = spanned_instance(random.Random(span), span, 12)
+    t = Tour(tuple(range(inst.n)))
+    assert tour._scan_dtype(*inst._xy) == dtype
+    state = tour._TourState(inst, t)
+    for key, array in vars(state.dist).items():
+        assert array.dtype == dtype, key
+    assert [b.dtype for b in state.buffers] == [dtype, dtype]
+    assert all((gain.dtype, spare.dtype) == (dtype, bool) for gain, spare in state.views)
+    # The instance's own cache, which Held-Karp sums over, stays int64.
+    assert inst._pair_dist.x.dtype == np.int64
+
+
+@span_dtypes
+def test_crossed_square_gain_at_the_dtype_bounds(span, dtype):
+    w = span // 2
+    h = span - w
+    inst = Instance([pt(0, 0), pt(w, 0), pt(w, h), pt(0, h)], PNorm(1))
+    crossed = Tour((0, 2, 1, 3))
+    assert tour._scan_dtype(*inst._xy) == dtype
+    assert assert_engine_matches(inst, crossed) == (0, 2, 2 * h)
+    report = scan_2opt_optimality(inst, crossed)
+    assert report.best_gain == 2 * h and type(report.best_gain) is int
+    assert two_opt(inst, crossed) == Tour((0, 1, 2, 3))
+
+
+@span_dtypes
+def test_random_tours_at_the_dtype_bounds(span, dtype, block_cells, monkeypatch):
+    """Both scan modes and 2-Opt's moves, gains and gain types against the reference."""
+    rng = random.Random(span)
+    inst = spanned_instance(rng, span, 24)
+    assert tour._scan_dtype(*inst._xy) == dtype
+    real_apply, applied = tour.apply_2move, []
+
+    def counting_apply(t, m):
+        applied.append(m)
+        return real_apply(t, m)
+
+    monkeypatch.setattr(tour, "apply_2move", counting_apply)
+    moved, lowest = 0, 0
+    for start in tours(rng, inst):
+        lowest = min(lowest, min(gain for _, _, gain, _ in _moves(inst, start)))
+        want = assert_engine_matches(inst, start)
+        assert want is None or type(want.gain) is int
+        best = scan_2opt_optimality(inst, start).best_gain
+        assert best == reference_best_2move(inst, start).gain and type(best) is int
+        final, moves = reference_two_opt(inst, start)
+        applied.clear()
+        assert two_opt(inst, start) == final
+        assert [(m.i, m.j, m.gain, type(m.gain)) for m in applied] == [
+            (m.i, m.j, m.gain, int) for m in moves]
+        moved += len(moves)
+    assert moved > 0
+    assert lowest < -2 * span + 32  # the scans met gains near the bottom of the range
 
 
 def test_small_tours_have_no_pairs():
