@@ -73,7 +73,9 @@ def _edge_param(a: Point, b: Point, p: Point) -> Fraction:
 def make_crossing_free(inst: Instance, t: Tour, s: Tour) -> CrossingFreePair:
     """Subdivide both tours at all mutual crossings (merged rational points).
 
-    Without a crossing the pair's instance is `inst` itself, not a copy.
+    Without a crossing the pair's instance is `inst` itself, not a copy;
+    with crossings it is `inst.extended` by the crossing points, so a
+    distance matrix of V' copies V's.
     """
     crossings = find_crossings(inst, t, s)
 
@@ -85,16 +87,12 @@ def make_crossing_free(inst: Instance, t: Tour, s: Tour) -> CrossingFreePair:
         splits_t.setdefault(te, []).append(p)
         splits_s.setdefault(se, []).append(p)
 
-    points = list(inst.points)
-    provenance = [("original", i) for i in range(inst.n)]
-    index_of = {}
-    for p in sorted(new_points):
-        index_of[p] = len(points)
-        points.append(p)
-        provenance.append(new_points[p])
+    added = sorted(new_points)
+    index_of = {p: inst.n + k for k, p in enumerate(added)}
+    provenance = [("original", i) for i in range(inst.n)] + [new_points[p] for p in added]
 
     if crossings:
-        vprime = Instance(points, inst.norm, name=f"{inst.name}+crossings" if inst.name else "")
+        vprime = inst.extended(added, name=f"{inst.name}+crossings" if inst.name else "")
     else:
         vprime = inst  # V' = V: keeps the distance cache already built on V
 

@@ -59,13 +59,25 @@ class PNorm:
         return self.p == 2
 
 
+# Integer coordinate differences below this bound give a Euclidean distance as
+# the square root of the exact integer dx^2 + dy^2: that sum stays below 2^53,
+# so it converts to a double exactly, and one correctly rounded sqrt follows.
+SQUARE_SPAN = 1 << 26
+
+
 def pdist(norm: PNorm, a: Point, b: Point):
-    """p-norm distance.  Exact (Fraction) for p=1, float otherwise."""
+    """p-norm distance.  Exact (Fraction) for p=1, float otherwise.
+
+    For p=2, `math.sqrt(dx*dx + dy*dy)` when dx and dy are ints below
+    `SQUARE_SPAN`, else `math.hypot`.
+    """
     dx = abs(a.x - b.x)
     dy = abs(a.y - b.y)
     if norm.is_one:
         return dx + dy
     if norm.is_two:
+        if type(dx) is int and type(dy) is int and dx < SQUARE_SPAN and dy < SQUARE_SPAN:
+            return math.sqrt(dx * dx + dy * dy)
         return math.hypot(float(dx), float(dy))
     p = norm.p
     return (float(dx) ** p + float(dy) ** p) ** (1.0 / p)

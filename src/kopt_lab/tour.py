@@ -11,7 +11,6 @@ test and the crossing search.
 from __future__ import annotations
 
 import itertools
-import math
 from functools import cache, cached_property, lru_cache
 from typing import NamedTuple, Optional, Sequence
 
@@ -22,6 +21,7 @@ from .geometry import (
     PNorm,
     Point,
     Point3,
+    SQUARE_SPAN,
     Segment,
     SharedEndpoint,
     pdist,
@@ -32,8 +32,10 @@ from .geometry import (
 DEFAULT_GAIN_EPS = 1e-9
 # Largest n that Held-Karp (exact_opt) accepts.
 EXACT_MAX_N = 18
-# Upper bound on the cells of one block: distance evaluations of the 2-move scan,
-# (mask, c, u) candidates of Held-Karp, edge pairs of the orientation-sign filter.
+# Upper bound on the cells of one block: (mask, c, u) candidates of Held-Karp,
+# edge pairs of the orientation-sign filter, rows of squares of a Euclidean
+# matrix.  The 2-move scan sizes its blocks in bytes, the same _BLOCK_CELLS * 8
+# bytes a work array, so a narrower dtype gets more cells a block.
 _BLOCK_CELLS = 1 << 15
 # Coordinate span below which `Instance._xy` gives int64: every product of two
 # coordinate differences stays below 2**62 (orientation signs), and every 1-norm
@@ -48,6 +50,9 @@ class Instance:
     # The int64 coordinate arrays of an instance built by `from_xy`; None for
     # one built from its points.
     _columns: Optional[tuple] = None
+    # The instance that `extended` built this one from, whose points are this
+    # one's first points; None for any other instance.
+    _prefix: Optional[Instance] = None
 
     def __init__(self, points: Sequence, norm: PNorm = PNorm(2), name: str = ""):
         points = list(points)
@@ -101,6 +106,17 @@ class Instance:
         """
         return list(map(Point._make, zip(*(col.tolist() for col in self._columns))))
 
+    def extended(self, points: Sequence, name: str = "") -> Instance:
+        """This instance's points followed by `points`, in the same norm.
+
+        If the new instance needs an n x n matrix of `dist`, it copies this
+        instance's matrix into its top-left block, so that only the rows and
+        columns of the new points call `dist`.
+        """
+        inst = Instance(self.points + list(points), self.norm, name)
+        inst._prefix = self
+        return inst
+
     def dist(self, i: int, j: int):
         if self.dim == 3:
             return pdist3(self.points[i], self.points[j])
@@ -115,25 +131,52 @@ class Instance:
         return self.dim == 2 and self.norm.is_one
 
     @cached_property
+    def _exact_squares(self) -> bool:
+        """Whether p = 2 distances are sqrt(dx^2 + dy^2) over exact int64 squares.
+
+        True for a 2-D Euclidean instance whose `_xy` is int64 and whose two
+        spans are below `SQUARE_SPAN`: then `pdist` takes that square root
+        for every pair, and numpy computes the same doubles.
+        """
+        if self.dim != 2 or not self.norm.is_two:
+            return False
+        x, y = self._xy
+        return x.dtype == np.int64 and max(int(x.max(initial=0)), int(y.max(initial=0))) < SQUARE_SPAN
+
+    @cached_property
     def _pair_dist(self):
         """The values of `dist` for numpy, over the vertices in index order.
 
         Built on first use and kept on the instance; the 2-move engine and
         Held-Karp read it, and `take` re-indexes it by tour position.  A 2-D
         1-norm instance, integral or rational, keeps its coordinates from
-        `_xy` (`_CoordinateDistances`, O(n)).  Every other instance keeps the
-        n x n float64 matrix of `dist` itself (`_MatrixDistances`, 8 n^2
-        bytes), so the values are bit-identical to `dist`.
+        `_xy` (`_CoordinateDistances`, O(n)).  Every other instance keeps an
+        n x n float64 matrix (`_MatrixDistances`, 8 n^2 bytes) equal bit for
+        bit to `dist`.  With `_exact_squares` it is `np.sqrt` of the int64
+        squares, `pdist`'s own rule, a block of at most `_BLOCK_CELLS` cells
+        at a time and with no `pdist` call.  Otherwise each entry is `dist`
+        itself, except that an instance from `extended` copies its prefix's
+        matrix and calls `dist` only on its new rows.
         """
         if self._coordinate_cache:
             return _CoordinateDistances(*self._xy)
         n = self.n
-        rows = [[None] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = self.dist(i, i)  # read by the scan's masked-out pairs
-            for j in range(i + 1, n):
-                rows[i][j] = rows[j][i] = self.dist(i, j)
-        return _MatrixDistances(np.array(rows, dtype=float))
+        matrix = np.empty((n, n))
+        if self._exact_squares:
+            x, y = self._xy
+            step = max(1, _BLOCK_CELLS // max(n, 1))
+            for i0 in range(0, n, step):
+                _root_of_squares(x[i0 : i0 + step, None] - x, y[i0 : i0 + step, None] - y,
+                                 out=matrix[i0 : i0 + step])
+            return _MatrixDistances(matrix)
+        known = 0
+        if self._prefix is not None:
+            known = self._prefix.n
+            matrix[:known, :known] = self._prefix._pair_dist.matrix
+        for i in range(known, n):
+            for j in range(i + 1):  # j = i is read by the scan's masked-out pairs
+                matrix[i, j] = matrix[j, i] = self.dist(i, j)
+        return _MatrixDistances(matrix)
 
     @cached_property
     def _xy(self):
@@ -175,6 +218,17 @@ def _coordinate_arrays(xs, ys) -> tuple:
     else:
         return tuple(shifted)
     return tuple(np.array(col, dtype=object) for col in (xs, ys))
+
+
+def _root_of_squares(dx: np.ndarray, dy: np.ndarray, out=None) -> np.ndarray:
+    """np.sqrt(dx^2 + dy^2) over int64 differences, overwriting both.
+
+    Under `Instance._exact_squares` every dx^2 + dy^2 is an exact int64
+    below 2^53, so each root is the double `pdist` computes.
+    """
+    dx *= dx
+    dx += np.multiply(dy, dy, out=dy)
+    return np.sqrt(dx, out=out)
 
 
 def _scan_dtype(x: np.ndarray, y: np.ndarray) -> np.dtype:
@@ -302,22 +356,23 @@ class TwoMove(NamedTuple):
 def tour_length(inst: Instance, t: Tour):
     """The sum of `inst.dist` over the tour's edges, left to right from position 0.
 
-    A 2-D instance under p = 1 or p = 2 gathers its coordinates from `_xy`
-    in tour order once, with the same value and type as that sum: p = 1
-    sums |dx| + |dy|, as a Python int over int64 coordinates and left to
-    right over object arrays; p = 2 sums `math.hypot(dx, dy)` left to right,
-    the function `pdist` calls on the same doubles.  Other p and 3-D
-    instances fold `inst.dist` edge by edge.
+    A 2-D instance under p = 1, or under p = 2 with `_exact_squares`,
+    gathers its coordinates from `_xy` in tour order once, with the same
+    value and type as that sum: p = 1 sums |dx| + |dy|, as a Python int over
+    int64 coordinates and left to right over object arrays; p = 2 takes
+    `np.sqrt` of the exact int64 dx^2 + dy^2, the doubles `pdist` computes,
+    and sums them left to right with Python's `sum`.  Other instances fold
+    `inst.dist` edge by edge.
     """
     t.validate(inst)
     o = t.order
-    if inst.dim == 2 and (inst.norm.is_one or inst.norm.is_two):
+    if inst.dim == 2 and (inst.norm.is_one or inst._exact_squares):
         xs, ys = inst._xy
         ring = np.array(o + o[:1], dtype=np.intp)
         x, y = xs[ring], ys[ring]
         dx, dy = x[1:] - x[:-1], y[1:] - y[:-1]
         if inst.norm.is_two:
-            return sum(map(math.hypot, dx.tolist(), dy.tolist()))
+            return sum(_root_of_squares(dx, dy).tolist())
         steps = np.abs(dx) + np.abs(dy)
         return int(steps.sum()) if steps.dtype == np.int64 else sum(steps.tolist())
     return sum(inst.dist(o[i], o[(i + 1) % len(o)]) for i in range(len(o)))
@@ -328,8 +383,22 @@ def _gain_threshold(inst: Instance, removed):
     return 0 if inst.exact else DEFAULT_GAIN_EPS * removed
 
 
+class _RowBlocks:
+    """The one-row blocks (i, i + 1, i + 2, valid[:, : n - i - 2]) of `_scan_blocks`, made as iteration reaches them.
+
+    Only the n - 2 cells of `valid` are kept, not a tuple and a view per row.
+    """
+
+    def __init__(self, n: int, valid: np.ndarray):
+        self.n, self.valid = n, valid
+
+    def __iter__(self):
+        n, valid = self.n, self.valid
+        return ((i, i + 1, i + 2, valid[:, : n - i - 2]) for i in range(n - 2))
+
+
 @lru_cache(maxsize=32)
-def _scan_blocks(n: int, block_cells: int) -> tuple:
+def _scan_blocks(n: int, block_cells: int):
     """The 2-move scan's row blocks (i0, i1, j0, valid) for a tour of n vertices.
 
     Rows i0 <= i < i1 against columns j >= j0 = i0 + 2, at most
@@ -338,7 +407,8 @@ def _scan_blocks(n: int, block_cells: int) -> tuple:
     (0, n - 1).  Every mask is a read-only view of one array of at most
     `block_cells` cells (n cells when n exceeds that budget).  They depend
     only on n and the budget, so the last few sizes' blocks are kept and
-    shared by every tour of that size.
+    shared by every tour of that size: a tuple of multi-row blocks, or
+    `_RowBlocks` when each block is one row, which keeps O(1) objects.
     """
     if n < 4:
         return ()  # no two edges of a triangle are non-adjacent
@@ -349,6 +419,8 @@ def _scan_blocks(n: int, block_cells: int) -> tuple:
     valid = np.arange(n - 2) >= np.arange(min(step, n - 2))[:, None]
     valid[0, -1] = False
     valid.flags.writeable = False
+    if step == 1:
+        return _RowBlocks(n, valid)
     blocks = []
     for i0 in range(0, n - 2, step):  # rows i > n - 3 have no partner
         i1, j0 = min(i0 + step, n - 2), i0 + 2
@@ -363,26 +435,41 @@ class _TourState:
     (position n is position 0 again), gathered once from the instance's
     cache; `reverse` then follows each applied move in place, so a scan is
     block slices and arithmetic.  `blocks` are the scan's row blocks from
-    `_scan_blocks`, for n and `_BLOCK_CELLS`.  The scan's work arrays are
-    reused by every block.  `buffers` are two flat arrays of `dist`'s dtype,
-    each as large as the first block's distances, (rows + 1) x (n + 1).
-    `views[k]` holds block k's gain, a view of the second buffer in the
-    block's shape, and a spare bool mask of that shape; they are built
-    once, so a scan slices nothing for them.
+    `_scan_blocks`, for n and a budget of `_BLOCK_CELLS` * 8 bytes of
+    `dist`'s dtype a work array: 2^15 cells for float64, int64 and object,
+    2^16 for int32, 2^17 for int16.  The scan's work arrays are reused by
+    every block.  `buffers` are two flat arrays of `dist`'s dtype, each as
+    large as the first block's distances, (rows + 1) x (n + 1).  `views[k]`
+    holds block k's gain, a view of the second buffer in the block's shape,
+    and a spare bool mask of that shape.  Multi-row blocks get their views
+    once, with the state, so a scan slices nothing for them; one-row blocks
+    (`_RowBlocks`) get theirs as the scan reaches them, and `views` is None.
     """
 
     def __init__(self, inst: Instance, t: Tour):
         n = t.n
         self.dist = inst._pair_dist.take(np.array(t.order + t.order[:1], dtype=np.intp))
-        self.blocks, self.views = _scan_blocks(n, _BLOCK_CELLS), []
-        if not self.blocks:
+        dtype = self.dist.edge.dtype
+        self.blocks, self.views = _scan_blocks(n, _BLOCK_CELLS * 8 // dtype.itemsize), []
+        first = next(iter(self.blocks), None)
+        if first is None:
             return
-        valid = self.blocks[0][3]  # block 0's mask is the whole mask array
-        cells, dtype = (len(valid) + 1) * (n + 1), self.dist.edge.dtype
+        valid = first[3]  # block 0's mask is the whole mask array
+        cells = (len(valid) + 1) * (n + 1)
         self.buffers = np.empty(cells, dtype), np.empty(cells, dtype)
-        gains, flags = self.buffers[1], np.empty(valid.size, bool)
-        self.views = [(gains[: v.size].reshape(v.shape), flags[: v.size].reshape(v.shape))
-                      for *_, v in self.blocks]
+        self._gains, self._flags = self.buffers[1], np.empty(valid.size, bool)
+        self.views = None if isinstance(self.blocks, _RowBlocks) else list(map(self._views, self.blocks))
+
+    def _views(self, block: tuple) -> tuple:
+        """The block's gain and spare mask, views of the work arrays in its mask's shape."""
+        v = block[3]
+        return self._gains[: v.size].reshape(v.shape), self._flags[: v.size].reshape(v.shape)
+
+    def layout(self):
+        """Each row block with its views, (block, (gain, spare)), in scan order."""
+        if self.views is None:
+            return ((b, self._views(b)) for b in self.blocks)
+        return zip(self.blocks, self.views)
 
     def reverse(self, m: TwoMove):
         """Follow `apply_2move(t, m)`: reverse tour positions m.i + 1 .. m.j."""
@@ -398,12 +485,12 @@ def _gain_blocks(inst: Instance, state: _TourState):
     coordinate path in `dist`'s integer dtype, which `_scan_dtype` keeps
     exact), valid is the block's mask from `state.blocks`, and spare a bool
     array of gain's shape for the caller.  gain and spare are the block's
-    `state.views`, over buffers that the next block overwrites; the caller
-    may overwrite them too.
+    views from `state.layout`, over buffers that the next block overwrites;
+    the caller may overwrite them too.
     """
     d = state.dist
     edge = d.edge
-    for (i0, i1, j0, valid), (gain, spare) in zip(state.blocks, state.views):
+    for (i0, i1, j0, valid), (gain, spare) in state.layout():
         r = d.outer(slice(i0, i1 + 1), slice(j0, None), *state.buffers)
         np.add(edge[i0:i1, None], edge[None, j0:], gain)
         threshold = _gain_threshold(inst, gain)  # of the removed length, before it becomes the gain

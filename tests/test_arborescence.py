@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from kopt_lab.arborescence import (
@@ -197,11 +198,27 @@ class TestCertifyPair:
         monkeypatch.setattr(tour_module, "pdist", lambda *a: calls.append(a) or pdist(*a))
         cert = certify_pair(inst, t, s)
         assert cert.passed and cert.crossings == 0 and cert.nprime == n
-        # One n x n cache, shared by both 2-optimality checks; tour_length reads `_xy`.
-        assert len(calls) == n * (n + 1) // 2
+        # One n x n cache, shared by both 2-optimality checks and built from exact
+        # integer squares with no `pdist` call; tour_length reads `_xy`.
+        assert len(calls) == 0 and "_pair_dist" in vars(inst)
 
     def test_pair_with_crossings_gets_new_instance(self):
         inst, t, s = twelve_point_pair()
         pair = make_crossing_free(inst, t, s)
         assert pair.instance is not inst
         assert pair.instance.n == inst.n + pair.crossings == 15
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_pair_with_crossings_copies_the_distance_matrix(self, monkeypatch, p):
+        """V' copies V's matrix and calls `pdist` only on the rows of its k crossing points."""
+        inst, t, s = twelve_point_pair()
+        inst = Instance(inst.points, PNorm(p))
+        inst._pair_dist  # built first, as by certify_pair's check of S on V
+        pair = make_crossing_free(inst, t, s)
+        vp, n, k = pair.instance, inst.n, pair.crossings
+        calls = []
+        monkeypatch.setattr(tour_module, "pdist", lambda *a: calls.append(a) or pdist(*a))
+        matrix = vp._pair_dist.matrix
+        assert k > 0 and 0 < len(calls) <= k * (n + k)
+        want = [[pdist(vp.norm, a, b) for b in vp.points] for a in vp.points]
+        assert matrix.tobytes() == np.array(want).tobytes()

@@ -212,8 +212,8 @@ class TestScanSizeCap:
         small, small_tour = two_rows(20, 1)
         assert reference_best_2move(small, small_tour).gain == 0
         assert report.best_gain == 0 and type(report.best_gain) is int
-        # About 600 bytes of blocks and work views per row block, one row each at this n;
-        # one n x n int16 array would be 800 MB.
+        # The int16 scan takes 6 rows a block at this n, about 600 bytes of blocks and
+        # work views each; one n x n int16 array would be 800 MB.
         assert peak < 16 * 2**20
 
     def test_matrix_scan_cap_is_checked_before_any_distance(self, monkeypatch):

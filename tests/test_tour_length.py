@@ -1,13 +1,15 @@
 """`tour_length` against the per-edge fold, and instances built from coordinate arrays.
 
-On 2-D instances under p = 1 and p = 2, `tour_length` gathers the tour's
-coordinates from `Instance._xy`; every length must equal the fold's in
-value and in type (int, Fraction or float, bit for bit).
+On 2-D instances under p = 1, and under p = 2 on integer spans below 2^26,
+`tour_length` gathers the tour's coordinates from `Instance._xy`; every
+length must equal the fold's in value and in type (int, Fraction or float,
+bit for bit).
 `Instance.from_xy` must give the instance `Instance(points)` gives, and the
 layered family must not build its points on the way to its verdict and length.
 """
 
 import io
+import math
 import random
 from fractions import Fraction
 
@@ -120,12 +122,16 @@ class TestAgainstFold:
 
     def test_euclidean_edges_are_math_hypot(self):
         # A 2-vertex tour is one edge there and back: its length shows a
-        # last-bit difference of the edge, which np.hypot gives for some
-        # integer (dx, dy) where math.hypot, the function `pdist` calls, does not.
+        # last-bit difference of the edge.  `pdist` takes math.sqrt of the
+        # exact integer dx^2 + dy^2 and tour_length np.sqrt of the same int64
+        # sum; both must equal math.hypot, which `pdist` called before, and
+        # which np.hypot does not equal for some integer (dx, dy).
         rng = random.Random(12)
         for _ in range(3000):
             dx, dy = rng.randint(-1000, 1000), rng.randint(1, 1000)
-            assert_same_length(Instance([pt(0, 0), pt(dx, dy)], PNorm(2)), Tour((0, 1)))
+            inst = Instance([pt(0, 0), pt(dx, dy)], PNorm(2))
+            assert_same_length(inst, Tour((0, 1)))
+            assert tour_length(inst, Tour((0, 1))) == 2 * math.hypot(dx, dy)
 
     @pytest.mark.parametrize("k", [2, 4, 8])
     def test_prisms(self, k):

@@ -199,18 +199,22 @@ def test_exact_scans_stay_linear_in_memory():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
-    # The scan's masks are views of one array of at most _BLOCK_CELLS cells, not one per block.
-    blocks = tour._TourState(inst, hand).blocks
-    base = blocks[0][3].base
-    assert base is not None and base.size <= tour._BLOCK_CELLS
-    assert all(valid.base is base for *_, valid in blocks)
+    # The scan's masks are views of one array of at most the int16 budget,
+    # _BLOCK_CELLS * 8 // 2 cells, not one per block.
+    state = tour._TourState(inst, hand)
+    assert state.dist.edge.dtype == np.int16
+    base = state.blocks[0][3].base
+    assert base is not None and base.size <= tour._BLOCK_CELLS * 4
+    assert all(valid.base is base for *_, valid in state.blocks)
 
 
 def test_tours_of_one_size_share_read_only_blocks():
     """The blocks are cached per size and budget, so no state may write a mask."""
     rng = random.Random(8)
-    a, b = grid_instance(rng, 40, 1), grid_instance(rng, 40, 2)
+    # An int64 coordinate scan and a float64 matrix scan: one budget of 2^15 cells.
+    a, b = grid_instance(rng, 40, 1, grid=2**30), grid_instance(rng, 40, 2)
     sa, sb = (tour._TourState(inst, Tour(tuple(rng.sample(range(40), 40)))) for inst in (a, b))
+    assert (sa.dist.edge.dtype, sb.dist.edge.dtype) == (np.int64, np.float64)
     assert sa.blocks is sb.blocks
     assert not any(valid.flags.writeable for *_, valid in sa.blocks)
     assert not sa.blocks[0][3].base.flags.writeable
@@ -350,6 +354,59 @@ def test_random_tours_at_the_dtype_bounds(span, dtype, block_cells, monkeypatch)
         moved += len(moves)
     assert moved > 0
     assert lowest < -2 * span + 32  # the scans met gains near the bottom of the range
+
+
+def block_budget_instances():
+    """(instance, scan dtype) of one size, n = 700, on each dtype the scan can take."""
+    rng = random.Random(700)
+    for span, dtype in ((2**14 - 1, np.int16), (2**30 - 1, np.int32), (2**30, np.int64)):
+        yield spanned_instance(rng, span, 700), dtype
+    yield grid_instance(rng, 700, 2), np.float64
+    yield grid_instance(rng, 700, 1, grid=2**62), object
+
+
+@pytest.mark.parametrize("inst,dtype", list(block_budget_instances()),
+                         ids=["int16", "int32", "int64", "float64", "object"])
+def test_scan_blocks_are_sized_in_bytes(inst, dtype):
+    """Each work array holds _BLOCK_CELLS * 8 bytes: 2^17 cells of int16, 2^16 of int32, else 2^15."""
+    n = inst.n
+    state = tour._TourState(inst, Tour(tuple(range(n))))
+    assert state.dist.edge.dtype == dtype
+    budget = tour._BLOCK_CELLS * 8 // np.dtype(dtype).itemsize
+    assert state.blocks is tour._scan_blocks(n, budget)
+    rows = budget // n
+    assert [b[:3] for b in state.blocks] == [
+        (i0, min(i0 + rows, n - 2), i0 + 2) for i0 in range(0, n - 2, rows)]
+    assert state.buffers[0].size == (rows + 1) * (n + 1)
+
+
+def test_one_row_blocks_keep_linear_memory():
+    """Past the block budget each block is one row, made as the scan reaches it.
+
+    20,001 points whose 1-norm span D reaches 2^30 scan in int64, 2^15 cells
+    a block.  A tuple and two views per row took about 12 MB here; the state
+    keeps its O(n) arrays and the n cells of one mask.
+    """
+    n = 20_001
+    inst = Instance.from_xy(np.arange(n) * 2**16, np.arange(n) % 2, PNorm(1))
+    t = Tour(tuple(range(n)))
+    inst._pair_dist  # the instance's own O(n) cache, not the state's
+    tour._scan_blocks.cache_clear()
+    tracemalloc.start()
+    try:
+        state = tour._TourState(inst, t)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert state.dist.edge.dtype == np.int64
+    assert isinstance(state.blocks, tour._RowBlocks) and state.views is None
+    assert kept < 80 * n  # 58 bytes a point: 24 of coordinates and edges, 32 of work buffers
+    blocks = iter(state.layout())
+    (i0, i1, j0, valid), (gain, spare) = next(blocks)
+    assert (i0, i1, j0, valid.shape, gain.shape, spare.shape) == (0, 1, 2, (1, n - 2), (1, n - 2), (1, n - 2))
+    assert not valid[0, -1] and valid[0, :-1].all()
+    (i0, i1, j0, valid), (gain, spare) = next(blocks)
+    assert (i0, i1, j0, valid.shape, gain.shape) == (1, 2, 3, (1, n - 3), (1, n - 3)) and valid.all()
 
 
 def test_small_tours_have_no_pairs():
