@@ -106,13 +106,14 @@ def cmd_scan_kopt(args) -> int:
         inst = lb.as_instance()
         tour = lowerbound.build_lb_tour(lb)
     t0 = time.perf_counter()
-    rep = lowerbound.scan_2opt_optimality(inst, tour)
+    rep, examined = lowerbound._scan_2opt(inst, tour)
     elapsed = time.perf_counter() - t0
     _write_json({
         "schema": SCHEMA,
         "instance": inst.name,
         "n": rep.n,
         "pairs_scanned": rep.pairs_scanned,
+        "pairs_examined": examined,
         "two_optimal": rep.two_optimal,
         "witness": rep.witness,
         "best_gain": rep.best_gain,

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import PNorm, Point3
-from .tour import Instance, Tour, _best_2move
+from .tour import MATRIX_SCAN_MAX_N, Instance, Tour, _best_2move, _indexed_scan
 
 SQRT3_HALF = math.sqrt(3) / 2
 
@@ -28,9 +28,6 @@ SQRT3_HALF = math.sqrt(3) / 2
 # (4, 3), have over 10^7 points.  Below it every coordinate and tour length
 # fits int64 with room to spare.
 MAX_LAYERED_N = 1 << 21
-# Largest n that `scan_2opt_optimality` scans over an n x n distance matrix:
-# its float64 matrix and the scan's ring-ordered copy take 3.2 GB each here.
-MATRIX_SCAN_MAX_N = 20000
 
 
 def layer_offset(i: int, q: int, p: int) -> int:
@@ -316,33 +313,41 @@ class ScanReport:
 
 
 def scan_2opt_optimality(inst: Instance, tour: Tour) -> ScanReport:
-    """Exhaustive improving-2-move scan over all non-adjacent edge pairs.
+    """Exhaustive improving-2-move verdict over all non-adjacent edge pairs.
 
     Runs the 2-move engine of `tour` for the best gain less its threshold,
     which is exact (threshold 0) for integer coordinates under the 1-norm.
-    The verdict is reported, not asserted: local optimality of the
-    hand-built tour is only guaranteed for large q.  An instance whose
-    distances need an n x n matrix (any but a 2-D 1-norm one) is limited to
-    n <= MATRIX_SCAN_MAX_N, checked before any distance is computed; the
-    coordinate path takes O(n) memory at every n.
+    An integer instance under p = 1 or p = 2 above one scan block examines
+    only the pairs that its grid index finds (`tour._indexed_scan`); the
+    verdict is the same, and `pairs_scanned` still counts every pair it
+    decides.  The verdict is reported, not asserted: local optimality of
+    the hand-built tour is only guaranteed for large q.  An instance whose
+    distances need an n x n matrix is limited to n <= MATRIX_SCAN_MAX_N,
+    checked before any distance is computed; the coordinate and index
+    paths take O(n) memory at every n.
     """
+    return _scan_2opt(inst, tour)[0]
+
+
+def _scan_2opt(inst: Instance, tour: Tour) -> tuple[ScanReport, int]:
+    """`scan_2opt_optimality`'s report and the number of pairs whose gain it computed."""
     n = inst.n
-    if n > MATRIX_SCAN_MAX_N and not inst._coordinate_cache:
+    if n > MATRIX_SCAN_MAX_N and not (inst._coordinate_cache or _indexed_scan(inst)):
         raise ValueError(f"exhaustive pair scan over a distance matrix limited to n <= {MATRIX_SCAN_MAX_N}")
-    tour.validate(inst)
-    best = _best_2move(inst, tour)
+    best, examined = _best_2move(inst, tour)
     improving = best is not None and best.gain > 0
     witness = None
     if improving:
         o = tour.order
         witness = ((o[best.i], o[best.i + 1]), (o[best.j], o[(best.j + 1) % n]))
-    return ScanReport(
+    report = ScanReport(
         n=n,
         pairs_scanned=max(0, n * (n - 3) // 2),  # every non-adjacent pair of the n edges
         two_optimal=not improving,
         witness=witness,
         best_gain=best.gain if best is not None else 0,
     )
+    return report, examined
 
 
 @dataclass

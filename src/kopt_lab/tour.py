@@ -3,9 +3,12 @@
 Everything is parametrized by the instance's distance oracle, so 2-D p-norm
 instances and 3-D Euclidean instances share the same engine.  One vectorized
 2-move engine (`_gain_blocks`, over a `_TourState`) serves 2-Opt, the
-2-optimality verdict and the lower-bound family's exhaustive scan; one
-vectorized orientation-sign filter (`_candidate_pairs`) serves the simplicity
-test and the crossing search.
+2-optimality verdict and the lower-bound family's exhaustive scan.  On
+integer instances too large for one scan block, the two verdicts examine
+only the pairs that a grid index over the coordinates finds (`_GridTour`),
+with the engine's arithmetic and the same results.  One vectorized
+orientation-sign filter (`_candidate_pairs`) serves the simplicity test and
+the crossing search.
 """
 
 from __future__ import annotations
@@ -37,6 +40,9 @@ EXACT_MAX_N = 18
 # matrix.  The 2-move scan sizes its blocks in bytes, the same _BLOCK_CELLS * 8
 # bytes a work array, so a narrower dtype gets more cells a block.
 _BLOCK_CELLS = 1 << 15
+# Largest n whose 2-optimality verdicts scan an n x n distance matrix: its
+# float64 matrix and the scan's ring-ordered copy take 3.2 GB each here.
+MATRIX_SCAN_MAX_N = 20000
 # Coordinate span below which `Instance._xy` gives int64: every product of two
 # coordinate differences stays below 2**62 (orientation signs), and every 1-norm
 # distance below 2**32, so a sum of a few, a 2-move gain or a Held-Karp tour of
@@ -177,6 +183,15 @@ class Instance:
             for j in range(i + 1):  # j = i is read by the scan's masked-out pairs
                 matrix[i, j] = matrix[j, i] = self.dist(i, j)
         return _MatrixDistances(matrix)
+
+    @cached_property
+    def _grid(self) -> _GridIndex:
+        """The fixed-radius index over `_xy` that the 2-optimality verdicts query (`_indexed_scan`).
+
+        Built on first use and kept on the instance, as `_pair_dist` is, so
+        every verdict on the instance shares its grid levels.
+        """
+        return _GridIndex(*self._xy)
 
     @cached_property
     def _xy(self):
@@ -510,17 +525,55 @@ def _first_2move(inst: Instance, state: _TourState) -> Optional[TwoMove]:
     return None
 
 
+def _indexed_scan(inst: Instance) -> bool:
+    """Whether the 2-optimality verdicts enumerate candidates from `Instance._grid` instead of every pair.
+
+    They do on a 2-D integer instance, int64 `_xy` under p = 1 or
+    `_exact_squares` under p = 2, whose dense scan would take more than one
+    `_scan_blocks` block.  `two_opt` always scans densely.
+    """
+    n = inst.n
+    if inst.dim != 2 or n < 4:
+        return False
+    if inst.norm.is_one and inst._xy[0].dtype == np.int64:
+        dtype = _scan_dtype(*inst._xy)
+    elif inst._exact_squares:
+        dtype = np.dtype(np.float64)
+    else:
+        return False
+    return n - 2 > max(1, _BLOCK_CELLS * 8 // dtype.itemsize // n)
+
+
 def find_improving_2move(inst: Instance, t: Tour) -> Optional[TwoMove]:
-    """First improving 2-move in lexicographic (i, j) scan order, if any."""
+    """First improving 2-move in lexicographic (i, j) scan order, if any.
+
+    Checks that the tour is a permutation of the vertices.  An
+    `_indexed_scan` instance enumerates the candidates of `_GridTour.first`;
+    any other scans every pair.
+    """
+    if _indexed_scan(inst):
+        return _GridTour(inst, t).first()
+    t.validate(inst)
     return _first_2move(inst, _TourState(inst, t))
 
 
-def _best_2move(inst: Instance, t: Tour) -> Optional[TwoMove]:
-    """The 2-move whose gain most exceeds its threshold, first in scan order among ties.
+def _best_2move(inst: Instance, t: Tour) -> tuple[Optional[TwoMove], int]:
+    """The 2-move whose gain most exceeds its threshold, first in scan order among ties, and the pairs examined.
 
     Its `gain` is that margin, gain - threshold: positive iff the move improves.
-    None when the tour has no pair of non-adjacent edges.
+    None when the tour has no pair of non-adjacent edges.  Checks that the
+    tour is a permutation of the vertices.  An `_indexed_scan` instance
+    examines the candidates of `_GridTour.best`; any other scans all
+    n(n - 3)/2 pairs.
     """
+    if _indexed_scan(inst):
+        return _GridTour(inst, t).best()
+    t.validate(inst)
+    return _dense_best(inst, t)
+
+
+def _dense_best(inst: Instance, t: Tour) -> tuple[Optional[TwoMove], int]:
+    """`_best_2move` by the dense engine, over all n(n - 3)/2 pairs."""
     state = _TourState(inst, t)
     dtype = state.dist.edge.dtype
     floor = np.iinfo(dtype).min if dtype.kind == "i" else -np.inf
@@ -533,7 +586,271 @@ def _best_2move(inst: Instance, t: Tour) -> Optional[TwoMove]:
         r, c = divmod(int(margin.argmax()), margin.shape[1])
         if best is None or margin.item(r, c) > best.gain:
             best = TwoMove(i0 + r, j0 + c, margin.item(r, c))
-    return best
+    return best, max(0, t.n * (t.n - 3) // 2)
+
+
+# Incidences of one chunk of grid queries: about 16 int64 work arrays of that
+# length live at once, as many bytes as the dense scan's two work arrays.
+_CHUNK = _BLOCK_CELLS // 8
+
+
+def _grid_pays(inst: Instance, visits: int) -> bool:
+    """Whether a verdict visits `visits` grid vertices rather than scan the n(n - 3)/2 pairs densely.
+
+    It does unless the dense scan has fewer pairs, as on a tour whose edges
+    are long, such as a random one.  A p = 2 instance above
+    MATRIX_SCAN_MAX_N, where the dense scan's matrix is out of reach, always
+    takes the grid.
+    """
+    n = inst.n
+    return visits <= n * (n - 3) // 2 or not (inst.norm.is_one or n <= MATRIX_SCAN_MAX_N)
+
+
+class _GridIndex:
+    """An instance's vertices in square cells, one grid per power-of-two side, for fixed-radius queries.
+
+    Level s files vertex v under the cell (x_v >> s, y_v >> s) and sorts
+    the vertices by cell, column by column, so that the cells of one column
+    between two rows are one run of the sorted vertices.  A level is built
+    the first time a query needs it and kept.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        self.x, self.y, self._levels = x, y, {}
+
+    def level(self, s: int) -> tuple:
+        """Level s: (stride, the cell keys cx * stride + cy in sorted order, the vertices in that order)."""
+        level = self._levels.get(s)
+        if level is None:
+            stride = (int(self.y.max(initial=0)) >> s) + 1
+            keys = (self.x >> s) * stride + (self.y >> s)
+            order = np.argsort(keys, kind="stable")
+            level = self._levels[s] = stride, keys[order], order
+        return level
+
+    def runs(self, vertices: np.ndarray, reach: np.ndarray) -> tuple:
+        """The runs of sorted vertices that hold every vertex within reach[q] of query vertex q on both axes.
+
+        Query q reads the level whose cells are at least reach[q] / 2 wide:
+        the cells that its square of half-side reach[q] meets, at most five
+        columns of them, one run of the level's sorted vertices each.
+        Returns (rank, size, start, order) for `_chunks`: the query indices
+        level by level, then each of those queries' five run sizes and
+        starts into `order`, the levels' vertex orders one after another,
+        as int32.
+        """
+        level = np.maximum(np.frexp(reach - 1)[1] - 1, 0)  # the least s with 2^(s+1) >= reach
+        xq, yq = self.x[vertices], self.y[vertices]
+        orders, starts, sizes, offset = [], [], [], 0
+        for s in np.flatnonzero(np.bincount(level)).tolist():
+            stride, keys, order = self.level(s)
+            sel = level == s
+            x, y, r = xq[sel, None], yq[sel, None], reach[sel, None]
+            column = (np.maximum(x - r, 0) >> s) + np.arange(5)
+            bottom, top = np.maximum(y - r, 0) >> s, np.minimum((y + r) >> s, stride - 1)
+            empty = column > (x + r) >> s
+            column *= stride
+            start = np.searchsorted(keys, column + bottom, "left").astype(np.int32)
+            size = np.searchsorted(keys, column + top, "right").astype(np.int32)
+            size -= start
+            size[empty] = 0
+            start += offset
+            orders.append(order)
+            starts.append(start)
+            sizes.append(size)
+            offset += len(order)
+        return np.argsort(level, kind="stable"), np.concatenate(sizes), np.concatenate(starts), np.concatenate(orders)
+
+
+def _chunks(runs: tuple, budget: int):
+    """The vertices of `_GridIndex.runs`, a chunk of whole queries at a time.
+
+    Yields (queries, count, found): query indices, count[r] vertices for
+    query queries[r], and `found`, those vertices, query by query.  A chunk
+    holds at most `budget` vertices unless one query alone has more.
+    """
+    rank, size, start, order = runs
+    count = size.sum(axis=1)
+    ends = count.cumsum()
+    a = done = 0
+    while a < len(rank):
+        b = max(a + 1, int(np.searchsorted(ends, done + budget, "right")))
+        end = int(ends[b - 1])
+        runs = size[a:b].ravel()
+        # Vertex e of the chunk, in run r, is entry start[r] + e - (run r's first e).
+        step = start[a:b].ravel() - (runs.cumsum() - runs)
+        yield rank[a:b], count[a:b], order[np.repeat(step, runs) + np.arange(end - done)]
+        a, done = b, end
+
+
+class _GridTour:
+    """A tour as the indexed verdicts see it: ring coordinates, positions and edges.
+
+    `x`, `y` hold the coordinates of tour positions 0..n (position n is
+    position 0 again), `position[v]` is vertex v's position and `edge[k]`
+    the length of edge k, from position k to k + 1, in the 2-move engine's
+    arithmetic: an int64 1-norm, or `np.sqrt` of the int64 square, whose
+    squares `square` also keeps.  Building it checks the tour's order, an
+    int array, with one `bincount`.
+
+    The verdicts rest on one bound.  A move on edges i < j gains
+    gain(i, j) = (e_i - D(o_i, o_j)) + (e_j - D(o_{i+1}, o_{j+1})), so
+    gain >= g forces D(o_i, o_j) <= e_i - g/2 or D(o_{i+1}, o_{j+1}) <=
+    e_j - g/2: o_j lies in the ball of radius e_i - g/2 around edge i's
+    tail, or o_{i+1} in the ball of radius e_j - g/2 around edge j's head.
+    `_candidates` lists the pairs that those balls find; the gains of just
+    these pairs are computed as the dense scan computes them.
+    """
+
+    def __init__(self, inst: Instance, t: Tour):
+        n = inst.n
+        o = np.asarray(t.order)
+        if (o.shape != (n,) or o.dtype.kind not in "iu" or o.min() < 0 or o.max() >= n
+                or not (np.bincount(o, minlength=n) == 1).all()):
+            raise ValueError("tour is not a permutation of the instance vertices")
+        self.inst, self.n, self.tour = inst, n, t
+        xs, ys = inst._xy
+        self.ring = np.append(o, o[0])
+        self.x, self.y = xs[self.ring], ys[self.ring]
+        self.position = np.empty(n, dtype=np.intp)
+        self.position[o] = np.arange(n)
+        dx, dy = self.x[1:] - self.x[:-1], self.y[1:] - self.y[:-1]
+        if inst.norm.is_one:
+            self.edge = np.abs(dx) + np.abs(dy)
+        else:
+            self.square = dx * dx + dy * dy
+            self.edge = np.sqrt(self.square)
+
+    def _dist(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """D(o_a, o_b) over arrays of ring positions."""
+        dx, dy = self.x[a] - self.x[b], self.y[a] - self.y[b]
+        if self.inst.norm.is_one:
+            return np.abs(dx) + np.abs(dy)
+        return _root_of_squares(dx, dy)
+
+    def _gains(self, keys: np.ndarray) -> tuple:
+        """(i, j, gain, threshold) of the pairs i * n + j, in the arithmetic of `_gain_blocks`."""
+        i, j = np.divmod(keys, self.n)
+        removed = self.edge[i] + self.edge[j]
+        threshold = _gain_threshold(self.inst, removed)
+        return i, j, removed - self._dist(i, j) - self._dist(i + 1, j + 1), threshold
+
+    def _candidates(self, limit: np.ndarray, root: bool) -> Optional[list]:
+        """Key arrays i * n + j of the pairs (i, j), j >= i + 2, that the balls of edge k find, radius bound limit[k].
+
+        None when the dense scan is cheaper (`_grid_pays`).
+
+        Vertex v is in a ball of centre c when d <= limit[k], where d is
+        the 1-norm D(c, v) under p = 1, and under p = 2 the int64 square
+        D(c, v)^2 or, with `root`, its `np.sqrt`.  Edge k's tail ball pairs
+        i = k with j = v's position; its head ball pairs j = k with i = v's
+        position - 1, reading position 0 as n.  The pair (0, n - 1), whose
+        edges are adjacent, may be among them.  The vertex at position c is
+        the centre of edge c's tail ball and edge c - 1's head ball, so one
+        query there, on the level whose cells are at least as wide as the
+        larger radius, serves both.
+        """
+        n, grid, one = self.n, self.inst._grid, self.inst.norm.is_one
+        tail = limit
+        head = np.roll(limit, 1)  # head[c] = limit[c - 1], edge n - 1 at c = 0
+        reach = np.floor(np.maximum(tail, head) if one or root else np.sqrt(np.maximum(tail, head)))
+        centres = np.flatnonzero(reach >= 1)  # distinct integer points are at least 1 apart
+        if not len(centres):
+            return []
+        x, y = grid.x, grid.y
+        position = self.position
+        position_head = np.where(position == 0, n, position)
+        cx, cy = self.x[centres], self.y[centres]
+        tail_c, head_c = tail[centres], head[centres]
+        either = np.maximum(tail_c, head_c)
+        before = np.where(centres == 0, n, centres) - 1  # the edge whose head ball is centred there
+        out = []
+        runs = grid.runs(self.ring[centres], reach[centres].astype(np.int64))
+        if not _grid_pays(self.inst, int(runs[1].sum())):
+            return None
+        for queries, count, found in _chunks(runs, _CHUNK):
+            q = np.repeat(queries, count)
+            dx, dy = x[found], y[found]
+            dx -= cx[q]
+            dy -= cy[q]
+            if one:
+                d = np.abs(dx, out=dx)
+                d += np.abs(dy, out=dy)
+            else:
+                d = np.multiply(dx, dx, out=dx)
+                d += np.multiply(dy, dy, out=dy)
+                if root:
+                    d = np.sqrt(d)
+            inside = np.flatnonzero(d <= either[q])
+            q, found, d = q[inside], found[inside], d[inside]
+            i, j = centres[q], position[found]
+            keep = d <= tail_c[q]
+            keep &= j - i >= 2
+            out.append((i * n + j)[keep])
+            i, j = position_head[found], before[q]  # i is one past the pair's first edge
+            keep = d <= head_c[q]
+            keep &= i < j
+            out.append(((i - 1) * n + j)[keep])
+        return out
+
+    def _pairs(self, parts: list) -> np.ndarray:
+        """The distinct keys of `parts`, in increasing (i, j) order, less the adjacent pair (0, n - 1)."""
+        keys = np.sort(np.concatenate([np.empty(0, dtype=np.int64), *parts]))
+        keep = np.empty(len(keys), dtype=bool)
+        keep[:1], keep[1:] = True, keys[1:] != keys[:-1]
+        keep &= keys != self.n - 1
+        return keys[keep]
+
+    def first(self) -> Optional[TwoMove]:
+        """`find_improving_2move`: the least improving pair among the strict balls of radius e.
+
+        An improving move has gain > 0 (g -> 0+), so its pair lies in a ball
+        D < e: under p = 1 the int test D <= e - 1, under p = 2 the exact
+        int64 test D^2 <= e^2 - 1.
+        """
+        limit = self.edge - 1 if self.inst.norm.is_one else self.square - 1
+        parts = self._candidates(limit, root=False)
+        if parts is None:
+            return _first_2move(self.inst, _TourState(self.inst, self.tour))
+        keys = self._pairs(parts)
+        i, j, gain, threshold = self._gains(keys)
+        hit = np.flatnonzero(gain > threshold)
+        if not len(hit):
+            return None
+        h = int(hit[0])
+        return TwoMove(int(i[h]), int(j[h]), gain.item(h))
+
+    def best(self) -> tuple[Optional[TwoMove], int]:
+        """`_best_2move`: the largest margin over the balls of radius e - L/2, and the pairs examined.
+
+        L is the largest margin of the seed pairs (k - 1, k + 1), one for
+        every edge k, so the best margin is at least L, and every pair of
+        margin >= L is a candidate: under p = 1 by the int test 2D <= 2e - L,
+        under p = 2 by np.sqrt(D^2) <= e - L/2 in float64.  The seeds join the
+        candidates, so the result is never empty.
+        """
+        n = self.n
+        seeds = np.concatenate([np.arange(n - 2) * (n + 1) + 2, [n - 2, n + n - 1]])
+        margin = self._margins(seeds)[2]
+        lower = margin.max().item()
+        if self.inst.norm.is_one:
+            limit = (2 * self.edge - lower) // 2
+        else:
+            limit = self.edge - lower / 2
+        parts = self._candidates(limit, root=True)
+        if parts is None:
+            return _dense_best(self.inst, self.tour)
+        keys = self._pairs([seeds, *parts])
+        i, j, margin = self._margins(keys)
+        h = int(margin.argmax())
+        return TwoMove(int(i[h]), int(j[h]), margin.item(h)), len(keys)
+
+    def _margins(self, keys: np.ndarray) -> tuple:
+        """(i, j, gain - threshold) of the pairs i * n + j, as `_best_2move` computes it."""
+        i, j, gain, threshold = self._gains(keys)
+        if not self.inst.exact:
+            gain -= threshold
+        return i, j, gain
 
 
 def apply_2move(t: Tour, m: TwoMove) -> Tour:
@@ -597,12 +914,12 @@ def _find_improving_3move(inst: Instance, t: Tour):
 
 def is_k_optimal(inst: Instance, t: Tour, k: int) -> KOptVerdict:
     """Exhaustively check k-optimality for k in {2, 3}."""
-    t.validate(inst)
     if k == 2:
-        m = find_improving_2move(inst, t)
+        m = find_improving_2move(inst, t)  # checks the tour
         if m is None:
             return KOptVerdict(True, None)
         return KOptVerdict(False, ((m.i, m.j), apply_2move(t, m)))
+    t.validate(inst)
     if k == 3:
         if inst.n > 400:
             raise ValueError("3-optimality scan limited to n <= 400")

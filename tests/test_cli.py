@@ -106,7 +106,9 @@ class TestScanAndReport:
                    "--out", "scan.json") == 0
         rep = json.loads((workdir / "scan.json").read_text())
         assert rep["n"] == 2916
-        assert rep["pairs_scanned"] > 4_000_000
+        assert rep["pairs_scanned"] == 4_247_154
+        # The grid index computes the gains of about 10^4 of those pairs.
+        assert 2916 <= rep["pairs_examined"] < rep["pairs_scanned"] // 100
         assert "timing" in rep
 
     def test_scan_explicit_instance_and_tour(self, workdir):
@@ -117,6 +119,8 @@ class TestScanAndReport:
                    "--out", "scan.json") == 0
         rep = json.loads((workdir / "scan.json").read_text())
         assert rep["two_optimal"] is True
+        # Ten points fit one scan block: the dense engine examines every pair.
+        assert rep["pairs_examined"] == rep["pairs_scanned"] == 35
 
     def test_scan_instance_without_tour_is_usage_error(self, workdir, capsys):
         run("gen-random", "--n", "6", "--grid", "100", "--seed", "4", "--out", "r.tsp")

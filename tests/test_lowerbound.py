@@ -174,6 +174,22 @@ class TestBigScan:
         assert is_k_optimal(inst, tour, 2) == (True, None)
 
 
+def test_pins_the_2_3_verdict():
+    """(p, q) = (2, 3): 74,190 points, 2.75 * 10^9 pairs, at a q where `estimate_scan` fails.
+
+    A dense blockwise scan of every pair in the engine's float arithmetic
+    gave the same verdict, margin and pair.
+    """
+    assert not estimate_scan(2, 2, 3)
+    lb = generate_lb_instance(2, 2, 3)
+    inst, tour = lb.as_instance(), build_lb_tour(lb)
+    report = scan_2opt_optimality(inst, tour)
+    assert (report.n, report.pairs_scanned) == (74_190, 2_751_966_765)
+    assert report.two_optimal and report.witness is None
+    assert report.best_gain == -1.000045086630854 and type(report.best_gain) is float
+    assert tour_module._best_2move(inst, tour)[0][:2] == (0, 74_188)
+
+
 def two_rows(m, p):
     """2m + 1 points, x = 0..m on the row y = 0 and x = 0..m-1 on y = 1, and a tour.
 
@@ -186,38 +202,29 @@ def two_rows(m, p):
 
 
 class TestScanSizeCap:
-    """The n x n matrix scan stops at MATRIX_SCAN_MAX_N; the O(n) coordinate scan does not."""
+    """The n x n matrix scan stops at MATRIX_SCAN_MAX_N; the O(n) coordinate and index paths do not."""
 
-    def test_coordinate_scan_runs_past_the_matrix_cap(self, monkeypatch):
-        inst, tour = two_rows(10_000, 1)
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_coordinate_scan_runs_past_the_matrix_cap(self, p):
+        inst, tour = two_rows(10_000, p)
         assert inst.n == MATRIX_SCAN_MAX_N + 1
-        built = []
-
-        class CountedState(tour_module._TourState):
-            def __init__(self, *args):
-                built.append(self)
-                super().__init__(*args)
-
-        monkeypatch.setattr(tour_module, "_TourState", CountedState)
         tracemalloc.start()
         try:
             report = scan_2opt_optimality(inst, tour)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(built) == 1  # a single scan of one state
         assert report.pairs_scanned == inst.n * (inst.n - 3) // 2
         assert report.two_optimal and report.witness is None
         # The best pair is the one a small copy of the family has, against the reference.
-        small, small_tour = two_rows(20, 1)
-        assert reference_best_2move(small, small_tour).gain == 0
-        assert report.best_gain == 0 and type(report.best_gain) is int
-        # The int16 scan takes 6 rows a block at this n, about 600 bytes of blocks and
-        # work views each; one n x n int16 array would be 800 MB.
+        small, small_tour = two_rows(20, p)
+        want = reference_best_2move(small, small_tour).gain
+        assert report.best_gain == want and type(report.best_gain) is type(want)
+        # One n x n int16 array would be 800 MB, a float64 one 3.2 GB.
         assert peak < 16 * 2**20
 
     def test_matrix_scan_cap_is_checked_before_any_distance(self, monkeypatch):
-        inst, tour = two_rows(10_000, 2)
+        inst, tour = two_rows(10_000, 3)
         real, calls = geometry.pdist, []
 
         def counting_pdist(*args):

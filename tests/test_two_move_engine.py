@@ -75,8 +75,9 @@ def assert_engine_matches(inst, t):
     assert got == want
     if want is not None:
         assert type(got.gain) is type(want.gain)
-    got, want = _best_2move(inst, t), reference_best_2move(inst, t)
+    (got, examined), want = _best_2move(inst, t), reference_best_2move(inst, t)
     assert got == want
+    assert examined <= max(0, inst.n * (inst.n - 3) // 2)
     if want is not None:
         assert type(got.gain) is type(want.gain)
     return want
@@ -412,7 +413,7 @@ def test_one_row_blocks_keep_linear_memory():
 def test_small_tours_have_no_pairs():
     inst = Instance([pt(0, 0), pt(1, 0), pt(0, 1)], PNorm(2))
     t = Tour((0, 1, 2))
-    assert find_improving_2move(inst, t) is None and _best_2move(inst, t) is None
+    assert find_improving_2move(inst, t) is None and _best_2move(inst, t) == (None, 0)
     report = scan_2opt_optimality(inst, t)
     assert (report.pairs_scanned, report.two_optimal, report.best_gain) == (0, True, 0)
 
