@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import PNorm, Point3
-from .tour import MATRIX_SCAN_MAX_N, Instance, Tour, _best_2move, _indexed_scan
+from .tour import Instance, Tour, _best_2move
 
 SQRT3_HALF = math.sqrt(3) / 2
 
@@ -252,29 +252,6 @@ def doubled_spanning_tree_tour(lb: LowerBoundInstance) -> tuple[int, int]:
     return tree_len, 2 * tree_len
 
 
-def _cycle_from_edges(n: int, edges) -> Tour:
-    """The tour that walks the edges on vertices 0..n-1 from vertex 0 (3-D family).
-
-    Checks that every vertex has degree 2 and that the walk is a single
-    Hamiltonian cycle closing back at vertex 0.
-    """
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for v, nbrs in enumerate(adj):
-        if len(nbrs) != 2:
-            raise AssertionError(f"tour vertex {v} has degree {len(nbrs)}")
-    order, prev, cur = [0], None, 0
-    for _ in range(n - 1):
-        nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-        order.append(nxt)
-        prev, cur = cur, nxt
-    if len(set(order)) != n or order[-1] not in adj[0]:
-        raise AssertionError("tour edges do not form a single Hamiltonian cycle")
-    return Tour(tuple(order))
-
-
 def estimate_inequality(a: int, b: int, k: int, p: int, q: int, s: int) -> bool:
     """The layer-gap estimate: left side to the p-th power exceeds the right side.
 
@@ -322,9 +299,9 @@ def scan_2opt_optimality(inst: Instance, tour: Tour) -> ScanReport:
     verdict is the same, and `pairs_scanned` still counts every pair it
     decides.  The verdict is reported, not asserted: local optimality of
     the hand-built tour is only guaranteed for large q.  An instance whose
-    distances need an n x n matrix is limited to n <= MATRIX_SCAN_MAX_N,
-    checked before any distance is computed; the coordinate and index
-    paths take O(n) memory at every n.
+    distances need an n x n matrix is limited to n <= MATRIX_SCAN_MAX_N
+    (`Instance._pair_dist`), checked before any distance is computed; the
+    coordinate and index paths take O(n) memory at every n.
     """
     return _scan_2opt(inst, tour)[0]
 
@@ -332,8 +309,6 @@ def scan_2opt_optimality(inst: Instance, tour: Tour) -> ScanReport:
 def _scan_2opt(inst: Instance, tour: Tour) -> tuple[ScanReport, int]:
     """`scan_2opt_optimality`'s report and the number of pairs whose gain it computed."""
     n = inst.n
-    if n > MATRIX_SCAN_MAX_N and not (inst._coordinate_cache or _indexed_scan(inst)):
-        raise ValueError(f"exhaustive pair scan over a distance matrix limited to n <= {MATRIX_SCAN_MAX_N}")
     best, examined = _best_2move(inst, tour)
     improving = best is not None and best.gain > 0
     witness = None
@@ -370,28 +345,14 @@ def generate_3d_instance(k: int) -> ThreeDInstance:
     c = [Point3(float(i), 0.5, SQRT3_HALF) for i in range(1, k + 1)]
     d = [Point3(float(i), 1.5, SQRT3_HALF) for i in range(1, k + 1)]
     points = a + b + c + d
-    A = lambda i: i - 1
-    B = lambda i: k + i - 1
-    C = lambda i: 2 * k + i - 1
-    D = lambda i: 3 * k + i - 1
-
-    t_edges = (
-        [(A(i), A(i + 1)) for i in range(1, k)]
-        + [(D(i), D(i + 1)) for i in range(1, k)]
-        + [(B(i), B(i + 1)) for i in range(2, k)]
-        + [(C(i), C(i + 1)) for i in range(2, k)]
-        + [(A(1), B(1)), (B(1), C(1)), (C(1), D(1)), (B(2), C(2)), (A(k), B(k)), (C(k), D(k))]
-    )
-    # The consecutive C-pair edges complete S into a Hamiltonian cycle
-    # (they appear in the drawn tour though not in the displayed edge union).
-    s_edges = (
-        [(C(1), D(1)), (C(k), D(k))]
-        + [(D(i), D(i + 1)) for i in range(1, k)]
-        + [(A(i), B(i)) for i in range(1, k + 1)]
-        + [(A(i), C(i)) for i in range(1, k + 1)]
-        + [(B(2 * i - 1), B(2 * i)) for i in range(1, k // 2 + 1)]
-        + [(C(2 * i), C(2 * i + 1)) for i in range(1, k // 2)]
-    )
-
-    return ThreeDInstance(k=k, points=points, tour_t=_cycle_from_edges(4 * k, t_edges),
-                          tour_s=_cycle_from_edges(4 * k, s_edges))
+    # The columns' vertex indices: A[i - 1] is A_i, and so on.
+    A, B, C, D = (range(g * k, (g + 1) * k) for g in range(4))
+    # T: along A, back along B to B2, along C from C2, back along D, then C1, B1.
+    t = [*A, *B[:0:-1], *C[1:], *D[::-1], C[0], B[0]]
+    # S: A1 B1, then column by column B A C (even columns) or C A B (odd
+    # ones from 3), then back along D to D1, and C1.
+    s = [A[0], B[0]]
+    for i in range(1, k):
+        s += (B[i], A[i], C[i]) if i % 2 else (C[i], A[i], B[i])
+    s += [*D[::-1], C[0]]
+    return ThreeDInstance(k=k, points=points, tour_t=Tour(tuple(t)), tour_s=Tour(tuple(s)))

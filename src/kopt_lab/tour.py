@@ -2,8 +2,11 @@
 
 Everything is parametrized by the instance's distance oracle, so 2-D p-norm
 instances and 3-D Euclidean instances share the same engine.  One vectorized
-2-move engine (`_gain_blocks`, over a `_TourState`) serves 2-Opt, the
-2-optimality verdict and the lower-bound family's exhaustive scan.  On
+2-move engine serves 2-Opt, the 2-optimality verdict and the lower-bound
+family's exhaustive scan: a `_TourState` owns one fixed layout (two flat work
+arrays, a flat bool array and a shared mask) and `_gain_blocks` walks its
+blocks of `_block_rows` rows, making each later block's views as it reaches
+it.  An n x n distance matrix is built only up to `MATRIX_SCAN_MAX_N`.  On
 integer instances too large for one scan block, the two verdicts examine
 only the pairs that a grid index over the coordinates finds (`_GridTour`),
 with the engine's arithmetic and the same results.  One vectorized
@@ -38,10 +41,10 @@ EXACT_MAX_N = 18
 # Upper bound on the cells of one block: (mask, c, u) candidates of Held-Karp,
 # edge pairs of the orientation-sign filter, rows of squares of a Euclidean
 # matrix.  The 2-move scan sizes its blocks in bytes, the same _BLOCK_CELLS * 8
-# bytes a work array, so a narrower dtype gets more cells a block.
+# bytes a work array, so a narrower dtype gets more cells a block (`_block_rows`).
 _BLOCK_CELLS = 1 << 15
-# Largest n whose 2-optimality verdicts scan an n x n distance matrix: its
-# float64 matrix and the scan's ring-ordered copy take 3.2 GB each here.
+# Largest n for which `Instance._pair_dist` builds an n x n distance matrix: its
+# float64 matrix and a scan's ring-ordered copy take 3.2 GB each here.
 MATRIX_SCAN_MAX_N = 20000
 # Coordinate span below which `Instance._xy` gives int64: every product of two
 # coordinate differences stays below 2**62 (orientation signs), and every 1-norm
@@ -131,11 +134,6 @@ class Instance:
     def segment(self, i: int, j: int) -> Segment:
         return Segment(self.points[i], self.points[j])
 
-    @property
-    def _coordinate_cache(self) -> bool:
-        """Whether `_pair_dist` keeps O(n) coordinates rather than an n x n matrix."""
-        return self.dim == 2 and self.norm.is_one
-
     @cached_property
     def _exact_squares(self) -> bool:
         """Whether p = 2 distances are sqrt(dx^2 + dy^2) over exact int64 squares.
@@ -162,11 +160,17 @@ class Instance:
         squares, `pdist`'s own rule, a block of at most `_BLOCK_CELLS` cells
         at a time and with no `pdist` call.  Otherwise each entry is `dist`
         itself, except that an instance from `extended` copies its prefix's
-        matrix and calls `dist` only on its new rows.
+        matrix and calls `dist` only on its new rows.  The matrix is limited
+        to n <= MATRIX_SCAN_MAX_N: a larger instance raises ValueError
+        before anything is allocated or any distance computed, so every
+        dense scan (`two_opt`, either verdict) refuses it rather than
+        build gigabytes.
         """
-        if self._coordinate_cache:
+        if self.dim == 2 and self.norm.is_one:
             return _CoordinateDistances(*self._xy)
         n = self.n
+        if n > MATRIX_SCAN_MAX_N:
+            raise ValueError(f"an n x n distance matrix is limited to n <= {MATRIX_SCAN_MAX_N}, got n = {n}")
         matrix = np.empty((n, n))
         if self._exact_squares:
             x, y = self._xy
@@ -376,21 +380,36 @@ def tour_length(inst: Instance, t: Tour):
     value and type as that sum: p = 1 sums |dx| + |dy|, as a Python int over
     int64 coordinates and left to right over object arrays; p = 2 takes
     `np.sqrt` of the exact int64 dx^2 + dy^2, the doubles `pdist` computes,
-    and sums them left to right with Python's `sum`.  Other instances fold
-    `inst.dist` edge by edge.
+    and sums them left to right with Python's `sum`; `_ring` checks the
+    tour.  Other instances fold `inst.dist` edge by edge.
     """
-    t.validate(inst)
-    o = t.order
     if inst.dim == 2 and (inst.norm.is_one or inst._exact_squares):
         xs, ys = inst._xy
-        ring = np.array(o + o[:1], dtype=np.intp)
+        ring = _ring(t, inst.n)
         x, y = xs[ring], ys[ring]
         dx, dy = x[1:] - x[:-1], y[1:] - y[:-1]
         if inst.norm.is_two:
             return sum(_root_of_squares(dx, dy).tolist())
         steps = np.abs(dx) + np.abs(dy)
         return int(steps.sum()) if steps.dtype == np.int64 else sum(steps.tolist())
+    t.validate(inst)
+    o = t.order
     return sum(inst.dist(o[i], o[(i + 1) % len(o)]) for i in range(len(o)))
+
+
+def _ring(t: Tour, n: int) -> np.ndarray:
+    """The tour's vertices at ring positions 0..n (position n is position 0 again), an int array.
+
+    Checks that the order is a permutation of the n vertices, as
+    `Tour.validate` does, by one `bincount` on the int order: n entries in
+    0..n-1 that leave no vertex out.
+    """
+    ring = np.array(t.order + t.order[:1])
+    o = ring[:-1]
+    if (o.shape != (n,) or o.dtype.kind not in "iu" or o.min() < 0 or o.max() >= n
+            or not np.bincount(o, minlength=n).all()):
+        raise ValueError("tour is not a permutation of the instance vertices")
+    return ring
 
 
 def _gain_threshold(inst: Instance, removed):
@@ -398,49 +417,31 @@ def _gain_threshold(inst: Instance, removed):
     return 0 if inst.exact else DEFAULT_GAIN_EPS * removed
 
 
-class _RowBlocks:
-    """The one-row blocks (i, i + 1, i + 2, valid[:, : n - i - 2]) of `_scan_blocks`, made as iteration reaches them.
+def _block_rows(n: int, dtype: np.dtype) -> int:
+    """Rows of a 2-move scan block over a tour of n vertices whose state has this dtype.
 
-    Only the n - 2 cells of `valid` are kept, not a tuple and a view per row.
+    The blocks are sized in bytes: a block's rows x n cells take at most
+    `_BLOCK_CELLS` * 8 bytes, 2^15 cells of float64, int64 and object,
+    2^16 of int32 and 2^17 of int16.  At least one row, and at most the
+    n - 2 rows that have a partner.
     """
-
-    def __init__(self, n: int, valid: np.ndarray):
-        self.n, self.valid = n, valid
-
-    def __iter__(self):
-        n, valid = self.n, self.valid
-        return ((i, i + 1, i + 2, valid[:, : n - i - 2]) for i in range(n - 2))
+    return max(1, min(n - 2, _BLOCK_CELLS * 8 // dtype.itemsize // max(n, 1)))
 
 
 @lru_cache(maxsize=32)
-def _scan_blocks(n: int, block_cells: int):
-    """The 2-move scan's row blocks (i0, i1, j0, valid) for a tour of n vertices.
+def _valid_mask(n: int, rows: int) -> np.ndarray:
+    """The read-only validity mask of the 2-move scan's blocks of `rows` rows over n vertices.
 
-    Rows i0 <= i < i1 against columns j >= j0 = i0 + 2, at most
-    `block_cells` cells a block (one row when n exceeds that budget), and
-    valid[r, c] marks the pairs with j >= i + 2 that are not the adjacent
-    (0, n - 1).  Every mask is a read-only view of one array of at most
-    `block_cells` cells (n cells when n exceeds that budget).  They depend
-    only on n and the budget, so the last few sizes' blocks are kept and
-    shared by every tour of that size: a tuple of multi-row blocks, or
-    `_RowBlocks` when each block is one row, which keeps O(1) objects.
+    Row i0 + r against column j0 + c = i0 + 2 + c is a pair with j >= i + 2
+    iff c >= r, in every block, and block i0 reads mask[: i1 - i0, : n - j0];
+    only block 0 reaches the last column, which holds the adjacent pair
+    (0, n - 1) in its first row.  It depends on n and rows alone, so the
+    last few sizes' masks are kept and shared by every tour of that size.
     """
-    if n < 4:
-        return ()  # no two edges of a triangle are non-adjacent
-    step = max(1, block_cells // n)
-    # Row i0 + r against column j0 + c is valid iff c >= r, in every block;
-    # block i0 reads the first n - j0 columns, so only block 0 reaches the
-    # last one, which holds (0, n - 1) in its first row.
-    valid = np.arange(n - 2) >= np.arange(min(step, n - 2))[:, None]
-    valid[0, -1] = False
+    valid = np.arange(n - 2) >= np.arange(rows)[:, None]
+    valid[0, n - 3 :] = False  # (0, n - 1); no column at all below n = 3
     valid.flags.writeable = False
-    if step == 1:
-        return _RowBlocks(n, valid)
-    blocks = []
-    for i0 in range(0, n - 2, step):  # rows i > n - 3 have no partner
-        i1, j0 = min(i0 + step, n - 2), i0 + 2
-        blocks.append((i0, i1, j0, valid[: i1 - i0, : n - j0]))
-    return tuple(blocks)
+    return valid
 
 
 class _TourState:
@@ -449,42 +450,27 @@ class _TourState:
     `dist` holds the distances between the tour's ring positions 0..n
     (position n is position 0 again), gathered once from the instance's
     cache; `reverse` then follows each applied move in place, so a scan is
-    block slices and arithmetic.  `blocks` are the scan's row blocks from
-    `_scan_blocks`, for n and a budget of `_BLOCK_CELLS` * 8 bytes of
-    `dist`'s dtype a work array: 2^15 cells for float64, int64 and object,
-    2^16 for int32, 2^17 for int16.  The scan's work arrays are reused by
-    every block.  `buffers` are two flat arrays of `dist`'s dtype, each as
-    large as the first block's distances, (rows + 1) x (n + 1).  `views[k]`
-    holds block k's gain, a view of the second buffer in the block's shape,
-    and a spare bool mask of that shape.  Multi-row blocks get their views
-    once, with the state, so a scan slices nothing for them; one-row blocks
-    (`_RowBlocks`) get theirs as the scan reaches them, and `views` is None.
+    block slices and arithmetic.  A scan block is `rows` rows of pairs
+    (`_block_rows`), and `valid` its shared mask (`_valid_mask`).  The
+    state's own work arrays are flat and reused by every block: `buffers`,
+    two arrays of `dist`'s dtype of (rows + 1) x (n + 1) cells, the second
+    of which holds the gains, and `flags`, a bool array of valid's size.
+    `first` holds block 0's gain and spare views of them, in valid's shape,
+    and valid itself: block 0 is the whole of each work array, so its
+    views are made once, here.
     """
 
     def __init__(self, inst: Instance, t: Tour):
         n = t.n
         self.dist = inst._pair_dist.take(np.array(t.order + t.order[:1], dtype=np.intp))
         dtype = self.dist.edge.dtype
-        self.blocks, self.views = _scan_blocks(n, _BLOCK_CELLS * 8 // dtype.itemsize), []
-        first = next(iter(self.blocks), None)
-        if first is None:
-            return
-        valid = first[3]  # block 0's mask is the whole mask array
-        cells = (len(valid) + 1) * (n + 1)
+        self.rows = _block_rows(n, dtype)
+        self.valid = _valid_mask(n, self.rows)
+        cells = (self.rows + 1) * (n + 1)
         self.buffers = np.empty(cells, dtype), np.empty(cells, dtype)
-        self._gains, self._flags = self.buffers[1], np.empty(valid.size, bool)
-        self.views = None if isinstance(self.blocks, _RowBlocks) else list(map(self._views, self.blocks))
-
-    def _views(self, block: tuple) -> tuple:
-        """The block's gain and spare mask, views of the work arrays in its mask's shape."""
-        v = block[3]
-        return self._gains[: v.size].reshape(v.shape), self._flags[: v.size].reshape(v.shape)
-
-    def layout(self):
-        """Each row block with its views, (block, (gain, spare)), in scan order."""
-        if self.views is None:
-            return ((b, self._views(b)) for b in self.blocks)
-        return zip(self.blocks, self.views)
+        self.flags = np.empty(self.valid.size, bool)
+        shape = self.valid.shape
+        self.first = self.buffers[1][: self.valid.size].reshape(shape), self.flags.reshape(shape), self.valid
 
     def reverse(self, m: TwoMove):
         """Follow `apply_2move(t, m)`: reverse tour positions m.i + 1 .. m.j."""
@@ -492,20 +478,30 @@ class _TourState:
 
 
 def _gain_blocks(inst: Instance, state: _TourState):
-    """The 2-move engine: gains of all non-adjacent edge pairs, a block of rows at a time.
+    """The 2-move engine: gains of all non-adjacent edge pairs, a block of `state.rows` rows at a time.
 
     Yields (i0, j0, gain, threshold, valid, spare) in lexicographic (i, j)
     order: gain[r, c] = (c_ab + c_xy) - c_ax - c_by for the move on tour
     positions (i0 + r, j0 + c), in the arithmetic of `inst.dist` (on the
     coordinate path in `dist`'s integer dtype, which `_scan_dtype` keeps
-    exact), valid is the block's mask from `state.blocks`, and spare a bool
-    array of gain's shape for the caller.  gain and spare are the block's
-    views from `state.layout`, over buffers that the next block overwrites;
-    the caller may overwrite them too.
+    exact), valid is the block's slice of `state.valid`, and spare a bool
+    array of gain's shape for the caller.  gain and spare are contiguous
+    views of the state's work arrays, block 0's from `state.first` and each
+    later block's made as the walk reaches it; the next block overwrites
+    them, and the caller may overwrite them too.
     """
-    d = state.dist
+    d, rows = state.dist, state.rows
     edge = d.edge
-    for (i0, i1, j0, valid), (gain, spare) in state.layout():
+    n = len(edge)  # one edge per vertex
+    gain, spare, valid = state.first
+    for i0 in range(0, n - 2 if n > 3 else 0, rows):  # a triangle has no pair, rows i > n - 3 no partner
+        i1, j0 = min(i0 + rows, n - 2), i0 + 2
+        if i0:
+            shape = i1 - i0, n - j0
+            cells = shape[0] * shape[1]
+            gain = state.buffers[1][:cells].reshape(shape)
+            spare = state.flags[:cells].reshape(shape)
+            valid = state.valid[: shape[0], : shape[1]]
         r = d.outer(slice(i0, i1 + 1), slice(j0, None), *state.buffers)
         np.add(edge[i0:i1, None], edge[None, j0:], gain)
         threshold = _gain_threshold(inst, gain)  # of the removed length, before it becomes the gain
@@ -530,7 +526,7 @@ def _indexed_scan(inst: Instance) -> bool:
 
     They do on a 2-D integer instance, int64 `_xy` under p = 1 or
     `_exact_squares` under p = 2, whose dense scan would take more than one
-    `_scan_blocks` block.  `two_opt` always scans densely.
+    block of `_block_rows` rows.  `two_opt` always scans densely.
     """
     n = inst.n
     if inst.dim != 2 or n < 4:
@@ -541,7 +537,7 @@ def _indexed_scan(inst: Instance) -> bool:
         dtype = np.dtype(np.float64)
     else:
         return False
-    return n - 2 > max(1, _BLOCK_CELLS * 8 // dtype.itemsize // n)
+    return n - 2 > _block_rows(n, dtype)
 
 
 def find_improving_2move(inst: Instance, t: Tour) -> Optional[TwoMove]:
@@ -690,8 +686,7 @@ class _GridTour:
     position 0 again), `position[v]` is vertex v's position and `edge[k]`
     the length of edge k, from position k to k + 1, in the 2-move engine's
     arithmetic: an int64 1-norm, or `np.sqrt` of the int64 square, whose
-    squares `square` also keeps.  Building it checks the tour's order, an
-    int array, with one `bincount`.
+    squares `square` also keeps.  Building it checks the tour (`_ring`).
 
     The verdicts rest on one bound.  A move on edges i < j gains
     gain(i, j) = (e_i - D(o_i, o_j)) + (e_j - D(o_{i+1}, o_{j+1})), so
@@ -704,16 +699,12 @@ class _GridTour:
 
     def __init__(self, inst: Instance, t: Tour):
         n = inst.n
-        o = np.asarray(t.order)
-        if (o.shape != (n,) or o.dtype.kind not in "iu" or o.min() < 0 or o.max() >= n
-                or not (np.bincount(o, minlength=n) == 1).all()):
-            raise ValueError("tour is not a permutation of the instance vertices")
         self.inst, self.n, self.tour = inst, n, t
         xs, ys = inst._xy
-        self.ring = np.append(o, o[0])
+        self.ring = _ring(t, n)
         self.x, self.y = xs[self.ring], ys[self.ring]
         self.position = np.empty(n, dtype=np.intp)
-        self.position[o] = np.arange(n)
+        self.position[self.ring[:-1]] = np.arange(n)
         dx, dy = self.x[1:] - self.x[:-1], self.y[1:] - self.y[:-1]
         if inst.norm.is_one:
             self.edge = np.abs(dx) + np.abs(dy)

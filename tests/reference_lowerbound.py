@@ -3,16 +3,66 @@
 These are the builders the numpy ones in `kopt_lab.lowerbound` replaced:
 the four vertex groups as lists of coordinate tuples, the tour's edge
 groups as coordinate pairs, the tour walked from its edge list by
-`_cycle_from_edges`, the exact length summed edge by edge, and the
-spanning-tree cover checked by a set lookup per integer y.
+`cycle_from_edges`, the exact length summed edge by edge, and the
+spanning-tree cover checked by a set lookup per integer y.  The 3-D
+family's two tours are walked from their edge lists the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from kopt_lab.lowerbound import _check_params, _cycle_from_edges, layer_offset
+from kopt_lab.lowerbound import _check_params, layer_offset
 from kopt_lab.tour import Tour
+
+
+def cycle_from_edges(n: int, edges) -> Tour:
+    """The tour that walks the edges on vertices 0..n-1 from vertex 0.
+
+    Checks that every vertex has degree 2 and that the walk is a single
+    Hamiltonian cycle closing back at vertex 0.
+    """
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for v, nbrs in enumerate(adj):
+        if len(nbrs) != 2:
+            raise AssertionError(f"tour vertex {v} has degree {len(nbrs)}")
+    order, prev, cur = [0], None, 0
+    for _ in range(n - 1):
+        nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
+        order.append(nxt)
+        prev, cur = cur, nxt
+    if len(set(order)) != n or order[-1] not in adj[0]:
+        raise AssertionError("tour edges do not form a single Hamiltonian cycle")
+    return Tour(tuple(order))
+
+
+def three_d_tours(k: int) -> tuple[Tour, Tour]:
+    """T and S of the 3-D prism chain, walked from their edge lists (vertex blocks A, B, C, D of k)."""
+    A = lambda i: i - 1
+    B = lambda i: k + i - 1
+    C = lambda i: 2 * k + i - 1
+    D = lambda i: 3 * k + i - 1
+    t_edges = (
+        [(A(i), A(i + 1)) for i in range(1, k)]
+        + [(D(i), D(i + 1)) for i in range(1, k)]
+        + [(B(i), B(i + 1)) for i in range(2, k)]
+        + [(C(i), C(i + 1)) for i in range(2, k)]
+        + [(A(1), B(1)), (B(1), C(1)), (C(1), D(1)), (B(2), C(2)), (A(k), B(k)), (C(k), D(k))]
+    )
+    # The consecutive C-pair edges complete S into a Hamiltonian cycle
+    # (they appear in the drawn tour though not in the displayed edge union).
+    s_edges = (
+        [(C(1), D(1)), (C(k), D(k))]
+        + [(D(i), D(i + 1)) for i in range(1, k)]
+        + [(A(i), B(i)) for i in range(1, k + 1)]
+        + [(A(i), C(i)) for i in range(1, k + 1)]
+        + [(B(2 * i - 1), B(2 * i)) for i in range(1, k // 2 + 1)]
+        + [(C(2 * i), C(2 * i + 1)) for i in range(1, k // 2)]
+    )
+    return cycle_from_edges(4 * k, t_edges), cycle_from_edges(4 * k, s_edges)
 
 
 @dataclass
@@ -95,7 +145,7 @@ def lb_tour_edges(lb: ReferenceLayered) -> list[tuple[tuple, tuple]]:
 def build_lb_tour(lb: ReferenceLayered) -> Tour:
     """Assemble the edge groups into a Hamiltonian cycle (degree-2 + connectivity checked)."""
     index = {c: i for i, c in enumerate(lb.all_points())}
-    return _cycle_from_edges(lb.n, ((index[a], index[b]) for a, b in lb_tour_edges(lb)))
+    return cycle_from_edges(lb.n, ((index[a], index[b]) for a, b in lb_tour_edges(lb)))
 
 
 def lb_tour_length_exact(lb: ReferenceLayered) -> int:

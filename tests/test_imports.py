@@ -1,12 +1,13 @@
-"""Every name a kopt_lab module imports is used in that module, and every public function has a user.
+"""Every name a kopt_lab module imports is used in that module, and every helper has a user.
 
 No linter ships with the package, so this test is the dead-import check.
 `__init__.py` is skipped: its imports are the package's exports.
 
-It is also the dead-helper check: a public function of `src/kopt_lab` must
-be referenced by `src` code outside its own body, be named by a metric of
-`BENCHMARK.json`, or be used by the benchmark's code (its `paths`).  A
-helper that only tests call belongs in `tests/`.
+It is also the dead-helper check: a public function, or a private function
+or class, at the top level of `src/kopt_lab` must be referenced by `src`
+code outside its own body, be named by a metric of `BENCHMARK.json`, or be
+used by the benchmark's code (its `paths`).  A helper that only tests call
+belongs in `tests/`.
 """
 
 import ast
@@ -67,23 +68,28 @@ def read_names(tree: ast.AST) -> set:
             for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
 
 
-def unused_functions(sources: dict, named: set, used_elsewhere: set) -> list:
-    """`<module>.<function>` of every public top-level function of `sources` that nothing uses.
+def is_checked(node: ast.stmt) -> bool:
+    """Whether a top-level statement defines a helper the check covers: any function, or a private class."""
+    return isinstance(node, ast.FunctionDef) or isinstance(node, ast.ClassDef) and node.name.startswith("_")
 
-    `sources` maps module names to their code.  A function is used when
-    `named` holds `<module>.<function>`, when `used_elsewhere` holds its
-    name, or when a top-level statement of some module reads its name,
-    other than the function itself and the functions found unused: a helper
-    that only unused functions call is unused too.  Names match by name
-    alone, whatever module they are read from.
+
+def unused_functions(sources: dict, named: set, used_elsewhere: set) -> list:
+    """`<module>.<name>` of every top-level function or private class of `sources` that nothing uses.
+
+    `sources` maps module names to their code.  A helper is used when
+    `named` holds `<module>.<name>`, when `used_elsewhere` holds its name,
+    or when a top-level statement of some module reads its name, other than
+    the helper itself and the helpers found unused: a helper that only
+    unused ones call is unused too.  Names match by name alone, whatever
+    module they are read from.
     """
     statements, candidates = [], {}
     for mod, src in sources.items():
         for node in ast.parse(src).body:
-            public = isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-            qualified = f"{mod}.{node.name}" if public else None
+            checked = is_checked(node)
+            qualified = f"{mod}.{node.name}" if checked else None
             statements.append((qualified, read_names(node)))
-            if public and qualified not in named and node.name not in used_elsewhere:
+            if checked and qualified not in named and node.name not in used_elsewhere:
                 candidates[qualified] = node.name
     unused, changed = set(), True
     while changed:
@@ -109,6 +115,7 @@ def benchmark_code_reads() -> set:
 
 
 def test_every_public_function_has_a_user():
+    """Public functions and private functions and classes alike."""
     sources = {path.stem: path.read_text() for path in MODULES}
     unused = unused_functions(sources, benchmark_names() | set(KEPT), benchmark_code_reads())
     assert unused == []
@@ -118,12 +125,14 @@ def test_checker_flags_a_function_only_tests_or_itself_call():
     sources = {
         "a": "def used():\n    return 1\n\ndef dead():\n    return used()\n\n"
              "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
-             "def _private():\n    pass\n",
+             "def _private():\n    pass\n\n"
+             "class _Box:\n    pass\n\nclass Public:\n    pass\n",
         "b": "from . import a\n\ndef caller():\n    return a.used()\n\n"
              "def traced():\n    pass\n\ndef benched():\n    pass\n\n"
              "if __name__ == '__main__':\n    caller()\n",
     }
-    assert unused_functions(sources, {"b.traced"}, {"benched"}) == ["a.dead", "a.recursive"]
+    assert unused_functions(sources, {"b.traced"}, {"benched"}) == [
+        "a._Box", "a._private", "a.dead", "a.recursive"]
 
 
 def test_checker_flags_a_helper_that_only_unused_functions_call():

@@ -7,8 +7,6 @@ from kopt_lab import geometry
 from kopt_lab import tour as tour_module
 from kopt_lab.geometry import PNorm
 from kopt_lab.lowerbound import (
-    MATRIX_SCAN_MAX_N,
-    _cycle_from_edges,
     build_lb_tour,
     doubled_spanning_tree_tour,
     estimate_inequality,
@@ -20,8 +18,17 @@ from kopt_lab.lowerbound import (
     lb_tour_length_exact,
     scan_2opt_optimality,
 )
-from kopt_lab.tour import Instance, Tour, find_improving_2move, is_k_optimal, tour_length
+from kopt_lab.tour import (
+    MATRIX_SCAN_MAX_N,
+    Instance,
+    Tour,
+    find_improving_2move,
+    is_k_optimal,
+    tour_length,
+    two_opt,
+)
 
+from reference_lowerbound import cycle_from_edges, three_d_tours
 from reference_scan import reference_best_2move, reference_first_2move
 
 
@@ -91,11 +98,11 @@ class TestHandBuiltTour:
 class TestCycleFromEdges:
     def test_degree_three_rejected(self):
         with pytest.raises(AssertionError, match="vertex 0 has degree 3"):
-            _cycle_from_edges(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
+            cycle_from_edges(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
 
     def test_two_disjoint_triangles_rejected(self):
         with pytest.raises(AssertionError, match="single Hamiltonian cycle"):
-            _cycle_from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+            cycle_from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
 
 
 class TestSpanningTreeBound:
@@ -223,7 +230,13 @@ class TestScanSizeCap:
         # One n x n int16 array would be 800 MB, a float64 one 3.2 GB.
         assert peak < 16 * 2**20
 
-    def test_matrix_scan_cap_is_checked_before_any_distance(self, monkeypatch):
+    @pytest.mark.parametrize("run", [
+        scan_2opt_optimality,
+        lambda inst, tour: is_k_optimal(inst, tour, 2),
+        two_opt,
+    ], ids=["scan_2opt_optimality", "is_k_optimal", "two_opt"])
+    def test_matrix_scan_cap_is_checked_before_any_distance(self, run, monkeypatch):
+        """Every dense scan of a matrix instance refuses it in `Instance._pair_dist`, before allocating."""
         inst, tour = two_rows(10_000, 3)
         real, calls = geometry.pdist, []
 
@@ -234,7 +247,7 @@ class TestScanSizeCap:
         for module in (geometry, tour_module):  # every namespace that binds it
             monkeypatch.setattr(module, "pdist", counting_pdist)
         with pytest.raises(ValueError, match=f"limited to n <= {MATRIX_SCAN_MAX_N}"):
-            scan_2opt_optimality(inst, tour)
+            run(inst, tour)
         assert calls == [] and "_pair_dist" not in vars(inst)
 
 
@@ -258,3 +271,8 @@ class TestThreeDFamily:
     def test_odd_k_rejected(self):
         with pytest.raises(ValueError):
             generate_3d_instance(3)
+
+    @pytest.mark.parametrize("k", [2, 4, 8, 20])
+    def test_tours_are_the_walks_of_their_edge_lists(self, k):
+        g = generate_3d_instance(k)
+        assert (g.tour_t, g.tour_s) == three_d_tours(k)

@@ -138,8 +138,9 @@ def assert_same_state(got, want):
     assert vars(got.dist).keys() == vars(want.dist).keys()
     for key, array in vars(want.dist).items():
         assert same_array(vars(got.dist)[key], array), key
-    assert [b[:3] for b in got.blocks] == [b[:3] for b in want.blocks]
-    assert all(same_array(g[3], w[3]) for g, w in zip(got.blocks, want.blocks))
+    assert got.rows == want.rows and got.valid is want.valid
+    assert [(b.dtype, b.size) for b in (*got.buffers, got.flags)] == [
+        (b.dtype, b.size) for b in (*want.buffers, want.flags)]
 
 
 @instance_ids
@@ -200,27 +201,28 @@ def test_exact_scans_stay_linear_in_memory():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
-    # The scan's masks are views of one array of at most the int16 budget,
-    # _BLOCK_CELLS * 8 // 2 cells, not one per block.
+    # Every block's mask is the state's one mask of at most the int16 budget,
+    # _BLOCK_CELLS * 8 // 2 cells, or a view of it: none is made per block.
     state = tour._TourState(inst, hand)
     assert state.dist.edge.dtype == np.int16
-    base = state.blocks[0][3].base
-    assert base is not None and base.size <= tour._BLOCK_CELLS * 4
-    assert all(valid.base is base for *_, valid in state.blocks)
+    assert state.valid.base is None and state.valid.size <= tour._BLOCK_CELLS * 4
+    masks = [valid for *_, valid, _ in tour._gain_blocks(inst, state)]
+    assert len(masks) > 1
+    assert masks[0] is state.valid and all(valid.base is state.valid for valid in masks[1:])
 
 
 def test_tours_of_one_size_share_read_only_blocks():
-    """The blocks are cached per size and budget, so no state may write a mask."""
+    """The mask is cached per size and rows a block, so no state may write it."""
     rng = random.Random(8)
     # An int64 coordinate scan and a float64 matrix scan: one budget of 2^15 cells.
     a, b = grid_instance(rng, 40, 1, grid=2**30), grid_instance(rng, 40, 2)
     sa, sb = (tour._TourState(inst, Tour(tuple(rng.sample(range(40), 40)))) for inst in (a, b))
     assert (sa.dist.edge.dtype, sb.dist.edge.dtype) == (np.int64, np.float64)
-    assert sa.blocks is sb.blocks
-    assert not any(valid.flags.writeable for *_, valid in sa.blocks)
-    assert not sa.blocks[0][3].base.flags.writeable
-    # Work arrays are the state's own.
-    assert not any(np.shares_memory(x, y) for x in sa.buffers for y in sb.buffers)
+    assert sa.rows == sb.rows and sa.valid is sb.valid
+    assert not sa.valid.flags.writeable
+    # Work arrays are each state's own.
+    own = [(*s.buffers, s.flags) for s in (sa, sb)]
+    assert not any(np.shares_memory(x, y) for x in own[0] for y in own[1])
 
 
 def test_rational_instances_take_the_fraction_path():
@@ -309,7 +311,8 @@ def test_scan_dtype_is_the_narrowest_exact_one(span, dtype):
     for key, array in vars(state.dist).items():
         assert array.dtype == dtype, key
     assert [b.dtype for b in state.buffers] == [dtype, dtype]
-    assert all((gain.dtype, spare.dtype) == (dtype, bool) for gain, spare in state.views)
+    gain, spare, _ = state.first
+    assert (gain.dtype, spare.dtype, state.flags.dtype) == (dtype, bool, bool)
     # The instance's own cache, which Held-Karp sums over, stays int64.
     assert inst._pair_dist.x.dtype == np.int64
 
@@ -369,20 +372,45 @@ def block_budget_instances():
 @pytest.mark.parametrize("inst,dtype", list(block_budget_instances()),
                          ids=["int16", "int32", "int64", "float64", "object"])
 def test_scan_blocks_are_sized_in_bytes(inst, dtype):
-    """Each work array holds _BLOCK_CELLS * 8 bytes: 2^17 cells of int16, 2^16 of int32, else 2^15."""
-    n = inst.n
+    """A block's gains take _BLOCK_CELLS * 8 bytes: 2^17 cells of int16, 2^16 of int32, else 2^15.
+
+    The two distance buffers hold one block's distances, one row and one
+    column more than its gains.  The walk's gain and spare views are
+    contiguous fronts of the work arrays, since `argmax` would copy a
+    strided one.
+    """
+    n, itemsize = inst.n, np.dtype(dtype).itemsize
     state = tour._TourState(inst, Tour(tuple(range(n))))
     assert state.dist.edge.dtype == dtype
-    budget = tour._BLOCK_CELLS * 8 // np.dtype(dtype).itemsize
-    assert state.blocks is tour._scan_blocks(n, budget)
-    rows = budget // n
-    assert [b[:3] for b in state.blocks] == [
-        (i0, min(i0 + rows, n - 2), i0 + 2) for i0 in range(0, n - 2, rows)]
-    assert state.buffers[0].size == (rows + 1) * (n + 1)
+    rows = tour._BLOCK_CELLS * 8 // itemsize // n
+    assert state.rows == rows == tour._block_rows(n, np.dtype(dtype))
+    assert state.valid.shape == (rows, n - 2) and state.flags.size == state.valid.size
+    assert state.valid.size * itemsize <= tour._BLOCK_CELLS * 8
+    assert [b.size for b in state.buffers] == [(rows + 1) * (n + 1)] * 2
+    starts = []
+    for i0, j0, gain, _, valid, spare in tour._gain_blocks(inst, state):
+        starts.append((i0, j0))
+        assert gain.shape == spare.shape == valid.shape == (min(rows, n - 2 - i0), n - j0)
+        assert gain.flags.c_contiguous and spare.flags.c_contiguous
+        assert np.shares_memory(gain, state.buffers[1]) and np.shares_memory(spare, state.flags)
+    assert starts == [(i0, i0 + 2) for i0 in range(0, n - 2, rows)]
+
+
+def state_memory(inst, t):
+    """(state, bytes it keeps): a `_TourState` built under tracemalloc, its mask not yet cached."""
+    inst._pair_dist  # the instance's own O(n) cache, not the state's
+    tour._valid_mask.cache_clear()
+    tracemalloc.start()
+    try:
+        state = tour._TourState(inst, t)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return state, kept
 
 
 def test_one_row_blocks_keep_linear_memory():
-    """Past the block budget each block is one row, made as the scan reaches it.
+    """Past the block budget each block is one row, whose views the walk makes as it reaches it.
 
     20,001 points whose 1-norm span D reaches 2^30 scan in int64, 2^15 cells
     a block.  A tuple and two views per row took about 12 MB here; the state
@@ -391,23 +419,28 @@ def test_one_row_blocks_keep_linear_memory():
     n = 20_001
     inst = Instance.from_xy(np.arange(n) * 2**16, np.arange(n) % 2, PNorm(1))
     t = Tour(tuple(range(n)))
-    inst._pair_dist  # the instance's own O(n) cache, not the state's
-    tour._scan_blocks.cache_clear()
-    tracemalloc.start()
-    try:
-        state = tour._TourState(inst, t)
-        kept = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert state.dist.edge.dtype == np.int64
-    assert isinstance(state.blocks, tour._RowBlocks) and state.views is None
+    state, kept = state_memory(inst, t)
+    assert state.dist.edge.dtype == np.int64 and state.rows == 1
     assert kept < 80 * n  # 58 bytes a point: 24 of coordinates and edges, 32 of work buffers
-    blocks = iter(state.layout())
-    (i0, i1, j0, valid), (gain, spare) = next(blocks)
-    assert (i0, i1, j0, valid.shape, gain.shape, spare.shape) == (0, 1, 2, (1, n - 2), (1, n - 2), (1, n - 2))
+    blocks = tour._gain_blocks(inst, state)
+    i0, j0, gain, _, valid, spare = next(blocks)
+    assert (i0, j0, valid.shape, gain.shape, spare.shape) == (0, 2, (1, n - 2), (1, n - 2), (1, n - 2))
     assert not valid[0, -1] and valid[0, :-1].all()
-    (i0, i1, j0, valid), (gain, spare) = next(blocks)
-    assert (i0, i1, j0, valid.shape, gain.shape) == (1, 2, 3, (1, n - 3), (1, n - 3)) and valid.all()
+    i0, j0, gain, _, valid, spare = next(blocks)
+    assert (i0, j0, valid.shape, gain.shape) == (1, 3, (1, n - 3), (1, n - 3)) and valid.all()
+
+
+def test_two_row_blocks_keep_linear_memory():
+    """50,001 points of D = 7148 scan in int16, two rows a block: 25,000 blocks and no object per block.
+
+    Prebuilt blocks, a tuple and two views each, kept 15.8 MB of Python
+    objects, against about 1 MB of coordinates, edges, work buffers and mask.
+    """
+    n = 50_001
+    inst = Instance.from_xy(np.arange(n) // 7, np.arange(n) % 7, PNorm(1))
+    state, kept = state_memory(inst, Tour(tuple(range(n))))
+    assert state.dist.edge.dtype == np.int16 and state.rows == 2
+    assert kept < 2 * 2**20
 
 
 def test_small_tours_have_no_pairs():
