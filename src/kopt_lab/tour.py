@@ -1,17 +1,19 @@
 """Tours, 2-Opt/3-Opt local search, k-optimality checks, exact small solvers.
 
 Everything is parametrized by the instance's distance oracle, so 2-D p-norm
-instances and 3-D Euclidean instances share the same engine.  One vectorized
-2-move engine serves 2-Opt, the 2-optimality verdict and the lower-bound
-family's exhaustive scan: a `_TourState` owns one fixed layout (two flat work
-arrays, a flat bool array and a shared mask) and `_gain_blocks` walks its
-blocks of `_block_rows` rows, making each later block's views as it reaches
-it.  An n x n distance matrix is built only up to `MATRIX_SCAN_MAX_N`.  On
-integer instances too large for one scan block, the two verdicts examine
-only the pairs that a grid index over the coordinates finds (`_GridTour`),
-with the engine's arithmetic and the same results.  One vectorized
-orientation-sign filter (`_candidate_pairs`) serves the simplicity test and
-the crossing search.
+instances and 3-D Euclidean instances share the same engine.  Every distance
+computed from the coordinate arrays instead comes from one backend keyed on
+the norm, `_CoordinateDistances`: p = 1, and p = 2 on exact squares.  One
+vectorized 2-move engine serves 2-Opt, the 2-optimality verdict and the
+lower-bound family's exhaustive scan: a `_TourState` owns one fixed layout
+(two flat work arrays, a flat bool array and a shared mask) and
+`_gain_blocks` walks its blocks of `_block_rows` rows, making each later
+block's views as it reaches it.  An n x n distance matrix is built only up
+to `MATRIX_SCAN_MAX_N`.  On integer instances too large for one scan block,
+the two verdicts examine only the pairs that a grid index over the
+coordinates finds (`_GridTour`), with the engine's arithmetic and the same
+results.  One vectorized orientation-sign filter (`_candidate_pairs`) serves
+the simplicity test and the crossing search.
 """
 
 from __future__ import annotations
@@ -148,36 +150,45 @@ class Instance:
         return x.dtype == np.int64 and max(int(x.max(initial=0)), int(y.max(initial=0))) < SQUARE_SPAN
 
     @cached_property
+    def _coordinates(self) -> Optional[_CoordinateDistances]:
+        """The `_CoordinateDistances` over `_xy` in index order, kept on the instance; None if it does not apply.
+
+        It applies in 2-D under p = 1, integral or rational, and under p = 2
+        with `_exact_squares`, and its distances equal `dist` in value and type.
+        """
+        if self.dim == 2 and (self.norm.is_one or self._exact_squares):
+            return _CoordinateDistances(*self._xy, self.norm.is_two)
+        return None
+
+    @cached_property
     def _pair_dist(self):
         """The values of `dist` for numpy, over the vertices in index order.
 
         Built on first use and kept on the instance; the 2-move engine and
-        Held-Karp read it, and `take` re-indexes it by tour position.  A 2-D
-        1-norm instance, integral or rational, keeps its coordinates from
-        `_xy` (`_CoordinateDistances`, O(n)).  Every other instance keeps an
-        n x n float64 matrix (`_MatrixDistances`, 8 n^2 bytes) equal bit for
-        bit to `dist`.  With `_exact_squares` it is `np.sqrt` of the int64
-        squares, `pdist`'s own rule, a block of at most `_BLOCK_CELLS` cells
-        at a time and with no `pdist` call.  Otherwise each entry is `dist`
-        itself, except that an instance from `extended` copies its prefix's
-        matrix and calls `dist` only on its new rows.  The matrix is limited
-        to n <= MATRIX_SCAN_MAX_N: a larger instance raises ValueError
-        before anything is allocated or any distance computed, so every
-        dense scan (`two_opt`, either verdict) refuses it rather than
-        build gigabytes.
+        Held-Karp read it, and `take` re-indexes it by tour position.  Under
+        p = 1 it is the `_coordinates` backend itself (O(n)): its `root` is
+        the identity, so a scan computes no roots.  Every other instance
+        keeps an n x n float64 matrix (`_MatrixDistances`, 8 n^2 bytes) equal
+        bit for bit to `dist`.  With `_exact_squares` it comes from the
+        backend's `outer`, a block of at most `_BLOCK_CELLS` cells at a time
+        and with no `pdist` call.  Otherwise each entry is `dist` itself,
+        except that an instance from `extended` copies its prefix's matrix
+        and calls `dist` only on its new rows.  The matrix is limited to
+        n <= MATRIX_SCAN_MAX_N: a larger instance raises ValueError before
+        anything is allocated or any distance computed, so every dense scan
+        (`two_opt`, either verdict) refuses it rather than build gigabytes.
         """
-        if self.dim == 2 and self.norm.is_one:
-            return _CoordinateDistances(*self._xy)
+        coordinates = self._coordinates
+        if coordinates is not None and not coordinates.square:
+            return coordinates
         n = self.n
         if n > MATRIX_SCAN_MAX_N:
             raise ValueError(f"an n x n distance matrix is limited to n <= {MATRIX_SCAN_MAX_N}, got n = {n}")
         matrix = np.empty((n, n))
-        if self._exact_squares:
-            x, y = self._xy
+        if coordinates is not None:
             step = max(1, _BLOCK_CELLS // max(n, 1))
             for i0 in range(0, n, step):
-                _root_of_squares(x[i0 : i0 + step, None] - x, y[i0 : i0 + step, None] - y,
-                                 out=matrix[i0 : i0 + step])
+                matrix[i0 : i0 + step] = coordinates.outer(slice(i0, i0 + step), slice(None))
             return _MatrixDistances(matrix)
         known = 0
         if self._prefix is not None:
@@ -239,17 +250,6 @@ def _coordinate_arrays(xs, ys) -> tuple:
     return tuple(np.array(col, dtype=object) for col in (xs, ys))
 
 
-def _root_of_squares(dx: np.ndarray, dy: np.ndarray, out=None) -> np.ndarray:
-    """np.sqrt(dx^2 + dy^2) over int64 differences, overwriting both.
-
-    Under `Instance._exact_squares` every dx^2 + dy^2 is an exact int64
-    below 2^53, so each root is the double `pdist` computes.
-    """
-    dx *= dx
-    dx += np.multiply(dy, dy, out=dy)
-    return np.sqrt(dx, out=out)
-
-
 def _scan_dtype(x: np.ndarray, y: np.ndarray) -> np.dtype:
     """The narrowest signed integer dtype in which the 2-move engine's sums over x, y are exact.
 
@@ -298,43 +298,72 @@ class _MatrixDistances:
 
 
 class _CoordinateDistances:
-    """1-norm distances between positions, |dx| + |dy| over the coordinates in position order.
+    """Distances between positions computed from their 2-D coordinates: the one rule, keyed on the norm.
 
-    O(n) memory: no matrix is ever built.  `edge[k]` is the distance from
-    position k to position k + 1.
+    Two kernels make every distance.  `power` is exact: |dx| + |dy| under
+    p = 1, and dx^2 + dy^2 under p = 2 (`square`).  `root` is the identity
+    under p = 1 and `np.sqrt` under p = 2, which on `Instance._exact_squares`
+    coordinates gives the doubles `pdist` computes.  O(n) memory: no matrix
+    is kept.  The instance's copy (`Instance._coordinates`) holds `_xy` in
+    index order; `take` gives copies in tour-ring order, the only ones with
+    edges: `edge_power[k]` and `edge[k]` are the power and the distance
+    from position k to position k + 1, one array under p = 1.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        self.x, self.y = x, y
-        self.edge = np.abs(x[:-1] - x[1:]) + np.abs(y[:-1] - y[1:])
+    def __init__(self, x: np.ndarray, y: np.ndarray, square: bool):
+        self.x, self.y, self.square = x, y, square
+
+    def power(self, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+        """|dx| + |dy|, or dx^2 + dy^2 under `square`, computed into dx and returned; dy is overwritten."""
+        if self.square:
+            dx *= dx
+            dx += np.multiply(dy, dy, out=dy)
+        else:
+            np.abs(dx, out=dx)
+            dx += np.abs(dy, out=dy)
+        return dx
+
+    def root(self, power: np.ndarray) -> np.ndarray:
+        """The distances whose `power` this is: the array itself, or a new float64 array under `square`."""
+        return np.sqrt(power) if self.square else power
+
+    def pair(self, a, b) -> np.ndarray:
+        """D(position a, position b) over arrays or slices of positions."""
+        return self.root(self.power(self.x[a] - self.x[b], self.y[a] - self.y[b]))
+
+    def dtype(self) -> np.dtype:
+        """The dtype of a dense scan's distances: `_scan_dtype`'s under p = 1, float64 under p = 2."""
+        return np.dtype(np.float64) if self.square else _scan_dtype(self.x, self.y)
 
     def take(self, positions: np.ndarray) -> _CoordinateDistances:
-        """The distances between the given positions, in their order (a copy).
+        """The distances between the given positions, in their order (a copy), with its edges.
 
-        int64 coordinates are narrowed to `_scan_dtype`'s dtype; object
-        coordinates stay object.
+        Under p = 1 int64 coordinates are narrowed to `_scan_dtype`'s
+        dtype; object coordinates, and the int64 of exact squares, stay.
         """
-        dtype = _scan_dtype(self.x, self.y)
-        return _CoordinateDistances(self.x[positions].astype(dtype, copy=False),
-                                    self.y[positions].astype(dtype, copy=False))
+        x, y = self.x[positions], self.y[positions]
+        if not self.square:
+            dtype = _scan_dtype(self.x, self.y)
+            x, y = x.astype(dtype, copy=False), y.astype(dtype, copy=False)
+        ring = _CoordinateDistances(x, y, self.square)
+        ring.edge_power = ring.power(x[:-1] - x[1:], y[:-1] - y[1:])
+        ring.edge = ring.root(ring.edge_power)
+        return ring
 
     def outer(self, rows: slice, cols: slice, out=None, scratch=None) -> np.ndarray:
         """d(rows[a], cols[b]) at [a, b].
 
-        Given two flat buffers of at least that many cells, the result is
-        written into the front of `out`, and `scratch` is overwritten;
-        otherwise it is a new array.
+        Given two flat buffers of at least that many cells, the powers are
+        computed in them, so that under p = 1 the result is the front of
+        `out` and `scratch` is overwritten; otherwise it is a new array.
         """
         x, y = self.x, self.y
         if out is not None:
             shape = len(x[rows]), len(x[cols])
             cells = shape[0] * shape[1]
             out, scratch = out[:cells].reshape(shape), scratch[:cells].reshape(shape)
-        out = np.subtract(x[rows, None], x[None, cols], out=out)
-        np.abs(out, out=out)
-        scratch = np.subtract(y[rows, None], y[None, cols], out=scratch)
-        out += np.abs(scratch, out=scratch)
-        return out
+        dx = np.subtract(x[rows, None], x[None, cols], out=out)
+        return self.root(self.power(dx, np.subtract(y[rows, None], y[None, cols], out=scratch)))
 
     def reverse(self, lo: int, hi: int):
         """Reverse positions lo..hi-1 in place, 0 < lo < hi < len(x), and their edges, O(hi - lo)."""
@@ -342,8 +371,8 @@ class _CoordinateDistances:
         x[lo:hi] = x[lo:hi][::-1]
         y[lo:hi] = y[lo:hi][::-1]
         # Edges lo - 1 .. hi - 1 are those with an end among the reversed positions.
-        self.edge[lo - 1 : hi] = (np.abs(x[lo - 1 : hi] - x[lo : hi + 1])
-                                  + np.abs(y[lo - 1 : hi] - y[lo : hi + 1]))
+        power = self.power(x[lo - 1 : hi] - x[lo : hi + 1], y[lo - 1 : hi] - y[lo : hi + 1])
+        self.edge_power[lo - 1 : hi], self.edge[lo - 1 : hi] = power, self.root(power)
 
 
 class Tour(NamedTuple):
@@ -360,7 +389,8 @@ class Tour(NamedTuple):
         return [(o[i], o[(i + 1) % len(o)]) for i in range(len(o))]
 
     def validate(self, inst: Instance):
-        if sorted(self.order) != list(range(inst.n)):
+        # Integer entries, as `_ring` checks: 1.0 or Fraction(1) equals 1, but makes the sum no index.
+        if sorted(self.order) != list(range(inst.n)) or not hasattr(sum(self.order), "__index__"):
             raise ValueError("tour is not a permutation of the instance vertices")
 
 
@@ -375,23 +405,17 @@ class TwoMove(NamedTuple):
 def tour_length(inst: Instance, t: Tour):
     """The sum of `inst.dist` over the tour's edges, left to right from position 0.
 
-    A 2-D instance under p = 1, or under p = 2 with `_exact_squares`,
-    gathers its coordinates from `_xy` in tour order once, with the same
-    value and type as that sum: p = 1 sums |dx| + |dy|, as a Python int over
-    int64 coordinates and left to right over object arrays; p = 2 takes
-    `np.sqrt` of the exact int64 dx^2 + dy^2, the doubles `pdist` computes,
-    and sums them left to right with Python's `sum`; `_ring` checks the
-    tour.  Other instances fold `inst.dist` edge by edge.
+    An instance with the `_coordinates` backend computes the edges from
+    the coordinates in tour order (`_ring` checks the tour), in the value
+    and type of `dist`, and sums them with Python's `sum`: an int over
+    int64 coordinates under p = 1, ints and Fractions left to right over
+    object ones, and the doubles `pdist` computes under p = 2.  Other
+    instances fold `inst.dist` edge by edge.
     """
-    if inst.dim == 2 and (inst.norm.is_one or inst._exact_squares):
-        xs, ys = inst._xy
+    coordinates = inst._coordinates
+    if coordinates is not None:
         ring = _ring(t, inst.n)
-        x, y = xs[ring], ys[ring]
-        dx, dy = x[1:] - x[:-1], y[1:] - y[:-1]
-        if inst.norm.is_two:
-            return sum(_root_of_squares(dx, dy).tolist())
-        steps = np.abs(dx) + np.abs(dy)
-        return int(steps.sum()) if steps.dtype == np.int64 else sum(steps.tolist())
+        return sum(coordinates.pair(ring[:-1], ring[1:]).tolist())
     t.validate(inst)
     o = t.order
     return sum(inst.dist(o[i], o[(i + 1) % len(o)]) for i in range(len(o)))
@@ -524,20 +548,14 @@ def _first_2move(inst: Instance, state: _TourState) -> Optional[TwoMove]:
 def _indexed_scan(inst: Instance) -> bool:
     """Whether the 2-optimality verdicts enumerate candidates from `Instance._grid` instead of every pair.
 
-    They do on a 2-D integer instance, int64 `_xy` under p = 1 or
-    `_exact_squares` under p = 2, whose dense scan would take more than one
-    block of `_block_rows` rows.  `two_opt` always scans densely.
+    They do on an instance with the `_coordinates` backend over int64
+    coordinates whose dense scan would take more than one block of
+    `_block_rows` rows.  `two_opt` always scans densely.
     """
-    n = inst.n
-    if inst.dim != 2 or n < 4:
+    n, coordinates = inst.n, inst._coordinates
+    if n < 4 or coordinates is None or coordinates.x.dtype != np.int64:
         return False
-    if inst.norm.is_one and inst._xy[0].dtype == np.int64:
-        dtype = _scan_dtype(*inst._xy)
-    elif inst._exact_squares:
-        dtype = np.dtype(np.float64)
-    else:
-        return False
-    return n - 2 > _block_rows(n, dtype)
+    return n - 2 > _block_rows(n, coordinates.dtype())
 
 
 def find_improving_2move(inst: Instance, t: Tour) -> Optional[TwoMove]:
@@ -680,13 +698,13 @@ def _chunks(runs: tuple, budget: int):
 
 
 class _GridTour:
-    """A tour as the indexed verdicts see it: ring coordinates, positions and edges.
+    """A tour as the indexed verdicts see it: its ring-ordered coordinate distances and positions.
 
-    `x`, `y` hold the coordinates of tour positions 0..n (position n is
-    position 0 again), `position[v]` is vertex v's position and `edge[k]`
-    the length of edge k, from position k to k + 1, in the 2-move engine's
-    arithmetic: an int64 1-norm, or `np.sqrt` of the int64 square, whose
-    squares `square` also keeps.  Building it checks the tour (`_ring`).
+    `dist` is the instance's `_coordinates` backend taken in the order of
+    tour positions 0..n (position n is position 0 again), whose `edge[k]`
+    is the length of edge k, from position k to k + 1, in the 2-move
+    engine's arithmetic; `position[v]` is vertex v's position.  Building it
+    checks the tour (`_ring`).
 
     The verdicts rest on one bound.  A move on edges i < j gains
     gain(i, j) = (e_i - D(o_i, o_j)) + (e_j - D(o_{i+1}, o_{j+1})), so
@@ -700,31 +718,17 @@ class _GridTour:
     def __init__(self, inst: Instance, t: Tour):
         n = inst.n
         self.inst, self.n, self.tour = inst, n, t
-        xs, ys = inst._xy
         self.ring = _ring(t, n)
-        self.x, self.y = xs[self.ring], ys[self.ring]
+        self.dist = inst._coordinates.take(self.ring)
         self.position = np.empty(n, dtype=np.intp)
         self.position[self.ring[:-1]] = np.arange(n)
-        dx, dy = self.x[1:] - self.x[:-1], self.y[1:] - self.y[:-1]
-        if inst.norm.is_one:
-            self.edge = np.abs(dx) + np.abs(dy)
-        else:
-            self.square = dx * dx + dy * dy
-            self.edge = np.sqrt(self.square)
-
-    def _dist(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """D(o_a, o_b) over arrays of ring positions."""
-        dx, dy = self.x[a] - self.x[b], self.y[a] - self.y[b]
-        if self.inst.norm.is_one:
-            return np.abs(dx) + np.abs(dy)
-        return _root_of_squares(dx, dy)
 
     def _gains(self, keys: np.ndarray) -> tuple:
         """(i, j, gain, threshold) of the pairs i * n + j, in the arithmetic of `_gain_blocks`."""
         i, j = np.divmod(keys, self.n)
-        removed = self.edge[i] + self.edge[j]
+        removed = self.dist.edge[i] + self.dist.edge[j]
         threshold = _gain_threshold(self.inst, removed)
-        return i, j, removed - self._dist(i, j) - self._dist(i + 1, j + 1), threshold
+        return i, j, removed - self.dist.pair(i, j) - self.dist.pair(i + 1, j + 1), threshold
 
     def _candidates(self, limit: np.ndarray, root: bool) -> Optional[list]:
         """Key arrays i * n + j of the pairs (i, j), j >= i + 2, that the balls of edge k find, radius bound limit[k].
@@ -732,31 +736,30 @@ class _GridTour:
         None when the dense scan is cheaper (`_grid_pays`).
 
         Vertex v is in a ball of centre c when d <= limit[k], where d is
-        the 1-norm D(c, v) under p = 1, and under p = 2 the int64 square
-        D(c, v)^2 or, with `root`, its `np.sqrt`.  Edge k's tail ball pairs
-        i = k with j = v's position; its head ball pairs j = k with i = v's
-        position - 1, reading position 0 as n.  The pair (0, n - 1), whose
-        edges are adjacent, may be among them.  The vertex at position c is
-        the centre of edge c's tail ball and edge c - 1's head ball, so one
-        query there, on the level whose cells are at least as wide as the
-        larger radius, serves both.
+        the backend's `power` of D(c, v) or, with `root`, D(c, v) itself.
+        Edge k's tail ball pairs i = k with j = v's position; its head ball
+        pairs j = k with i = v's position - 1, reading position 0 as n.
+        The pair (0, n - 1), whose edges are adjacent, may be among them.
+        The vertex at position c is the centre of edge c's tail ball and
+        edge c - 1's head ball, so one query there, on the level whose cells
+        are at least as wide as the larger radius, serves both.
         """
-        n, grid, one = self.n, self.inst._grid, self.inst.norm.is_one
+        n, grid, dist = self.n, self.inst._grid, self.dist
         tail = limit
         head = np.roll(limit, 1)  # head[c] = limit[c - 1], edge n - 1 at c = 0
-        reach = np.floor(np.maximum(tail, head) if one or root else np.sqrt(np.maximum(tail, head)))
+        either = np.maximum(tail, head)
+        reach = either if root else dist.root(either)  # the larger radius, whose floor a query reads
         centres = np.flatnonzero(reach >= 1)  # distinct integer points are at least 1 apart
         if not len(centres):
             return []
         x, y = grid.x, grid.y
         position = self.position
         position_head = np.where(position == 0, n, position)
-        cx, cy = self.x[centres], self.y[centres]
-        tail_c, head_c = tail[centres], head[centres]
-        either = np.maximum(tail_c, head_c)
+        cx, cy = dist.x[centres], dist.y[centres]
+        tail_c, head_c, either = tail[centres], head[centres], either[centres]
         before = np.where(centres == 0, n, centres) - 1  # the edge whose head ball is centred there
         out = []
-        runs = grid.runs(self.ring[centres], reach[centres].astype(np.int64))
+        runs = grid.runs(self.ring[centres], reach[centres].astype(np.int64))  # >= 1: truncation floors
         if not _grid_pays(self.inst, int(runs[1].sum())):
             return None
         for queries, count, found in _chunks(runs, _CHUNK):
@@ -764,14 +767,7 @@ class _GridTour:
             dx, dy = x[found], y[found]
             dx -= cx[q]
             dy -= cy[q]
-            if one:
-                d = np.abs(dx, out=dx)
-                d += np.abs(dy, out=dy)
-            else:
-                d = np.multiply(dx, dx, out=dx)
-                d += np.multiply(dy, dy, out=dy)
-                if root:
-                    d = np.sqrt(d)
+            d = dist.root(dist.power(dx, dy)) if root else dist.power(dx, dy)
             inside = np.flatnonzero(d <= either[q])
             q, found, d = q[inside], found[inside], d[inside]
             i, j = centres[q], position[found]
@@ -796,11 +792,10 @@ class _GridTour:
         """`find_improving_2move`: the least improving pair among the strict balls of radius e.
 
         An improving move has gain > 0 (g -> 0+), so its pair lies in a ball
-        D < e: under p = 1 the int test D <= e - 1, under p = 2 the exact
-        int64 test D^2 <= e^2 - 1.
+        D < e, tested exactly on the integer powers as power(D) <=
+        power(e) - 1: D <= e - 1 under p = 1, D^2 <= e^2 - 1 under p = 2.
         """
-        limit = self.edge - 1 if self.inst.norm.is_one else self.square - 1
-        parts = self._candidates(limit, root=False)
+        parts = self._candidates(self.dist.edge_power - 1, root=False)
         if parts is None:
             return _first_2move(self.inst, _TourState(self.inst, self.tour))
         keys = self._pairs(parts)
@@ -816,19 +811,16 @@ class _GridTour:
 
         L is the largest margin of the seed pairs (k - 1, k + 1), one for
         every edge k, so the best margin is at least L, and every pair of
-        margin >= L is a candidate: under p = 1 by the int test 2D <= 2e - L,
-        under p = 2 by np.sqrt(D^2) <= e - L/2 in float64.  The seeds join the
-        candidates, so the result is never empty.
+        margin >= L is a candidate: D <= e - L/2 in float64.  Under p = 1
+        the test is exact, since D is an integer below 2^32 and e - L/2 a
+        half-integer that float64 holds exactly; under p = 2 D is
+        `np.sqrt` of the exact int64 D^2.  The seeds join the candidates,
+        so the result is never empty.
         """
         n = self.n
         seeds = np.concatenate([np.arange(n - 2) * (n + 1) + 2, [n - 2, n + n - 1]])
         margin = self._margins(seeds)[2]
-        lower = margin.max().item()
-        if self.inst.norm.is_one:
-            limit = (2 * self.edge - lower) // 2
-        else:
-            limit = self.edge - lower / 2
-        parts = self._candidates(limit, root=True)
+        parts = self._candidates(self.dist.edge - margin.max().item() / 2, root=True)
         if parts is None:
             return _dense_best(self.inst, self.tour)
         keys = self._pairs([seeds, *parts])

@@ -107,8 +107,8 @@ class TestScanAndReport:
         rep = json.loads((workdir / "scan.json").read_text())
         assert rep["n"] == 2916
         assert rep["pairs_scanned"] == 4_247_154
-        # The grid index computes the gains of about 10^4 of those pairs.
-        assert 2916 <= rep["pairs_examined"] < rep["pairs_scanned"] // 100
+        # The grid index computes the gains of 10,117 of those pairs: its candidate sets, pinned.
+        assert rep["pairs_examined"] == 10_117
         assert "timing" in rep
 
     def test_scan_explicit_instance_and_tour(self, workdir):
@@ -121,6 +121,21 @@ class TestScanAndReport:
         assert rep["two_optimal"] is True
         # Ten points fit one scan block: the dense engine examines every pair.
         assert rep["pairs_examined"] == rep["pairs_scanned"] == 35
+
+    @pytest.mark.parametrize("mode", ["family", "instance"])
+    def test_scan_k_other_than_2_is_usage_error(self, workdir, capsys, monkeypatch, mode):
+        """Only 2-optimality is decided: --k 3 exits 2 before reading or building anything."""
+        if mode == "family":
+            argv = ("--k", "3", "--p", "1", "--q", "3")
+            monkeypatch.setattr(lowerbound, "generate_lb_instance", lambda *args: pytest.fail("built"))
+        else:
+            run("gen-random", "--n", "6", "--grid", "100", "--seed", "4", "--out", "r.tsp")
+            run("solve-2opt", "r.tsp", "--out", "s.tour")
+            argv = ("--instance", "r.tsp", "--tour", "s.tour", "--k", "3")
+        capsys.readouterr()
+        assert run("scan-kopt", *argv, "--out", "scan.json") == 2
+        assert "error: scan-kopt decides 2-optimality only (--k 2), got --k 3" in capsys.readouterr().err
+        assert not (workdir / "scan.json").exists()
 
     def test_scan_instance_without_tour_is_usage_error(self, workdir, capsys):
         run("gen-random", "--n", "6", "--grid", "100", "--seed", "4", "--out", "r.tsp")

@@ -8,6 +8,9 @@ or class, at the top level of `src/kopt_lab` must be referenced by `src`
 code outside its own body, be named by a metric of `BENCHMARK.json`, or be
 used by the benchmark's code (its `paths`).  A helper that only tests call
 belongs in `tests/`.
+
+And it keeps the one coordinate-distance rule in one place: in `tour.py`,
+`np.abs` and `np.sqrt` appear only inside `_CoordinateDistances`.
 """
 
 import ast
@@ -138,3 +141,30 @@ def test_checker_flags_a_function_only_tests_or_itself_call():
 def test_checker_flags_a_helper_that_only_unused_functions_call():
     sources = {"a": "def helper():\n    return 1\n\ndef dead():\n    return helper()\n"}
     assert unused_functions(sources, set(), set()) == ["a.dead", "a.helper"]
+
+
+# The numpy distance kernels that only the coordinate-distance backend may call.
+KERNELS = {"abs", "absolute", "sqrt"}
+
+
+def kernel_uses(source: str, owner: str) -> list:
+    """(line, name) of every `np.<kernel>` in `source` outside the top-level class `owner`."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and node.name == owner:
+            continue
+        out += [(sub.lineno, f"np.{sub.attr}") for sub in ast.walk(node)
+                if isinstance(sub, ast.Attribute) and sub.attr in KERNELS
+                and isinstance(sub.value, ast.Name) and sub.value.id == "np"]
+    return sorted(out)
+
+
+def test_coordinate_distances_are_computed_in_one_class():
+    source = (Path(kopt_lab.__file__).parent / "tour.py").read_text()
+    assert kernel_uses(source, "_CoordinateDistances") == []
+
+
+def test_checker_flags_a_kernel_outside_the_class():
+    src = ("import numpy as np\n\nclass _Box:\n    def f(self, a):\n        return np.sqrt(np.abs(a))\n\n"
+           "def g(a):\n    return np.sqrt(a) + math.sqrt(2)\n\nh = np.absolute\n")
+    assert kernel_uses(src, "_Box") == [(8, "np.sqrt"), (10, "np.absolute")]

@@ -7,6 +7,7 @@ from kopt_lab import geometry
 from kopt_lab import tour as tour_module
 from kopt_lab.geometry import PNorm
 from kopt_lab.lowerbound import (
+    _scan_2opt,
     build_lb_tour,
     doubled_spanning_tree_tour,
     estimate_inequality,
@@ -195,6 +196,8 @@ def test_pins_the_2_3_verdict():
     assert report.two_optimal and report.witness is None
     assert report.best_gain == -1.000045086630854 and type(report.best_gain) is float
     assert tour_module._best_2move(inst, tour)[0][:2] == (0, 74_188)
+    # The grid index's candidate sets, pinned: the gains of 325,740 pairs are computed.
+    assert _scan_2opt(inst, tour)[1] == 325_740
 
 
 def two_rows(m, p):

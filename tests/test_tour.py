@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -46,6 +47,19 @@ class TestInstance:
             Tour((0, 1)).validate(inst)
         with pytest.raises(ValueError):
             Tour((0, 1, 1)).validate(inst)
+
+    @pytest.mark.parametrize("entry", [
+        find_improving_2move, two_opt, tour_length, is_simple,
+        lambda inst, t: is_k_optimal(inst, t, 2), lambda inst, t: is_k_optimal(inst, t, 3),
+    ], ids=["find_improving_2move", "two_opt", "tour_length", "is_simple", "is_k_optimal-2",
+            "is_k_optimal-3"])
+    @pytest.mark.parametrize("bad", [1.0, Fraction(1)], ids=["float", "Fraction"])
+    def test_non_integer_entries_rejected(self, entry, bad):
+        """Both permutation checks, `Tour.validate` and `_ring`, reject an entry equal to an int."""
+        inst = rand_instance(random.Random(8), 8)
+        t = Tour((0, bad) + tuple(range(2, 8)))
+        with pytest.raises(ValueError, match="not a permutation"):
+            entry(inst, t)
 
 
 class TestTwoOpt:

@@ -36,6 +36,37 @@ def assert_same_length(inst, t):
     assert (type(got), got) == (type(want), want)
 
 
+def typed(values):
+    return [(type(v), v) for v in values]
+
+
+def assert_backend_is_dist(inst, t):
+    """The `_coordinates` backend's edges, pairs and outer matrices equal `dist` in value and type.
+
+    Both copies are checked: the instance's, in index order and never
+    narrowed, and the tour's ring copy from `take`, whose int64
+    coordinates are narrowed under p = 1.  Returns the ring copy's dtype.
+    """
+    backend, n, ring_order = inst._coordinates, inst.n, t.order + t.order[:1]
+    ring = backend.take(np.array(ring_order))
+    want = [[inst.dist(a, b) for b in ring_order] for a in ring_order]
+    assert typed(ring.edge.tolist()) == typed(want[k][k + 1] for k in range(n))
+    assert typed(ring.outer(slice(None), slice(None)).ravel().tolist()) == typed(sum(want, []))
+    a, b = np.divmod(np.arange((n + 1) ** 2), n + 1)
+    assert typed(ring.pair(a, b).tolist()) == typed(sum(want, []))
+    assert typed(backend.outer(slice(None), slice(None)).ravel().tolist()) == typed(
+        inst.dist(i, j) for i in range(n) for j in range(n))
+    return ring.x.dtype
+
+
+# The dtype of the backend's ring copies on the largest instance, by (p, span); None: no backend.
+RING_DTYPES = {
+    (1, 50): np.int16, (1, 10**6): np.int32, (1, 2**26 - 1): np.int32, (1, 2**31 - 1): np.int64,
+    (1, 2**31): np.int64, (1, 2**62): object, (2, 50): np.int64, (2, 10**6): np.int64,
+    (2, 2**26 - 1): np.int64,
+}
+
+
 def random_tours(inst, rng, count=4):
     for _ in range(count):
         yield Tour(tuple(rng.sample(range(inst.n), inst.n)))
@@ -69,14 +100,21 @@ def rational_points(seed):
 class TestAgainstFold:
     @pytest.mark.parametrize("p", [1, 2, 1.5, 3])
     @pytest.mark.parametrize("span,offset", [
-        (50, 0), (10**6, -500_000), (2**31 - 1, 0), (2**31, -(2**30)), (2**62, -(2**61)),
+        (50, 0), (10**6, -500_000), (2**26 - 1, -(2**40)), (2**31 - 1, 0), (2**31, -(2**30)),
+        (2**62, -(2**61)),
     ])
     def test_integer_points(self, p, span, offset):
+        """The lengths, and where the coordinate backend applies, its distances."""
         rng = random.Random(span % 1009 + int(p * 10))
+        dtype, seen = RING_DTYPES.get((p, span)), set()
         for n in (3, 4, 7, 12, 25):
             inst = Instance(grid_points(rng, n, span, offset), PNorm(p))
+            assert (inst._coordinates is None) == (dtype is None)
             for t in random_tours(inst, rng):
                 assert_same_length(inst, t)
+                if dtype is not None:
+                    seen.add(assert_backend_is_dist(inst, t))
+        assert dtype is None or np.dtype(dtype) in seen  # the largest n reaches the span's dtype
 
     def test_spans_pick_both_dtypes(self):
         rng = random.Random(5)
@@ -97,6 +135,8 @@ class TestAgainstFold:
         rng = random.Random(seed)
         for t in tours + list(random_tours(inst, rng)):
             assert_same_length(inst, t)
+            if p == 1:
+                assert assert_backend_is_dist(inst, t) == object
         if p == 1:
             assert type(tour_length(inst, tours[0])) is Fraction
 
@@ -110,6 +150,8 @@ class TestAgainstFold:
             inst = Instance(points, PNorm(p))
             for t in random_tours(inst, rng):
                 assert_same_length(inst, t)
+                if p == 1:
+                    assert assert_backend_is_dist(inst, t) == object
 
     def test_euclidean_sum_is_left_to_right(self):
         # Irrational edges at n up to 60: a pairwise sum (np.sum) differs from
