@@ -51,7 +51,7 @@ def find_crossings(inst: Instance, t: Tour, s: Tour) -> list[tuple[tuple, tuple,
             raise ValueError(f"tour is not simple; crossing pair {verdict.witness}")
     t_edges, s_edges = t.edges(), s.edges()
     out = []
-    for i, j in _candidate_pairs(inst, t, s):
+    for i, j in _candidate_pairs(inst, t.validate(inst), s.validate(inst)):
         te, se = t_edges[i], s_edges[j]
         if frozenset(te) == frozenset(se):
             continue  # shared identical edge, not a crossing

@@ -42,13 +42,13 @@ def pt(x, y) -> Point:
 
 @dataclass(frozen=True)
 class PNorm:
-    """The p-norm, p >= 1.  p=1 has an exact integer/rational fast path."""
+    """The p-norm, 1 <= p < inf.  p=1 has an exact integer/rational fast path."""
 
     p: float = 2
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError(f"p-norm requires p >= 1, got {self.p}")
+        if not 1 <= self.p < math.inf:  # also rejects NaN
+            raise ValueError(f"p must be a finite number at least 1 (the p-norm), got {self.p}")
 
     @property
     def is_one(self) -> bool:

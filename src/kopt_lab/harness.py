@@ -47,6 +47,7 @@ def gen_random(n: int, grid: int, seed: int, p: float = 2, name: str = "",
     """
     if grid < n:
         raise ValueError("grid bound must be at least n")
+    norm = PNorm(p)  # a bad p fails before any point is placed
     rng = random.Random(seed)
     points = []
     tries = 0
@@ -58,7 +59,7 @@ def gen_random(n: int, grid: int, seed: int, p: float = 2, name: str = "",
         if cand in points or _on_common_line(cand, points):
             continue
         points.append(cand)
-    return Instance(points, PNorm(p), name or f"rand-n{n}-seed{seed}")
+    return Instance(points, norm, name or f"rand-n{n}-seed{seed}")
 
 
 def random_tour(n: int, rng: random.Random) -> Tour:
@@ -86,8 +87,7 @@ class ExperimentConfig:
             raise ValueError(f"n_max must be at most {EXACT_MAX_N} (Held-Karp), got {self.n_max}")
         if self.grid < self.n_max:
             raise ValueError(f"grid ({self.grid}) must be at least n_max ({self.n_max})")
-        if not 1 <= self.p < math.inf:  # also rejects NaN
-            raise ValueError(f"p must be a finite number at least 1 (the p-norm), got {self.p}")
+        PNorm(self.p)  # the p-norm's own check: a finite p >= 1
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
 

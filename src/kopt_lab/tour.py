@@ -1,9 +1,11 @@
 """Tours, 2-Opt/3-Opt local search, k-optimality checks, exact small solvers.
 
 Everything is parametrized by the instance's distance oracle, so 2-D p-norm
-instances and 3-D Euclidean instances share the same engine.  Every distance
-computed from the coordinate arrays instead comes from one backend keyed on
-the norm, `_CoordinateDistances`: p = 1, and p = 2 on exact squares.  One
+instances and 3-D Euclidean instances share the same engine.  Each entry
+point checks its tour once, by `Tour.validate`, which returns the tour's
+ring array; the engines below take that ring.  Every distance computed
+from the coordinate arrays instead comes from one backend keyed on the
+norm, `_CoordinateDistances`: p = 1, and p = 2 on exact squares.  One
 vectorized 2-move engine serves 2-Opt, the 2-optimality verdict and the
 lower-bound family's exhaustive scan: a `_TourState` owns one fixed layout
 (two flat work arrays, a flat bool array and a shared mask) and
@@ -388,10 +390,24 @@ class Tour(NamedTuple):
         o = self.order
         return [(o[i], o[(i + 1) % len(o)]) for i in range(len(o))]
 
-    def validate(self, inst: Instance):
-        # Integer entries, as `_ring` checks: 1.0 or Fraction(1) equals 1, but makes the sum no index.
-        if sorted(self.order) != list(range(inst.n)) or not hasattr(sum(self.order), "__index__"):
+    def validate(self, inst: Instance) -> np.ndarray:
+        """The tour's vertices at ring positions 0..n (position n is position 0 again), an int array.
+
+        The one permutation check: ValueError unless one `bincount` of the n
+        entries fills each of the bins 0..n-1.  It raises on a non-int entry
+        (1.0 equals 1 but is no index), a negative one or one too large to
+        count to, and an entry >= n leaves a bin empty.  The empty tour of
+        an empty instance passes, with an empty ring.
+        """
+        order, n = self.order, inst.n
+        ring = np.array(order + order[:1], dtype=None if order else np.intp)  # np.array(()) is float
+        try:
+            ok = len(order) == n and np.count_nonzero(np.bincount(ring[:-1], minlength=n)[:n]) == n
+        except (TypeError, ValueError, MemoryError):
+            ok = False
+        if not ok:
             raise ValueError("tour is not a permutation of the instance vertices")
+        return ring
 
 
 class TwoMove(NamedTuple):
@@ -405,35 +421,20 @@ class TwoMove(NamedTuple):
 def tour_length(inst: Instance, t: Tour):
     """The sum of `inst.dist` over the tour's edges, left to right from position 0.
 
-    An instance with the `_coordinates` backend computes the edges from
-    the coordinates in tour order (`_ring` checks the tour), in the value
-    and type of `dist`, and sums them with Python's `sum`: an int over
-    int64 coordinates under p = 1, ints and Fractions left to right over
-    object ones, and the doubles `pdist` computes under p = 2.  Other
-    instances fold `inst.dist` edge by edge.
+    Both paths walk the ring of `Tour.validate`.  An instance with the
+    `_coordinates` backend computes the edges from the coordinates in ring
+    order, in the value and type of `dist`, and sums them with Python's
+    `sum`: an int over int64 coordinates under p = 1, ints and Fractions
+    left to right over object ones, and the doubles `pdist` computes under
+    p = 2.  Other instances fold `inst.dist` edge by edge.
     """
+    # Cached arrays before the ring: the other order left a 74,190-point length 0.5 MB more peak RSS.
     coordinates = inst._coordinates
+    ring = t.validate(inst)
     if coordinates is not None:
-        ring = _ring(t, inst.n)
         return sum(coordinates.pair(ring[:-1], ring[1:]).tolist())
-    t.validate(inst)
-    o = t.order
-    return sum(inst.dist(o[i], o[(i + 1) % len(o)]) for i in range(len(o)))
-
-
-def _ring(t: Tour, n: int) -> np.ndarray:
-    """The tour's vertices at ring positions 0..n (position n is position 0 again), an int array.
-
-    Checks that the order is a permutation of the n vertices, as
-    `Tour.validate` does, by one `bincount` on the int order: n entries in
-    0..n-1 that leave no vertex out.
-    """
-    ring = np.array(t.order + t.order[:1])
-    o = ring[:-1]
-    if (o.shape != (n,) or o.dtype.kind not in "iu" or o.min() < 0 or o.max() >= n
-            or not np.bincount(o, minlength=n).all()):
-        raise ValueError("tour is not a permutation of the instance vertices")
-    return ring
+    o = ring.tolist()
+    return sum(inst.dist(a, b) for a, b in zip(o, o[1:]))
 
 
 def _gain_threshold(inst: Instance, removed):
@@ -471,22 +472,23 @@ def _valid_mask(n: int, rows: int) -> np.ndarray:
 class _TourState:
     """One tour as the 2-move engine sees it, kept in step with the tour as 2-Opt moves it.
 
-    `dist` holds the distances between the tour's ring positions 0..n
-    (position n is position 0 again), gathered once from the instance's
-    cache; `reverse` then follows each applied move in place, so a scan is
-    block slices and arithmetic.  A scan block is `rows` rows of pairs
-    (`_block_rows`), and `valid` its shared mask (`_valid_mask`).  The
-    state's own work arrays are flat and reused by every block: `buffers`,
-    two arrays of `dist`'s dtype of (rows + 1) x (n + 1) cells, the second
-    of which holds the gains, and `flags`, a bool array of valid's size.
+    Built from the ring of `Tour.validate`: `dist` holds the distances
+    between the tour's ring positions 0..n (position n is position 0
+    again), gathered once from the instance's cache; `reverse` then
+    follows each applied move in place, so a scan is block slices and
+    arithmetic.  A scan block is `rows` rows of pairs (`_block_rows`), and
+    `valid` its shared mask (`_valid_mask`).  The state's own work arrays
+    are flat and reused by every block: `buffers`, two arrays of `dist`'s
+    dtype of (rows + 1) x (n + 1) cells, the second of which holds the
+    gains, and `flags`, a bool array of valid's size.
     `first` holds block 0's gain and spare views of them, in valid's shape,
     and valid itself: block 0 is the whole of each work array, so its
     views are made once, here.
     """
 
-    def __init__(self, inst: Instance, t: Tour):
-        n = t.n
-        self.dist = inst._pair_dist.take(np.array(t.order + t.order[:1], dtype=np.intp))
+    def __init__(self, inst: Instance, ring: np.ndarray):
+        n = inst.n
+        self.dist = inst._pair_dist.take(ring)
         dtype = self.dist.edge.dtype
         self.rows = _block_rows(n, dtype)
         self.valid = _valid_mask(n, self.rows)
@@ -565,10 +567,10 @@ def find_improving_2move(inst: Instance, t: Tour) -> Optional[TwoMove]:
     `_indexed_scan` instance enumerates the candidates of `_GridTour.first`;
     any other scans every pair.
     """
+    ring = t.validate(inst)
     if _indexed_scan(inst):
-        return _GridTour(inst, t).first()
-    t.validate(inst)
-    return _first_2move(inst, _TourState(inst, t))
+        return _GridTour(inst, ring).first()
+    return _first_2move(inst, _TourState(inst, ring))
 
 
 def _best_2move(inst: Instance, t: Tour) -> tuple[Optional[TwoMove], int]:
@@ -580,15 +582,15 @@ def _best_2move(inst: Instance, t: Tour) -> tuple[Optional[TwoMove], int]:
     examines the candidates of `_GridTour.best`; any other scans all
     n(n - 3)/2 pairs.
     """
+    ring = t.validate(inst)
     if _indexed_scan(inst):
-        return _GridTour(inst, t).best()
-    t.validate(inst)
-    return _dense_best(inst, t)
+        return _GridTour(inst, ring).best()
+    return _dense_best(inst, ring)
 
 
-def _dense_best(inst: Instance, t: Tour) -> tuple[Optional[TwoMove], int]:
-    """`_best_2move` by the dense engine, over all n(n - 3)/2 pairs."""
-    state = _TourState(inst, t)
+def _dense_best(inst: Instance, ring: np.ndarray) -> tuple[Optional[TwoMove], int]:
+    """`_best_2move` by the dense engine on a checked ring, over all n(n - 3)/2 pairs."""
+    state = _TourState(inst, ring)
     dtype = state.dist.edge.dtype
     floor = np.iinfo(dtype).min if dtype.kind == "i" else -np.inf
     best = None
@@ -600,7 +602,7 @@ def _dense_best(inst: Instance, t: Tour) -> tuple[Optional[TwoMove], int]:
         r, c = divmod(int(margin.argmax()), margin.shape[1])
         if best is None or margin.item(r, c) > best.gain:
             best = TwoMove(i0 + r, j0 + c, margin.item(r, c))
-    return best, max(0, t.n * (t.n - 3) // 2)
+    return best, max(0, inst.n * (inst.n - 3) // 2)
 
 
 # Incidences of one chunk of grid queries: about 16 int64 work arrays of that
@@ -701,10 +703,9 @@ class _GridTour:
     """A tour as the indexed verdicts see it: its ring-ordered coordinate distances and positions.
 
     `dist` is the instance's `_coordinates` backend taken in the order of
-    tour positions 0..n (position n is position 0 again), whose `edge[k]`
-    is the length of edge k, from position k to k + 1, in the 2-move
-    engine's arithmetic; `position[v]` is vertex v's position.  Building it
-    checks the tour (`_ring`).
+    `ring`, the tour's ring from `Tour.validate`, which the dense fallbacks
+    reuse: `edge[k]` is the length of edge k, from position k to k + 1, in
+    the 2-move engine's arithmetic.  `position[v]` is vertex v's position.
 
     The verdicts rest on one bound.  A move on edges i < j gains
     gain(i, j) = (e_i - D(o_i, o_j)) + (e_j - D(o_{i+1}, o_{j+1})), so
@@ -715,10 +716,9 @@ class _GridTour:
     these pairs are computed as the dense scan computes them.
     """
 
-    def __init__(self, inst: Instance, t: Tour):
+    def __init__(self, inst: Instance, ring: np.ndarray):
         n = inst.n
-        self.inst, self.n, self.tour = inst, n, t
-        self.ring = _ring(t, n)
+        self.inst, self.n, self.ring = inst, n, ring
         self.dist = inst._coordinates.take(self.ring)
         self.position = np.empty(n, dtype=np.intp)
         self.position[self.ring[:-1]] = np.arange(n)
@@ -797,7 +797,7 @@ class _GridTour:
         """
         parts = self._candidates(self.dist.edge_power - 1, root=False)
         if parts is None:
-            return _first_2move(self.inst, _TourState(self.inst, self.tour))
+            return _first_2move(self.inst, _TourState(self.inst, self.ring))
         keys = self._pairs(parts)
         i, j, gain, threshold = self._gains(keys)
         hit = np.flatnonzero(gain > threshold)
@@ -822,7 +822,7 @@ class _GridTour:
         margin = self._margins(seeds)[2]
         parts = self._candidates(self.dist.edge - margin.max().item() / 2, root=True)
         if parts is None:
-            return _dense_best(self.inst, self.tour)
+            return _dense_best(self.inst, self.ring)
         keys = self._pairs([seeds, *parts])
         i, j, margin = self._margins(keys)
         h = int(margin.argmax())
@@ -848,11 +848,10 @@ def apply_2move(t: Tour, m: TwoMove) -> Tour:
 def two_opt(inst: Instance, start: Tour) -> Tour:
     """Run the 2-Opt heuristic to a local optimum (first-improvement pivot).
 
-    Each scan restarts at (0, 0) on one `_TourState`, built once and
-    reversed in place after every move that `apply_2move` makes.
+    Each scan restarts at (0, 0) on one `_TourState`, built once from the
+    ring and reversed in place after every move that `apply_2move` makes.
     """
-    start.validate(inst)
-    t, state = start, _TourState(inst, start)
+    t, state = start, _TourState(inst, start.validate(inst))
     while True:
         m = _first_2move(inst, state)
         if m is None:
@@ -1028,14 +1027,15 @@ class SimpleVerdict(NamedTuple):
     witness: Optional[tuple]  # pair of crossing tour edges
 
 
-def _candidate_pairs(inst: Instance, t: Tour, s: Optional[Tour] = None):
+def _candidate_pairs(inst: Instance, t: np.ndarray, s: Optional[np.ndarray] = None):
     """The orientation-sign filter: edge pairs that need `segment_relation`, a block at a time.
 
-    Yields, in lexicographic (i, j) order, every pair of edge i of t and
-    edge j of s (of t itself, with j > i, when s is None) that the four
-    orientation signs of `segment_relation` leave open.  Edge i joins tour
-    positions i and i + 1.  The signs settle two kinds of pair, for which
-    `segment_relation` would return Disjoint or SharedEndpoint:
+    Yields, in lexicographic (i, j) order, every pair of edge i of ring t
+    and edge j of ring s (rings from `Tour.validate`; of t itself, with
+    j > i, when s is None) that the four orientation signs of
+    `segment_relation` leave open.  Edge i joins positions i and i + 1.
+    The signs settle two kinds of pair, for which `segment_relation` would
+    return Disjoint or SharedEndpoint:
     - both endpoints of one segment lie strictly on one side of the other's
       line, so the segments are disjoint;
     - the segments share one vertex and their other endpoints are not
@@ -1044,16 +1044,15 @@ def _candidate_pairs(inst: Instance, t: Tour, s: Optional[Tour] = None):
     """
     xs, ys = inst._xy
 
-    def segments(tour: Tour) -> tuple:
+    def segments(ring: np.ndarray) -> tuple:
         """Tail and head vertices, tail coordinates and direction of each edge."""
-        ring = np.array(tour.order + tour.order[:1], dtype=np.intp)
         x, y = xs[ring], ys[ring]
         return ring[:-1], ring[1:], x[:-1], y[:-1], x[1:] - x[:-1], y[1:] - y[:-1]
 
     upper = s is None
     e_all = segments(t)
     f_all = e_all if upper else segments(s)
-    n, m = t.n, len(f_all[0])
+    n, m = len(e_all[0]), len(f_all[0])
     step = max(1, _BLOCK_CELLS // max(m, 1))
     for i0 in range(0, n, step):
         j0 = i0 + 1 if upper else 0
@@ -1092,9 +1091,9 @@ def is_simple(inst: Instance, t: Tour) -> SimpleVerdict:
     The witness is the first offending pair of edges in (i, j) order.
     """
     _check_planar(inst)
-    t.validate(inst)
+    ring = t.validate(inst)
     edges = t.edges()
-    for i, j in _candidate_pairs(inst, t):
+    for i, j in _candidate_pairs(inst, ring):
         rel = segment_relation(inst.segment(*edges[i]), inst.segment(*edges[j]))
         if not isinstance(rel, (Disjoint, SharedEndpoint)):
             return SimpleVerdict(False, (edges[i], edges[j]))

@@ -44,7 +44,8 @@ def write_instance(f: TextIO, inst: Instance):
             f.write(f"{i} {p.x!r} {p.y!r} {p.z!r}\n")
     else:
         if not inst.norm.is_two:
-            f.write(f"COMMENT : PNORM={inst.norm.p:g}\n")
+            p = inst.norm.p  # an integral p as an int, any other as the float that reads back
+            f.write(f"COMMENT : PNORM={int(p) if p == int(p) else repr(float(p))}\n")
         f.write("DIMENSION : %d\n" % inst.n)
         f.write("EDGE_WEIGHT_TYPE : %s\n" % ("EUC_2D" if inst.norm.is_two else "SPECIAL"))
         f.write("NODE_COORD_SECTION\n")
@@ -118,7 +119,7 @@ def read_instance(f: TextIO) -> Instance:
     if ewt == "SPECIAL":
         if pnorm is None:
             raise TsplibError("SPECIAL edge weights require a PNORM comment")
-        norm = PNorm(int(pnorm) if pnorm == int(pnorm) else pnorm)
+        norm = PNorm(int(pnorm) if pnorm.is_integer() else pnorm)  # PNorm rejects inf and nan
     else:
         norm = PNorm(2)
     xy = None

@@ -25,6 +25,21 @@ class TestGenerators:
         text = (workdir / "r.tsp").read_text()
         assert "DIMENSION : 8" in text
 
+    @pytest.mark.parametrize("p", ["inf", "nan"])
+    def test_gen_random_rejects_a_p_that_is_no_norm(self, workdir, capsys, monkeypatch, p):
+        placed = []
+        monkeypatch.setattr(harness, "_on_common_line", lambda *args: placed.append(args))
+        assert run("gen-random", "--n", "5", "--p", p, "--out", "r.tsp") == 2
+        assert "error: p must be a finite number at least 1" in capsys.readouterr().err
+        assert placed == [] and not (workdir / "r.tsp").exists()  # rejected before any point is placed
+
+    def test_pnorm_inf_file_is_a_usage_error(self, workdir, capsys):
+        (workdir / "r.tsp").write_text(
+            "TYPE : TSP\nCOMMENT : PNORM=inf\nDIMENSION : 3\nEDGE_WEIGHT_TYPE : SPECIAL\n"
+            "NODE_COORD_SECTION\n1 0 0\n2 1 0\n3 0 1\nEOF\n")
+        assert run("solve-exact", "r.tsp") == 2
+        assert "error: p must be a finite number at least 1 (the p-norm), got inf" in capsys.readouterr().err
+
     def test_gen_lb(self, workdir):
         assert run("gen-lb", "--k", "2", "--p", "1", "--q", "3",
                    "--out", "lb.tsp") == 0

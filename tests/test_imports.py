@@ -10,7 +10,9 @@ used by the benchmark's code (its `paths`).  A helper that only tests call
 belongs in `tests/`.
 
 And it keeps the one coordinate-distance rule in one place: in `tour.py`,
-`np.abs` and `np.sqrt` appear only inside `_CoordinateDistances`.
+`np.abs` and `np.sqrt` appear only inside `_CoordinateDistances`.  So too
+the one permutation check: in `tour.py`, a tour's order is closed into a
+ring (`o + o[:1]`) only inside `Tour.validate`.
 """
 
 import ast
@@ -168,3 +170,43 @@ def test_checker_flags_a_kernel_outside_the_class():
     src = ("import numpy as np\n\nclass _Box:\n    def f(self, a):\n        return np.sqrt(np.abs(a))\n\n"
            "def g(a):\n    return np.sqrt(a) + math.sqrt(2)\n\nh = np.absolute\n")
     assert kernel_uses(src, "_Box") == [(8, "np.sqrt"), (10, "np.absolute")]
+
+
+def is_ring_build(node: ast.AST) -> bool:
+    """Whether `node` is `x + x[:1]`: a sequence closed into a ring by its own first entry."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) and isinstance(node.right, ast.Subscript)):
+        return False
+    cut = node.right.slice
+    return (isinstance(cut, ast.Slice) and cut.lower is None and cut.step is None
+            and isinstance(cut.upper, ast.Constant) and cut.upper.value == 1
+            and ast.dump(node.right.value) == ast.dump(node.left))
+
+
+def ring_builds(source: str) -> list:
+    """(line, enclosing class and function names, dotted) of every ring build in `source`."""
+    out = []
+
+    def visit(node: ast.AST, owner: str):
+        for child in ast.iter_child_nodes(node):
+            if is_ring_build(child):
+                out.append((child.lineno, owner))
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}".lstrip("."))
+            else:
+                visit(child, owner)
+
+    visit(ast.parse(source), "")
+    return sorted(out)
+
+
+def test_a_tour_becomes_a_ring_in_one_check():
+    """Every engine reads a tour through the ring that `Tour.validate` checks and returns."""
+    source = (Path(kopt_lab.__file__).parent / "tour.py").read_text()
+    assert [owner for _, owner in ring_builds(source)] == ["Tour.validate"]
+
+
+def test_checker_flags_a_ring_built_outside_the_check():
+    src = ("class Tour:\n    def validate(self):\n        return self.order + self.order[:1]\n\n"
+           "def _state(t):\n    def segments(tour):\n        return tour.order + tour.order[:1]\n"
+           "    o = t.order\n    return o + o[:1], o + o[:2], o + t.order[:1]\n\nring = x + x[:1]\n")
+    assert ring_builds(src) == [(3, "Tour.validate"), (7, "_state.segments"), (9, "_state"), (11, "")]

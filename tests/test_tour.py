@@ -1,10 +1,13 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from kopt_lab import tour as tour_module
 from kopt_lab.geometry import PNorm, pt
+from kopt_lab.lowerbound import scan_2opt_optimality
 from kopt_lab.tour import (
     Instance,
     Tour,
@@ -32,6 +35,27 @@ def rand_instance(rng, n, grid=100, p=2):
     return Instance(pts, PNorm(p))
 
 
+# Each makes a permutation o of an instance's vertices into a tour that is not one.
+BAD_TOURS = {
+    "short": lambda o: o[:-1],
+    "repeated": lambda o: o[:-1] + o[:1],
+    "too-large": lambda o: o[:-1] + (len(o),),
+    "huge": lambda o: o[:-1] + (2**40,),  # more bins than memory: no count is made
+    "negative": lambda o: (-1,) + o[1:],
+    "float": lambda o: (0, 1.0) + o[2:],  # equal to an int, but no index
+    "Fraction": lambda o: (0, Fraction(1)) + o[2:],
+    "empty": lambda o: (),
+}
+
+
+@functools.cache
+def bad_tour_instances() -> tuple:
+    """Eight points under p = 1, 2 and 3, and 200 points whose verdicts take the grid index."""
+    big = rand_instance(random.Random(9), 200, grid=10**6)
+    assert tour_module._indexed_scan(big)
+    return (*(rand_instance(random.Random(8), 8, p=p) for p in (1, 2, 3)), big)
+
+
 class TestInstance:
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError):
@@ -51,15 +75,26 @@ class TestInstance:
     @pytest.mark.parametrize("entry", [
         find_improving_2move, two_opt, tour_length, is_simple,
         lambda inst, t: is_k_optimal(inst, t, 2), lambda inst, t: is_k_optimal(inst, t, 3),
+        scan_2opt_optimality,
     ], ids=["find_improving_2move", "two_opt", "tour_length", "is_simple", "is_k_optimal-2",
-            "is_k_optimal-3"])
-    @pytest.mark.parametrize("bad", [1.0, Fraction(1)], ids=["float", "Fraction"])
+            "is_k_optimal-3", "scan_2opt_optimality"])
+    @pytest.mark.parametrize("bad", list(BAD_TOURS))
     def test_non_integer_entries_rejected(self, entry, bad):
-        """Both permutation checks, `Tour.validate` and `_ring`, reject an entry equal to an int."""
-        inst = rand_instance(random.Random(8), 8)
-        t = Tour((0, bad) + tuple(range(2, 8)))
-        with pytest.raises(ValueError, match="not a permutation"):
-            entry(inst, t)
+        """Every entry point rejects every tour that is not a permutation, on every kind of instance.
+
+        The one permutation check, `Tour.validate`, serves them all: under
+        p = 1 and p = 2 (the coordinate paths), p = 3 (the `dist` fold of
+        `tour_length`) and on an instance whose verdicts take the grid
+        index.  The empty tour is a permutation of the empty instance's
+        vertices: accepted, with one answer under every norm.
+        """
+        for inst in bad_tour_instances():
+            t = Tour(BAD_TOURS[bad](tuple(range(inst.n))))
+            with pytest.raises(ValueError, match="not a permutation"):
+                entry(inst, t)
+        if bad == "empty":
+            answers = [entry(Instance([], PNorm(p)), Tour(())) for p in (1, 2, 3)]
+            assert answers == [answers[0]] * 3
 
 
 class TestTwoOpt:

@@ -4,6 +4,7 @@ import pytest
 
 from kopt_lab import tsplib
 from kopt_lab.geometry import PNorm, pt
+from kopt_lab.harness import gen_random
 from kopt_lab.lowerbound import generate_3d_instance
 from kopt_lab.tour import Instance, Tour, tour_length
 
@@ -26,6 +27,23 @@ class TestInstanceIO:
         inst = Instance([pt(0, 0), pt(3, 4), pt(7, 1)], PNorm(3), name="tri3")
         back = roundtrip(inst)
         assert back.norm == PNorm(3)
+
+    def test_pnorm_roundtrip_keeps_every_digit(self):
+        """A non-integral p is written by `repr`, so it reads back as the same float; an integral p as an int."""
+        inst = gen_random(5, 1000, seed=1, p=1.23456789)
+        assert roundtrip(inst).norm == PNorm(1.23456789)
+        buf = io.StringIO()
+        tsplib.write_instance(buf, Instance([pt(0, 0), pt(3, 4), pt(7, 1)], PNorm(3.0)))
+        assert "COMMENT : PNORM=3\n" in buf.getvalue()
+
+    @pytest.mark.parametrize("p", ["inf", "1e400", "nan", "0.5"])
+    def test_pnorm_outside_the_norms_rejected(self, p):
+        text = (
+            f"TYPE : TSP\nCOMMENT : PNORM={p}\nDIMENSION : 2\n"
+            "EDGE_WEIGHT_TYPE : SPECIAL\nNODE_COORD_SECTION\n1 0 0\n2 1 1\nEOF\n"
+        )
+        with pytest.raises(ValueError, match="p must be a finite number at least 1"):
+            tsplib.read_instance(io.StringIO(text))
 
     def test_manhattan_roundtrip(self):
         inst = Instance([pt(0, 0), pt(3, 4), pt(7, 1)], PNorm(1))

@@ -161,14 +161,14 @@ def test_two_opt_matches_reference_pivot(name, inst, block_cells, monkeypatch):
     class CheckedState(real_state):
         """After every reversal, equal to a state built fresh for the moved tour."""
 
-        def __init__(self, inst, t):
-            super().__init__(inst, t)
-            self.inst, self.tour = inst, t
+        def __init__(self, inst, ring):
+            super().__init__(inst, ring)
+            self.inst, self.tour = inst, Tour(tuple(ring[:-1].tolist()))
 
         def reverse(self, m):
             super().reverse(m)
             self.tour = real_apply(self.tour, m)
-            assert_same_state(self, real_state(self.inst, self.tour))
+            assert_same_state(self, real_state(self.inst, self.tour.validate(self.inst)))
 
     monkeypatch.setattr(tour, "apply_2move", counting_apply)
     monkeypatch.setattr(tour, "_TourState", CheckedState)
@@ -204,7 +204,7 @@ def test_exact_scans_stay_linear_in_memory():
     assert peak < 8 * 2**20
     # Every block's mask is the state's one mask of at most the int16 budget,
     # _BLOCK_CELLS * 8 // 2 cells, or a view of it: none is made per block.
-    state = tour._TourState(inst, hand)
+    state = tour._TourState(inst, hand.validate(inst))
     assert state.dist.edge.dtype == np.int16
     assert state.valid.base is None and state.valid.size <= tour._BLOCK_CELLS * 4
     masks = [valid for *_, valid, _ in tour._gain_blocks(inst, state)]
@@ -217,7 +217,7 @@ def test_tours_of_one_size_share_read_only_blocks():
     rng = random.Random(8)
     # An int64 coordinate scan and a float64 matrix scan: one budget of 2^15 cells.
     a, b = grid_instance(rng, 40, 1, grid=2**30), grid_instance(rng, 40, 2)
-    sa, sb = (tour._TourState(inst, Tour(tuple(rng.sample(range(40), 40)))) for inst in (a, b))
+    sa, sb = (tour._TourState(inst, Tour(tuple(rng.sample(range(40), 40))).validate(inst)) for inst in (a, b))
     assert (sa.dist.edge.dtype, sb.dist.edge.dtype) == (np.int64, np.float64)
     assert sa.rows == sb.rows and sa.valid is sb.valid
     assert not sa.valid.flags.writeable
@@ -308,7 +308,7 @@ def test_scan_dtype_is_the_narrowest_exact_one(span, dtype):
     inst = spanned_instance(random.Random(span), span, 12)
     t = Tour(tuple(range(inst.n)))
     assert tour._scan_dtype(*inst._xy) == dtype
-    state = tour._TourState(inst, t)
+    state = tour._TourState(inst, t.validate(inst))
     assert state.dist.square is False
     for key, array in vars(state.dist).items():
         if isinstance(array, np.ndarray):
@@ -383,7 +383,7 @@ def test_scan_blocks_are_sized_in_bytes(inst, dtype):
     strided one.
     """
     n, itemsize = inst.n, np.dtype(dtype).itemsize
-    state = tour._TourState(inst, Tour(tuple(range(n))))
+    state = tour._TourState(inst, Tour(tuple(range(n))).validate(inst))
     assert state.dist.edge.dtype == dtype
     rows = tour._BLOCK_CELLS * 8 // itemsize // n
     assert state.rows == rows == tour._block_rows(n, np.dtype(dtype))
@@ -402,10 +402,11 @@ def test_scan_blocks_are_sized_in_bytes(inst, dtype):
 def state_memory(inst, t):
     """(state, bytes it keeps): a `_TourState` built under tracemalloc, its mask not yet cached."""
     inst._pair_dist  # the instance's own O(n) cache, not the state's
+    ring = t.validate(inst)  # the caller's, which the state does not keep
     tour._valid_mask.cache_clear()
     tracemalloc.start()
     try:
-        state = tour._TourState(inst, t)
+        state = tour._TourState(inst, ring)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
