@@ -86,6 +86,13 @@ def build_arborescence(
     the whole path and becomes the single child of the root (the region on the
     far side of e0); otherwise the root is the region containing that far
     side, adopting every top-level chord.
+
+    One stack walk along the path does the work.  The chord intervals, sorted
+    by (lo, -hi), open in that order, so each nests in the innermost interval
+    still open at its start; an open interval that ends inside the new one
+    is the first crossing pair in path order, a ChordCrossingError.  Each
+    path edge adds its length to the w of the innermost interval open over
+    it, the root when there is none, in path order.
     """
     pos = {v: i for i, v in enumerate(path)}
     m = len(path) - 1
@@ -103,51 +110,28 @@ def build_arborescence(
         lo, hi = sorted((pos[e0[0]], pos[e0[1]]))
         if (lo, hi) != (0, m):
             raise ValueError("e0 must span the full reference path")
-
-    # Laminarity: any two chord intervals are nested or interior-disjoint.
-    for i in range(len(intervals)):
-        lo1, hi1, c1 = intervals[i]
-        for j in range(i + 1, len(intervals)):
-            lo2, hi2, c2 = intervals[j]
-            if lo1 < lo2 < hi1 < hi2 or lo2 < lo1 < hi2 < hi1:
-                raise ChordCrossingError(f"chords {c1} and {c2} cross")
-
-    # Sort so that any containing interval precedes its contents.
     intervals.sort(key=lambda t: (t[0], -t[1]))
-    node_of = {}          # chord -> node id of the region just inside it
-    parents = {}
-    stack = []            # chain of open intervals (chord, lo, hi, node)
-    next_node = 1
-    for lo, hi, ch in intervals:
-        while stack and not (stack[-1][0] <= lo and hi <= stack[-1][1]):
-            stack.pop()
-        parent = stack[-1][2] if stack else 0
-        node_of[ch] = next_node
-        parents[next_node] = parent
-        stack.append((lo, hi, next_node))
-        next_node += 1
 
-    n_nodes = next_node
-    chord_len = {ch: float(inst.dist(*ch)) for ch in node_of}
-
-    # Each path edge (t, t+1) belongs to the region of the smallest interval
-    # containing it; uncovered path edges border the root region.
-    owner = [0] * m
-    for lo, hi, ch in sorted(intervals, key=lambda t: (t[1] - t[0]), reverse=True):
-        node = node_of[ch]
-        for t in range(lo, hi):
-            owner[t] = node
-    path_edge_len = [float(inst.dist(path[t], path[t + 1])) for t in range(m)]
-
-    w_of = [0.0] * n_nodes
+    stack = [(m, 0, None)]  # open intervals (hi, node, chord), innermost last; the root spans the path
+    parents, w = [], [0.0] * (len(intervals) + 1)
+    k = 0
     for t in range(m):
-        w_of[owner[t]] += path_edge_len[t]
+        while stack[-1][0] <= t:
+            stack.pop()
+        while k < len(intervals) and intervals[k][0] == t:
+            _, hi, ch = intervals[k]
+            if stack[-1][0] < hi:
+                raise ChordCrossingError(f"chords {stack[-1][2]} and {ch} cross")
+            parents.append(stack[-1][1])
+            k += 1
+            stack.append((hi, k, ch))
+        w[stack[-1][1]] += float(inst.dist(path[t], path[t + 1]))
 
     edges = [
-        ArbEdge(tail=parents[node], head=node, c=chord_len[ch], w=w_of[node], chord=ch)
-        for ch, node in node_of.items()
+        ArbEdge(tail=parent, head=node, c=float(inst.dist(*ch)), w=w[node], chord=ch)
+        for node, (parent, (_, _, ch)) in enumerate(zip(parents, intervals), 1)
     ]
-    return Arborescence(n_nodes=n_nodes, edges=edges)
+    return Arborescence(n_nodes=len(intervals) + 1, edges=edges)
 
 
 @dataclass
@@ -179,13 +163,15 @@ def verify_combined_inequalities(arb: Arborescence) -> ArborescenceCertificate:
     for idx, e in enumerate(arb.edges):
         rhs = e.w + sum(arb.edges[f].c for f in arb.child_edges(e.head))
         slack = rhs - e.c
-        cert.triangle.append(InequalityCheck(f"triangle[{idx}]", slack >= -_eps(e.c, rhs), slack))
+        cert.triangle.append(InequalityCheck(
+            f"triangle[{idx}] chord {e.chord}", slack >= -_eps(e.c, rhs), slack))
         for f in arb.child_edges(e.head):
             rhs4 = e.w + sum(arb.edges[g].c for g in arb.child_edges(e.head) if g != f)
             lhs4 = e.c + arb.edges[f].c
             slack = rhs4 - lhs4
             cert.two_opt.append(
-                InequalityCheck(f"2opt[{idx},{f}]", slack >= -_eps(lhs4, rhs4), slack)
+                InequalityCheck(f"2opt[{idx},{f}] chords {e.chord} {arb.edges[f].chord}",
+                                slack >= -_eps(lhs4, rhs4), slack)
             )
     return cert
 
@@ -334,29 +320,22 @@ def certify_pair(inst: Instance, t_opt: Tour, s_2opt: Tour) -> PairCertificate:
     if not is_k_optimal(vp, pair.sprime, 2).optimal:
         raise AssertionError("subdivided tour S' lost 2-optimality")
 
-    part = partition_edges(pair)
+    classes, s3 = partition_edges(pair)
     failures = []
     arb_stats = []
-    classes = [
-        ("S1'", part.s1p, part.e0, part.e0_path),
-        ("S1''", part.s1pp, part.e0, part.e0_path),
-        ("S2'", part.s2p, part.f0, part.f0_path),
-        ("S2''", part.s2pp, part.f0, part.f0_path),
-    ]
-    for name, chords, e0, path in classes:
+    for name, chords, path, root in classes:
         stat = {"class": name, "n_chords": len(chords)}
         if not chords:
             stat["note"] = "empty"
-        elif e0 is None:
+        elif path is None:
             # Single chord: bounded directly by the triangle inequality via c(T').
             chord_len = float(vp.dist(*chords[0]))
             stat["note"] = "triangle-inequality bound"
             stat["c_total"] = chord_len
             if chord_len > len_t + _eps(chord_len, len_t):
-                failures.append(f"{name}: single chord longer than c(T)")
+                failures.append(f"{name}: single chord {chords[0]} longer than c(T)")
         else:
-            use_e0 = e0 if name in ("S1'", "S2'") else None
-            arb = build_arborescence(vp, path, chords, e0=use_e0)
+            arb = build_arborescence(vp, path, chords, e0=root)
             cert_ineq = verify_combined_inequalities(arb)
             cert_lem = verify_lemma_suite(arb)
             c_total, w_total = arb.c_total(), arb.w_total()
@@ -386,10 +365,7 @@ def certify_pair(inst: Instance, t_opt: Tour, s_2opt: Tour) -> PairCertificate:
         nprime=nprime,
         crossings=pair.crossings,
         lengths={"t": len_t, "s": len_s},
-        part_sizes={
-            "S1'": len(part.s1p), "S1''": len(part.s1pp),
-            "S2'": len(part.s2p), "S2''": len(part.s2pp), "S3": len(part.s3),
-        },
+        part_sizes={**{cls.name: len(cls.chords) for cls in classes}, "S3": len(s3)},
         arb_stats=arb_stats,
         failures=failures,
     )

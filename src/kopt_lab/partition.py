@@ -2,38 +2,30 @@
 
 Edges of S' are split by position (interior / exterior / on the polygon T')
 and the interior and exterior chord sets are further split by orientation
-compatibility with a reference path along T'.
+compatibility with a reference path along T', into one table of chord
+classes that the certificate loops over.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .crossing import CrossingFreePair
 from .geometry import Point, orientation
 from .tour import Tour
 
 
-class NotEnoughChords(ValueError):
-    """Fewer than two chords: the caller bounds their length by c(T) directly."""
-
-
 class PartitionError(ValueError):
     pass
 
 
-@dataclass
-class EdgePartition:
-    s1p: list   # interior chords, orientation-compatible with the reference path
-    s1pp: list  # interior chords, oriented the other way
-    s2p: list   # exterior, compatible
-    s2pp: list  # exterior, other way
-    s3: list    # edges identical to T' edges
-    e0: Optional[tuple] = None          # interior reference edge
-    e0_path: Optional[list] = None      # vertex path along T' from x0 to y0
-    f0: Optional[tuple] = None          # exterior reference edge
-    f0_path: Optional[list] = None
+class ChordClass(NamedTuple):
+    """One row of the chord table: a class of S' chords and what bounds it."""
+
+    name: str               # S1' / S1'' interior, S2' / S2'' exterior; ' marks the compatible class
+    chords: list
+    path: Optional[list]    # the side's T' path from x0 to y0; None below two chords
+    root: Optional[tuple]   # e0 (f0 outside) for the compatible class, None for the other
 
 
 def _in_cone(p: Point, u: Point, q: Point, v: Point) -> Optional[bool]:
@@ -89,38 +81,34 @@ def classify_edges(pair: CrossingFreePair) -> tuple[list, list, list]:
     return s1, s2, s3
 
 
-def _tour_paths(tprime: Tour, a: int, b: int) -> tuple[list, list]:
-    """The two vertex paths from a to b along the cycle T'."""
-    o = list(tprime.order)
-    ia, ib = o.index(a), o.index(b)
-    n = len(o)
-    fwd = [o[(ia + k) % n] for k in range(((ib - ia) % n) + 1)]
-    bwd = [o[(ia - k) % n] for k in range(((ia - ib) % n) + 1)]
-    return fwd, bwd
-
-
 def select_reference_edge(chords: list, tprime: Tour) -> tuple[tuple, list]:
     """Pick e0 = (x0, y0) and the x0->y0 path along T' carrying all other chord endpoints.
 
-    e0 qualifies when one of the two x0-y0 paths contains no other chord
-    endpoint in its interior; among qualifying chords the one with the
-    smallest tail vertex index wins.
+    T' positions are mapped once.  e0 qualifies when its endpoints are
+    adjacent among the sorted positions of all chord endpoints, so one of
+    its two T' paths holds no other endpoint; among qualifying chords the
+    least tail wins, the first in input order on ties.  The carrier is the
+    other path: backward when the forward one is clear (forward wins when
+    both are), else forward.  Only that path is built: O(n + k log k).
     """
     if len(chords) < 2:
-        raise NotEnoughChords(f"need at least 2 chords, got {len(chords)}")
-    endpoints = {v for e in chords for v in e}
+        raise PartitionError(f"need at least 2 chords, got {len(chords)}")
+    order = tprime.order
+    n = len(order)
+    pos = {v: i for i, v in enumerate(order)}
+    ends = sorted({pos[v] for e in chords for v in e})
+    succ = dict(zip(ends, ends[1:] + ends[:1]))  # the next endpoint position forward along T'
     best = None
     for a, b in chords:
-        fwd, bwd = _tour_paths(tprime, a, b)
-        others = endpoints - {a, b}
-        for clear, carrier in ((fwd, bwd), (bwd, fwd)):
-            if not (set(clear[1:-1]) & others):
-                if best is None or a < best[0][0]:
-                    best = ((a, b), carrier)
-                break
+        forward_clear = succ[pos[a]] == pos[b]
+        if (forward_clear or succ[pos[b]] == pos[a]) and (best is None or a < best[0][0]):
+            best = ((a, b), forward_clear)
     if best is None:
         raise PartitionError("no reference chord found; chord set is not laminar along T'")
-    return best
+    (a, b), forward_clear = best
+    step = -1 if forward_clear else 1
+    path = [order[(pos[a] + step * k) % n] for k in range((step * (pos[b] - pos[a])) % n + 1)]
+    return (a, b), path
 
 
 def orientation_split(chords: list, e0: tuple, path: list) -> tuple[list, list]:
@@ -140,18 +128,20 @@ def orientation_split(chords: list, e0: tuple, path: list) -> tuple[list, list]:
     return compatible, reversed_
 
 
-def partition_edges(pair: CrossingFreePair) -> EdgePartition:
-    """Full five-way partition; chord sets with < 2 chords stay unsplit in s1p/s2p."""
+def partition_edges(pair: CrossingFreePair) -> tuple[list, list]:
+    """The chord table of S' against T', S1', S1'', S2', S2'' in that order, and S3.
+
+    A side with fewer than two chords has no reference chord: its chords
+    stay in the compatible row, and both of its rows have no path, since the
+    caller bounds a lone chord by c(T) directly.
+    """
     s1, s2, s3 = classify_edges(pair)
-    part = EdgePartition(s1p=[], s1pp=[], s2p=[], s2pp=[], s3=s3)
-    for chords, tag in ((s1, "interior"), (s2, "exterior")):
-        try:
-            e0, path = select_reference_edge(chords, pair.tprime)
-            compat, rest = orientation_split(chords, e0, path)
-        except NotEnoughChords:
-            e0, path, compat, rest = None, None, list(chords), []
-        if tag == "interior":
-            part.s1p, part.s1pp, part.e0, part.e0_path = compat, rest, e0, path
-        else:
-            part.s2p, part.s2pp, part.f0, part.f0_path = compat, rest, e0, path
-    return part
+    table = []
+    for side, chords in (("S1", s1), ("S2", s2)):
+        root = path = None
+        compat, rest = chords, []
+        if len(chords) >= 2:
+            root, path = select_reference_edge(chords, pair.tprime)
+            compat, rest = orientation_split(chords, root, path)
+        table += [ChordClass(side + "'", compat, path, root), ChordClass(side + "''", rest, path, None)]
+    return table, s3

@@ -102,7 +102,12 @@ def read_instance(f: TextIO) -> Instance:
                 if ewt not in ("EUC_2D", "EUC_3D", "SPECIAL"):
                     raise TsplibError(f"unsupported EDGE_WEIGHT_TYPE {val}")
             elif key == "COMMENT" and val.upper().startswith("PNORM="):
-                pnorm = _number(float, val[6:], lineno, raw)
+                p = _number(float, val[6:], lineno, raw)
+                try:
+                    pnorm = PNorm(int(p) if p.is_integer() else p)
+                except ValueError as err:  # inf, nan or below 1
+                    raise TsplibError(f"line {lineno}: {val[6:]!r} is not a p-norm in {raw.strip()!r}: "
+                                      f"{err}") from None
         else:
             raise TsplibError(f"unrecognized line: {raw!r}")
     if ewt is None or dim is None:
@@ -116,12 +121,9 @@ def read_instance(f: TextIO) -> Instance:
         if coords[node - 1] is not None:
             raise TsplibError(f"line {lineno}: node id {node} is repeated in {raw.strip()!r}")
         coords[node - 1] = c
-    if ewt == "SPECIAL":
-        if pnorm is None:
-            raise TsplibError("SPECIAL edge weights require a PNORM comment")
-        norm = PNorm(int(pnorm) if pnorm.is_integer() else pnorm)  # PNorm rejects inf and nan
-    else:
-        norm = PNorm(2)
+    if ewt == "SPECIAL" and pnorm is None:
+        raise TsplibError("SPECIAL edge weights require a PNORM comment")
+    norm = pnorm if ewt == "SPECIAL" else PNorm(2)
     xy = None
     if ewt != "EUC_3D":
         try:

@@ -1,0 +1,119 @@
+"""Reference certificate steps: the per-chord path scans and pairwise loops the stack walks replaced.
+
+`reference_select_reference_edge` builds both T' paths between the
+endpoints of every chord (`reference_tour_paths`) and looks for other
+chord endpoints inside each.  `reference_build_arborescence` tests
+laminarity on every pair of chord intervals, nests them with a stack, and
+paints each path edge with the intervals longest first, so the innermost
+one owns it.  The tests use them as the oracle for
+`partition.select_reference_edge` and `arborescence.build_arborescence`.
+"""
+
+from typing import Optional
+
+from kopt_lab.arborescence import Arborescence, ArbEdge, ChordCrossingError
+from kopt_lab.partition import PartitionError
+from kopt_lab.tour import Instance, Tour
+
+
+def reference_tour_paths(tprime: Tour, a: int, b: int) -> tuple[list, list]:
+    """The two vertex paths from a to b along the cycle T'."""
+    o = list(tprime.order)
+    ia, ib = o.index(a), o.index(b)
+    n = len(o)
+    fwd = [o[(ia + k) % n] for k in range(((ib - ia) % n) + 1)]
+    bwd = [o[(ia - k) % n] for k in range(((ia - ib) % n) + 1)]
+    return fwd, bwd
+
+
+def reference_select_reference_edge(chords: list, tprime: Tour) -> tuple[tuple, list]:
+    """e0 and the x0 -> y0 path along T' that carries every other chord endpoint.
+
+    e0 qualifies when one of its two T' paths holds no other chord endpoint
+    in its interior; the least tail wins, the first in input order on ties.
+    """
+    if len(chords) < 2:
+        raise PartitionError(f"need at least 2 chords, got {len(chords)}")
+    endpoints = {v for e in chords for v in e}
+    best = None
+    for a, b in chords:
+        fwd, bwd = reference_tour_paths(tprime, a, b)
+        others = endpoints - {a, b}
+        for clear, carrier in ((fwd, bwd), (bwd, fwd)):
+            if not (set(clear[1:-1]) & others):
+                if best is None or a < best[0][0]:
+                    best = ((a, b), carrier)
+                break
+    if best is None:
+        raise PartitionError("no reference chord found; chord set is not laminar along T'")
+    return best
+
+
+def reference_build_arborescence(
+    inst: Instance,
+    path: list,
+    chords: list,
+    e0: Optional[tuple] = None,
+) -> Arborescence:
+    """The dual arborescence of `chords` on `path`, rooted beyond e0 when it is given."""
+    pos = {v: i for i, v in enumerate(path)}
+    m = len(path) - 1
+    intervals = []
+    for a, b in chords:
+        if a not in pos or b not in pos:
+            raise ValueError(f"chord {(a, b)} has an endpoint off the path")
+        lo, hi = sorted((pos[a], pos[b]))
+        if hi - lo < 1:
+            raise ValueError(f"degenerate chord {(a, b)}")
+        intervals.append((lo, hi, (a, b)))
+    if e0 is not None:
+        if e0 not in chords:
+            raise ValueError("e0 must be one of the chords")
+        lo, hi = sorted((pos[e0[0]], pos[e0[1]]))
+        if (lo, hi) != (0, m):
+            raise ValueError("e0 must span the full reference path")
+
+    # Laminarity: any two chord intervals are nested or interior-disjoint.
+    for i in range(len(intervals)):
+        lo1, hi1, c1 = intervals[i]
+        for j in range(i + 1, len(intervals)):
+            lo2, hi2, c2 = intervals[j]
+            if lo1 < lo2 < hi1 < hi2 or lo2 < lo1 < hi2 < hi1:
+                raise ChordCrossingError(f"chords {c1} and {c2} cross")
+
+    # Sort so that any containing interval precedes its contents.
+    intervals.sort(key=lambda t: (t[0], -t[1]))
+    node_of = {}          # chord -> node id of the region just inside it
+    parents = {}
+    stack = []            # chain of open intervals (lo, hi, node)
+    next_node = 1
+    for lo, hi, ch in intervals:
+        while stack and not (stack[-1][0] <= lo and hi <= stack[-1][1]):
+            stack.pop()
+        parent = stack[-1][2] if stack else 0
+        node_of[ch] = next_node
+        parents[next_node] = parent
+        stack.append((lo, hi, next_node))
+        next_node += 1
+
+    n_nodes = next_node
+    chord_len = {ch: float(inst.dist(*ch)) for ch in node_of}
+
+    # Each path edge (t, t+1) belongs to the region of the smallest interval
+    # containing it; uncovered path edges border the root region.
+    owner = [0] * m
+    for lo, hi, ch in sorted(intervals, key=lambda t: (t[1] - t[0]), reverse=True):
+        node = node_of[ch]
+        for t in range(lo, hi):
+            owner[t] = node
+    path_edge_len = [float(inst.dist(path[t], path[t + 1])) for t in range(m)]
+
+    w_of = [0.0] * n_nodes
+    for t in range(m):
+        w_of[owner[t]] += path_edge_len[t]
+
+    edges = [
+        ArbEdge(tail=parents[node], head=node, c=chord_len[ch], w=w_of[node], chord=ch)
+        for ch, node in node_of.items()
+    ]
+    return Arborescence(n_nodes=n_nodes, edges=edges)

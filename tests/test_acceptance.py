@@ -61,22 +61,11 @@ def corpus():
         cert = certify_pair(inst, t, s)
 
         pair = make_crossing_free(inst, t, s)
-        part = partition_edges(pair)
-        arbs = []
-        for chords, e0, path, use_e0 in (
-            (part.s1p, part.e0, part.e0_path, True),
-            (part.s1pp, part.e0, part.e0_path, False),
-            (part.s2p, part.f0, part.f0_path, True),
-            (part.s2pp, part.f0, part.f0_path, False),
-        ):
-            if not chords or e0 is None:
-                continue
-            arbs.append(
-                build_arborescence(
-                    pair.instance, path, list(chords),
-                    e0=e0 if use_e0 else None,
-                )
-            )
+        arbs = [
+            build_arborescence(pair.instance, path, chords, e0=root)
+            for _, chords, path, root in partition_edges(pair)[0]
+            if chords and path is not None
+        ]
         records.append(
             {"inst": inst, "s": s, "t": t, "cert": cert, "arbs": arbs}
         )

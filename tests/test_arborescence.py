@@ -4,10 +4,12 @@ import random
 import numpy as np
 import pytest
 
+from kopt_lab import arborescence as arb_module
 from kopt_lab.arborescence import (
     ArbEdge,
     Arborescence,
     ChordCrossingError,
+    InequalityCheck,
     build_arborescence,
     certified_ratio_bound,
     certify_pair,
@@ -21,7 +23,7 @@ from kopt_lab import tour as tour_module
 from kopt_lab.geometry import PNorm, pdist, pt
 from kopt_lab.harness import gen_random, random_tour
 from kopt_lab.partition import partition_edges
-from kopt_lab.tour import Instance, Tour, exact_opt, tour_length, two_opt
+from kopt_lab.tour import Instance, Tour, exact_opt, is_k_optimal, tour_length, two_opt
 
 from synthetic import random_feasible_arborescence
 from worked_examples import fortytwo_point_pair, twelve_point_pair
@@ -31,22 +33,23 @@ from worked_examples import fortytwo_point_pair, twelve_point_pair
 def fortytwo_arb():
     inst, t, s = fortytwo_point_pair()
     pair = make_crossing_free(inst, t, s)
-    part = partition_edges(pair)
-    arb = build_arborescence(pair.instance, part.e0_path, part.s1p, e0=part.e0)
-    return pair, part, arb
+    s1p = partition_edges(pair)[0][0]
+    assert s1p.name == "S1'"
+    arb = build_arborescence(pair.instance, s1p.path, s1p.chords, e0=s1p.root)
+    return pair, s1p, arb
 
 
 class TestConstruction:
     def test_one_node_per_chord_plus_root(self, fortytwo_arb):
-        _, part, arb = fortytwo_arb
-        assert len(arb.edges) == len(part.s1p) == 9
+        _, s1p, arb = fortytwo_arb
+        assert len(arb.edges) == len(s1p.chords) == 9
         assert arb.n_nodes == 10
 
     def test_reference_edge_is_single_root_child(self, fortytwo_arb):
-        _, part, arb = fortytwo_arb
+        _, s1p, arb = fortytwo_arb
         root_kids = arb.child_edges(arb.root)
         assert len(root_kids) == 1
-        assert arb.edges[root_kids[0]].chord == part.e0
+        assert arb.edges[root_kids[0]].chord == s1p.root
 
     def test_chord_weights_are_chord_lengths(self, fortytwo_arb):
         pair, _, arb = fortytwo_arb
@@ -56,10 +59,10 @@ class TestConstruction:
     def test_tour_weight_conservation(self, fortytwo_arb):
         # every reference-path edge is owned by exactly one region, so the
         # w-weights sum to at most the tour length
-        pair, part, arb = fortytwo_arb
+        pair, s1p, arb = fortytwo_arb
         path_len = sum(
             float(pair.instance.dist(a, b))
-            for a, b in zip(part.e0_path, part.e0_path[1:])
+            for a, b in zip(s1p.path, s1p.path[1:])
         )
         w_non_root = sum(e.w for e in arb.edges)
         assert w_non_root <= path_len + 1e-9
@@ -222,3 +225,89 @@ class TestCertifyPair:
         assert k > 0 and 0 < len(calls) <= k * (n + k)
         want = [[pdist(vp.norm, a, b) for b in vp.points] for a in vp.points]
         assert matrix.tobytes() == np.array(want).tobytes()
+
+
+def lopsided_arb(n_edges: int, ratio: float) -> Arborescence:
+    """A chain of n_edges chords (0, 1), (0, 2), ... with c(A) = ratio * w(A): far past c(A) >= 18 w(A)."""
+    edges = [ArbEdge(tail=k, head=k + 1, c=ratio, w=1.0, chord=(0, k + 1)) for k in range(n_edges)]
+    return Arborescence(n_nodes=n_edges + 1, edges=edges)
+
+
+# A pair whose exterior side has one chord: S2' holds it, bounded by c(T) alone.
+LONE_CHORD_POINTS = [(46, 60), (61, 36), (53, 29), (57, 0), (52, 84), (91, 33), (30, 81)]
+LONE_CHORD_T = (0, 6, 4, 5, 3, 2, 1)
+LONE_CHORD_S = (4, 6, 0, 2, 3, 5, 1)
+
+
+class TestChecksFire:
+    """Every failure branch of the certificate, fired on hand-built inputs and monkeypatched bounds."""
+
+    def test_failed_inequalities_name_their_chords(self):
+        cert = verify_combined_inequalities(lopsided_arb(2, 50.0))
+        assert [(c.label, c.passed) for c in cert.triangle + cert.two_opt] == [
+            ("triangle[0] chord (0, 1)", True),   # w + c(child) = 51 >= 50
+            ("triangle[1] chord (0, 2)", False),
+            ("2opt[0,1] chords (0, 1) (0, 2)", False),
+        ]
+
+    def test_failed_inequality_fails_the_pair(self, monkeypatch):
+        monkeypatch.setattr(arb_module, "build_arborescence", lambda *a, **k: lopsided_arb(2, 50.0))
+        inst, t, s = fortytwo_point_pair()
+        cert = certify_pair(inst, t, s)
+        assert not cert.passed
+        assert [a["class"] for a in cert.arb_stats if a.get("combined_pass") is False] == [
+            "S1'", "S1''", "S2'", "S2''"]
+        assert "S1': triangle[1] chord (0, 2) (slack -4.900e+01)" in cert.failures
+        assert "S2'': 2opt[0,1] chords (0, 1) (0, 2) (slack -9.900e+01)" in cert.failures
+        assert "S1': main: |E(A)| too small for log log (slack -1.000e+00)" in cert.failures
+
+    def test_single_chord_longer_than_the_reference_tour(self, monkeypatch):
+        inst = Instance([pt(x, y) for x, y in LONE_CHORD_POINTS], PNorm(2))
+        t, s = Tour(LONE_CHORD_T), Tour(LONE_CHORD_S)
+        assert certify_pair(inst, t, s).passed
+        # c(T) read as 1: shorter than any chord
+        monkeypatch.setattr(arb_module, "tour_length",
+                            lambda i, tour: 1 if tour is t else tour_length(i, tour))
+        cert = certify_pair(inst, t, s)
+        assert [a["note"] for a in cert.arb_stats if a["class"] == "S2'"] == ["triangle-inequality bound"]
+        assert "S2': single chord (0, 2) longer than c(T)" in cert.failures
+        assert not cert.passed
+
+    def test_ratio_above_the_bound(self, monkeypatch):
+        monkeypatch.setattr(arb_module, "certified_ratio_bound", lambda nprime: 0.5)
+        inst, t, s = fortytwo_point_pair()
+        cert = certify_pair(inst, t, s)
+        assert cert.failures == [f"ratio {cert.ratio} exceeds certified bound 0.5"]
+        assert not cert.passed and cert.bound == 0.5
+
+    def test_subdivided_tour_that_lost_2_optimality(self, monkeypatch):
+        inst, t, s = twelve_point_pair()
+        verdicts = []
+
+        def second_verdict_fails(i, tour, k):
+            verdict = is_k_optimal(i, tour, k)
+            verdicts.append(verdict)
+            return verdict if len(verdicts) == 1 else verdict._replace(optimal=False)
+
+        monkeypatch.setattr(arb_module, "is_k_optimal", second_verdict_fails)
+        with pytest.raises(AssertionError, match="subdivided tour S' lost 2-optimality"):
+            certify_pair(inst, t, s)
+        assert len(verdicts) == 2
+
+    @pytest.mark.parametrize("n_edges, ratio, passed", [
+        (3, 18.0, True),    # the bound at |E| = 3: 12 log2(3) / log2(log2(3)) = 28.6 w(A)
+        (3, 40.0, False),
+        (8, 22.0, True),    # at |E| = 8: 12 * 3 / log2(3) = 22.7 w(A)
+        (8, 23.0, False),
+    ])
+    def test_main_lemma_checked(self, n_edges, ratio, passed):
+        cert = verify_lemma_suite(lopsided_arb(n_edges, ratio))
+        assert cert.params["main_lemma"] == "checked"
+        main = [c for c in cert.lemma_checks if c.label.startswith("main")]
+        assert [(c.label, c.passed) for c in main] == [("main: c(A) <= 12*log/loglog(|E|)*w(A)", passed)]
+
+    @pytest.mark.parametrize("n_edges", [1, 2])
+    def test_main_lemma_checked_below_three_edges(self, n_edges):
+        cert = verify_lemma_suite(lopsided_arb(n_edges, 18.0))
+        assert cert.params["main_lemma"] == "checked"
+        assert cert.lemma_checks[-1] == InequalityCheck("main: |E(A)| too small for log log", False, -1.0)

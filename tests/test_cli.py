@@ -38,7 +38,8 @@ class TestGenerators:
             "TYPE : TSP\nCOMMENT : PNORM=inf\nDIMENSION : 3\nEDGE_WEIGHT_TYPE : SPECIAL\n"
             "NODE_COORD_SECTION\n1 0 0\n2 1 0\n3 0 1\nEOF\n")
         assert run("solve-exact", "r.tsp") == 2
-        assert "error: p must be a finite number at least 1 (the p-norm), got inf" in capsys.readouterr().err
+        assert ("error: line 2: 'inf' is not a p-norm in 'COMMENT : PNORM=inf': "
+                "p must be a finite number at least 1 (the p-norm), got inf") in capsys.readouterr().err
 
     def test_gen_lb(self, workdir):
         assert run("gen-lb", "--k", "2", "--p", "1", "--q", "3",

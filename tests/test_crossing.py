@@ -156,5 +156,5 @@ class TestPinnedSubdivisions:
                      pair.tprime.order, pair.sprime.order, pair.provenance))
         assert pair.crossings == crossings
         assert hashlib.sha256(text.encode()).hexdigest() == digest
-        part = partition_edges(pair)
-        assert tuple(map(len, (part.s1p, part.s1pp, part.s2p, part.s2pp, part.s3))) == sizes
+        classes, s3 = partition_edges(pair)
+        assert tuple(len(row.chords) for row in classes) + (len(s3),) == sizes

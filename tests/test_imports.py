@@ -13,6 +13,9 @@ And it keeps the one coordinate-distance rule in one place: in `tour.py`,
 `np.abs` and `np.sqrt` appear only inside `_CoordinateDistances`.  So too
 the one permutation check: in `tour.py`, a tour's order is closed into a
 ring (`o + o[:1]`) only inside `Tour.validate`.
+
+And every oracle kept in `tests/reference_*.py` is imported by some test
+module: an oracle that no test compares against checks nothing.
 """
 
 import ast
@@ -24,6 +27,7 @@ import pytest
 import kopt_lab
 
 MODULES = sorted(p for p in Path(kopt_lab.__file__).parent.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
 ROOT = Path(kopt_lab.__file__).resolve().parents[2]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 # Public functions kept without a caller in `src`, each with its reason.
@@ -210,3 +214,34 @@ def test_checker_flags_a_ring_built_outside_the_check():
            "def _state(t):\n    def segments(tour):\n        return tour.order + tour.order[:1]\n"
            "    o = t.order\n    return o + o[:1], o + o[:2], o + t.order[:1]\n\nring = x + x[:1]\n")
     assert ring_builds(src) == [(3, "Tour.validate"), (7, "_state.segments"), (9, "_state"), (11, "")]
+
+
+def unimported_oracles(sources: dict) -> list:
+    """The `reference_*` modules of `sources` (module name -> code) that no `test_*` module imports."""
+    imported = set()
+    for mod, src in sources.items():
+        if mod.startswith("test_"):
+            for node in ast.walk(ast.parse(src)):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module)
+    return sorted(mod for mod in sources if mod.startswith("reference_") and mod not in imported)
+
+
+def test_every_oracle_is_imported_by_a_test():
+    sources = {path.stem: path.read_text() for path in TESTS.glob("*.py")}
+    assert any(mod.startswith("reference_") for mod in sources)
+    assert unimported_oracles(sources) == []
+
+
+def test_checker_flags_an_oracle_no_test_imports():
+    sources = {
+        "reference_a": "def f():\n    return 1\n",
+        "reference_b": "from reference_a import f\n",
+        "reference_c": "",
+        "reference_d": "",
+        "test_x": "import reference_c\nfrom reference_b import g\n\ndef test_y():\n    pass\n",
+        "helper": "import reference_d\n",
+    }
+    assert unimported_oracles(sources) == ["reference_a", "reference_d"]

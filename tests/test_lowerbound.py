@@ -59,6 +59,16 @@ class TestLayeredGenerator:
         with pytest.raises(ValueError):
             generate_lb_instance(2, 1, 4)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: layer_offset(-1, 3, 1), r"layer index -1 out of range 0\.\.3"),
+        (lambda: layer_offset(4, 3, 1), r"layer index 4 out of range 0\.\.3"),
+        (lambda: generate_lb_instance(2, 0, 3), "p must be >= 1"),
+        (lambda: generate_lb_instance(1, 1, 3), "k must be >= 2"),
+    ], ids=["layer-below", "layer-above", "p-below-1", "k-below-2"])
+    def test_parameters_out_of_range_rejected(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
     def test_p2_instance_also_wellformed(self):
         lb = generate_lb_instance(2, 2, 3)
         assert lb.n == len(set(lb.as_instance().points))
@@ -138,6 +148,17 @@ class TestEstimate:
         rhs = (2 * q ** ((p + 1) * (q - s)) + 2 * q ** ((p + 1) * (q - s - 1))) ** p
         assert lhs - rhs == 81
         assert estimate_inequality(2, 2, 2, p, q, s)
+
+    @pytest.mark.parametrize("a, b, s, message", [
+        (-1, 0, 0, "need 0 <= a, b <= k"),
+        (3, 0, 0, "need 0 <= a, b <= k"),
+        (0, 3, 0, "need 0 <= a, b <= k"),
+        (0, 0, -1, "need 0 <= s < q"),
+        (0, 0, 3, "need 0 <= s < q"),
+    ], ids=["a-below", "a-above", "b-above", "s-below", "s-at-q"])
+    def test_arguments_out_of_range_rejected(self, a, b, s, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            estimate_inequality(a, b, 2, 1, 3, s)
 
     def test_scan_threshold_grows_with_p(self):
         # the inequality only holds for q large enough; the threshold depends

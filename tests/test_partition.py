@@ -8,17 +8,16 @@ from kopt_lab.crossing import CrossingFreePair, make_crossing_free
 from kopt_lab.geometry import PNorm, Point, orientation, pt
 from kopt_lab.harness import gen_random, random_tour
 from kopt_lab.partition import (
-    NotEnoughChords,
     PartitionError,
     classify_edges,
     orientation_split,
     partition_edges,
     select_reference_edge,
     _in_cone,
-    _tour_paths,
 )
 from kopt_lab.tour import Instance, Tour, two_opt
 
+from reference_certificate import reference_tour_paths
 from reference_predicates import point_in_polygon, reference_classify_edges
 
 from worked_examples import (
@@ -70,7 +69,7 @@ class TestReferenceEdge:
         endpoints = {v for e in s1 for v in e}
         assert endpoints <= set(path)
         # the complementary path is clear of other chord endpoints
-        fwd, bwd = _tour_paths(fortytwo_pair.tprime, *e0)
+        fwd, bwd = reference_tour_paths(fortytwo_pair.tprime, *e0)
         other = next(p for p in (fwd, bwd) if p != path)
         assert not (set(other[1:-1]) & (endpoints - set(e0)))
 
@@ -87,7 +86,7 @@ class TestReferenceEdge:
         e0 = tuple(v - 1 for v in FORTYTWO_E0)
         assert e0 in s1
         endpoints = {v for e in s1 for v in e}
-        fwd, bwd = _tour_paths(fortytwo_pair.tprime, *e0)
+        fwd, bwd = reference_tour_paths(fortytwo_pair.tprime, *e0)
         path = next(
             p for p in (fwd, bwd) if not (set(p[1:-1]) & (endpoints - set(e0)))
         )
@@ -97,39 +96,50 @@ class TestReferenceEdge:
         assert len(rest) == len(s1) - len(FORTYTWO_COMPATIBLE)
 
     def test_too_few_chords(self, fortytwo_pair):
-        with pytest.raises(NotEnoughChords):
+        with pytest.raises(PartitionError, match="need at least 2 chords, got 1"):
             select_reference_edge([(0, 5)], fortytwo_pair.tprime)
+
+
+def chord_table(pair):
+    """{class name: row} of the chord table, and S3."""
+    classes, s3 = partition_edges(pair)
+    return {row.name: row for row in classes}, s3
 
 
 class TestFullPartition:
     def test_five_way_sizes(self, fortytwo_pair):
-        part = partition_edges(fortytwo_pair)
-        assert len(part.s3) == 13
-        assert len(part.s1p) + len(part.s1pp) == 17
-        assert len(part.s2p) + len(part.s2pp) == 12
-        assert part.e0 in part.s1p
-        assert part.f0 in part.s2p
+        rows, s3 = chord_table(fortytwo_pair)
+        assert list(rows) == ["S1'", "S1''", "S2'", "S2''"]
+        assert len(s3) == 13
+        assert len(rows["S1'"].chords) + len(rows["S1''"].chords) == 17
+        assert len(rows["S2'"].chords) + len(rows["S2''"].chords) == 12
+        assert rows["S1'"].root in rows["S1'"].chords
+        assert rows["S2'"].root in rows["S2'"].chords
+        assert rows["S1''"].root is None and rows["S2''"].root is None
 
     def test_reference_edges_span_their_paths(self, fortytwo_pair):
-        part = partition_edges(fortytwo_pair)
-        assert part.e0_path[0] == part.e0[0]
-        assert part.e0_path[-1] == part.e0[1]
-        assert part.f0_path[0] == part.f0[0]
-        assert part.f0_path[-1] == part.f0[1]
+        rows, _ = chord_table(fortytwo_pair)
+        for compat, other in (("S1'", "S1''"), ("S2'", "S2''")):
+            path, root = rows[compat].path, rows[compat].root
+            assert (path[0], path[-1]) == root
+            assert rows[other].path is path
 
     def test_single_chord_class_left_unsplit(self):
         # square with center: the 2-optimal tour differing in few edges
         # produces a chord class with < 2 chords, which stays in the
-        # compatible bucket with no reference edge
+        # compatible bucket with no reference edge and no path
         inst = Instance(
             [pt(0, 0), pt(10, 0), pt(10, 10), pt(0, 10), pt(5, 1)], PNorm(2)
         )
         t = Tour((0, 4, 1, 2, 3))
         s = Tour((0, 1, 4, 2, 3))  # not 2-optimal, but valid for partitioning
         pair = make_crossing_free(inst, t, s)
-        part = partition_edges(pair)
-        if len(part.s1p) == 1:
-            assert part.e0 is None
+        rows, _ = chord_table(pair)
+        lone = [name for name in ("S1'", "S2'") if len(rows[name].chords) == 1]
+        assert lone
+        for name in lone:
+            assert rows[name].root is None and rows[name].path is None
+            assert rows[name + "'"] == (name + "'", [], None, None)
 
 
 def pair_of(coords, t_order, s_order):

@@ -1,4 +1,5 @@
 import io
+from fractions import Fraction
 
 import pytest
 
@@ -104,10 +105,31 @@ class TestInstanceIO:
          "NODE_COORD_SECTION\n1 0 0\nb 1 1\nEOF\n", 6, "b"),
         ("TYPE : TSP\nDIMENSION : 2\nEDGE_WEIGHT_TYPE : EUC_2D\n"
          "NODE_COORD_SECTION\n1 0 0\nb 1 y\nEOF\n", 6, "y"),
-    ], ids=["dimension", "coordinate", "3d-coordinate", "node-id", "coordinate-before-id"])
+        *((f"TYPE : TSP\nCOMMENT : PNORM={p}\nDIMENSION : 2\nEDGE_WEIGHT_TYPE : SPECIAL\n"
+           "NODE_COORD_SECTION\n1 0 0\n2 1 1\nEOF\n", 2, p) for p in ("inf", "nan", "0.5")),
+    ], ids=["dimension", "coordinate", "3d-coordinate", "node-id", "coordinate-before-id",
+            "pnorm-inf", "pnorm-nan", "pnorm-0.5"])
     def test_bad_number_names_its_line(self, text, lineno, token):
         with pytest.raises(tsplib.TsplibError, match=f"line {lineno}: '{token}' is not"):
             tsplib.read_instance(io.StringIO(text))
+
+    @pytest.mark.parametrize("text, message", [
+        ("TYPE : TSP\nDIMENSION : 2\nEDGE_WEIGHT_TYPE : GEO\nEOF\n", "unsupported EDGE_WEIGHT_TYPE GEO"),
+        ("TYPE : TSP\nDIMENSION : 2\nEDGE_WEIGHT_TYPE : EUC_2D\nDISPLAY_DATA_SECTION\nEOF\n",
+         "unrecognized line: 'DISPLAY_DATA_SECTION'"),
+        ("TYPE : TSP\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n1 0 0\nEOF\n",
+         "missing DIMENSION or EDGE_WEIGHT_TYPE"),
+        ("TYPE : TSP\nDIMENSION : 2\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n1 0 0\n2 1\nEOF\n",
+         "malformed coord line: '2 1'"),
+    ], ids=["edge-weight-type", "unrecognized-line", "no-dimension", "short-coordinate-line"])
+    def test_malformed_file_rejected(self, text, message):
+        with pytest.raises(tsplib.TsplibError, match=f"^{message}$"):
+            tsplib.read_instance(io.StringIO(text))
+
+    def test_fraction_coordinates_not_written(self):
+        inst = Instance([pt(0, 0), pt(Fraction(1, 2), 4), pt(7, 1)], PNorm(2))
+        with pytest.raises(tsplib.TsplibError, match="integer coordinates only"):
+            tsplib.write_instance(io.StringIO(), inst)
 
 
 class TestCoordinateArrays:
@@ -218,6 +240,11 @@ class TestTourIO:
     def test_tour_without_dimension_reads(self):
         text = "TYPE : TOUR\nTOUR_SECTION\n1\n3\n2\n-1\nEOF\n"
         assert tsplib.read_tour(io.StringIO(text)).order == (0, 2, 1)
+
+    def test_tour_without_section_rejected(self):
+        text = "TYPE : TOUR\nDIMENSION : 3\n1\n2\n3\n-1\nEOF\n"
+        with pytest.raises(tsplib.TsplibError, match="no TOUR_SECTION found"):
+            tsplib.read_tour(io.StringIO(text))
 
     def test_tours_of_different_sizes_rejected(self):
         with pytest.raises(tsplib.TsplibError):
