@@ -203,9 +203,19 @@ def subset_E_r(arb: Arborescence, l: float, r: float) -> set[int]:
 
 
 def verify_lemma_suite(arb: Arborescence) -> ArborescenceCertificate:
-    """Check the E', A_e, E_r and ratio lemmas on a concrete arborescence."""
+    """Check the E', A_e, E_r and ratio lemmas on a concrete arborescence.
+
+    A failed E', E_r or cover check names its member chords, and a failed
+    A_e check its edge's chord, after the label that it passes with.
+    """
     cert = ArborescenceCertificate()
     checks = cert.lemma_checks
+
+    def check(label, passed, slack, members, noun="chords"):
+        if not passed:
+            label += f" {noun} " + " ".join(str(arb.edges[i].chord) for i in sorted(members))
+        checks.append(InequalityCheck(label, passed, slack))
+
     cA, wA = arb.c_total(), arb.w_total()
     n_edges = len(arb.edges)
     if n_edges == 0:
@@ -221,30 +231,25 @@ def verify_lemma_suite(arb: Arborescence) -> ArborescenceCertificate:
 
     for l in l_values:
         bound = (l / 2) * wA
-        val = c_of(subset_E_prime(arb, l))
-        checks.append(InequalityCheck(
-            f"E'(l={l:g}): c(E') <= l/2*w(A)", val <= bound + _eps(val, bound), bound - val))
+        eprime = subset_E_prime(arb, l)
+        val = c_of(eprime)
+        check(f"E'(l={l:g}): c(E') <= l/2*w(A)", val <= bound + _eps(val, bound), bound - val, eprime)
         for i in range(1, math.floor(l / 6) + 1):
             r = (4 / l) ** i * wA
             if r <= 0:
                 break
             er = subset_E_r(arb, l, r)
             val = c_of(er)
-            checks.append(InequalityCheck(
-                f"E_r(l={l:g},i={i}): c(E_r) <= 2*w(A)",
-                val <= 2 * wA + _eps(val, wA), 2 * wA - val))
+            check(f"E_r(l={l:g},i={i}): c(E_r) <= 2*w(A)", val <= 2 * wA + _eps(val, wA), 2 * wA - val, er)
             # The minimal-cover decomposition used in the E_r proof.
             cover = _topmost(arb, er)
             wsum = sum(arb.subtree_w(e) for e in cover)
-            checks.append(InequalityCheck(
-                f"cover(l={l:g},i={i}): sum w(A_e) <= w(A)",
-                wsum <= wA + _eps(wsum, wA), wA - wsum))
+            check(f"cover(l={l:g},i={i}): sum w(A_e) <= w(A)", wsum <= wA + _eps(wsum, wA), wA - wsum, cover)
 
     for idx in range(n_edges):
         wae = arb.subtree_w(idx)
         c = arb.edges[idx].c
-        checks.append(InequalityCheck(
-            f"A_e[{idx}]: c(e) <= w(A_e)", c <= wae + _eps(c, wae), wae - c))
+        check(f"A_e[{idx}]: c(e) <= w(A_e)", c <= wae + _eps(c, wae), wae - c, [idx], "chord")
 
     # Main implication (base-2 logarithms): applies only when c(A) >= 18 w(A).
     if wA > 0 and cA >= 18 * wA:

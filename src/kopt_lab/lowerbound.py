@@ -293,7 +293,8 @@ def scan_2opt_optimality(inst: Instance, tour: Tour) -> ScanReport:
     """Exhaustive improving-2-move verdict over all non-adjacent edge pairs.
 
     Runs the 2-move engine of `tour` for the best gain less its threshold,
-    which is exact (threshold 0) for integer coordinates under the 1-norm.
+    which is exact (threshold 0) under the 1-norm, on integer and rational
+    coordinates alike.
     An integer instance under p = 1 or p = 2 above one scan block examines
     only the pairs that its grid index finds (`tour._indexed_scan`); the
     verdict is the same, and `pairs_scanned` still counts every pair it

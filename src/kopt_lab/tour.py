@@ -9,8 +9,10 @@ norm, `_CoordinateDistances`: p = 1, and p = 2 on exact squares.  One
 vectorized 2-move engine serves 2-Opt, the 2-optimality verdict and the
 lower-bound family's exhaustive scan: a `_TourState` owns one fixed layout
 (two flat work arrays, a flat bool array and a shared mask) and
-`_gain_blocks` walks its blocks of `_block_rows` rows, making each later
-block's views as it reaches it.  An n x n distance matrix is built only up
+`_gain_blocks` walks its blocks of `_block_rows` rows.  Block 0's views
+(`_ScanBlock`) are made once, with the state, so that a scan of it only
+computes into the work arrays; each later block's are made as the walk
+reaches it.  An n x n distance matrix is built only up
 to `MATRIX_SCAN_MAX_N`.  On integer instances too large for one scan block,
 the two verdicts examine only the pairs that a grid index over the
 coordinates finds (`_GridTour`), with the engine's arithmetic and the same
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cache, cached_property, lru_cache
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -78,12 +80,8 @@ class Instance:
         self.dim = 3 if points and isinstance(points[0], Point3) else 2
         if self.dim == 3 and not norm.is_two:
             raise ValueError("3-D instances support the Euclidean norm only")
-        # Exact arithmetic applies for the 1-norm on integer coordinates.
-        self.exact = (
-            self.dim == 2
-            and norm.is_one
-            and all(p.x.denominator == 1 and p.y.denominator == 1 for p in points)
-        )
+        # Exact arithmetic applies for the 1-norm: ints or Fractions, threshold 0.
+        self.exact = self.dim == 2 and norm.is_one
 
     @classmethod
     def from_xy(cls, xs, ys, norm: PNorm = PNorm(2), name: str = "") -> Instance:
@@ -288,9 +286,16 @@ class _MatrixDistances:
         """The distances between the given positions, in their order (a copy)."""
         return _MatrixDistances(self.matrix[positions[:, None], positions])
 
-    def outer(self, rows: slice, cols: slice, out=None, scratch=None) -> np.ndarray:
-        """d(rows[a], cols[b]) at [a, b]: a view of the matrix, so the buffers go unused."""
+    def outer(self, rows: slice, cols: slice) -> np.ndarray:
+        """d(rows[a], cols[b]) at [a, b]: a view of the matrix."""
         return self.matrix[rows, cols]
+
+    def outer_block(self, rows: slice, cols: slice, out: np.ndarray, scratch: np.ndarray) -> tuple:
+        """(fill, r) of the 2-move scan: r is `outer(rows, cols)`, a view that `reverse` keeps current.
+
+        So fill is None, and the buffers go unused.
+        """
+        return None, self.outer(rows, cols)
 
     def reverse(self, lo: int, hi: int):
         """Reverse positions lo..hi-1 in place: the rows, then the columns, O(n (hi - lo))."""
@@ -352,20 +357,28 @@ class _CoordinateDistances:
         ring.edge = ring.root(ring.edge_power)
         return ring
 
-    def outer(self, rows: slice, cols: slice, out=None, scratch=None) -> np.ndarray:
-        """d(rows[a], cols[b]) at [a, b].
+    def outer(self, rows: slice, cols: slice) -> np.ndarray:
+        """d(rows[a], cols[b]) at [a, b], a new array."""
+        x, y = self.x, self.y
+        return self.root(self.power(x[rows, None] - x[None, cols], y[rows, None] - y[None, cols]))
 
-        Given two flat buffers of at least that many cells, the powers are
-        computed in them, so that under p = 1 the result is the front of
-        `out` and `scratch` is overwritten; otherwise it is a new array.
+    def outer_block(self, rows: slice, cols: slice, out: np.ndarray, scratch: np.ndarray) -> tuple:
+        """(fill, r) of the 2-move scan under p = 1: fill() computes `outer(rows, cols)` into r.
+
+        r is the front of the flat buffer `out` in that shape, and fill
+        overwrites `scratch` too.  fill reads views of x and y, which
+        `reverse` keeps current, so one (fill, r) serves every scan.
         """
         x, y = self.x, self.y
-        if out is not None:
-            shape = len(x[rows]), len(x[cols])
-            cells = shape[0] * shape[1]
-            out, scratch = out[:cells].reshape(shape), scratch[:cells].reshape(shape)
-        dx = np.subtract(x[rows, None], x[None, cols], out=out)
-        return self.root(self.power(dx, np.subtract(y[rows, None], y[None, cols], out=scratch)))
+        xr, xc, yr, yc = x[rows, None], x[None, cols], y[rows, None], y[None, cols]
+        shape = len(xr), xc.size
+        cells = shape[0] * shape[1]
+        out, scratch = out[:cells].reshape(shape), scratch[:cells].reshape(shape)
+
+        def fill():
+            self.power(np.subtract(xr, xc, out=out), np.subtract(yr, yc, out=scratch))
+
+        return fill, out
 
     def reverse(self, lo: int, hi: int):
         """Reverse positions lo..hi-1 in place, 0 < lo < hi < len(x), and their edges, O(hi - lo)."""
@@ -469,76 +482,111 @@ def _valid_mask(n: int, rows: int) -> np.ndarray:
     return valid
 
 
+class _ScanBlock(NamedTuple):
+    """The views of one 2-move scan block, rows i0..i1-1 against columns j0 = i0 + 2 .. n - 1.
+
+    `fill`, unless None, computes the block's distances into the state's
+    work arrays; then near[r, c] = d(i, j) and far[r, c] = d(i + 1, j + 1)
+    for the pair (i, j) = (i0 + r, j0 + c).  `tails` and `heads` are the
+    edge views edge[i0:i1, None] and edge[None, j0:].  `gain` and `spare`
+    are contiguous fronts of the work arrays, and so is `threshold` on a
+    non-exact instance; it is None on an exact one.  `valid` is the
+    block's slice of the state's mask.
+    """
+
+    fill: Optional[Callable[[], None]]
+    near: np.ndarray
+    far: np.ndarray
+    tails: np.ndarray
+    heads: np.ndarray
+    gain: np.ndarray
+    threshold: Optional[np.ndarray]
+    valid: np.ndarray
+    spare: np.ndarray
+
+
 class _TourState:
     """One tour as the 2-move engine sees it, kept in step with the tour as 2-Opt moves it.
 
     Built from the ring of `Tour.validate`: `dist` holds the distances
     between the tour's ring positions 0..n (position n is position 0
     again), gathered once from the instance's cache; `reverse` then
-    follows each applied move in place, so a scan is block slices and
-    arithmetic.  A scan block is `rows` rows of pairs (`_block_rows`), and
+    follows each applied move in place, so every view of `dist` stays
+    current.  A scan block is `rows` rows of pairs (`_block_rows`), and
     `valid` its shared mask (`_valid_mask`).  The state's own work arrays
     are flat and reused by every block: `buffers`, two arrays of `dist`'s
-    dtype of (rows + 1) x (n + 1) cells, the second of which holds the
-    gains, and `flags`, a bool array of valid's size.
-    `first` holds block 0's gain and spare views of them, in valid's shape,
-    and valid itself: block 0 is the whole of each work array, so its
-    views are made once, here.
+    dtype of (rows + 1) x (n + 1) cells, and `flags`, a bool array of
+    valid's size.  The second buffer holds the gains; the first holds a
+    coordinate state's distances or a matrix state's threshold, since a
+    matrix state reads its distances in place and a coordinate state is
+    1-norm, hence exact.  `first` is block 0's `_ScanBlock`, built here:
+    every view a scan of block 0 reads, made once for the life of the
+    state, so that such a scan only computes, through `out=`.
     """
 
     def __init__(self, inst: Instance, ring: np.ndarray):
         n = inst.n
         self.dist = inst._pair_dist.take(ring)
         dtype = self.dist.edge.dtype
+        self.exact = inst.exact
         self.rows = _block_rows(n, dtype)
         self.valid = _valid_mask(n, self.rows)
         cells = (self.rows + 1) * (n + 1)
         self.buffers = np.empty(cells, dtype), np.empty(cells, dtype)
         self.flags = np.empty(self.valid.size, bool)
-        shape = self.valid.shape
-        self.first = self.buffers[1][: self.valid.size].reshape(shape), self.flags.reshape(shape), self.valid
+        self.first = self.block(0)
+
+    def block(self, i0: int) -> _ScanBlock:
+        """The `_ScanBlock` of the block whose first row is i0, its views made now."""
+        edge = self.dist.edge
+        n = len(edge)  # one edge per vertex
+        # Clamped at 0 rows and columns: a state below n = 3 has an empty block 0.
+        i1, j0 = max(i0, min(i0 + self.rows, n - 2)), i0 + 2
+        shape = i1 - i0, max(n - j0, 0)
+        cells = shape[0] * shape[1]
+        fill, r = self.dist.outer_block(slice(i0, i1 + 1), slice(j0, None), *self.buffers)
+        threshold = None if self.exact else self.buffers[0][:cells].reshape(shape)
+        valid = self.valid if shape == self.valid.shape else self.valid[: shape[0], : shape[1]]
+        return _ScanBlock(
+            fill, r[:-1, :-1], r[1:, 1:], edge[i0:i1, None], edge[None, j0:],
+            self.buffers[1][:cells].reshape(shape), threshold, valid, self.flags[:cells].reshape(shape),
+        )
 
     def reverse(self, m: TwoMove):
         """Follow `apply_2move(t, m)`: reverse tour positions m.i + 1 .. m.j."""
         self.dist.reverse(m.i + 1, m.j + 1)
 
 
-def _gain_blocks(inst: Instance, state: _TourState):
+def _gain_blocks(state: _TourState):
     """The 2-move engine: gains of all non-adjacent edge pairs, a block of `state.rows` rows at a time.
 
     Yields (i0, j0, gain, threshold, valid, spare) in lexicographic (i, j)
     order: gain[r, c] = (c_ab + c_xy) - c_ax - c_by for the move on tour
     positions (i0 + r, j0 + c), in the arithmetic of `inst.dist` (on the
     coordinate path in `dist`'s integer dtype, which `_scan_dtype` keeps
-    exact), valid is the block's slice of `state.valid`, and spare a bool
-    array of gain's shape for the caller.  gain and spare are contiguous
-    views of the state's work arrays, block 0's from `state.first` and each
-    later block's made as the walk reaches it; the next block overwrites
-    them, and the caller may overwrite them too.
+    exact); threshold is 0 on an exact instance, else DEFAULT_GAIN_EPS
+    times the removed length c_ab + c_xy; valid is the block's slice of
+    `state.valid`, and spare a bool array of gain's shape for the caller.
+    The arrays are the views of a `_ScanBlock`: block 0's from
+    `state.first`, each later block's made as the walk reaches it.  The
+    next block overwrites them, and the caller may overwrite them too.
     """
-    d, rows = state.dist, state.rows
-    edge = d.edge
-    n = len(edge)  # one edge per vertex
-    gain, spare, valid = state.first
-    for i0 in range(0, n - 2 if n > 3 else 0, rows):  # a triangle has no pair, rows i > n - 3 no partner
-        i1, j0 = min(i0 + rows, n - 2), i0 + 2
-        if i0:
-            shape = i1 - i0, n - j0
-            cells = shape[0] * shape[1]
-            gain = state.buffers[1][:cells].reshape(shape)
-            spare = state.flags[:cells].reshape(shape)
-            valid = state.valid[: shape[0], : shape[1]]
-        r = d.outer(slice(i0, i1 + 1), slice(j0, None), *state.buffers)
-        np.add(edge[i0:i1, None], edge[None, j0:], gain)
-        threshold = _gain_threshold(inst, gain)  # of the removed length, before it becomes the gain
-        gain -= r[:-1, :-1]
-        gain -= r[1:, 1:]
-        yield i0, j0, gain, threshold, valid, spare
+    n = len(state.dist.edge)
+    for i0 in range(0, n - 2 if n > 3 else 0, state.rows):  # a triangle has no pair, rows i > n - 3 no partner
+        fill, near, far, tails, heads, gain, threshold, valid, spare = state.block(i0) if i0 else state.first
+        if fill is not None:
+            fill()
+        np.add(tails, heads, gain)
+        # Of the removed length, before it becomes the gain.
+        threshold = 0 if threshold is None else np.multiply(gain, DEFAULT_GAIN_EPS, threshold)
+        gain -= near
+        gain -= far
+        yield i0, i0 + 2, gain, threshold, valid, spare
 
 
-def _first_2move(inst: Instance, state: _TourState) -> Optional[TwoMove]:
+def _first_2move(state: _TourState) -> Optional[TwoMove]:
     """First improving 2-move in lexicographic (i, j) scan order, if any."""
-    for i0, j0, gain, threshold, valid, hit in _gain_blocks(inst, state):
+    for i0, j0, gain, threshold, valid, hit in _gain_blocks(state):
         np.greater(gain, threshold, hit)
         hit &= valid
         r, c = divmod(int(hit.argmax()), hit.shape[1])
@@ -570,7 +618,7 @@ def find_improving_2move(inst: Instance, t: Tour) -> Optional[TwoMove]:
     ring = t.validate(inst)
     if _indexed_scan(inst):
         return _GridTour(inst, ring).first()
-    return _first_2move(inst, _TourState(inst, ring))
+    return _first_2move(_TourState(inst, ring))
 
 
 def _best_2move(inst: Instance, t: Tour) -> tuple[Optional[TwoMove], int]:
@@ -594,7 +642,7 @@ def _dense_best(inst: Instance, ring: np.ndarray) -> tuple[Optional[TwoMove], in
     dtype = state.dist.edge.dtype
     floor = np.iinfo(dtype).min if dtype.kind == "i" else -np.inf
     best = None
-    for i0, j0, margin, threshold, valid, invalid in _gain_blocks(inst, state):
+    for i0, j0, margin, threshold, valid, invalid in _gain_blocks(state):
         if not inst.exact:
             margin -= threshold
         np.logical_not(valid, out=invalid)
@@ -797,7 +845,7 @@ class _GridTour:
         """
         parts = self._candidates(self.dist.edge_power - 1, root=False)
         if parts is None:
-            return _first_2move(self.inst, _TourState(self.inst, self.ring))
+            return _first_2move(_TourState(self.inst, self.ring))
         keys = self._pairs(parts)
         i, j, gain, threshold = self._gains(keys)
         hit = np.flatnonzero(gain > threshold)
@@ -841,19 +889,19 @@ def apply_2move(t: Tour, m: TwoMove) -> Tour:
     n = len(o)
     if not (0 <= m.i < m.j < n) or m.j == m.i + 1 or (m.i == 0 and m.j == n - 1):
         raise ValueError(f"invalid 2-move positions ({m.i}, {m.j}) for tour of size {n}")
-    new = o[: m.i + 1] + tuple(reversed(o[m.i + 1 : m.j + 1])) + o[m.j + 1 :]
-    return Tour(new)
+    return Tour(o[: m.i + 1] + o[m.j : m.i : -1] + o[m.j + 1 :])
 
 
 def two_opt(inst: Instance, start: Tour) -> Tour:
     """Run the 2-Opt heuristic to a local optimum (first-improvement pivot).
 
     Each scan restarts at (0, 0) on one `_TourState`, built once from the
-    ring and reversed in place after every move that `apply_2move` makes.
+    ring and reversed in place after every move that `apply_2move` makes;
+    the views of its block 0, made with it, serve every scan.
     """
     t, state = start, _TourState(inst, start.validate(inst))
     while True:
-        m = _first_2move(inst, state)
+        m = _first_2move(state)
         if m is None:
             return t
         t = apply_2move(t, m)

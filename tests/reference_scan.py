@@ -1,9 +1,10 @@
 """Pure-Python reference for the 2-move engine, kept as the tests' oracle.
 
 `reference_first_2move` is the loop the vectorized engine replaced: the same
-scan order, the same arithmetic (Python ints for exact instances,
-`inst.dist` otherwise) and the same threshold rule.  `reference_best_2move`
-is the brute-force maximum of gain less threshold over the same pairs.
+scan order, the same arithmetic (the 1-norm over the coordinates' ints or
+Fractions for exact instances, `inst.dist` otherwise) and the same
+threshold rule.  `reference_best_2move` is the brute-force maximum of gain
+less threshold over the same pairs.
 `reference_two_opt` is the pivot 2-Opt ran before it kept a position-ordered
 state: a fresh scan of the current tour after every move.
 """
@@ -13,8 +14,8 @@ from kopt_lab.tour import DEFAULT_GAIN_EPS, Tour, TwoMove
 
 def _dist_and_threshold(inst):
     if inst.exact:
-        xs = [int(p.x) for p in inst.points]
-        ys = [int(p.y) for p in inst.points]
+        xs = [p.x for p in inst.points]
+        ys = [p.y for p in inst.points]
 
         def d(u, v):
             return abs(xs[u] - xs[v]) + abs(ys[u] - ys[v])

@@ -250,6 +250,31 @@ class TestChecksFire:
             ("2opt[0,1] chords (0, 1) (0, 2)", False),
         ]
 
+    def test_failed_lemma_checks_name_their_chords(self):
+        """A failed E', E_r, cover or A_e check names its chords; a passing one keeps its label."""
+        chain = verify_lemma_suite(lopsided_arb(2, 50.0))  # E' = {(0, 1)} at every l
+        failed = [c.label for c in chain.lemma_checks if not c.passed]
+        assert failed == [
+            "E'(l=2): c(E') <= l/2*w(A) chords (0, 1)",
+            "E'(l=6): c(E') <= l/2*w(A) chords (0, 1)",
+            "E'(l=18): c(E') <= l/2*w(A) chords (0, 1)",
+            "A_e[0]: c(e) <= w(A_e) chord (0, 1)",
+            "A_e[1]: c(e) <= w(A_e) chord (0, 2)",
+            "main: |E(A)| too small for log log",
+        ]
+        assert "E'(l=50): c(E') <= l/2*w(A)" in [c.label for c in chain.lemma_checks if c.passed]
+        # A star of four chords of c = 3, w = 1 and one of c = 0.5, w = -1: w(A) = 3, so
+        # at l = 6 the four make E_r with c(E_r) = 12 > 2 w(A) and cover sum w = 4 > w(A).
+        edges = [ArbEdge(tail=0, head=k, c=3.0, w=1.0, chord=(0, k)) for k in range(1, 5)]
+        edges.append(ArbEdge(tail=0, head=5, c=0.5, w=-1.0, chord=(0, 5)))
+        star = verify_lemma_suite(Arborescence(n_nodes=6, edges=edges))
+        labels = {c.label: c.passed for c in star.lemma_checks}
+        four = "chords (0, 1) (0, 2) (0, 3) (0, 4)"
+        assert labels[f"E_r(l=6,i=1): c(E_r) <= 2*w(A) {four}"] is False
+        assert labels[f"cover(l=6,i=1): sum w(A_e) <= w(A) {four}"] is False
+        assert labels["E_r(l=18,i=2): c(E_r) <= 2*w(A)"] is True  # E_r = {(0, 5)}
+        assert labels["A_e[4]: c(e) <= w(A_e) chord (0, 5)"] is False
+
     def test_failed_inequality_fails_the_pair(self, monkeypatch):
         monkeypatch.setattr(arb_module, "build_arborescence", lambda *a, **k: lopsided_arb(2, 50.0))
         inst, t, s = fortytwo_point_pair()

@@ -109,10 +109,11 @@ def test_plans_are_shared_across_dtypes_and_sizes():
 def test_instances_take_every_dtype():
     kinds = {}
     for _, inst in instances():
-        kinds.setdefault((inst.exact, inst.dim, inst.norm.is_one), inst)
-    assert type(exact_opt(kinds[(True, 2, True)])[1]) is int
-    assert type(exact_opt(kinds[(False, 2, True)])[1]) is Fraction
-    assert type(exact_opt(kinds[(False, 3, False)])[1]) is float
+        dtype = inst._pair_dist.outer(slice(None), slice(None)).dtype
+        kinds.setdefault((dtype, inst.dim, inst.norm.is_one), inst)
+    assert type(exact_opt(kinds[(np.dtype(np.int64), 2, True)])[1]) is int
+    assert type(exact_opt(kinds[(np.dtype(object), 2, True)])[1]) is Fraction
+    assert type(exact_opt(kinds[(np.dtype(np.float64), 3, False)])[1]) is float
 
 
 def test_closing_tie_goes_to_the_largest_last_vertex():

@@ -26,7 +26,7 @@ from kopt_lab.lowerbound import (
     generate_lb_instance,
     scan_2opt_optimality,
 )
-from kopt_lab.tour import Instance, Tour, _best_2move, find_improving_2move, two_opt
+from kopt_lab.tour import Instance, Tour, TwoMove, _best_2move, find_improving_2move, two_opt
 
 from reference_scan import _moves, reference_best_2move, reference_first_2move, reference_two_opt
 
@@ -207,7 +207,7 @@ def test_exact_scans_stay_linear_in_memory():
     state = tour._TourState(inst, hand.validate(inst))
     assert state.dist.edge.dtype == np.int16
     assert state.valid.base is None and state.valid.size <= tour._BLOCK_CELLS * 4
-    masks = [valid for *_, valid, _ in tour._gain_blocks(inst, state)]
+    masks = [valid for *_, valid, _ in tour._gain_blocks(state)]
     assert len(masks) > 1
     assert masks[0] is state.valid and all(valid.base is state.valid for valid in masks[1:])
 
@@ -228,7 +228,7 @@ def test_tours_of_one_size_share_read_only_blocks():
 
 def test_rational_instances_take_the_fraction_path():
     inst = rational_instance(random.Random(3), 9)
-    assert not inst.exact and inst.norm.is_one
+    assert inst._xy[0].dtype == object and inst.norm.is_one
     t = Tour(tuple(random.Random(4).sample(range(inst.n), inst.n)))
     m = find_improving_2move(inst, t)
     assert m == reference_first_2move(inst, t) and isinstance(m.gain, Fraction)
@@ -237,7 +237,7 @@ def test_rational_instances_take_the_fraction_path():
 def test_rational_scans_call_no_pdist(monkeypatch):
     """The 1-norm on rational points scans its coordinates: no n x n matrix of `pdist` calls."""
     inst = rational_instance(random.Random(12), 12)
-    assert not inst.exact and any(type(c) is Fraction for p in inst.points for c in p)
+    assert inst._xy[0].dtype == object and any(type(c) is Fraction for p in inst.points for c in p)
     start = Tour(tuple(random.Random(13).sample(range(inst.n), inst.n)))
     want = reference_two_opt(inst, start)[0]
     real, calls = geometry.pdist, []
@@ -252,6 +252,55 @@ def test_rational_scans_call_no_pdist(monkeypatch):
     report = scan_2opt_optimality(inst, got)
     assert len(calls) == 0
     assert got == want and report.two_optimal
+
+
+def test_rational_gain_below_the_float_threshold_improves():
+    """A rational 1-norm move whose gain is positive but at most 1e-9 times the removed length.
+
+    The crossed rectangle of width 1000 and height h gains 2h by its move
+    (0, 2) over a removed length of 2000 + 2h.  The 1-norm is exact on
+    rational points, so every scan takes it with threshold 0.
+    """
+    h = Fraction(1, 10**9)
+    inst = Instance([pt(0, 0), pt(1000, 0), pt(1000, h), pt(0, h)], PNorm(1))
+    crossed = Tour((0, 2, 1, 3))
+    removed = inst.dist(0, 2) + inst.dist(1, 3)  # its edges 0 and 2
+    assert removed == 2000 + 2 * h and 0 < 2 * h <= 1e-9 * removed and inst.exact
+    want = TwoMove(0, 2, 2 * h)
+    assert reference_first_2move(inst, crossed) == want
+    got = find_improving_2move(inst, crossed)
+    assert got == want and type(got.gain) is Fraction
+    assert two_opt(inst, crossed) == reference_two_opt(inst, crossed)[0] == Tour((0, 1, 2, 3))
+    report = scan_2opt_optimality(inst, crossed)
+    assert not report.two_optimal and report.best_gain == 2 * h
+
+
+@pytest.mark.parametrize("p,dtype", [(2, np.float64), (1, np.int16)], ids=["float64", "int16"])
+def test_repeat_scans_allocate_no_array(p, dtype):
+    """A repeat `_first_2move` on a single-block state only computes into the state's own arrays.
+
+    Every view that the scan reads is made with the state, and a matrix
+    state's threshold goes into its spare work array.  With numpy's ufunc
+    buffers cut to 16 elements, the scan's traced peak grows by about
+    1.5 KB of ufunc iterators and Python objects; one more array of the
+    block's 28 x 28 pairs would add 6.3 KB of float64, 1.6 KB of int16 or
+    0.8 KB of bool.
+    """
+    rng = random.Random(30)
+    inst = gen_random(30, 10**6, seed=30, p=2) if p == 2 else grid_instance(rng, 30, 1)
+    state = tour._TourState(inst, two_opt(inst, random_tour(30, rng)).validate(inst))
+    assert state.dist.edge.dtype == dtype and state.rows == inst.n - 2
+    assert tour._first_2move(state) is None and tour._first_2move(state) is None
+    size = np.setbufsize(16)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert tour._first_2move(state) is None
+        grown = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+        np.setbufsize(size)
+    assert grown < 2048
 
 
 def test_overflowing_square_regression():
@@ -314,8 +363,8 @@ def test_scan_dtype_is_the_narrowest_exact_one(span, dtype):
         if isinstance(array, np.ndarray):
             assert array.dtype == dtype, key
     assert [b.dtype for b in state.buffers] == [dtype, dtype]
-    gain, spare, _ = state.first
-    assert (gain.dtype, spare.dtype, state.flags.dtype) == (dtype, bool, bool)
+    first = state.first
+    assert (first.gain.dtype, first.spare.dtype, state.flags.dtype) == (dtype, bool, bool)
     # The instance's own cache, which Held-Karp sums over, stays int64.
     assert inst._pair_dist.x.dtype == np.int64
 
@@ -391,7 +440,7 @@ def test_scan_blocks_are_sized_in_bytes(inst, dtype):
     assert state.valid.size * itemsize <= tour._BLOCK_CELLS * 8
     assert [b.size for b in state.buffers] == [(rows + 1) * (n + 1)] * 2
     starts = []
-    for i0, j0, gain, _, valid, spare in tour._gain_blocks(inst, state):
+    for i0, j0, gain, _, valid, spare in tour._gain_blocks(state):
         starts.append((i0, j0))
         assert gain.shape == spare.shape == valid.shape == (min(rows, n - 2 - i0), n - j0)
         assert gain.flags.c_contiguous and spare.flags.c_contiguous
@@ -426,7 +475,7 @@ def test_one_row_blocks_keep_linear_memory():
     state, kept = state_memory(inst, t)
     assert state.dist.edge.dtype == np.int64 and state.rows == 1
     assert kept < 80 * n  # 58 bytes a point: 24 of coordinates and edges, 32 of work buffers
-    blocks = tour._gain_blocks(inst, state)
+    blocks = tour._gain_blocks(state)
     i0, j0, gain, _, valid, spare = next(blocks)
     assert (i0, j0, valid.shape, gain.shape, spare.shape) == (0, 2, (1, n - 2), (1, n - 2), (1, n - 2))
     assert not valid[0, -1] and valid[0, :-1].all()
