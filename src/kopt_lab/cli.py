@@ -97,6 +97,8 @@ def cmd_certify(args) -> int:
 def cmd_scan_kopt(args) -> int:
     if args.k != 2:
         raise ValueError(f"scan-kopt decides 2-optimality only (--k 2), got --k {args.k}")
+    if args.tour and not args.instance:
+        raise ValueError("--instance is required with --tour")
     if args.instance:
         if not args.tour:
             raise ValueError("--tour is required with --instance")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import Cross, Overlap, Point, Touch, segment_relation
-from .tour import Instance, Tour, _candidate_pairs, is_simple
+from .tour import Instance, Tour, _candidate_pairs, _check_planar, _first_intersecting
 
 
 class GeneralPositionViolation(ValueError):
@@ -39,20 +39,35 @@ class CrossingFreePair:
 def find_crossings(inst: Instance, t: Tour, s: Tour) -> list[tuple[tuple, tuple, Point]]:
     """All (T-edge, S-edge, point) crossings, ordered by T edge then S edge.
 
-    Both tours must be simple (ValueError otherwise).  A T x S pair that
-    touches or overlaps raises `GeneralPositionViolation`, an invariant
-    guard: such a pair puts a vertex, which both tours visit, inside an edge
-    of one of them, which makes that tour non-simple, so only a broken
-    simplicity test can reach it.
+    One `_candidate_pairs` pass over T's edges followed by S's gives the
+    candidates of both simplicity checks and of the T x S search: with n
+    edges in T, a pair (i, j) is T x T when j < n, S x S when i >= n, and
+    otherwise T's edge i against S's edge j - n.  Both tours must be simple,
+    T checked first (ValueError naming that tour's first witness).  A T x S
+    pair that touches or overlaps raises `GeneralPositionViolation`, an
+    invariant guard: such a pair puts a vertex, which both tours visit,
+    inside an edge of one of them, which makes that tour non-simple, so only
+    a broken simplicity test can reach it.
     """
-    for tour in (t, s):
-        verdict = is_simple(inst, tour)
-        if not verdict.simple:
-            raise ValueError(f"tour is not simple; crossing pair {verdict.witness}")
-    t_edges, s_edges = t.edges(), s.edges()
+    _check_planar(inst)
+    rings = t.validate(inst), s.validate(inst)
+    edges = t.edges() + s.edges()
+    n = len(t.order)
+    in_t, in_s, t_by_s = [], [], []
+    for i, j in _candidate_pairs(inst, *rings):
+        if j < n:
+            in_t.append((i, j))
+        elif i >= n:
+            in_s.append((i, j))
+        else:
+            t_by_s.append((i, j))
+    for pairs in (in_t, in_s):
+        witness = _first_intersecting(inst, edges, pairs)
+        if witness is not None:
+            raise ValueError(f"tour is not simple; crossing pair {witness}")
     out = []
-    for i, j in _candidate_pairs(inst, t.validate(inst), s.validate(inst)):
-        te, se = t_edges[i], s_edges[j]
+    for i, j in t_by_s:
+        te, se = edges[i], edges[j]
         if frozenset(te) == frozenset(se):
             continue  # shared identical edge, not a crossing
         rel = segment_relation(inst.segment(*te), inst.segment(*se))

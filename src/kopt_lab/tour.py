@@ -16,8 +16,11 @@ reaches it.  An n x n distance matrix is built only up
 to `MATRIX_SCAN_MAX_N`.  On integer instances too large for one scan block,
 the two verdicts examine only the pairs that a grid index over the
 coordinates finds (`_GridTour`), with the engine's arithmetic and the same
-results.  One vectorized orientation-sign filter (`_candidate_pairs`) serves
-the simplicity test and the crossing search.
+results.  One vectorized orientation-sign filter (`_candidate_pairs`) walks
+the pairs of the edges of its rings laid end to end: the simplicity test
+passes one ring, and the crossing search makes one pass over both tours'
+edges for both simplicity checks and the T x S candidates.  One loop
+(`_first_intersecting`) turns candidates into a simplicity witness.
 """
 
 from __future__ import annotations
@@ -1075,15 +1078,16 @@ class SimpleVerdict(NamedTuple):
     witness: Optional[tuple]  # pair of crossing tour edges
 
 
-def _candidate_pairs(inst: Instance, t: np.ndarray, s: Optional[np.ndarray] = None):
+def _candidate_pairs(inst: Instance, *rings: np.ndarray):
     """The orientation-sign filter: edge pairs that need `segment_relation`, a block at a time.
 
-    Yields, in lexicographic (i, j) order, every pair of edge i of ring t
-    and edge j of ring s (rings from `Tour.validate`; of t itself, with
-    j > i, when s is None) that the four orientation signs of
-    `segment_relation` leave open.  Edge i joins positions i and i + 1.
-    The signs settle two kinds of pair, for which `segment_relation` would
-    return Disjoint or SharedEndpoint:
+    The edges are those of the rings (from `Tour.validate`) laid end to
+    end: ring 0's edges are 0..n0 - 1, ring 1's follow, and so on, where
+    edge i of a ring joins its positions i and i + 1.  Yields, in
+    lexicographic order, every pair (i, j) with i < j that the four
+    orientation signs of `segment_relation` leave open.  The signs settle
+    two kinds of pair, for which `segment_relation` would return Disjoint or
+    SharedEndpoint:
     - both endpoints of one segment lie strictly on one side of the other's
       line, so the segments are disjoint;
     - the segments share one vertex and their other endpoints are not
@@ -1091,23 +1095,16 @@ def _candidate_pairs(inst: Instance, t: np.ndarray, s: Optional[np.ndarray] = No
     The signs are exact; `Instance._xy` gives the arithmetic.
     """
     xs, ys = inst._xy
-
-    def segments(ring: np.ndarray) -> tuple:
-        """Tail and head vertices, tail coordinates and direction of each edge."""
-        x, y = xs[ring], ys[ring]
-        return ring[:-1], ring[1:], x[:-1], y[:-1], x[1:] - x[:-1], y[1:] - y[:-1]
-
-    upper = s is None
-    e_all = segments(t)
-    f_all = e_all if upper else segments(s)
-    n, m = len(e_all[0]), len(f_all[0])
+    tail = np.concatenate([ring[:-1] for ring in rings])
+    head = np.concatenate([ring[1:] for ring in rings])
+    x, y = xs[tail], ys[tail]
+    edges = tail, head, x, y, xs[head] - x, ys[head] - y
+    m = len(tail)
     step = max(1, _BLOCK_CELLS // max(m, 1))
-    for i0 in range(0, n, step):
-        j0 = i0 + 1 if upper else 0
-        if j0 >= m:
-            return
-        ea, eb, ex, ey, edx, edy = (v[i0 : i0 + step, None] for v in e_all)
-        fa, fb, fx, fy, fdx, fdy = (v[None, j0:] for v in f_all)
+    for i0 in range(0, m - 1, step):
+        j0 = i0 + 1
+        ea, eb, ex, ey, edx, edy = (v[i0 : i0 + step, None] for v in edges)
+        fa, fb, fx, fy, fdx, fdy = (v[None, j0:] for v in edges)
         gx, gy = ex - fx, ey - fy  # f's tail -> e's tail
         cross = fdx * edy - fdy * edx
         # Side of e's tail, then head, against f's line; side of f's tail, then
@@ -1121,10 +1118,20 @@ def _candidate_pairs(inst: Instance, t: np.ndarray, s: Optional[np.ndarray] = No
         # A shared vertex lies on the other's line: a zero sign beside a nonzero one.
         shared = (ea == fa) | (ea == fb) | (eb == fa) | (eb == fb)
         settled |= shared & (s1 != s2)
-        if upper:
-            settled |= np.arange(j0, m) <= np.arange(i0, i0 + len(ea))[:, None]
+        # Row r, column c is the pair (i0 + r, j0 + c): keep j > i, that is c >= r.
         r, c = np.nonzero(~settled)
-        yield from zip((r + i0).tolist(), (c + j0).tolist())
+        upper = c >= r
+        yield from zip((r[upper] + i0).tolist(), (c[upper] + j0).tolist())
+
+
+def _first_intersecting(inst: Instance, edges: list, pairs) -> Optional[tuple]:
+    """The first pair of edges[i], edges[j] over (i, j) in `pairs` that meet
+    other than at a shared endpoint, or None: the simplicity verdict's witness."""
+    for i, j in pairs:
+        rel = segment_relation(inst.segment(*edges[i]), inst.segment(*edges[j]))
+        if not isinstance(rel, (Disjoint, SharedEndpoint)):
+            return edges[i], edges[j]
+    return None
 
 
 def _check_planar(inst: Instance):
@@ -1136,13 +1143,10 @@ def _check_planar(inst: Instance):
 def is_simple(inst: Instance, t: Tour) -> SimpleVerdict:
     """No two tour edges intersect in a point interior to either segment.
 
-    The witness is the first offending pair of edges in (i, j) order.
+    One `_candidate_pairs` pass over the tour's ring; the witness is the
+    first offending pair of edges in (i, j) order (`_first_intersecting`).
     """
     _check_planar(inst)
     ring = t.validate(inst)
-    edges = t.edges()
-    for i, j in _candidate_pairs(inst, ring):
-        rel = segment_relation(inst.segment(*edges[i]), inst.segment(*edges[j]))
-        if not isinstance(rel, (Disjoint, SharedEndpoint)):
-            return SimpleVerdict(False, (edges[i], edges[j]))
-    return SimpleVerdict(True, None)
+    witness = _first_intersecting(inst, t.edges(), _candidate_pairs(inst, ring))
+    return SimpleVerdict(witness is None, witness)

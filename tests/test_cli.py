@@ -158,6 +158,16 @@ class TestScanAndReport:
         assert run("scan-kopt", "--instance", "r.tsp") == 2
         assert "--tour is required with --instance" in capsys.readouterr().err
 
+    def test_scan_tour_without_instance_is_usage_error(self, workdir, capsys, monkeypatch):
+        """--tour alone exits 2 rather than scanning the layered family and ignoring the tour."""
+        run("gen-random", "--n", "6", "--grid", "100", "--seed", "4", "--out", "r.tsp")
+        run("solve-2opt", "r.tsp", "--out", "s.tour")
+        monkeypatch.setattr(lowerbound, "generate_lb_instance", lambda *args: pytest.fail("built"))
+        capsys.readouterr()
+        assert run("scan-kopt", "--tour", "s.tour", "--out", "scan.json") == 2
+        assert "error: --instance is required with --tour" in capsys.readouterr().err
+        assert not (workdir / "scan.json").exists()
+
     def test_report(self, workdir):
         assert run("report", "--seed", "6", "--trials", "3",
                    "--out", "exp.json") == 0

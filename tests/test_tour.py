@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from kopt_lab import crossing
 from kopt_lab import tour as tour_module
 from kopt_lab.geometry import PNorm, pt
 from kopt_lab.lowerbound import scan_2opt_optimality
@@ -22,6 +23,7 @@ from kopt_lab.tour import (
 
 from planar_helpers import is_degenerate
 from reference_held_karp import brute_force_check
+from worked_examples import TWELVE_CROSSINGS, twelve_point_pair
 
 
 def rand_instance(rng, n, grid=100, p=2):
@@ -210,6 +212,30 @@ class TestSimpleAndDegenerate:
                 continue
             t = two_opt(inst, Tour(tuple(rng.sample(range(10), 10))))
             assert is_simple(inst, t).simple
+
+    def test_one_filter_pass_per_call(self, monkeypatch):
+        """`is_simple` and `find_crossings` each make one orientation-sign pass.
+
+        `find_crossings` reads both simplicity verdicts and the T x S
+        candidates from one pass over T's edges followed by S's, whether or
+        not the tours cross.
+        """
+        calls = []
+        counted = tour_module._candidate_pairs
+
+        def counting(*args):
+            calls.append(len(args) - 1)  # the number of rings
+            return counted(*args)
+
+        monkeypatch.setattr(tour_module, "_candidate_pairs", counting)
+        monkeypatch.setattr(crossing, "_candidate_pairs", counting)
+        inst, t, s = twelve_point_pair()
+        assert is_simple(inst, t).simple
+        assert calls == [1]
+        for other, crossings in ((s, TWELVE_CROSSINGS), (t, 0)):
+            calls.clear()
+            assert len(crossing.find_crossings(inst, t, other)) == crossings
+            assert calls == [2]
 
     def test_degenerate_detection(self):
         line = Instance([pt(i, 2 * i) for i in range(5)], PNorm(2))
