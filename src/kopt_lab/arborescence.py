@@ -35,20 +35,39 @@ class ArbEdge:
 
 @dataclass
 class Arborescence:
-    """Rooted dual tree; node 0 is the root, edges point away from it."""
+    """Rooted dual tree on nodes 0..len(edges); node 0 is the root, edges point away from it.
 
-    n_nodes: int
+    Edge k enters node k + 1 from a node <= k, so a parent precedes its
+    children, as `build_arborescence`'s walk numbers them; any other edge
+    list (a cycle, a node entered twice, a head out of range or out of
+    order) raises ValueError.  The same pass tabulates each edge's child
+    chords, and one reverse sweep w(A_e), so each check is one pass.
+    """
+
     edges: list          # list[ArbEdge]
-    root: int = 0
+    root = 0
 
     def __post_init__(self):
-        self._children = {v: [] for v in range(self.n_nodes)}
-        self._in_edge = {}
-        for idx, e in enumerate(self.edges):
-            self._children[e.tail].append(idx)
-            if e.head in self._in_edge:
-                raise ValueError(f"node {e.head} has two incoming edges")
-            self._in_edge[e.head] = idx
+        m = len(self.edges)
+        self._children = [[] for _ in range(m + 1)]
+        self.child_c_sum = [0.0] * m        # per edge: the c of its child edges, summed
+        self.child_c_max = [-math.inf] * m  # and their largest; -inf for a leaf
+        for k, e in enumerate(self.edges):
+            if e.head != k + 1 or not 0 <= e.tail <= k:
+                raise ValueError(f"edge {k} runs {e.tail} -> {e.head}; "
+                                 f"it must enter node {k + 1} from a node in 0..{k}")
+            self._children[e.tail].append(k)
+            if e.tail:
+                self.child_c_sum[e.tail - 1] += e.c
+                self.child_c_max[e.tail - 1] = max(self.child_c_max[e.tail - 1], e.c)
+        self._subtree_w = [e.w for e in self.edges]
+        for k in reversed(range(m)):  # children before parents
+            if self.edges[k].tail:
+                self._subtree_w[self.edges[k].tail - 1] += self._subtree_w[k]
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.edges) + 1
 
     def child_edges(self, node: int) -> list[int]:
         """Indices of edges in delta^+(node)."""
@@ -62,15 +81,7 @@ class Arborescence:
 
     def subtree_w(self, edge_idx: int) -> float:
         """w(A_e): the edge itself plus all edges below its head."""
-        e = self.edges[edge_idx]
-        total = e.w
-        stack = [e.head]
-        while stack:
-            node = stack.pop()
-            for ci in self._children[node]:
-                total += self.edges[ci].w
-                stack.append(self.edges[ci].head)
-        return total
+        return self._subtree_w[edge_idx]
 
 
 def build_arborescence(
@@ -131,7 +142,7 @@ def build_arborescence(
         ArbEdge(tail=parent, head=node, c=float(inst.dist(*ch)), w=w[node], chord=ch)
         for node, (parent, (_, _, ch)) in enumerate(zip(parents, intervals), 1)
     ]
-    return Arborescence(n_nodes=len(intervals) + 1, edges=edges)
+    return Arborescence(edges=edges)
 
 
 @dataclass
@@ -161,18 +172,16 @@ def verify_combined_inequalities(arb: Arborescence) -> ArborescenceCertificate:
     """Check the combined triangle inequality and combined 2-optimality per edge."""
     cert = ArborescenceCertificate()
     for idx, e in enumerate(arb.edges):
-        rhs = e.w + sum(arb.edges[f].c for f in arb.child_edges(e.head))
+        rhs = e.w + arb.child_c_sum[idx]
         slack = rhs - e.c
         cert.triangle.append(InequalityCheck(
             f"triangle[{idx}] chord {e.chord}", slack >= -_eps(e.c, rhs), slack))
         for f in arb.child_edges(e.head):
-            rhs4 = e.w + sum(arb.edges[g].c for g in arb.child_edges(e.head) if g != f)
+            rhs4 = e.w + (arb.child_c_sum[idx] - arb.edges[f].c)
             lhs4 = e.c + arb.edges[f].c
             slack = rhs4 - lhs4
-            cert.two_opt.append(
-                InequalityCheck(f"2opt[{idx},{f}] chords {e.chord} {arb.edges[f].chord}",
-                                slack >= -_eps(lhs4, rhs4), slack)
-            )
+            cert.two_opt.append(InequalityCheck(
+                f"2opt[{idx},{f}] chords {e.chord} {arb.edges[f].chord}", slack >= -_eps(lhs4, rhs4), slack))
     return cert
 
 
@@ -183,12 +192,7 @@ def subset_E_prime(arb: Arborescence, l: float) -> set[int]:
     """
     if l <= 0:
         raise ValueError("l must be positive")
-    out = set()
-    for idx, e in enumerate(arb.edges):
-        kids = arb.child_edges(e.head)
-        if kids and e.c < l * max(arb.edges[f].c for f in kids):
-            out.add(idx)
-    return out
+    return {idx for idx, e in enumerate(arb.edges) if e.c < l * arb.child_c_max[idx]}
 
 
 def subset_E_r(arb: Arborescence, l: float, r: float) -> set[int]:
@@ -268,21 +272,14 @@ def verify_lemma_suite(arb: Arborescence) -> ArborescenceCertificate:
 
 
 def _topmost(arb: Arborescence, edge_set: set[int]) -> list[int]:
-    """Minimal subset of edge_set whose sub-arborescences cover edge_set."""
-    out = []
-    for idx in edge_set:
-        # Walk towards the root looking for another member above idx.
-        node = arb.edges[idx].tail
-        covered = False
-        while node in arb._in_edge:
-            up = arb._in_edge[node]
-            if up in edge_set:
-                covered = True
-                break
-            node = arb.edges[up].tail
-        if not covered:
-            out.append(idx)
-    return sorted(out)
+    """Minimal subset of edge_set whose sub-arborescences cover edge_set, in one forward sweep."""
+    out, covered = [], [False] * len(arb.edges)  # covered[k]: a member lies strictly above edge k
+    for k, e in enumerate(arb.edges):
+        up = e.tail - 1
+        covered[k] = up >= 0 and (up in edge_set or covered[up])
+        if k in edge_set and not covered[k]:
+            out.append(k)
+    return out
 
 
 def certified_ratio_bound(nprime: int) -> float:
@@ -312,6 +309,8 @@ class PairCertificate:
 
 def certify_pair(inst: Instance, t_opt: Tour, s_2opt: Tour) -> PairCertificate:
     """Full pipeline: uncross, partition, build and verify all arborescences."""
+    if inst.n < 3:
+        raise ValueError(f"certify_pair needs n >= 3 points, got n = {inst.n}")
     verdict = is_k_optimal(inst, s_2opt, 2)
     if not verdict.optimal:
         raise ValueError("s_2opt is not 2-optimal; certification precondition violated")

@@ -45,6 +45,8 @@ def gen_random(n: int, grid: int, seed: int, p: float = 2, name: str = "",
     Each candidate is tested in O(n) against the points placed so far, so
     generation is O(n^2) overall when few candidates are rejected.
     """
+    if n < 0:
+        raise ValueError(f"n must be at least 0, got {n}")
     if grid < n:
         raise ValueError("grid bound must be at least n")
     norm = PNorm(p)  # a bad p fails before any point is placed

@@ -7,11 +7,18 @@ laminarity on every pair of chord intervals, nests them with a stack, and
 paints each path edge with the intervals longest first, so the innermost
 one owns it.  The tests use them as the oracle for
 `partition.select_reference_edge` and `arborescence.build_arborescence`.
+
+The certificate checks' old traversals are the oracle for the tables an
+`Arborescence` builds at construction: `reference_subtree_w` walks the
+tree below an edge for w(A_e), `reference_topmost` walks from each member
+towards the root, and `reference_combined_inequalities` re-sums the
+sibling chords for every 2-optimality pair.
 """
 
 from typing import Optional
 
-from kopt_lab.arborescence import Arborescence, ArbEdge, ChordCrossingError
+from kopt_lab.arborescence import (Arborescence, ArbEdge, ArborescenceCertificate, ChordCrossingError,
+                                   InequalityCheck, _eps)
 from kopt_lab.partition import PartitionError
 from kopt_lab.tour import Instance, Tour
 
@@ -116,4 +123,47 @@ def reference_build_arborescence(
         ArbEdge(tail=parents[node], head=node, c=chord_len[ch], w=w_of[node], chord=ch)
         for ch, node in node_of.items()
     ]
-    return Arborescence(n_nodes=n_nodes, edges=edges)
+    return Arborescence(edges=edges)
+
+
+def reference_subtree_w(arb: Arborescence, edge_idx: int) -> float:
+    """w(A_e) by a depth-first walk of the tree below the edge's head."""
+    e = arb.edges[edge_idx]
+    total = e.w
+    stack = [e.head]
+    while stack:
+        node = stack.pop()
+        for ci in arb.child_edges(node):
+            total += arb.edges[ci].w
+            stack.append(arb.edges[ci].head)
+    return total
+
+
+def reference_topmost(arb: Arborescence, edge_set: set) -> list:
+    """The members of edge_set with no other member above them, by a walk towards the root from each."""
+    in_edge = {e.head: idx for idx, e in enumerate(arb.edges)}
+    out = []
+    for idx in edge_set:
+        node = arb.edges[idx].tail
+        while node in in_edge and in_edge[node] not in edge_set:
+            node = arb.edges[in_edge[node]].tail
+        if node not in in_edge:
+            out.append(idx)
+    return sorted(out)
+
+
+def reference_combined_inequalities(arb: Arborescence) -> ArborescenceCertificate:
+    """The combined triangle and 2-optimality checks, each sum taken afresh over the head's child edges."""
+    cert = ArborescenceCertificate()
+    for idx, e in enumerate(arb.edges):
+        kids = arb.child_edges(e.head)
+        rhs = e.w + sum(arb.edges[f].c for f in kids)
+        cert.triangle.append(InequalityCheck(
+            f"triangle[{idx}] chord {e.chord}", rhs - e.c >= -_eps(e.c, rhs), rhs - e.c))
+        for f in kids:
+            rhs4 = e.w + sum(arb.edges[g].c for g in kids if g != f)
+            lhs4 = e.c + arb.edges[f].c
+            cert.two_opt.append(InequalityCheck(
+                f"2opt[{idx},{f}] chords {e.chord} {arb.edges[f].chord}", rhs4 - lhs4 >= -_eps(lhs4, rhs4),
+                rhs4 - lhs4))
+    return cert

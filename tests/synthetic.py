@@ -31,4 +31,4 @@ def random_feasible_arborescence(rng: random.Random, max_edges: int = 50) -> Arb
     edges = [
         ArbEdge(tail=parent[v], head=v, c=c[v], w=w[v]) for v in range(1, m + 1)
     ]
-    return Arborescence(n_nodes=m + 1, edges=edges)
+    return Arborescence(edges=edges)

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -87,6 +88,29 @@ class TestConstruction:
         assert len(arb.child_edges(arb.root)) == 2
 
 
+class TestEdgeOrder:
+    """Edge k must enter node k + 1 from a node <= k; any other edge list is refused when built."""
+
+    @pytest.mark.parametrize("arcs", [
+        [(0, 1), (3, 2), (2, 3)],   # nodes 2 and 3 on a cycle, out of the root's reach
+        [(0, 1), (1, 5)],           # a head out of range
+        [(0, 1), (0, 1)],           # two edges into node 1
+        [(0, 1), (3, 2), (1, 3)],   # node 2 listed before its parent, node 3
+        [(0, 1), (2, 2)],           # a loop
+    ])
+    def test_malformed_edge_lists_are_refused(self, arcs):
+        edges = [ArbEdge(tail=t, head=h, c=1.0, w=1.0) for t, h in arcs]
+        with pytest.raises(ValueError, match=r"edge 1 runs .* it must enter node 2 from a node in 0\.\.1"):
+            Arborescence(edges=edges)
+
+    def test_node_count_and_root_are_derived(self):
+        arb = Arborescence(edges=[ArbEdge(tail=0, head=1, c=1.0, w=1.0), ArbEdge(tail=0, head=2, c=1.0, w=1.0)])
+        assert (arb.n_nodes, arb.root) == (3, 0)
+        assert Arborescence(edges=[]).n_nodes == 1
+        with pytest.raises(TypeError):
+            Arborescence(n_nodes=3, edges=arb.edges)
+
+
 class TestInequalities:
     def test_worked_example_passes(self, fortytwo_arb):
         _, _, arb = fortytwo_arb
@@ -96,9 +120,7 @@ class TestInequalities:
 
     def test_violation_is_caught(self):
         # head region has a long chord and a short boundary: infeasible
-        arb = Arborescence(
-            n_nodes=2, edges=[ArbEdge(tail=0, head=1, c=100.0, w=1.0)]
-        )
+        arb = Arborescence(edges=[ArbEdge(tail=0, head=1, c=100.0, w=1.0)])
         cert = verify_combined_inequalities(arb)
         assert not cert.all_pass
 
@@ -112,13 +134,18 @@ class TestInequalities:
 class TestEdgeSubsets:
     def hand_arb(self):
         return Arborescence(
-            n_nodes=4,
             edges=[
                 ArbEdge(tail=0, head=1, c=10.0, w=5.0),
                 ArbEdge(tail=1, head=2, c=8.0, w=3.0),
                 ArbEdge(tail=1, head=3, c=2.0, w=4.0),
             ],
         )
+
+    def test_tables(self):
+        """Per edge: the sum and max of its child chords, and w(A_e)."""
+        arb = self.hand_arb()
+        assert (arb.child_c_sum, arb.child_c_max) == ([10.0, 0.0, 0.0], [8.0, -math.inf, -math.inf])
+        assert [arb.subtree_w(k) for k in range(3)] == [12.0, 3.0, 4.0]
 
     def test_small_relative_chords(self):
         arb = self.hand_arb()
@@ -185,6 +212,13 @@ class TestCertifyPair:
             "S1'": 9, "S1''": 8, "S2'": 4, "S2''": 8, "S3": 13,
         }
 
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_rejects_fewer_than_three_points(self, n):
+        inst = Instance([pt(i, i * i) for i in range(n)], PNorm(2))
+        tour = Tour(tuple(range(n)))
+        with pytest.raises(ValueError, match=f"certify_pair needs n >= 3 points, got n = {n}$"):
+            certify_pair(inst, tour, tour)
+
     def test_rejects_non_2_optimal_s(self):
         inst = Instance([pt(0, 0), pt(2, 0), pt(2, 2), pt(0, 2)], PNorm(2))
         with pytest.raises(ValueError):
@@ -230,7 +264,25 @@ class TestCertifyPair:
 def lopsided_arb(n_edges: int, ratio: float) -> Arborescence:
     """A chain of n_edges chords (0, 1), (0, 2), ... with c(A) = ratio * w(A): far past c(A) >= 18 w(A)."""
     edges = [ArbEdge(tail=k, head=k + 1, c=ratio, w=1.0, chord=(0, k + 1)) for k in range(n_edges)]
-    return Arborescence(n_nodes=n_edges + 1, edges=edges)
+    return Arborescence(edges=edges)
+
+
+def broom(n_kids: int) -> Arborescence:
+    """A handle chord (0, 1) with n_kids chords on its head: one edge with the most 2-optimality pairs."""
+    edges = [ArbEdge(tail=0, head=1, c=1.0, w=1.0, chord=(0, 1))]
+    edges += [ArbEdge(tail=1, head=k, c=1.0, w=1.0, chord=(1, k)) for k in range(2, n_kids + 2)]
+    return Arborescence(edges=edges)
+
+
+@pytest.mark.parametrize("build", [lambda m: lopsided_arb(m, 50.0), broom], ids=["chain", "broom"])
+def test_checks_are_linear_in_the_edges(build):
+    """10,000 edges through both checks in well under 2 s: one pass each, no walk per edge or sibling re-sum."""
+    start = time.perf_counter()
+    arb = build(10_000)
+    ineq, lemmas = verify_combined_inequalities(arb), verify_lemma_suite(arb)
+    assert time.perf_counter() - start < 2.0
+    assert len(ineq.triangle) == len(arb.edges) and len(ineq.two_opt) == len(arb.edges) - 1
+    assert lemmas.lemma_checks[-1].label.startswith("main")
 
 
 # A pair whose exterior side has one chord: S2' holds it, bounded by c(T) alone.
@@ -267,7 +319,7 @@ class TestChecksFire:
         # at l = 6 the four make E_r with c(E_r) = 12 > 2 w(A) and cover sum w = 4 > w(A).
         edges = [ArbEdge(tail=0, head=k, c=3.0, w=1.0, chord=(0, k)) for k in range(1, 5)]
         edges.append(ArbEdge(tail=0, head=5, c=0.5, w=-1.0, chord=(0, 5)))
-        star = verify_lemma_suite(Arborescence(n_nodes=6, edges=edges))
+        star = verify_lemma_suite(Arborescence(edges=edges))
         labels = {c.label: c.passed for c in star.lemma_checks}
         four = "chords (0, 1) (0, 2) (0, 3) (0, 4)"
         assert labels[f"E_r(l=6,i=1): c(E_r) <= 2*w(A) {four}"] is False

@@ -1,24 +1,32 @@
-"""The reference chord and the arborescences against the oracles they replaced.
+"""The reference chord, the arborescences and their checks against the oracles they replaced.
 
 `select_reference_edge` and `build_arborescence` must give exactly what
 the per-chord path scans and pairwise loops of `reference_certificate` give:
 the same e0 and path, and arborescences with the same node ids, edge order
 and bit-identical c and w.  The inputs are both chord sides of seeded 2-Opt
 pairs under p = 1 and p = 2, and random chord sets, crossing ones included.
+The certificate checks, which read the tables an `Arborescence` builds,
+must give the verdicts of the per-edge walks and sibling re-sums they
+replaced, on those arborescences and on random trees.
 """
 
+import math
 import random
 
 import pytest
 
-from kopt_lab.arborescence import ChordCrossingError, build_arborescence
+from kopt_lab import arborescence as arb_module
+from kopt_lab.arborescence import (ArbEdge, Arborescence, ChordCrossingError, build_arborescence,
+                                   verify_combined_inequalities, verify_lemma_suite)
 from kopt_lab.crossing import make_crossing_free
 from kopt_lab.geometry import PNorm, pt
 from kopt_lab.harness import gen_random, random_tour
 from kopt_lab.partition import PartitionError, classify_edges, orientation_split, select_reference_edge
 from kopt_lab.tour import Instance, Tour, two_opt
 
-from reference_certificate import reference_build_arborescence, reference_select_reference_edge
+from reference_certificate import (reference_build_arborescence, reference_combined_inequalities,
+                                   reference_select_reference_edge, reference_subtree_w, reference_topmost)
+from synthetic import random_feasible_arborescence
 
 N_SEEDS = 480  # about one pair in six is refused: p = 1 tours that cross themselves
 
@@ -62,6 +70,56 @@ def test_arborescences_match_the_oracle(chord_sides):
             assert same_arborescence(got, reference_build_arborescence(vp, path, cls, e0=root)), (seed, p)
             built += len(got.edges) > 0
     assert built > len(chord_sides)
+
+
+def verdicts(checks):
+    return [(c.label, c.passed) for c in checks]
+
+
+def match_old_traversals(arb, monkeypatch, rng) -> bool:
+    """Assert every verdict, and w(A_e) to 1e-12 relative, as the walks and re-sums give them; return whether all pass."""
+    for k in range(len(arb.edges)):
+        assert math.isclose(arb.subtree_w(k), reference_subtree_w(arb, k), rel_tol=1e-12)
+    for _ in range(3):
+        members = {k for k in range(len(arb.edges)) if rng.random() < 0.4}
+        assert arb_module._topmost(arb, members) == reference_topmost(arb, members)
+    got, want = verify_combined_inequalities(arb), reference_combined_inequalities(arb)
+    assert verdicts(got.triangle + got.two_opt) == verdicts(want.triangle + want.two_opt)
+    got = verify_lemma_suite(arb)
+    with monkeypatch.context() as old:
+        old.setattr(Arborescence, "subtree_w", reference_subtree_w)
+        old.setattr(arb_module, "_topmost", reference_topmost)
+        want = verify_lemma_suite(arb)
+    assert verdicts(got.lemma_checks) == verdicts(want.lemma_checks) and got.params == want.params
+    return got.all_pass and verify_combined_inequalities(arb).all_pass
+
+
+def test_checks_match_the_old_traversals(chord_sides, monkeypatch):
+    rng, checked = random.Random(11), 0
+    for seed, p, vp, tprime, chords in chord_sides:
+        e0, path = select_reference_edge(chords, tprime)
+        for cls, root in zip(orientation_split(chords, e0, path), (e0, None)):
+            arb = build_arborescence(vp, path, cls, e0=root)
+            assert match_old_traversals(arb, monkeypatch, rng), (seed, p)
+            checked += len(arb.edges) > 1
+    assert checked > len(chord_sides)
+
+
+def random_weighted_arborescence(rng, max_edges):
+    """Any tree shape with c and w drawn at random, so checks fail as well as pass."""
+    m, scale = rng.randint(1, max_edges), rng.choice([0.02, 0.3, 3.0])
+    return Arborescence(edges=[ArbEdge(tail=rng.randrange(k + 1), head=k + 1, c=rng.uniform(0, 10),
+                                       w=scale * rng.uniform(0, 1), chord=(0, k + 1)) for k in range(m)])
+
+
+def test_random_trees_match_the_old_traversals(monkeypatch):
+    rng, failed, lemmas = random.Random(17), 0, set()
+    for _ in range(150):
+        assert match_old_traversals(random_feasible_arborescence(rng), monkeypatch, rng)
+        arb = random_weighted_arborescence(rng, 60)
+        failed += not match_old_traversals(arb, monkeypatch, rng)
+        lemmas.add(verify_lemma_suite(arb).params["main_lemma"])
+    assert failed > 0 and lemmas == {"checked", "vacuous"}
 
 
 def random_chords(rng, n, k):

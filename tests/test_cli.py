@@ -33,6 +33,13 @@ class TestGenerators:
         assert "error: p must be a finite number at least 1" in capsys.readouterr().err
         assert placed == [] and not (workdir / "r.tsp").exists()  # rejected before any point is placed
 
+    @pytest.mark.parametrize("out", [(), ("--out", "r.tsp")])
+    def test_gen_random_rejects_negative_n(self, workdir, capsys, out):
+        assert run("gen-random", "--n", "-1", *out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: n must be at least 0, got -1" in captured.err
+        assert list(workdir.iterdir()) == []
+
     def test_pnorm_inf_file_is_a_usage_error(self, workdir, capsys):
         (workdir / "r.tsp").write_text(
             "TYPE : TSP\nCOMMENT : PNORM=inf\nDIMENSION : 3\nEDGE_WEIGHT_TYPE : SPECIAL\n"

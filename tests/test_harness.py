@@ -68,6 +68,14 @@ class TestGenRandom:
         with pytest.raises(RejectionBudgetExceeded):
             gen_random(5, 10, seed=1, budget=3)
 
+    def test_negative_n_is_refused(self):
+        with pytest.raises(ValueError, match="n must be at least 0, got -1"):
+            gen_random(-1, 1000, seed=1)
+
+    def test_empty_instance(self):
+        inst = gen_random(0, 1000, seed=1)
+        assert inst.n == 0 and inst.name == "rand-n0-seed1"
+
     # Budgets near the median number of tries make about half the seeds of
     # the small grids run out; at (24, 24) about half the candidates are
     # rejected.
