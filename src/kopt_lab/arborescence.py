@@ -164,8 +164,8 @@ class ArborescenceCertificate:
         return all(c.passed for c in self.triangle + self.two_opt + self.lemma_checks)
 
 
-def _eps(*values) -> float:
-    return CERT_EPS * max(1.0, *(abs(float(v)) for v in values))
+def _eps(a, b) -> float:
+    return CERT_EPS * max(1.0, abs(float(a)), abs(float(b)))
 
 
 def verify_combined_inequalities(arb: Arborescence) -> ArborescenceCertificate:
@@ -195,21 +195,12 @@ def subset_E_prime(arb: Arborescence, l: float) -> set[int]:
     return {idx for idx, e in enumerate(arb.edges) if e.c < l * arb.child_c_max[idx]}
 
 
-def subset_E_r(arb: Arborescence, l: float, r: float) -> set[int]:
-    """{ e not in E' : r < c(e) <= (l/4) * r }."""
-    if l <= 0 or r <= 0:
-        raise ValueError("l and r must be positive")
-    eprime = subset_E_prime(arb, l)
-    return {
-        idx for idx, e in enumerate(arb.edges)
-        if idx not in eprime and r < e.c <= (l / 4) * r
-    }
-
-
 def verify_lemma_suite(arb: Arborescence) -> ArborescenceCertificate:
     """Check the E', A_e, E_r and ratio lemmas on a concrete arborescence.
 
-    A failed E', E_r or cover check names its member chords, and a failed
+    E' is computed once per l, and each E_r of that l, { e not in E' :
+    r < c(e) <= (l/4) * r }, is filtered from the edges outside it.  A
+    failed E', E_r or cover check names its member chords, and a failed
     A_e check its edge's chord, after the label that it passes with.
     """
     cert = ArborescenceCertificate()
@@ -238,11 +229,12 @@ def verify_lemma_suite(arb: Arborescence) -> ArborescenceCertificate:
         eprime = subset_E_prime(arb, l)
         val = c_of(eprime)
         check(f"E'(l={l:g}): c(E') <= l/2*w(A)", val <= bound + _eps(val, bound), bound - val, eprime)
+        rest = [(idx, e.c) for idx, e in enumerate(arb.edges) if idx not in eprime]
         for i in range(1, math.floor(l / 6) + 1):
             r = (4 / l) ** i * wA
             if r <= 0:
                 break
-            er = subset_E_r(arb, l, r)
+            er = {idx for idx, c in rest if r < c <= (l / 4) * r}
             val = c_of(er)
             check(f"E_r(l={l:g},i={i}): c(E_r) <= 2*w(A)", val <= 2 * wA + _eps(val, wA), 2 * wA - val, er)
             # The minimal-cover decomposition used in the E_r proof.

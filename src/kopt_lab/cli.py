@@ -102,11 +102,16 @@ def cmd_scan_kopt(args) -> int:
     if args.instance:
         if not args.tour:
             raise ValueError("--tour is required with --instance")
+        for flag in ("p", "q"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} chooses the layered family; it cannot be used with --instance")
         inst = _load_instance(args.instance)
         with open(args.tour) as f:
             tour = tsplib.read_tour(f)
     else:
-        lb = lowerbound.generate_lb_instance(args.k, args.p, args.q)
+        p = 1 if args.p is None else args.p
+        q = 3 if args.q is None else args.q
+        lb = lowerbound.generate_lb_instance(args.k, p, q)
         inst = lb.as_instance()
         tour = lowerbound.build_lb_tour(lb)
     t0 = time.perf_counter()
@@ -182,8 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--instance")
     g.add_argument("--tour")
     g.add_argument("--k", type=int, default=2)
-    g.add_argument("--p", type=int, default=1)
-    g.add_argument("--q", type=int, default=3)
+    g.add_argument("--p", type=int, help="family p-norm (default 1); not with --instance")
+    g.add_argument("--q", type=int, help="family q (default 3); not with --instance")
     g.add_argument("--out")
     g.set_defaults(func=cmd_scan_kopt)
 

@@ -916,32 +916,29 @@ class KOptVerdict(NamedTuple):
     witness: Optional[tuple]  # positions of the replaced edges, plus the new tour
 
 
-def _find_improving_3move(inst: Instance, t: Tour):
-    o = t.order
-    n = len(o)
-    d = inst.dist
+def _find_improving_3move(inst: Instance, ring: np.ndarray):
+    """The first improving 3-move of the tour with this ring: ((i, j, k), new tour), or None.
 
-    def seg(lo, hi):  # inclusive cyclic slice
-        if lo <= hi:
-            return o[lo : hi + 1]
-        return o[lo:] + o[: hi + 1]
-
+    For i < j < k it removes the edges after positions i, j and k and joins
+    s1 = o[i+1..j] and s2 = o[j+1..k] between a = o[i] and g = o[k+1] in
+    seven ways: s1 or s2 first, then the first and the second reversed or
+    not, the identity skipped.  A gain reads the six segment ends in the
+    instance's distance cache, as Python values of `dist`; only a hit's
+    witness slices the tour.
+    """
+    o, n = ring.tolist(), inst.n
+    d = inst._pair_dist.outer(slice(None), slice(None)).tolist()
     for i, j, k in itertools.combinations(range(n), 3):
-        s1 = seg(i + 1, j)
-        s2 = seg(j + 1, k)
-        s3 = seg((k + 1) % n, i)
-        removed = d(o[i], o[i + 1]) + d(o[j], o[j + 1]) + d(o[k], o[(k + 1) % n])
+        a, b1, e1, b2, e2, g = o[i], o[i + 1], o[j], o[j + 1], o[k], o[k + 1]
+        removed = d[a][b1] + d[e1][b2] + d[e2][g]
         eps = _gain_threshold(inst, removed)
-        for xa, ya in ((s1, s2), (s2, s1)):
-            for xr in (False, True):
-                for yr in (False, True):
-                    if (xa, xr, yr) == (s1, False, False):
-                        continue  # identity reconnection
-                    x = tuple(reversed(xa)) if xr else xa
-                    y = tuple(reversed(ya)) if yr else ya
-                    added = d(s3[-1], x[0]) + d(x[-1], y[0]) + d(y[-1], s3[0])
-                    if removed - added > eps:
-                        return (i, j, k), Tour(tuple(s3) + tuple(x) + tuple(y))
+        for x0, x1, y0, y1 in ((b1, e1, e2, b2), (e1, b1, b2, e2), (e1, b1, e2, b2),
+                               (b2, e2, b1, e1), (b2, e2, e1, b1), (e2, b2, b1, e1), (e2, b2, e1, b1)):
+            if removed - (d[a][x0] + d[x1][y0] + d[y1][g]) > eps:
+                s1, s2 = o[i + 1 : j + 1], o[j + 1 : k + 1]
+                x, y = (s1, s2) if x0 in (b1, e1) else (s2, s1)
+                x, y = x if x[0] == x0 else x[::-1], y if y[0] == y0 else y[::-1]
+                return (i, j, k), Tour(tuple(o[k + 1 : n] + o[: i + 1] + x + y))
     return None
 
 
@@ -952,11 +949,11 @@ def is_k_optimal(inst: Instance, t: Tour, k: int) -> KOptVerdict:
         if m is None:
             return KOptVerdict(True, None)
         return KOptVerdict(False, ((m.i, m.j), apply_2move(t, m)))
-    t.validate(inst)
+    ring = t.validate(inst)
     if k == 3:
         if inst.n > 400:
             raise ValueError("3-optimality scan limited to n <= 400")
-        hit = _find_improving_3move(inst, t)
+        hit = _find_improving_3move(inst, ring)
         if hit is None:
             return KOptVerdict(True, None)
         return KOptVerdict(False, hit)

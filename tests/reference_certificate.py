@@ -12,13 +12,15 @@ The certificate checks' old traversals are the oracle for the tables an
 `Arborescence` builds at construction: `reference_subtree_w` walks the
 tree below an edge for w(A_e), `reference_topmost` walks from each member
 towards the root, and `reference_combined_inequalities` re-sums the
-sibling chords for every 2-optimality pair.
+sibling chords for every 2-optimality pair.  `reference_subset_E_r` is the
+band E_r as the lemma suite took it before it kept one E' per l: it
+computes E' afresh on every call.
 """
 
 from typing import Optional
 
 from kopt_lab.arborescence import (Arborescence, ArbEdge, ArborescenceCertificate, ChordCrossingError,
-                                   InequalityCheck, _eps)
+                                   InequalityCheck, _eps, subset_E_prime)
 from kopt_lab.partition import PartitionError
 from kopt_lab.tour import Instance, Tour
 
@@ -167,3 +169,14 @@ def reference_combined_inequalities(arb: Arborescence) -> ArborescenceCertificat
                 f"2opt[{idx},{f}] chords {e.chord} {arb.edges[f].chord}", rhs4 - lhs4 >= -_eps(lhs4, rhs4),
                 rhs4 - lhs4))
     return cert
+
+
+def reference_subset_E_r(arb: Arborescence, l: float, r: float) -> set[int]:
+    """{ e not in E' : r < c(e) <= (l/4) * r }."""
+    if l <= 0 or r <= 0:
+        raise ValueError("l and r must be positive")
+    eprime = subset_E_prime(arb, l)
+    return {
+        idx for idx, e in enumerate(arb.edges)
+        if idx not in eprime and r < e.c <= (l / 4) * r
+    }

@@ -15,7 +15,6 @@ from kopt_lab.arborescence import (
     certified_ratio_bound,
     certify_pair,
     subset_E_prime,
-    subset_E_r,
     verify_combined_inequalities,
     verify_lemma_suite,
 )
@@ -26,6 +25,7 @@ from kopt_lab.harness import gen_random, random_tour
 from kopt_lab.partition import partition_edges
 from kopt_lab.tour import Instance, Tour, exact_opt, is_k_optimal, tour_length, two_opt
 
+from reference_certificate import reference_subset_E_r
 from synthetic import random_feasible_arborescence
 from worked_examples import fortytwo_point_pair, twelve_point_pair
 
@@ -161,9 +161,9 @@ class TestEdgeSubsets:
     def test_band_subset(self):
         arb = self.hand_arb()
         # l=8: E' = {0}; band (1, 2] catches only the c=2 edge
-        assert subset_E_r(arb, 8.0, 1.0) == {2}
+        assert reference_subset_E_r(arb, 8.0, 1.0) == {2}
         # band (4, 8] catches only the c=8 edge
-        assert subset_E_r(arb, 8.0, 4.0) == {1}
+        assert reference_subset_E_r(arb, 8.0, 4.0) == {1}
 
     def test_lemma_suite_on_worked_example(self, fortytwo_arb):
         _, _, arb = fortytwo_arb
@@ -283,6 +283,16 @@ def test_checks_are_linear_in_the_edges(build):
     assert time.perf_counter() - start < 2.0
     assert len(ineq.triangle) == len(arb.edges) and len(ineq.two_opt) == len(arb.edges) - 1
     assert lemmas.lemma_checks[-1].label.startswith("main")
+
+
+@pytest.mark.parametrize("n_edges", [1000, 4000, 10_000])
+def test_lemma_suite_takes_E_prime_once_per_l(monkeypatch, n_edges):
+    """Four E' passes on the chain, one per l (2, 6, 18 and c(A)/w(A) = 50), not one more per E_r band."""
+    calls = []
+    monkeypatch.setattr(arb_module, "subset_E_prime", lambda arb, l: calls.append(l) or subset_E_prime(arb, l))
+    cert = verify_lemma_suite(lopsided_arb(n_edges, 50.0))
+    assert calls == [2.0, 6.0, 18.0, 50.0]
+    assert sum(c.label.startswith("E_r") for c in cert.lemma_checks) == 12  # 0 + 1 + 3 + 8 bands
 
 
 # A pair whose exterior side has one chord: S2' holds it, bounded by c(T) alone.

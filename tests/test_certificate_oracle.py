@@ -7,7 +7,8 @@ and bit-identical c and w.  The inputs are both chord sides of seeded 2-Opt
 pairs under p = 1 and p = 2, and random chord sets, crossing ones included.
 The certificate checks, which read the tables an `Arborescence` builds,
 must give the verdicts of the per-edge walks and sibling re-sums they
-replaced, on those arborescences and on random trees.
+replaced, on those arborescences and on random trees, and the lemma suite
+the E_r sets, in their iteration order, that a fresh E' per band gives.
 """
 
 import math
@@ -25,7 +26,8 @@ from kopt_lab.partition import PartitionError, classify_edges, orientation_split
 from kopt_lab.tour import Instance, Tour, two_opt
 
 from reference_certificate import (reference_build_arborescence, reference_combined_inequalities,
-                                   reference_select_reference_edge, reference_subtree_w, reference_topmost)
+                                   reference_select_reference_edge, reference_subset_E_r, reference_subtree_w,
+                                   reference_topmost)
 from synthetic import random_feasible_arborescence
 
 N_SEEDS = 480  # about one pair in six is refused: p = 1 tours that cross themselves
@@ -76,8 +78,27 @@ def verdicts(checks):
     return [(c.label, c.passed) for c in checks]
 
 
+def reference_E_r_sets(arb) -> list:
+    """The suite's E_r bands, in its (l, i) order, each from `reference_subset_E_r`."""
+    if not arb.edges:
+        return []
+    cA, wA = arb.c_total(), arb.w_total()
+    l_values = [2.0, 6.0, 18.0] + ([cA / wA] if wA > 0 and cA / wA > 0 else [])
+    out = []
+    for l in l_values:
+        for i in range(1, math.floor(l / 6) + 1):
+            r = (4 / l) ** i * wA
+            if r <= 0:
+                break
+            out.append(reference_subset_E_r(arb, l, r))
+    return out
+
+
 def match_old_traversals(arb, monkeypatch, rng) -> bool:
-    """Assert every verdict, and w(A_e) to 1e-12 relative, as the walks and re-sums give them; return whether all pass."""
+    """Assert every verdict, and w(A_e) to 1e-12 relative, as the walks and re-sums give them; return whether all pass.
+
+    The E_r sets are those the suite hands `_topmost`, one per band.
+    """
     for k in range(len(arb.edges)):
         assert math.isclose(arb.subtree_w(k), reference_subtree_w(arb, k), rel_tol=1e-12)
     for _ in range(3):
@@ -85,7 +106,11 @@ def match_old_traversals(arb, monkeypatch, rng) -> bool:
         assert arb_module._topmost(arb, members) == reference_topmost(arb, members)
     got, want = verify_combined_inequalities(arb), reference_combined_inequalities(arb)
     assert verdicts(got.triangle + got.two_opt) == verdicts(want.triangle + want.two_opt)
-    got = verify_lemma_suite(arb)
+    bands, topmost = [], arb_module._topmost
+    with monkeypatch.context() as recorded:
+        recorded.setattr(arb_module, "_topmost", lambda a, members: bands.append(members) or topmost(a, members))
+        got = verify_lemma_suite(arb)
+    assert [list(er) for er in bands] == [list(er) for er in reference_E_r_sets(arb)]
     with monkeypatch.context() as old:
         old.setattr(Arborescence, "subtree_w", reference_subtree_w)
         old.setattr(arb_module, "_topmost", reference_topmost)

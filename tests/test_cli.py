@@ -175,6 +175,18 @@ class TestScanAndReport:
         assert "error: --instance is required with --tour" in capsys.readouterr().err
         assert not (workdir / "scan.json").exists()
 
+    @pytest.mark.parametrize("flags, flag", [(("--p", "3", "--q", "9"), "--p"), (("--q", "3"), "--q"),
+                                             (("--p", "1"), "--p")])
+    def test_scan_family_flags_with_an_instance_are_usage_errors(self, workdir, capsys, monkeypatch, flags, flag):
+        """--p and --q choose the layered family: with --instance they exit 2, naming the flag, and write nothing."""
+        run("gen-random", "--n", "6", "--grid", "100", "--seed", "4", "--out", "r.tsp")
+        run("solve-2opt", "r.tsp", "--out", "s.tour")
+        monkeypatch.setattr(lowerbound, "generate_lb_instance", lambda *args: pytest.fail("built"))
+        capsys.readouterr()
+        assert run("scan-kopt", "--instance", "r.tsp", "--tour", "s.tour", *flags, "--out", "scan.json") == 2
+        assert f"error: {flag} chooses the layered family" in capsys.readouterr().err
+        assert not (workdir / "scan.json").exists()
+
     def test_report(self, workdir):
         assert run("report", "--seed", "6", "--trials", "3",
                    "--out", "exp.json") == 0

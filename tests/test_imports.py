@@ -12,7 +12,9 @@ belongs in `tests/`.
 And it keeps the one coordinate-distance rule in one place: in `tour.py`,
 `np.abs` and `np.sqrt` appear only inside `_CoordinateDistances`.  So too
 the one permutation check: in `tour.py`, a tour's order is closed into a
-ring (`o + o[:1]`) only inside `Tour.validate`.
+ring (`o + o[:1]`) only inside `Tour.validate`.  And the one distance
+cache: in `tour.py`, the oracle `Instance.dist` is read only where
+`Instance._pair_dist` builds the cache and in `tour_length`'s fold.
 
 And every oracle kept in `tests/reference_*.py` is imported by some test
 module: an oracle that no test compares against checks nothing.
@@ -186,13 +188,13 @@ def is_ring_build(node: ast.AST) -> bool:
             and ast.dump(node.right.value) == ast.dump(node.left))
 
 
-def ring_builds(source: str) -> list:
-    """(line, enclosing class and function names, dotted) of every ring build in `source`."""
+def owned_matches(source: str, match) -> list:
+    """(line, enclosing class and function names, dotted) of every node of `source` for which match(node, owner)."""
     out = []
 
     def visit(node: ast.AST, owner: str):
         for child in ast.iter_child_nodes(node):
-            if is_ring_build(child):
+            if match(child, owner):
                 out.append((child.lineno, owner))
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, f"{owner}.{child.name}".lstrip("."))
@@ -201,6 +203,11 @@ def ring_builds(source: str) -> list:
 
     visit(ast.parse(source), "")
     return sorted(out)
+
+
+def ring_builds(source: str) -> list:
+    """(line, owner) of every ring build in `source`."""
+    return owned_matches(source, lambda node, owner: is_ring_build(node))
 
 
 def test_a_tour_becomes_a_ring_in_one_check():
@@ -214,6 +221,31 @@ def test_checker_flags_a_ring_built_outside_the_check():
            "def _state(t):\n    def segments(tour):\n        return tour.order + tour.order[:1]\n"
            "    o = t.order\n    return o + o[:1], o + o[:2], o + t.order[:1]\n\nring = x + x[:1]\n")
     assert ring_builds(src) == [(3, "Tour.validate"), (7, "_state.segments"), (9, "_state"), (11, "")]
+
+
+def is_oracle_read(node: ast.AST, owner: str) -> bool:
+    """Whether `node` reads `inst.dist`, or `self.dist` inside class `Instance`: not a state's distance backend."""
+    return (isinstance(node, ast.Attribute) and node.attr == "dist" and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name)
+            and (node.value.id == "inst" or node.value.id == "self" and owner.startswith("Instance.")))
+
+
+def test_the_oracle_is_read_only_to_build_the_cache():
+    """Every engine reads `Instance._pair_dist`; only the cache and `tour_length`'s fold call `Instance.dist`."""
+    source = (Path(kopt_lab.__file__).parent / "tour.py").read_text()
+    assert {owner for _, owner in owned_matches(source, is_oracle_read)} == {"Instance._pair_dist", "tour_length"}
+
+
+def test_checker_flags_an_oracle_read_outside_the_cache():
+    src = ("class Instance:\n    def dist(self, i, j):\n        return 0\n\n"
+           "    def _pair_dist(self):\n        return self.dist(0, 1)\n\n"
+           "    def extended(self):\n        return [self.dist]\n\n"
+           "class _TourState:\n    def __init__(self, inst):\n        self.dist = inst._pair_dist\n"
+           "        self.edge = self.dist.edge\n\n"
+           "def _find_improving_3move(inst, t):\n    d = inst.dist\n\n"
+           "def tour_length(inst, t, state):\n    return inst.dist(0, 1) + state.dist.edge[0]\n")
+    assert owned_matches(src, is_oracle_read) == [(6, "Instance._pair_dist"), (9, "Instance.extended"),
+                                                  (17, "_find_improving_3move"), (20, "tour_length")]
 
 
 def unimported_oracles(sources: dict) -> list:
