@@ -1,17 +1,30 @@
 """TSPLIB subset reader/writer for instances and tours.
 
 Supported keywords: NAME, TYPE, COMMENT, DIMENSION, EDGE_WEIGHT_TYPE,
-NODE_COORD_SECTION (1-based node ids in any order, integer
-coordinates), TOUR_SECTION, EOF.
+NODE_COORD_SECTION (1-based node ids in any order; integer coordinates
+in 2-D, finite float coordinates in EUC_3D), TOUR_SECTION, EOF.
 A TOUR_SECTION may hold a collection of tours, each ended by -1; the
-reader returns the first.
+reader returns the first, which is empty if the section starts with -1.
 Non-Euclidean p is encoded as EDGE_WEIGHT_TYPE: SPECIAL plus a
 "PNORM=<p>" comment; 3-D instances use EUC_3D.
+
+The readers accept in bulk and diagnose per line.  The per-line loop
+(`_scan_instance`, `_scan_tour`) reads the header, up to the first section
+keyword.  If that keyword is a line of its own and the lines after it are
+a run of "\n"-ended lines of ASCII integers of at most 18 digits (so
+below 2**63), separated by spaces or tabs, one compiled pattern checks the
+run, one `np.fromstring` parses it and one `bincount` checks its ids.  A
+2-D coordinate run must end the file, but for an EOF line; the first tour
+must be ended by a -1 line.  Any other file, or one whose run fails a
+check, is read whole by the per-line loop, which gives the same result or
+names the fault; the loop and the checks after it are the only raisers.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import re
 from typing import TextIO
 
 import numpy as np
@@ -31,6 +44,28 @@ def _number(kind, token: str, lineno: int, raw: str):
     except ValueError:
         noun = "an integer" if kind is int else "a number"
         raise TsplibError(f"line {lineno}: {token!r} is not {noun} in {raw.strip()!r}") from None
+
+
+# The gate of the bulk readers.  At most 18 digits keeps each value below
+# 2**63, past which np.fromstring would clamp it without a word.
+_INT = r"[+-]?[0-9]{1,18}"
+_COORD_RUN = re.compile(rf"((?:[ \t]*{_INT}[ \t]+{_INT}[ \t]+{_INT}[ \t]*\n)*)(?:EOF\n?)?\Z")
+_TOUR_RUN = re.compile(r"((?:[ \t]*\+?[0-9]{1,18}[ \t]*\n)*)[ \t]*-1[ \t]*(?:\n|\Z)")
+
+
+def _section_start(text: str, keyword: str) -> int | None:
+    """Where the lines after `keyword` begin, if its first occurrence in `text` is a "\\n"-ended line."""
+    at = text.find(keyword)
+    end = at + len(keyword)
+    if at < 0 or (at and text[at - 1] != "\n") or not text.startswith("\n", end):
+        return None
+    return end + 1
+
+
+def _is_permutation(ids: np.ndarray) -> bool:
+    """Are the 1-based `ids` a permutation of 1..len(ids)?  One bincount; ids out of range fill no bin."""
+    n = len(ids)
+    return bool((np.bincount(ids.clip(0, n + 1), minlength=n + 2)[1:n + 1] == 1).all())
 
 
 def write_instance(f: TextIO, inst: Instance):
@@ -64,10 +99,46 @@ def read_instance(f: TextIO) -> Instance:
     `Instance.from_xy` instance, which builds no `Point` until one is read;
     an EUC_3D file, or one with larger coordinates, becomes `Instance(points)`.
     """
+    text = f.read()
+    inst = _bulk_instance(text)
+    return _instance_lines(text) if inst is None else inst
+
+
+def _bulk_instance(text: str) -> Instance | None:
+    """`_instance_lines(text)` read in bulk, or None where only the per-line loop can tell.
+
+    The loop reads the header, up to the first NODE_COORD_SECTION line, and
+    raises what it would raise there.  The coordinate lines must pass the
+    gate, and only an EOF line may follow them.
+    """
+    start = _section_start(text, "NODE_COORD_SECTION")
+    run = None if start is None else _COORD_RUN.match(text, start)
+    if run is None:
+        return None
+    name, dim, ewt, pnorm, _ = _scan_instance(text[:start].splitlines())
+    if dim is None or ewt in (None, "EUC_3D") or (ewt == "SPECIAL" and pnorm is None):
+        return None
+    rows = np.fromstring(run[1], np.int64, sep=" ").reshape(-1, 3)
+    if len(rows) != dim or not _is_permutation(rows[:, 0]):
+        return None
+    xy = np.empty((dim, 2), np.int64)
+    xy[rows[:, 0] - 1] = rows[:, 1:]
+    try:
+        return Instance.from_xy(xy[:, 0], xy[:, 1], pnorm if ewt == "SPECIAL" else PNorm(2), name)
+    except ValueError:  # duplicate points
+        return None
+
+
+def _scan_instance(lines) -> tuple:
+    """The per-line loop of `read_instance`: (name, DIMENSION, EDGE_WEIGHT_TYPE, PNorm, nodes).
+
+    `nodes` holds (id, coordinates, line number, line) in file order.  A
+    malformed line raises a TsplibError naming it.
+    """
     name, dim, ewt, pnorm = "", None, None, None
-    nodes = []  # (id, coordinates, line number, line) in file order
+    nodes = []
     in_coords = False
-    for lineno, raw in enumerate(f.read().splitlines(), 1):
+    for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line == "EOF":
             in_coords = False
@@ -81,6 +152,9 @@ def read_instance(f: TextIO) -> Instance:
             except ValueError:  # name the first bad token: coordinates, then the id
                 coords = tuple(_number(kind, v, lineno, raw) for v in parts[1:])
                 node = _number(int, parts[0], lineno, raw)
+            if kind is float and not all(map(math.isfinite, coords)):  # nan, inf or 1e400
+                token = next(v for v, c in zip(parts[1:], coords) if not math.isfinite(c))
+                raise TsplibError(f"line {lineno}: {token!r} is not a finite number in {line!r}")
             nodes.append((node, coords, lineno, raw))
             continue
         if line == "NODE_COORD_SECTION":
@@ -110,6 +184,12 @@ def read_instance(f: TextIO) -> Instance:
                                       f"{err}") from None
         else:
             raise TsplibError(f"unrecognized line: {raw!r}")
+    return name, dim, ewt, pnorm, nodes
+
+
+def _instance_lines(text: str) -> Instance:
+    """`read_instance` by the per-line loop, for any file: the instance or the error naming its fault."""
+    name, dim, ewt, pnorm, nodes = _scan_instance(text.splitlines())
     if ewt is None or dim is None:
         raise TsplibError("missing DIMENSION or EDGE_WEIGHT_TYPE")
     if len(nodes) != dim:
@@ -156,10 +236,38 @@ def write_tour(f: TextIO, *tours: Tour, name: str = "tour"):
 
 def read_tour(f: TextIO) -> Tour:
     """The first tour of the file's TOUR_SECTION; its length must match a given DIMENSION."""
-    order = []
-    dim = None
-    in_section = False
-    for lineno, raw in enumerate(f.read().splitlines(), 1):
+    text = f.read()
+    tour = _bulk_tour(text)
+    return _tour_lines(text) if tour is None else tour
+
+
+def _bulk_tour(text: str) -> Tour | None:
+    """`_tour_lines(text)` read in bulk, or None where only the per-line loop can tell.
+
+    The loop reads the header, up to the first TOUR_SECTION line, and raises
+    what it would raise there.  The first tour's entries must pass the gate
+    and be ended by a -1 line.
+    """
+    start = _section_start(text, "TOUR_SECTION")
+    run = None if start is None else _TOUR_RUN.match(text, start)
+    if run is None:
+        return None
+    dim, _, _ = _scan_tour(text[:start].splitlines())
+    entries = np.fromstring(run[1], np.int64, sep=" ")
+    if (dim is not None and len(entries) != dim) or not _is_permutation(entries):
+        return None
+    return Tour(tuple((entries - 1).tolist()))
+
+
+def _scan_tour(lines) -> tuple:
+    """The per-line loop of `read_tour`: (DIMENSION or None, the first tour's entries, in_section).
+
+    The entries are 0-based; `in_section` tells whether a TOUR_SECTION line
+    was met.  An entry that is not an integer raises a TsplibError naming
+    its line.
+    """
+    order, dim, in_section = [], None, False
+    for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line:
             continue
@@ -174,7 +282,13 @@ def read_tour(f: TextIO) -> Tour:
             key, _, val = line.partition(":")
             if key.strip().upper() == "DIMENSION":
                 dim = _number(int, val.strip(), lineno, raw)
-    if not order:
+    return dim, order, in_section
+
+
+def _tour_lines(text: str) -> Tour:
+    """`read_tour` by the per-line loop, for any file: the tour or the error naming its fault."""
+    dim, order, in_section = _scan_tour(text.splitlines())
+    if not in_section:
         raise TsplibError("no TOUR_SECTION found")
     if dim is not None and len(order) != dim:
         raise TsplibError(f"DIMENSION {dim} but the first tour has {len(order)} entries")

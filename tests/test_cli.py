@@ -122,6 +122,16 @@ class TestSolveAndCertify:
     def test_missing_file_is_usage_error(self, workdir):
         assert run("solve-2opt", "missing.tsp") == 2
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "1e400"])
+    def test_non_finite_3d_coordinate_is_usage_error(self, workdir, capsys, token):
+        (workdir / "d.tsp").write_text(
+            "TYPE : TSP\nDIMENSION : 3\nEDGE_WEIGHT_TYPE : EUC_3D\n"
+            f"NODE_COORD_SECTION\n1 0 0 0\n2 1 0 {token}\n3 0 1 0\nEOF\n")
+        assert run("solve-2opt", "d.tsp", "--out", "s.tour") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (workdir / "s.tour").exists()
+        assert f"error: line 6: '{token}' is not a finite number in '2 1 0 {token}'" in captured.err
+
 
 class TestScanAndReport:
     def test_scan_generated_family(self, workdir):
@@ -144,6 +154,15 @@ class TestScanAndReport:
         assert rep["two_optimal"] is True
         # Ten points fit one scan block: the dense engine examines every pair.
         assert rep["pairs_examined"] == rep["pairs_scanned"] == 35
+
+    def test_scan_reads_back_the_empty_tour_of_an_empty_instance(self, workdir):
+        (workdir / "e.tsp").write_text(
+            "TYPE : TSP\nDIMENSION : 0\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\nEOF\n")
+        assert run("solve-2opt", "e.tsp", "--out", "e.tour") == 0
+        assert "TOUR_SECTION\n-1\n" in (workdir / "e.tour").read_text()
+        assert run("scan-kopt", "--instance", "e.tsp", "--tour", "e.tour", "--out", "scan.json") == 0
+        rep = json.loads((workdir / "scan.json").read_text())
+        assert (rep["n"], rep["two_optimal"], rep["pairs_scanned"]) == (0, True, 0)
 
     @pytest.mark.parametrize("mode", ["family", "instance"])
     def test_scan_k_other_than_2_is_usage_error(self, workdir, capsys, monkeypatch, mode):

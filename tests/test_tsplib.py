@@ -1,9 +1,11 @@
+import functools
 import io
+import random
 from fractions import Fraction
 
 import pytest
 
-from kopt_lab import tsplib
+from kopt_lab import lowerbound, tsplib
 from kopt_lab.geometry import PNorm, pt
 from kopt_lab.harness import gen_random
 from kopt_lab.lowerbound import generate_3d_instance
@@ -16,6 +18,44 @@ def roundtrip(inst):
     return tsplib.read_instance(io.StringIO(buf.getvalue()))
 
 
+def outcome(read, text: str):
+    """What `read` makes of `text`: a view of the Instance or Tour, down to types and form, or the error."""
+    try:
+        got = read(text)
+    except tsplib.TsplibError as err:
+        return "error", str(err)
+    if isinstance(got, Tour):
+        return "tour", got.order, {type(v) for v in got.order}
+    cols = got._columns
+    return ("instance", got.n, got.dim, got.norm, got.name, got.exact, "points" in vars(got),
+            None if cols is None else [(c.dtype.str, c.flags.writeable, c.tolist()) for c in cols],
+            [(type(c), c) for point in got.points for c in point])
+
+
+# {file kind: (its reader, its per-line reader)}
+READERS = {"instance": (tsplib.read_instance, tsplib._instance_lines),
+           "tour": (tsplib.read_tour, tsplib._tour_lines)}
+
+
+def both_outcomes(text: str, kind: str = "instance"):
+    """(what the reader makes of `text`, what the per-line reader makes of it)."""
+    read, lines = READERS[kind]
+    return outcome(lambda t: read(io.StringIO(t)), text), outcome(lines, text)
+
+
+@pytest.fixture()
+def both_paths_agree(monkeypatch):
+    """Every file a test reads is also read by the per-line reader, which must agree to the message."""
+    for kind, (read, _) in READERS.items():
+        def checked(f, read=read, kind=kind):
+            text = f.read()
+            got, expected = both_outcomes(text, kind)
+            assert got == expected
+            return read(io.StringIO(text))
+        monkeypatch.setattr(tsplib, read.__name__, checked)
+
+
+@pytest.mark.usefixtures("both_paths_agree")
 class TestInstanceIO:
     def test_euclidean_roundtrip(self):
         inst = Instance([pt(0, 0), pt(3, 4), pt(7, 1)], PNorm(2), name="tri")
@@ -107,8 +147,10 @@ class TestInstanceIO:
          "NODE_COORD_SECTION\n1 0 0\nb 1 y\nEOF\n", 6, "y"),
         *((f"TYPE : TSP\nCOMMENT : PNORM={p}\nDIMENSION : 2\nEDGE_WEIGHT_TYPE : SPECIAL\n"
            "NODE_COORD_SECTION\n1 0 0\n2 1 1\nEOF\n", 2, p) for p in ("inf", "nan", "0.5")),
+        *(("TYPE : TSP\nDIMENSION : 2\nEDGE_WEIGHT_TYPE : EUC_3D\n"
+           f"NODE_COORD_SECTION\n1 0 0 0\n2 1 {x} 1\nEOF\n", 6, x) for x in ("nan", "inf", "1e400")),
     ], ids=["dimension", "coordinate", "3d-coordinate", "node-id", "coordinate-before-id",
-            "pnorm-inf", "pnorm-nan", "pnorm-0.5"])
+            "pnorm-inf", "pnorm-nan", "pnorm-0.5", "3d-nan", "3d-inf", "3d-1e400"])
     def test_bad_number_names_its_line(self, text, lineno, token):
         with pytest.raises(tsplib.TsplibError, match=f"line {lineno}: '{token}' is not"):
             tsplib.read_instance(io.StringIO(text))
@@ -132,6 +174,7 @@ class TestInstanceIO:
             tsplib.write_instance(io.StringIO(), inst)
 
 
+@pytest.mark.usefixtures("both_paths_agree")
 class TestCoordinateArrays:
     """Integer 2-D files read into `Instance.from_xy`; larger coordinates into `Instance(points)`."""
 
@@ -160,11 +203,12 @@ class TestCoordinateArrays:
             tsplib.read_instance(io.StringIO(text))
 
 
-def coord_file(section: str, dim: int = 3, ewt: str = "EUC_2D") -> str:
+def coord_file(section: str, dim: int = 3, ewt: str = "EUC_2D", end: str = "EOF\n") -> str:
     return (f"TYPE : TSP\nDIMENSION : {dim}\nEDGE_WEIGHT_TYPE : {ewt}\n"
-            f"NODE_COORD_SECTION\n{section}EOF\n")
+            f"NODE_COORD_SECTION\n{section}{end}")
 
 
+@pytest.mark.usefixtures("both_paths_agree")
 class TestNodeIds:
     def test_ids_out_of_order(self):
         inst = tsplib.read_instance(io.StringIO(coord_file("3 0 0\n1 5 0\n2 0 7\n")))
@@ -196,6 +240,7 @@ class TestNodeIds:
         assert out.getvalue() == buf.getvalue()
 
 
+@pytest.mark.usefixtures("both_paths_agree")
 class TestTourIO:
     def test_roundtrip(self):
         buf = io.StringIO()
@@ -246,6 +291,213 @@ class TestTourIO:
         with pytest.raises(tsplib.TsplibError, match="no TOUR_SECTION found"):
             tsplib.read_tour(io.StringIO(text))
 
+    def test_empty_tour_roundtrip(self):
+        buf = io.StringIO()
+        tsplib.write_tour(buf, Tour(()), name="e")
+        assert "DIMENSION : 0\nTOUR_SECTION\n-1\nEOF\n" in buf.getvalue()
+        assert tsplib.read_tour(io.StringIO(buf.getvalue())) == Tour(())
+
+    @pytest.mark.parametrize("text", ["TYPE : TOUR\nTOUR_SECTION\n-1\nEOF\n", "TOUR_SECTION\n"])
+    def test_empty_first_tour_without_dimension_reads(self, text):
+        assert tsplib.read_tour(io.StringIO(text)) == Tour(())
+
+    def test_empty_first_tour_against_a_dimension_rejected(self):
+        text = "TYPE : TOUR\nDIMENSION : 3\nTOUR_SECTION\n-1\n1\n2\n3\n-1\nEOF\n"
+        with pytest.raises(tsplib.TsplibError, match="^DIMENSION 3 but the first tour has 0 entries$"):
+            tsplib.read_tour(io.StringIO(text))
+
     def test_tours_of_different_sizes_rejected(self):
         with pytest.raises(tsplib.TsplibError):
             tsplib.write_tour(io.StringIO(), Tour((0, 1, 2)), Tour((0, 1, 2, 3)))
+
+
+def shuffled_lines(text: str, seed: int) -> str:
+    """`text` with the lines of its NODE_COORD_SECTION in a seeded random order, ids and all."""
+    head, _, rest = text.partition("NODE_COORD_SECTION\n")
+    section, _, tail = rest.partition("EOF\n")
+    lines = section.splitlines(keepends=True)
+    random.Random(seed).shuffle(lines)
+    return f"{head}NODE_COORD_SECTION\n{''.join(lines)}EOF\n{tail}"
+
+
+@functools.cache
+def layered_files() -> tuple:
+    """The (1, 3) layered instance, relabelled by seed 11, and its hand-built tour, as TSPLIB text."""
+    lb = lowerbound.generate_lb_instance(2, 1, 3)
+    inst, order = lb.as_instance(), lowerbound.build_lb_tour(lb).order
+    relabel = list(range(inst.n))
+    random.Random(11).shuffle(relabel)
+    points = [None] * inst.n
+    for old, new in enumerate(relabel):
+        points[new] = inst.points[old]
+    inst_buf, tour_buf = io.StringIO(), io.StringIO()
+    tsplib.write_instance(inst_buf, Instance(points, inst.norm, inst.name))
+    tsplib.write_tour(tour_buf, Tour(tuple(relabel[v] for v in order)))
+    return inst_buf.getvalue(), tour_buf.getvalue()
+
+
+def tour_file(section: str, dim: int | None = 3) -> str:
+    return "NAME : t\nTYPE : TOUR\n" + ("" if dim is None else f"DIMENSION : {dim}\n") + section
+
+
+BIG = 2**63 - 1
+HEADER_ERROR = "header error"  # the per-line loop raises on a header line before the bulk reader decides
+# (file, does the bulk reader accept it?)
+THREE = "1 0 0\n2 5 0\n3 0 7\n"
+INSTANCE_CASES = {
+    "plain": (coord_file(THREE), True),
+    "no-eof": (coord_file(THREE, end=""), True),
+    "eof-without-newline": (coord_file(THREE, end="EOF"), True),
+    "spaces-and-tabs": (coord_file("  1 \t 0  0\t\n2\t5\t\t0\n 3 0 7 \n"), True),
+    "signs-and-zeros": (coord_file("+1 -0 +000\n002 -05 0\n3 +0 07\n"), True),
+    "ids-out-of-order": (coord_file("3 0 7\n1 0 0\n2 5 0\n"), True),
+    "18-digits": (coord_file(f"1 {10**18 - 1} 0\n2 -{10**18 - 1} 3\n3 0 7\n"), True),
+    "19-digits": (coord_file(f"1 {10**18} 0\n2 5 0\n3 0 7\n"), False),
+    "int64-extremes": (coord_file(f"1 {BIG} {-BIG}\n2 {-BIG - 1} 0\n3 0 7\n"), False),
+    "beyond-int64": (coord_file(f"1 {BIG + 1} 0\n2 5 {-BIG - 2}\n3 0 {10**30}\n"), False),
+    "underscore": (coord_file("1 1_000 0\n2 5 0\n3 0 7\n"), False),
+    "non-ascii-digit": (coord_file("1 \u0661 0\n2 5 0\n3 0 7\n"), False),
+    "non-ascii-space": (coord_file("1 4\u00a00\n2 5 0\n3 0 7\n"), False),
+    "one-crlf-line": (coord_file("1 0 0\n2 5 0\r\n3 0 7\n"), False),
+    "crlf-file": (coord_file(THREE).replace("\n", "\r\n"), False),
+    "blank-line-in-section": (coord_file("1 0 0\n\n2 5 0\n3 0 7\n"), False),
+    "header-after-eof": (coord_file(THREE, end="EOF\nNAME : later\n"), False),
+    "coordinates-after-eof": (coord_file("1 0 0\n2 5 0\n", end="EOF\n3 0 7\n"), False),
+    "second-section": (coord_file("1 0 0\n2 5 0\n", end="EOF\nNODE_COORD_SECTION\n3 0 7\nEOF\n"), False),
+    "indented-keyword": (coord_file(THREE).replace("\nNODE", "\n NODE"), False),
+    "keyword-in-name": ("NAME : NODE_COORD_SECTION\n" + coord_file(THREE), False),
+    "short-line": (coord_file("1 0 0\n2 5\n3 0 7\n"), False),
+    "long-line": (coord_file("1 0 0 4\n2 5 0\n3 0 7\n"), False),
+    "too-few-lines": (coord_file("1 0 0\n2 5 0\n"), False),
+    "too-many-lines": (coord_file(THREE + "4 1 1\n"), False),
+    "id-zero": (coord_file("0 0 0\n2 5 0\n3 0 7\n"), False),
+    "id-above-dimension": (coord_file("1 0 0\n4 5 0\n3 0 7\n"), False),
+    "id-negative": (coord_file("1 0 0\n-2 5 0\n3 0 7\n"), False),
+    "id-repeated": (coord_file("1 0 0\n1 5 0\n3 0 7\n"), False),
+    "duplicate-points": (coord_file("1 0 0\n2 5 0\n3 5 0\n"), False),
+    "special-without-pnorm": (coord_file(THREE, ewt="SPECIAL"), False),
+    "special-with-pnorm": ("NAME : p\nCOMMENT : PNORM=1.5\n" + coord_file(THREE, ewt="SPECIAL"), True),
+    "no-dimension": (coord_file("1 0 0\n").replace("DIMENSION : 3\n", ""), False),
+    "bad-type": (coord_file(THREE).replace("TYPE : TSP", "TYPE : ATSP"), HEADER_ERROR),
+    "bad-dimension": (coord_file(THREE).replace("DIMENSION : 3", "DIMENSION : 3.0"), HEADER_ERROR),
+    "negative-dimension": (coord_file("", dim=-1), False),
+    "empty": (coord_file("", dim=0), True),
+    "3d": (coord_file("1 0 0 0\n2 5 0 1\n3 0 7 2\n", ewt="EUC_3D"), False),
+    "3d-nan": (coord_file("1 0 0 0\n2 5 0 nan\n3 0 7 2\n", ewt="EUC_3D"), False),
+}
+
+TOUR_CASES = {
+    "plain": (tour_file("TOUR_SECTION\n1\n3\n2\n-1\nEOF\n"), True),
+    "no-eof": (tour_file("TOUR_SECTION\n1\n3\n2\n-1"), True),
+    "no-dimension": (tour_file("TOUR_SECTION\n1\n3\n2\n-1\nEOF\n", dim=None), True),
+    "signs-and-zeros": (tour_file("TOUR_SECTION\n+1\n003\n+02\n-1\nEOF\n"), True),
+    "spaces-and-tabs": (tour_file("TOUR_SECTION\n 1\t\n\t3 \n2\n  -1 \nEOF\n"), True),
+    "second-tour": (tour_file("TOUR_SECTION\n1\n3\n2\n-1\n3\n2\n1\n-1\nEOF\n"), True),
+    "broken-second-tour": (tour_file("TOUR_SECTION\n1\n3\n2\n-1\nx\n-1\nEOF\n"), True),
+    "empty": (tour_file("TOUR_SECTION\n-1\nEOF\n", dim=0), True),
+    "empty-against-dimension": (tour_file("TOUR_SECTION\n-1\nEOF\n"), False),
+    "missing-terminator": (tour_file("TOUR_SECTION\n1\n3\n2\nEOF\n"), False),
+    "missing-terminator-at-end": (tour_file("TOUR_SECTION\n1\n3\n2\n"), False),
+    "non-integer-entry": (tour_file("TOUR_SECTION\n1\n3.0\n2\n-1\nEOF\n"), False),
+    "word-entry": (tour_file("TOUR_SECTION\n1\nthree\n2\n-1\nEOF\n"), False),
+    "underscore-entry": (tour_file("TOUR_SECTION\n1\n0_3\n2\n-1\nEOF\n"), False),
+    "negative-entry": (tour_file("TOUR_SECTION\n1\n-3\n2\n-1\nEOF\n"), False),
+    "entry-zero": (tour_file("TOUR_SECTION\n1\n0\n2\n-1\nEOF\n"), False),
+    "entry-above-n": (tour_file("TOUR_SECTION\n1\n4\n2\n-1\nEOF\n"), False),
+    "repeated-entry": (tour_file("TOUR_SECTION\n1\n1\n2\n-1\nEOF\n"), False),
+    "19-digit-entry": (tour_file(f"TOUR_SECTION\n1\n{10**18}\n2\n-1\nEOF\n"), False),
+    "too-short": (tour_file("TOUR_SECTION\n1\n2\n-1\nEOF\n"), False),
+    "blank-line-in-section": (tour_file("TOUR_SECTION\n1\n\n3\n2\n-1\nEOF\n"), False),
+    "one-crlf-line": (tour_file("TOUR_SECTION\n1\n3\r\n2\n-1\nEOF\n"), False),
+    "crlf-file": (tour_file("TOUR_SECTION\n1\n3\n2\n-1\nEOF\n").replace("\n", "\r\n"), False),
+    "terminator-with-text": (tour_file("TOUR_SECTION\n1\n3\n2\n-1 x\nEOF\n"), False),
+    "no-section": (tour_file("1\n3\n2\n-1\nEOF\n"), False),
+    "keyword-in-name": (tour_file("TOUR_SECTION\n1\n3\n2\n-1\n").replace("NAME : t", "NAME : TOUR_SECTION"),
+                        False),
+    "indented-keyword": (tour_file(" TOUR_SECTION\n1\n3\n2\n-1\n"), False),
+    "early-indented-section": (tour_file(" TOUR_SECTION\n-1\nTOUR_SECTION\n1\n3\n2\n-1\n", dim=None), False),
+    "bad-dimension": (tour_file("TOUR_SECTION\n1\n3\n2\n-1\n").replace("DIMENSION : 3", "DIMENSION : x"),
+                      HEADER_ERROR),
+}
+
+
+def bulk_verdict(bulk, text: str):
+    """Does the bulk reader accept `text` (True), leave it to the per-line reader (False), or raise?"""
+    try:
+        return bulk(text) is not None
+    except tsplib.TsplibError:
+        return HEADER_ERROR
+
+
+class TestBothPathsAgree:
+    """`read_instance` and `read_tour` equal their per-line readers: the same object, or the same error."""
+
+    @pytest.mark.parametrize("name", INSTANCE_CASES)
+    def test_instance_case(self, name):
+        text, bulk = INSTANCE_CASES[name]
+        got, expected = both_outcomes(text)
+        assert got == expected
+        assert bulk_verdict(tsplib._bulk_instance, text) == bulk
+
+    @pytest.mark.parametrize("name", TOUR_CASES)
+    def test_tour_case(self, name):
+        text, bulk = TOUR_CASES[name]
+        got, expected = both_outcomes(text, "tour")
+        assert got == expected
+        assert bulk_verdict(tsplib._bulk_tour, text) == bulk
+
+    @pytest.mark.parametrize("seed, p", [(1, 2), (2, 1), (3, 1.5), (4, 3)])
+    def test_random_instance_with_shuffled_ids(self, seed, p):
+        buf = io.StringIO()
+        tsplib.write_instance(buf, gen_random(40, 10**6, seed=seed, p=p))
+        text = shuffled_lines(buf.getvalue(), seed)
+        got, expected = both_outcomes(text)
+        assert got == expected and got[0] == "instance"
+        assert tsplib._bulk_instance(text) is not None
+        order = list(range(40))
+        random.Random(seed).shuffle(order)
+        tours = io.StringIO()
+        tsplib.write_tour(tours, Tour(tuple(order)))
+        assert both_outcomes(tours.getvalue(), "tour") == (("tour", tuple(order), {int}),) * 2
+
+    def test_layered_files_with_shuffled_ids(self):
+        inst_text, tour_text = layered_files()
+        text = shuffled_lines(inst_text, 5)
+        assert text != inst_text
+        got, expected = both_outcomes(text)
+        assert got == expected and got[:3] == ("instance", 2916, 2)
+        assert tsplib._bulk_instance(text) is not None
+        got, expected = both_outcomes(tour_text, "tour")
+        assert got == expected and got[0] == "tour"
+
+
+class TestBulkPath:
+    """The writers' files take the bulk path; a file off the gate is read by the per-line reader."""
+
+    def test_layered_files_skip_the_per_line_loop(self, monkeypatch):
+        inst_text, tour_text = layered_files()
+        expected = outcome(tsplib._instance_lines, inst_text), outcome(tsplib._tour_lines, tour_text)
+
+        def refuse(text):
+            raise AssertionError("the per-line reader ran")
+        monkeypatch.setattr(tsplib, "_instance_lines", refuse)
+        monkeypatch.setattr(tsplib, "_tour_lines", refuse)
+        scanned = []
+        for name in ("_scan_instance", "_scan_tour"):
+            scan = getattr(tsplib, name)
+            monkeypatch.setattr(tsplib, name,
+                                lambda lines, scan=scan: scanned.append(len(lines)) or scan(lines))
+        got = (outcome(lambda t: tsplib.read_instance(io.StringIO(t)), inst_text),
+               outcome(lambda t: tsplib.read_tour(io.StringIO(t)), tour_text))
+        assert got == expected
+        assert scanned == [6, 4]  # the loop reads the header lines and its section keyword, no more
+
+    def test_one_crlf_line_takes_the_per_line_reader(self, monkeypatch):
+        inst_text, tour_text = layered_files()
+        at = inst_text.index("\n", inst_text.index("NODE_COORD_SECTION\n") + 100)
+        text = inst_text[:at] + "\r" + inst_text[at:]
+        calls = []
+        lines = tsplib._instance_lines
+        monkeypatch.setattr(tsplib, "_instance_lines", lambda t: calls.append(t) or lines(t))
+        assert outcome(lambda t: tsplib.read_instance(io.StringIO(t)), text) == outcome(lines, inst_text)
+        assert calls == [text]
