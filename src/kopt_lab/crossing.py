@@ -52,7 +52,7 @@ def find_crossings(inst: Instance, t: Tour, s: Tour) -> list[tuple[tuple, tuple,
     _check_planar(inst)
     rings = t.validate(inst), s.validate(inst)
     edges = t.edges() + s.edges()
-    n = len(t.order)
+    n = t.n
     in_t, in_s, t_by_s = [], [], []
     for i, j in _candidate_pairs(inst, *rings):
         if j < n:
@@ -112,6 +112,8 @@ def make_crossing_free(inst: Instance, t: Tour, s: Tour) -> CrossingFreePair:
         vprime = inst  # V' = V: keeps the distance cache already built on V
 
     def subdivide(tour: Tour, splits: dict) -> Tour:
+        if not splits:
+            return tour  # nothing to insert: the tour itself, with the ring it was checked by
         order = []
         for u, v in tour.edges():
             order.append(u)

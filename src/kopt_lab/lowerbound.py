@@ -211,7 +211,7 @@ def build_lb_tour(lb: LowerBoundInstance) -> Tour:
     length, want = int(dx.sum() + dy.sum()), layered_sizes(lb.p, lb.q).length
     if length != want:
         raise AssertionError(f"tour length {length} != closed form c(S) = {want}")
-    return Tour(tuple(order.tolist()))
+    return Tour(order)
 
 
 def lb_tour_length_exact(lb: LowerBoundInstance) -> int:
@@ -314,8 +314,9 @@ def _scan_2opt(inst: Instance, tour: Tour) -> tuple[ScanReport, int]:
     improving = best is not None and best.gain > 0
     witness = None
     if improving:
-        o = tour.order
-        witness = ((o[best.i], o[best.i + 1]), (o[best.j], o[(best.j + 1) % n]))
+        # Ring position n is position 0 again; `tolist` gives Python ints, as JSON wants.
+        a, b, c, d = tour.validate(inst)[[best.i, best.i + 1, best.j, best.j + 1]].tolist()
+        witness = ((a, b), (c, d))
     report = ScanReport(
         n=n,
         pairs_scanned=max(0, n * (n - 3) // 2),  # every non-adjacent pair of the n edges

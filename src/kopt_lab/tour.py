@@ -1,9 +1,14 @@
 """Tours, 2-Opt/3-Opt local search, k-optimality checks, exact small solvers.
 
 Everything is parametrized by the instance's distance oracle, so 2-D p-norm
-instances and 3-D Euclidean instances share the same engine.  Each entry
-point checks its tour once, by `Tour.validate`, which returns the tour's
-ring array; the engines below take that ring.  Every distance computed
+instances and 3-D Euclidean instances share the same engine.  A `Tour`
+keeps the form it was built from: a tuple from any sequence, or a read-only
+int ring array from an ndarray; the other form is built on first use and
+kept.  Each entry point checks its tour once, by `Tour.validate`, which
+returns the tour's ring array (a tuple-born tour's is built by the first
+check); the engines below take that ring.  `tour_length` adds the edges
+left to right from position 0, by `np.add.accumulate` on a numeric edge
+array and by an explicit fold otherwise.  Every distance computed
 from the coordinate arrays instead comes from one backend keyed on the
 norm, `_CoordinateDistances`: p = 1, and p = 2 on exact squares.  One
 vectorized 2-move engine serves 2-Opt, the 2-optimality verdict and the
@@ -25,7 +30,9 @@ edges for both simplicity checks and the T x S candidates.  One loop
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from functools import cache, cached_property, lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -393,32 +400,102 @@ class _CoordinateDistances:
         self.edge_power[lo - 1 : hi], self.edge[lo - 1 : hi] = power, self.root(power)
 
 
-class Tour(NamedTuple):
-    """An oriented cycle given as a permutation of vertex indices."""
+class Tour:
+    """An oriented cycle given as a permutation of vertex indices; immutable.
 
-    order: tuple
+    It keeps the form it was built from.  Any sequence is kept as a tuple;
+    an ndarray is copied once into a read-only ring array (`validate`), so
+    the caller's array may change afterwards.  The other form is built on
+    first use and kept: `validate` closes a tuple into its ring, and
+    `order` reads an array-born tour's ring into a tuple of Python ints.
+    Constructing never checks; `validate` does.  Two tours are equal, and
+    hash alike, when their entries are equal sequences, whatever their form.
+    """
+
+    __slots__ = ("_order", "_ring")
+
+    def __init__(self, order: Sequence | np.ndarray = ()):
+        if type(order) is tuple:
+            self._order, self._ring = order, None
+        elif isinstance(order, np.ndarray):
+            self._ring = self._closed(order)  # `_order` stays unset until `order` is read
+        else:
+            self._order, self._ring = tuple(order), None
+
+    # A C-level getter: the kept tuple is read as fast as a field.  An unset
+    # `_order` (an array-born tour) falls through to `__getattr__`.
+    order = property(operator.attrgetter("_order"), doc="The entries as a tuple, built on first use and kept.")
+
+    def __getattr__(self, name: str):
+        if name != "order":
+            raise AttributeError(f"'Tour' object has no attribute {name!r}")
+        order = self._order = tuple(self._ring[:-1].tolist())
+        return order
 
     @property
     def n(self) -> int:
-        return len(self.order)
+        ring = self._ring
+        return len(self._order) if ring is None else max(len(ring) - 1, 0)
 
-    def edges(self):
-        o = self.order
-        return [(o[i], o[(i + 1) % len(o)]) for i in range(len(o))]
+    def entries(self) -> Sequence:
+        """The entries as Python values: the kept tuple, else a list read from the ring and not kept."""
+        try:
+            return self._order
+        except AttributeError:  # array-born, its tuple not built
+            return self._ring[:-1].tolist()
+
+    def edges(self) -> list:
+        """The directed edges (o[k], o[k + 1]) for k = 0..n-1, the last back to o[0]."""
+        o = self.entries()
+        return list(zip(o, o[1:] + o[:1]))
+
+    def __eq__(self, other):
+        if not isinstance(other, Tour):
+            return NotImplemented
+        mine, theirs = self.entries(), other.entries()
+        return mine == theirs if type(mine) is type(theirs) else list(mine) == list(theirs)
+
+    def __hash__(self):
+        return hash(tuple(self.entries()))
+
+    def __repr__(self):
+        return f"Tour(order={tuple(self.entries())!r})"
+
+    def __reduce__(self):
+        # Copies and pickles are rebuilt by the constructor, so their rings are read-only too.
+        try:
+            return Tour, (self._order,)
+        except AttributeError:
+            return Tour, (self._ring[:-1],)
+
+    @staticmethod
+    def _closed(order: tuple | np.ndarray) -> np.ndarray:
+        """The ring of either form: its entries at positions 0..n, position n being position 0 again, read-only."""
+        if isinstance(order, np.ndarray):
+            ring = np.concatenate((order, order[:1]))
+        else:
+            ring = np.array(order + order[:1], dtype=None if order else np.intp)  # np.array(()) is float
+        ring.setflags(write=False)
+        return ring
 
     def validate(self, inst: Instance) -> np.ndarray:
-        """The tour's vertices at ring positions 0..n (position n is position 0 again), an int array.
+        """The tour's vertices at ring positions 0..n (position n is position 0 again), a read-only int array.
 
         The one permutation check: ValueError unless one `bincount` of the n
         entries fills each of the bins 0..n-1.  It raises on a non-int entry
         (1.0 equals 1 but is no index), a negative one or one too large to
-        count to, and an entry >= n leaves a bin empty.  The empty tour of
-        an empty instance passes, with an empty ring.
+        count to, and an entry >= n adds a bin past n - 1.  The empty tour of
+        an empty instance passes, with an empty ring.  The count is made on
+        every call; a tuple-born tour's ring is built on the first and kept.
         """
-        order, n = self.order, inst.n
-        ring = np.array(order + order[:1], dtype=None if order else np.intp)  # np.array(()) is float
+        ring = self._ring
+        if ring is None:
+            ring = self._ring = self._closed(self._order)
+        entries, n = ring[:-1], inst.n
         try:
-            ok = len(order) == n and np.count_nonzero(np.bincount(ring[:-1], minlength=n)[:n]) == n
+            ok = (len(entries) == n
+                  and len(counts := np.bincount(entries, minlength=n)) == n
+                  and np.count_nonzero(counts) == n)
         except (TypeError, ValueError, MemoryError):
             ok = False
         if not ok:
@@ -435,22 +512,32 @@ class TwoMove(NamedTuple):
 
 
 def tour_length(inst: Instance, t: Tour):
-    """The sum of `inst.dist` over the tour's edges, left to right from position 0.
+    """The sum of `inst.dist` over the tour's edges, added left to right from position 0.
 
     Both paths walk the ring of `Tour.validate`.  An instance with the
     `_coordinates` backend computes the edges from the coordinates in ring
-    order, in the value and type of `dist`, and sums them with Python's
-    `sum`: an int over int64 coordinates under p = 1, ints and Fractions
-    left to right over object ones, and the doubles `pdist` computes under
-    p = 2.  Other instances fold `inst.dist` edge by edge.
+    order, in the value and type of `dist`: int64 under p = 1, the doubles
+    `pdist` computes under p = 2, and ints and Fractions in an object array
+    over rational points.  `np.add.accumulate` adds a numeric array in
+    order; an object array and the other instances, which fold `inst.dist`
+    edge by edge, take `_left_fold`.  Python's `sum` is not used: from 3.12
+    on it compensates a float sum, which gives another value.
     """
     # Cached arrays before the ring: the other order left a 74,190-point length 0.5 MB more peak RSS.
     coordinates = inst._coordinates
     ring = t.validate(inst)
     if coordinates is not None:
-        return sum(coordinates.pair(ring[:-1], ring[1:]).tolist())
+        edges = coordinates.pair(ring[:-1], ring[1:])
+        if edges.dtype.kind == "O":
+            return _left_fold(edges.tolist())
+        return np.add.accumulate(edges, out=edges).item(-1) if len(edges) else 0
     o = ring.tolist()
-    return sum(inst.dist(a, b) for a, b in zip(o, o[1:]))
+    return _left_fold(inst.dist(a, b) for a, b in zip(o, o[1:]))
+
+
+def _left_fold(values):
+    """0 + v0 + v1 + ..., added left to right."""
+    return functools.reduce(operator.add, values, 0)
 
 
 def _gain_threshold(inst: Instance, removed):

@@ -228,7 +228,7 @@ def write_tour(f: TextIO, *tours: Tour, name: str = "tour"):
     f.write("DIMENSION : %d\n" % tours[0].n)
     f.write("TOUR_SECTION\n")
     for tour in tours:
-        for v in tour.order:
+        for v in tour.entries():
             f.write(f"{v + 1}\n")
         f.write("-1\n")
     f.write("EOF\n")
@@ -256,7 +256,8 @@ def _bulk_tour(text: str) -> Tour | None:
     entries = np.fromstring(run[1], np.int64, sep=" ")
     if (dim is not None and len(entries) != dim) or not _is_permutation(entries):
         return None
-    return Tour(tuple((entries - 1).tolist()))
+    entries -= 1
+    return Tour(entries)
 
 
 def _scan_tour(lines) -> tuple:

@@ -2,6 +2,8 @@ import re
 
 import pytest
 
+from kopt_lab.tour import Tour
+
 _CRITERION = re.compile(r"test_criterion_(\d+)")
 _results = {}
 
@@ -22,3 +24,15 @@ def pytest_terminal_summary(terminalreporter):
     for num in sorted(_results):
         verdict = "PASS" if _results[num] else "FAIL"
         terminalreporter.write_line(f"criterion {num}: {verdict}")
+
+
+@pytest.fixture()
+def no_tuple_build(monkeypatch):
+    """Fails the test where an array-born `Tour` builds its tuple: `order` read on a tour that has only its ring."""
+
+    def refuse(self, name):
+        if name == "order":
+            pytest.fail("the tuple of an array-born tour was built")
+        raise AttributeError(name)
+
+    monkeypatch.setattr(Tour, "__getattr__", refuse)

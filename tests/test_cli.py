@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from kopt_lab import harness, lowerbound
+from kopt_lab import harness, lowerbound, tsplib
 from kopt_lab.cli import main
 from kopt_lab.harness import RejectionBudgetExceeded
+from kopt_lab.tour import Tour, _best_2move
 
 
 @pytest.fixture()
@@ -154,6 +155,20 @@ class TestScanAndReport:
         assert rep["two_optimal"] is True
         # Ten points fit one scan block: the dense engine examines every pair.
         assert rep["pairs_examined"] == rep["pairs_scanned"] == 35
+
+    def test_scan_writes_the_witness_of_a_read_tour(self, workdir, no_tuple_build):
+        """A tour read from a file is kept as an int array: its tuple is never built, and the witness is JSON ints."""
+        run("gen-random", "--n", "10", "--grid", "100", "--seed", "4", "--out", "r.tsp")
+        order = (0, 5, 1, 6, 2, 7, 3, 8, 4, 9)
+        (workdir / "z.tour").write_text(
+            "TYPE : TOUR\nDIMENSION : 10\nTOUR_SECTION\n" + "".join(f"{v + 1}\n" for v in order) + "-1\nEOF\n")
+        assert run("scan-kopt", "--instance", "r.tsp", "--tour", "z.tour", "--out", "scan.json") == 0
+        rep = json.loads((workdir / "scan.json").read_text())
+        with open(workdir / "r.tsp") as f:
+            inst = tsplib.read_instance(f)
+        best, _ = _best_2move(inst, Tour(order))
+        assert rep["two_optimal"] is False and best.gain > 0
+        assert rep["witness"] == [[order[best.i], order[best.i + 1]], [order[best.j], order[(best.j + 1) % 10]]]
 
     def test_scan_reads_back_the_empty_tour_of_an_empty_instance(self, workdir):
         (workdir / "e.tsp").write_text(

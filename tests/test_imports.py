@@ -12,7 +12,8 @@ belongs in `tests/`.
 And it keeps the one coordinate-distance rule in one place: in `tour.py`,
 `np.abs` and `np.sqrt` appear only inside `_CoordinateDistances`.  So too
 the one permutation check: in `tour.py`, a tour's order is closed into a
-ring (`o + o[:1]`) only inside `Tour.validate`.  And the one distance
+ring (`o + o[:1]`, or `np.concatenate((o, o[:1]))` for an array) only inside
+`Tour._closed`, the ring that `Tour.validate` checks.  And the one distance
 cache: in `tour.py`, the oracle `Instance.dist` is read only where
 `Instance._pair_dist` builds the cache and in `tour_length`'s fold.
 
@@ -178,14 +179,24 @@ def test_checker_flags_a_kernel_outside_the_class():
     assert kernel_uses(src, "_Box") == [(8, "np.sqrt"), (10, "np.absolute")]
 
 
-def is_ring_build(node: ast.AST) -> bool:
-    """Whether `node` is `x + x[:1]`: a sequence closed into a ring by its own first entry."""
-    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) and isinstance(node.right, ast.Subscript)):
+def is_first_entry(node: ast.AST, seq: ast.AST) -> bool:
+    """Whether `node` is `seq[:1]`, the sequence's first entry as a sequence."""
+    if not isinstance(node, ast.Subscript):
         return False
-    cut = node.right.slice
+    cut = node.slice
     return (isinstance(cut, ast.Slice) and cut.lower is None and cut.step is None
             and isinstance(cut.upper, ast.Constant) and cut.upper.value == 1
-            and ast.dump(node.right.value) == ast.dump(node.left))
+            and ast.dump(node.value) == ast.dump(seq))
+
+
+def is_ring_build(node: ast.AST) -> bool:
+    """Whether `node` closes a sequence into a ring by its own first entry: `x + x[:1]` or `np.concatenate((x, x[:1]))`."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return is_first_entry(node.right, node.left)
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "concatenate"
+            and node.args and isinstance(node.args[0], (ast.Tuple, ast.List)) and len(node.args[0].elts) == 2):
+        return is_first_entry(node.args[0].elts[1], node.args[0].elts[0])
+    return False
 
 
 def owned_matches(source: str, match) -> list:
@@ -211,16 +222,24 @@ def ring_builds(source: str) -> list:
 
 
 def test_a_tour_becomes_a_ring_in_one_check():
-    """Every engine reads a tour through the ring that `Tour.validate` checks and returns."""
+    """Every engine reads a tour through the ring that `Tour.validate` checks and returns.
+
+    `Tour._closed` builds that ring, of a tuple (`o + o[:1]`) or of an
+    ndarray (`np.concatenate((o, o[:1]))`), and nothing else in `tour.py`
+    closes a sequence into a ring.
+    """
     source = (Path(kopt_lab.__file__).parent / "tour.py").read_text()
-    assert [owner for _, owner in ring_builds(source)] == ["Tour.validate"]
+    assert [owner for _, owner in ring_builds(source)] == ["Tour._closed", "Tour._closed"]
 
 
 def test_checker_flags_a_ring_built_outside_the_check():
     src = ("class Tour:\n    def validate(self):\n        return self.order + self.order[:1]\n\n"
            "def _state(t):\n    def segments(tour):\n        return tour.order + tour.order[:1]\n"
-           "    o = t.order\n    return o + o[:1], o + o[:2], o + t.order[:1]\n\nring = x + x[:1]\n")
-    assert ring_builds(src) == [(3, "Tour.validate"), (7, "_state.segments"), (9, "_state"), (11, "")]
+           "    o = t.order\n    return o + o[:1], o + o[:2], o + t.order[:1]\n\nring = x + x[:1]\n"
+           "a = np.concatenate((x, x[:1])), np.concatenate([x, x[:1]]), np.concatenate((x, y[:1]))\n"
+           "b = np.concatenate((x, x[:2])), np.concatenate((x, x[:1], x)), np.stack((x, x[:1]))\n")
+    assert ring_builds(src) == [(3, "Tour.validate"), (7, "_state.segments"), (9, "_state"), (11, ""),
+                                (12, ""), (12, "")]
 
 
 def is_oracle_read(node: ast.AST, owner: str) -> bool:

@@ -1,9 +1,10 @@
+import io
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from kopt_lab import geometry
+from kopt_lab import geometry, tsplib
 from kopt_lab import tour as tour_module
 from kopt_lab.geometry import PNorm
 from kopt_lab.lowerbound import (
@@ -219,6 +220,17 @@ def test_pins_the_2_3_verdict():
     assert tour_module._best_2move(inst, tour)[0][:2] == (0, 74_188)
     # The grid index's candidate sets, pinned: the gains of 325,740 pairs are computed.
     assert _scan_2opt(inst, tour)[1] == 325_740
+
+
+def test_the_family_path_reads_only_the_ring(lb3, no_tuple_build):
+    """(1, 3): the hand-built tour, its TSPLIB round trip, both verdicts and the length never build its tuple."""
+    inst, tour = lb3.as_instance(), build_lb_tour(lb3)
+    buf = io.StringIO()
+    tsplib.write_tour(buf, tour)
+    back = tsplib.read_tour(io.StringIO(buf.getvalue()))
+    assert back == tour and back.n == tour.n == 2916
+    assert scan_2opt_optimality(inst, back).two_optimal and is_k_optimal(inst, back, 2).optimal
+    assert tour_length(inst, back) == tour_length(inst, tour) == 7836
 
 
 def two_rows(m, p):

@@ -1,8 +1,11 @@
+import copy
 import functools
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kopt_lab import crossing
@@ -50,6 +53,25 @@ BAD_TOURS = {
 }
 
 
+# The BAD_TOURS whose entries fit an int64 array, made into one; and a float64 array of the permutation.
+BAD_ARRAYS = {
+    **{bad: lambda o, bad=bad: np.array(BAD_TOURS[bad](o), dtype=np.int64)
+       for bad in ("short", "repeated", "too-large", "huge", "negative", "empty")},
+    "float64": lambda o: np.array(o, dtype=np.float64),
+}
+
+# Every entry point that takes a tour, each checking it by `Tour.validate`.
+ENTRIES = {
+    "find_improving_2move": find_improving_2move,
+    "two_opt": two_opt,
+    "tour_length": tour_length,
+    "is_simple": is_simple,
+    "is_k_optimal-2": lambda inst, t: is_k_optimal(inst, t, 2),
+    "is_k_optimal-3": lambda inst, t: is_k_optimal(inst, t, 3),
+    "scan_2opt_optimality": scan_2opt_optimality,
+}
+
+
 @functools.cache
 def bad_tour_instances() -> tuple:
     """Eight points under p = 1, 2 and 3, and 200 points whose verdicts take the grid index."""
@@ -74,12 +96,7 @@ class TestInstance:
         with pytest.raises(ValueError):
             Tour((0, 1, 1)).validate(inst)
 
-    @pytest.mark.parametrize("entry", [
-        find_improving_2move, two_opt, tour_length, is_simple,
-        lambda inst, t: is_k_optimal(inst, t, 2), lambda inst, t: is_k_optimal(inst, t, 3),
-        scan_2opt_optimality,
-    ], ids=["find_improving_2move", "two_opt", "tour_length", "is_simple", "is_k_optimal-2",
-            "is_k_optimal-3", "scan_2opt_optimality"])
+    @pytest.mark.parametrize("entry", list(ENTRIES.values()), ids=list(ENTRIES))
     @pytest.mark.parametrize("bad", list(BAD_TOURS))
     def test_non_integer_entries_rejected(self, entry, bad):
         """Every entry point rejects every tour that is not a permutation, on every kind of instance.
@@ -97,6 +114,80 @@ class TestInstance:
         if bad == "empty":
             answers = [entry(Instance([], PNorm(p)), Tour(())) for p in (1, 2, 3)]
             assert answers == [answers[0]] * 3
+
+
+class TestArrayBornTours:
+    """A tour built from an ndarray keeps a read-only ring; it checks and answers as the tuple-born tour does."""
+
+    @pytest.mark.parametrize("entry", list(ENTRIES.values()), ids=list(ENTRIES))
+    @pytest.mark.parametrize("bad", list(BAD_ARRAYS))
+    def test_bad_arrays_rejected(self, entry, bad):
+        """Constructing takes every array; every entry point's check rejects each one that is no permutation."""
+        for inst in bad_tour_instances():
+            t = Tour(BAD_ARRAYS[bad](tuple(range(inst.n))))
+            with pytest.raises(ValueError, match="not a permutation"):
+                entry(inst, t)
+        if bad == "empty":
+            want = entry(Instance([], PNorm(1)), Tour(()))
+            assert [entry(Instance([], PNorm(p)), Tour(np.empty(0, np.int64))) for p in (1, 2, 3)] == [want] * 3
+
+    @pytest.mark.parametrize("entry", list(ENTRIES.values()), ids=list(ENTRIES))
+    def test_answers_as_the_tuple_born_tour(self, entry):
+        rng = random.Random(4)
+        for inst in bad_tour_instances()[:3]:
+            order = tuple(rng.sample(range(inst.n), inst.n))
+            assert entry(inst, Tour(np.array(order))) == entry(inst, Tour(order))
+
+    def test_equal_across_forms(self):
+        a, t = Tour(np.arange(3)), Tour((0, 1, 2))
+        assert a == t and t == a and hash(a) == hash(t)
+        assert Tour(np.array([0, 2, 1], dtype=np.int32)) == Tour([0, 2, 1]) == Tour(np.array([0, 2, 1]))
+        assert a != Tour((0, 2, 1)) and a != Tour(np.arange(4)) and a != (0, 1, 2)
+        assert len({a, t, Tour(np.arange(3)), Tour((0, 2, 1))}) == 2
+        assert Tour(np.empty(0, np.int64)) == Tour(()) and Tour(np.empty(0, np.int64)).n == 0
+
+    def test_order_holds_ints(self):
+        t = Tour(np.array([2, 0, 1], dtype=np.int64))
+        assert t.n == 3 and t.order == (2, 0, 1) and {type(v) for v in t.order} == {int}
+        assert t.edges() == [(2, 0), (0, 1), (1, 2)] and {type(v) for e in t.edges() for v in e} == {int}
+
+    def test_ring_is_read_only_and_the_callers_array_is_copied(self):
+        inst = rand_instance(random.Random(3), 5)
+        given = np.array([4, 2, 0, 1, 3])
+        t = Tour(given)
+        given[:] = 0
+        ring = t.validate(inst)
+        assert ring.tolist() == [4, 2, 0, 1, 3, 4] and not ring.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ring[0] = 1
+        assert t.order == (4, 2, 0, 1, 3)
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))],
+                             ids=["copy", "deepcopy", "pickle"])
+    @pytest.mark.parametrize("order", [(4, 2, 0, 1, 3), np.array([4, 2, 0, 1, 3])], ids=["tuple", "array"])
+    def test_a_copy_is_equal_with_a_read_only_ring(self, duplicate, order):
+        inst = rand_instance(random.Random(3), 5)
+        t = Tour(order)
+        t.validate(inst)
+        got = duplicate(t)
+        assert got == t and not got.validate(inst).flags.writeable
+
+    def test_a_tuple_born_tour_keeps_its_ring(self):
+        inst = rand_instance(random.Random(3), 5)
+        t = Tour((4, 2, 0, 1, 3))
+        ring = t.validate(inst)
+        assert t.validate(inst) is ring and not ring.flags.writeable
+        with pytest.raises(ValueError, match="not a permutation"):
+            t.validate(rand_instance(random.Random(3), 6))  # the count is made on every call
+
+    def test_immutable(self):
+        t = Tour(np.arange(3))
+        with pytest.raises(AttributeError):
+            t.order = (0, 2, 1)
+        with pytest.raises(AttributeError):
+            t.name = "t"
+        with pytest.raises(AttributeError):
+            t.missing
 
 
 class TestTwoOpt:

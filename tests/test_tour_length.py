@@ -11,6 +11,7 @@ layered family must not build its points on the way to its verdict and length.
 import io
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -162,6 +163,25 @@ class TestAgainstFold:
             for t in random_tours(inst, rng, count=6):
                 assert_same_length(inst, t)
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_float_sum_is_not_compensated(self, p):
+        """The length is the left-to-right sum on every Python version; from 3.12 on `sum` compensates floats.
+
+        Under p = 2 the coordinate backend adds its edge array, under p = 3
+        `tour_length` folds `dist`; the edges here have a compensated sum
+        that differs from theirs.
+        """
+        rng = random.Random(15)
+        inst = Instance(grid_points(rng, 60, 10**7, -(10**6)), PNorm(p))
+        assert (inst._coordinates is None) == (p == 3)
+        t = Tour(tuple(rng.sample(range(60), 60)))
+        edges = [inst.dist(a, b) for a, b in t.edges()]
+        fold = 0
+        for e in edges:
+            fold += e
+        assert tour_length(inst, t) == fold == reference_tour_length(inst, t)
+        assert fold != math.fsum(edges)
+
     def test_euclidean_edges_are_math_hypot(self):
         # A 2-vertex tour is one edge there and back: its length shows a
         # last-bit difference of the edge.  `pdist` takes math.sqrt of the
@@ -202,6 +222,27 @@ class TestLayeredLengths:
         lb = generate_lb_instance(2, 2, 3)
         length = tour_length(lb.as_instance(), build_lb_tour(lb))
         assert (type(length), length) == (float, 210456.0)
+
+    def test_the_tour_takes_eight_bytes_a_vertex(self):
+        """(2, 3), 74,190 points: `build_lb_tour` keeps its walk as the tour's int64 ring.
+
+        Traced from before the tour is built, the tour keeps 8 bytes a
+        vertex, and its length peaks below 64.  A tuple of Python ints kept
+        about 40 bytes a vertex, and the length then peaked at about 104.
+        """
+        lb = generate_lb_instance(2, 2, 3)
+        inst, n = lb.as_instance(), lb.n
+        tracemalloc.start()
+        try:
+            tour = build_lb_tour(lb)
+            kept = tracemalloc.get_traced_memory()[0]
+            length = tour_length(inst, tour)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert length == 210456.0
+        assert kept <= 8 * n + 4096
+        assert peak < 64 * n
 
     def test_points_are_not_built(self):
         lb = generate_lb_instance(2, 1, 3)

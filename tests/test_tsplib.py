@@ -3,6 +3,7 @@ import io
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kopt_lab import lowerbound, tsplib
@@ -309,6 +310,17 @@ class TestTourIO:
     def test_tours_of_different_sizes_rejected(self):
         with pytest.raises(tsplib.TsplibError):
             tsplib.write_tour(io.StringIO(), Tour((0, 1, 2)), Tour((0, 1, 2, 3)))
+
+
+def test_an_array_tour_is_written_and_read_as_its_tuple(no_tuple_build):
+    """The writer emits an array-born tour's bytes as the tuple's, and neither the writer nor the reader builds its tuple."""
+    order = tuple(random.Random(2).sample(range(50), 50))
+    want, got = io.StringIO(), io.StringIO()
+    tsplib.write_tour(want, Tour(order), Tour(order[::-1]), name="a")
+    tsplib.write_tour(got, Tour(np.array(order)), Tour(np.array(order[::-1], dtype=np.int32)), name="a")
+    back = tsplib.read_tour(io.StringIO(got.getvalue()))
+    assert got.getvalue() == want.getvalue()
+    assert back.n == 50 and back == Tour(order)
 
 
 def shuffled_lines(text: str, seed: int) -> str:
