@@ -190,6 +190,22 @@ def test_two_opt_order_pin_at_two_blocks():
         "c257e08faac2ccfc9e1444a6a774c23c6e5046e45adb21a39498d8cf19f3bb4e")
 
 
+# A float64 state at the default budget: 182 is the last size of one block,
+# 183 takes two blocks, 400 five blocks of 81 rows.
+@pytest.mark.parametrize("n,blocks,digest", [
+    (182, 1, "6c3a62a4bd952c66442240a1cb57d28a0af5f6e35d8138445599b05e316650ce"),
+    (183, 2, "6341098ebb0d7262ead71245af540a6b5b5c897c43c01be97829fbaddfad3b9d"),
+    (400, 5, "768af6202203eae06d9d35ff95e84441e7d768a4c211d482f3144ff88a736a35"),
+])
+def test_two_opt_order_pins_around_the_block_boundary(n, blocks, digest):
+    inst = gen_random(n, 10**6, seed=1)
+    start = random_tour(n, random.Random(1))
+    rows = tour._block_rows(n, np.dtype(np.float64))
+    assert -(-(n - 2) // rows) == blocks
+    order = two_opt(inst, start).order
+    assert hashlib.sha256(repr(order).encode()).hexdigest() == digest
+
+
 def test_exact_scans_stay_linear_in_memory():
     """(p, q) = (1, 3), 2916 points: one n x n int64 array would be 68 MB."""
     lb = generate_lb_instance(2, 1, 3)
