@@ -13,11 +13,13 @@ from the coordinate arrays instead comes from one backend keyed on the
 norm, `_CoordinateDistances`: p = 1, and p = 2 on exact squares.  One
 vectorized 2-move engine serves 2-Opt, the 2-optimality verdict and the
 lower-bound family's exhaustive scan: a `_TourState` owns one fixed layout
-(two flat work arrays, a flat bool array and a shared mask) and
-`_gain_blocks` walks its blocks of `_block_rows` rows.  Block 0's views
-(`_ScanBlock`) are made once, with the state, so that a scan of it only
-computes into the work arrays; each later block's are made as the walk
-reaches it.  An n x n distance matrix is built only up
+(two flat work arrays, a flat bool array and a shared mask), and
+`_first_2move` and `_dense_best` walk its blocks of `_block_rows` rows
+through one gain step, `_block_gains`.  Block 0's views (`_ScanBlock`) are
+made once, with the state, so that a scan of it only computes into the
+work arrays; on a matrix state they are flat, whole rows of the ring
+matrix.  Each later block's are made as the walk reaches it.  An n x n
+distance matrix is built only up
 to `MATRIX_SCAN_MAX_N`.  On integer instances too large for one scan block,
 the two verdicts examine only the pairs that a grid index over the
 coordinates finds (`_GridTour`), with the engine's arithmetic and the same
@@ -285,12 +287,16 @@ class _MatrixDistances:
 
     v_k is the vertex at position k: the vertex k itself in the instance's
     cache, or the k-th vertex of a tour's ring, (n + 1) x (n + 1), in a
-    `_TourState`.
+    `_TourState`.  `edge[k]` = matrix[k, k + 1] is a contiguous copy of
+    the edges, followed by three zeros that the wrapped columns of a scan's
+    `whole_rows` read.
     """
 
     def __init__(self, matrix: np.ndarray):
         self.matrix = matrix
-        self.edge = matrix.diagonal(1)  # a view: edge[k] = matrix[k, k + 1], kept current
+        self.diagonal = matrix.diagonal(1)  # a view, read by `reverse`
+        self.edge = np.zeros(len(matrix) + 2)
+        self.edge[: len(self.diagonal)] = self.diagonal
 
     def take(self, positions: np.ndarray) -> _MatrixDistances:
         """The distances between the given positions, in their order (a copy)."""
@@ -307,11 +313,25 @@ class _MatrixDistances:
         """
         return None, self.outer(rows, cols)
 
+    def whole_rows(self, rows: int) -> tuple:
+        """(near, far) of the 2-move scan's block 0 as `rows` whole rows of the matrix: flat contiguous views.
+
+        With W = len(matrix), near[i W + c] is the matrix's flat cell
+        i W + 2 + c and far[i W + c] the cell W + 1 further on, so near
+        holds d(i, j) and far d(i + 1, j + 1) for j = 2 + c while j + 1 < W;
+        the other 3 cells of each row wrap onto the next row.
+        """
+        width = len(self.matrix)
+        flat = self.matrix.ravel()
+        return flat[2 : 2 + rows * width], flat[width + 3 : width + 3 + rows * width]
+
     def reverse(self, lo: int, hi: int):
-        """Reverse positions lo..hi-1 in place: the rows, then the columns, O(n (hi - lo))."""
+        """Reverse positions lo..hi-1 in place, 0 < lo < hi < len(matrix): the rows, the columns, then the edges, O(n (hi - lo))."""
         m = self.matrix
         m[lo:hi] = m[lo:hi][::-1]
         m[:, lo:hi] = m[:, lo:hi][:, ::-1]
+        # Edges lo - 1 .. hi - 1 are those with an end among the reversed positions.
+        self.edge[lo - 1 : hi] = self.diagonal[lo - 1 : hi]
 
 
 class _CoordinateDistances:
@@ -557,31 +577,39 @@ def _block_rows(n: int, dtype: np.dtype) -> int:
 
 
 @lru_cache(maxsize=32)
-def _valid_mask(n: int, rows: int) -> np.ndarray:
-    """The read-only validity mask of the 2-move scan's blocks of `rows` rows over n vertices.
+def _valid_mask(n: int, rows: int, width: int) -> np.ndarray:
+    """The read-only validity mask of the 2-move scan's blocks of `rows` rows over n vertices, `width` columns.
 
     Row i0 + r against column j0 + c = i0 + 2 + c is a pair with j >= i + 2
     iff c >= r, in every block, and block i0 reads mask[: i1 - i0, : n - j0];
     only block 0 reaches the last column, which holds the adjacent pair
-    (0, n - 1) in its first row.  It depends on n and rows alone, so the
-    last few sizes' masks are kept and shared by every tour of that size.
+    (0, n - 1) in its first row.  A coordinate state's mask is n - 2
+    columns wide; a matrix state's is n + 1 wide, block 0's whole rows
+    (`_MatrixDistances.whole_rows`), whose last three columns hold no pair.
+    It depends on its arguments alone, so the last few masks are kept and
+    shared by every tour of that size and kind.
     """
-    valid = np.arange(n - 2) >= np.arange(rows)[:, None]
-    valid[0, n - 3 :] = False  # (0, n - 1); no column at all below n = 3
+    valid = np.arange(width) >= np.arange(rows)[:, None]
+    valid[:, max(n - 2, 0) :] = False  # columns past j = n - 1
+    valid[0, max(n - 3, 0) :] = False  # (0, n - 1); no column at all below n = 3
     valid.flags.writeable = False
     return valid
 
 
 class _ScanBlock(NamedTuple):
-    """The views of one 2-move scan block, rows i0..i1-1 against columns j0 = i0 + 2 .. n - 1.
+    """The views of one 2-move scan block: its pairs (i, j) = (i0 + r, j0 + c), j0 = i0 + 2, in rows x width cells.
 
-    `fill`, unless None, computes the block's distances into the state's
-    work arrays; then near[r, c] = d(i, j) and far[r, c] = d(i + 1, j + 1)
-    for the pair (i, j) = (i0 + r, j0 + c).  `tails` and `heads` are the
-    edge views edge[i0:i1, None] and edge[None, j0:].  `gain` and `spare`
-    are contiguous fronts of the work arrays, and so is `threshold` on a
-    non-exact instance; it is None on an exact one.  `valid` is the
-    block's slice of the state's mask.
+    A block's width is n - j0 columns, except block 0 of a matrix state:
+    its n + 1 columns are whole rows of the ring matrix
+    (`_MatrixDistances.whole_rows`), and every view below but `removed`,
+    `tails` and `heads` is flat, cell r * width + c.  `fill`, unless None,
+    computes the block's distances into the state's work arrays; then
+    near[r, c] = d(i, j) and far[r, c] = d(i + 1, j + 1).  `tails` and
+    `heads` are the edge views edge[i0:i1, None] and
+    edge[None, j0:j0 + width], whose sums go into `removed`, the rows x
+    width form of `gain`.  `gain` and `spare` are contiguous fronts of the
+    work arrays, and so is `threshold` on a non-exact instance; it is None
+    on an exact one.  `valid` is the block's slice of the state's mask.
     """
 
     fill: Optional[Callable[[], None]]
@@ -589,6 +617,7 @@ class _ScanBlock(NamedTuple):
     far: np.ndarray
     tails: np.ndarray
     heads: np.ndarray
+    removed: np.ndarray
     gain: np.ndarray
     threshold: Optional[np.ndarray]
     valid: np.ndarray
@@ -600,88 +629,109 @@ class _TourState:
 
     Built from the ring of `Tour.validate`: `dist` holds the distances
     between the tour's ring positions 0..n (position n is position 0
-    again), gathered once from the instance's cache; `reverse` then
-    follows each applied move in place, so every view of `dist` stays
-    current.  A scan block is `rows` rows of pairs (`_block_rows`), and
-    `valid` its shared mask (`_valid_mask`).  The state's own work arrays
-    are flat and reused by every block: `buffers`, two arrays of `dist`'s
-    dtype of (rows + 1) x (n + 1) cells, and `flags`, a bool array of
-    valid's size.  The second buffer holds the gains; the first holds a
-    coordinate state's distances or a matrix state's threshold, since a
-    matrix state reads its distances in place and a coordinate state is
-    1-norm, hence exact.  `first` is block 0's `_ScanBlock`, built here:
-    every view a scan of block 0 reads, made once for the life of the
-    state, so that such a scan only computes, through `out=`.
+    again), gathered once from the instance's cache, and their edge
+    array; `reverse` then follows each applied move in place, so every
+    view of `dist` stays current.  A scan block is `rows` rows of pairs
+    (`_block_rows`), and `valid` its shared mask (`_valid_mask`).  The
+    state's own work arrays are flat and reused by every block: `buffers`,
+    two arrays of `dist`'s dtype of (rows + 1) x (n + 1) cells, and
+    `flags`, a bool array of valid's size.  The second buffer holds the
+    gains; the first holds a coordinate state's distances or a matrix
+    state's threshold, since a matrix state reads its distances in place
+    and a coordinate state is 1-norm, hence exact.  `first` is block 0's
+    `_ScanBlock`, built here: every view a scan of block 0 reads, made
+    once for the life of the state, so that such a scan only computes,
+    through `out=`.  On a matrix state block 0 is rows x (n + 1) cells of
+    whole matrix rows, each operand one contiguous array or a broadcast of
+    one; every later block's views are made by `block` as a scan reaches
+    it, 2-D slices n - j0 columns wide.
     """
 
     def __init__(self, inst: Instance, ring: np.ndarray):
-        n = inst.n
+        n = self.n = inst.n
         self.dist = inst._pair_dist.take(ring)
         dtype = self.dist.edge.dtype
         self.exact = inst.exact
         self.rows = _block_rows(n, dtype)
-        self.valid = _valid_mask(n, self.rows)
+        whole = isinstance(self.dist, _MatrixDistances)
+        self.valid = _valid_mask(n, self.rows, n + 1 if whole else max(n - 2, 0))
         cells = (self.rows + 1) * (n + 1)
         self.buffers = np.empty(cells, dtype), np.empty(cells, dtype)
         self.flags = np.empty(self.valid.size, bool)
-        self.first = self.block(0)
+        if whole:
+            rows = min(self.rows, max(n - 2, 0))  # no row below n = 3
+            self.first = self._views(0, (rows, n + 1), *self.dist.whole_rows(rows))
+        else:
+            self.first = self.block(0)
+        # The first rows of the blocks, in scan order: a triangle has no pair, rows i > n - 3 no partner.
+        self.starts = range(0, n - 2 if n > 3 else 0, self.rows)
+
+    def _views(self, i0: int, shape: tuple, near: np.ndarray, far: np.ndarray, fill=None) -> _ScanBlock:
+        """The `_ScanBlock` of rows x width = shape pairs from row i0; its gains, threshold, mask and flags take near's form."""
+        rows, width = shape
+        cells = rows * width
+        form = near.shape
+        edge = self.dist.edge
+        removed = gain = self.buffers[1][:cells].reshape(shape)
+        valid = self.valid if shape == self.valid.shape else self.valid[:rows, :width]
+        if form != shape:  # block 0 of a matrix state: whole rows, flat
+            gain, valid = removed.ravel(), valid.ravel()
+        threshold = None if self.exact else self.buffers[0][:cells].reshape(form)
+        return _ScanBlock(
+            fill, near, far, edge[i0 : i0 + rows, None], edge[None, i0 + 2 : i0 + 2 + width], removed, gain,
+            threshold, valid, self.flags[:cells].reshape(form),
+        )
 
     def block(self, i0: int) -> _ScanBlock:
-        """The `_ScanBlock` of the block whose first row is i0, its views made now."""
-        edge = self.dist.edge
-        n = len(edge)  # one edge per vertex
+        """The `_ScanBlock` of the block whose first row is i0, n - i0 - 2 columns wide, its views made now."""
+        n = self.n
         # Clamped at 0 rows and columns: a state below n = 3 has an empty block 0.
         i1, j0 = max(i0, min(i0 + self.rows, n - 2)), i0 + 2
-        shape = i1 - i0, max(n - j0, 0)
-        cells = shape[0] * shape[1]
-        fill, r = self.dist.outer_block(slice(i0, i1 + 1), slice(j0, None), *self.buffers)
-        threshold = None if self.exact else self.buffers[0][:cells].reshape(shape)
-        valid = self.valid if shape == self.valid.shape else self.valid[: shape[0], : shape[1]]
-        return _ScanBlock(
-            fill, r[:-1, :-1], r[1:, 1:], edge[i0:i1, None], edge[None, j0:],
-            self.buffers[1][:cells].reshape(shape), threshold, valid, self.flags[:cells].reshape(shape),
-        )
+        fill, r = self.dist.outer_block(slice(i0, i1 + 1), slice(j0, n + 1), *self.buffers)
+        near = r[:-1, :-1]
+        return self._views(i0, near.shape, near, r[1:, 1:], fill)
 
     def reverse(self, m: TwoMove):
         """Follow `apply_2move(t, m)`: reverse tour positions m.i + 1 .. m.j."""
         self.dist.reverse(m.i + 1, m.j + 1)
 
 
-def _gain_blocks(state: _TourState):
-    """The 2-move engine: gains of all non-adjacent edge pairs, a block of `state.rows` rows at a time.
+def _block_gains(block: _ScanBlock):
+    """The 2-move engine's one step: the gains of a block's pairs into `block.gain`, and their threshold.
 
-    Yields (i0, j0, gain, threshold, valid, spare) in lexicographic (i, j)
-    order: gain[r, c] = (c_ab + c_xy) - c_ax - c_by for the move on tour
-    positions (i0 + r, j0 + c), in the arithmetic of `inst.dist` (on the
-    coordinate path in `dist`'s integer dtype, which `_scan_dtype` keeps
-    exact); threshold is 0 on an exact instance, else DEFAULT_GAIN_EPS
-    times the removed length c_ab + c_xy; valid is the block's slice of
-    `state.valid`, and spare a bool array of gain's shape for the caller.
-    The arrays are the views of a `_ScanBlock`: block 0's from
-    `state.first`, each later block's made as the walk reaches it.  The
-    next block overwrites them, and the caller may overwrite them too.
+    gain[r, c] = (c_ab + c_xy) - c_ax - c_by for the move on tour
+    positions (i0 + r, i0 + 2 + c), in the arithmetic of `inst.dist` (on
+    the coordinate path in `dist`'s integer dtype, which `_scan_dtype`
+    keeps exact).  The threshold it returns is 0 on an exact instance,
+    else `block.threshold` holding DEFAULT_GAIN_EPS times the removed
+    length c_ab + c_xy.  Only the cells that `block.valid` marks are pairs.
     """
-    n = len(state.dist.edge)
-    for i0 in range(0, n - 2 if n > 3 else 0, state.rows):  # a triangle has no pair, rows i > n - 3 no partner
-        fill, near, far, tails, heads, gain, threshold, valid, spare = state.block(i0) if i0 else state.first
-        if fill is not None:
-            fill()
-        np.add(tails, heads, gain)
-        # Of the removed length, before it becomes the gain.
-        threshold = 0 if threshold is None else np.multiply(gain, DEFAULT_GAIN_EPS, threshold)
-        gain -= near
-        gain -= far
-        yield i0, i0 + 2, gain, threshold, valid, spare
+    fill, near, far, tails, heads, removed, gain, threshold, _, _ = block
+    if fill is not None:
+        fill()
+    np.add(tails, heads, removed)
+    # Of the removed length, before it becomes the gain.
+    threshold = 0 if threshold is None else np.multiply(gain, DEFAULT_GAIN_EPS, threshold)
+    gain -= near
+    gain -= far
+    return threshold
 
 
 def _first_2move(state: _TourState) -> Optional[TwoMove]:
-    """First improving 2-move in lexicographic (i, j) scan order, if any."""
-    for i0, j0, gain, threshold, valid, hit in _gain_blocks(state):
-        np.greater(gain, threshold, hit)
-        hit &= valid
-        r, c = divmod(int(hit.argmax()), hit.shape[1])
-        if hit[r, c]:
-            return TwoMove(i0 + r, j0 + c, gain.item(r, c))
+    """First improving 2-move in lexicographic (i, j) scan order, if any.
+
+    Walks the blocks in order, block 0 from `state.first` and each later
+    one from `state.block`, and stops at the first block with a hit.
+    """
+    for i0 in state.starts:
+        block = state.block(i0) if i0 else state.first
+        threshold = _block_gains(block)
+        hit = np.greater(block.gain, threshold, block.spare)
+        hit &= block.valid
+        k = int(hit.argmax())
+        if hit.item(k):
+            r, c = divmod(k, block.removed.shape[1])
+            return TwoMove(i0 + r, i0 + 2 + c, block.gain.item(k))
     return None
 
 
@@ -732,14 +782,18 @@ def _dense_best(inst: Instance, ring: np.ndarray) -> tuple[Optional[TwoMove], in
     dtype = state.dist.edge.dtype
     floor = np.iinfo(dtype).min if dtype.kind == "i" else -np.inf
     best = None
-    for i0, j0, margin, threshold, valid, invalid in _gain_blocks(state):
+    for i0 in state.starts:
+        block = state.block(i0) if i0 else state.first
+        threshold = _block_gains(block)
+        margin = block.gain
         if not inst.exact:
             margin -= threshold
-        np.logical_not(valid, out=invalid)
+        invalid = np.logical_not(block.valid, out=block.spare)
         np.copyto(margin, floor, where=invalid)  # every block holds a valid pair
-        r, c = divmod(int(margin.argmax()), margin.shape[1])
-        if best is None or margin.item(r, c) > best.gain:
-            best = TwoMove(i0 + r, j0 + c, margin.item(r, c))
+        k = int(margin.argmax())
+        if best is None or margin.item(k) > best.gain:
+            r, c = divmod(k, block.removed.shape[1])
+            best = TwoMove(i0 + r, i0 + 2 + c, margin.item(k))
     return best, max(0, inst.n * (inst.n - 3) // 2)
 
 
@@ -862,7 +916,7 @@ class _GridTour:
         self.position[self.ring[:-1]] = np.arange(n)
 
     def _gains(self, keys: np.ndarray) -> tuple:
-        """(i, j, gain, threshold) of the pairs i * n + j, in the arithmetic of `_gain_blocks`."""
+        """(i, j, gain, threshold) of the pairs i * n + j, in the arithmetic of `_block_gains`."""
         i, j = np.divmod(keys, self.n)
         removed = self.dist.edge[i] + self.dist.edge[j]
         threshold = _gain_threshold(self.inst, removed)
@@ -985,9 +1039,10 @@ def apply_2move(t: Tour, m: TwoMove) -> Tour:
 def two_opt(inst: Instance, start: Tour) -> Tour:
     """Run the 2-Opt heuristic to a local optimum (first-improvement pivot).
 
-    Each scan restarts at (0, 0) on one `_TourState`, built once from the
-    ring and reversed in place after every move that `apply_2move` makes;
-    the views of its block 0, made with it, serve every scan.
+    Each scan, `_first_2move`, restarts at (0, 0) on one `_TourState`,
+    built once from the ring and reversed in place after every move that
+    `apply_2move` makes; the views of its block 0, made with it (on a
+    matrix state, flat whole rows of its ring matrix), serve every scan.
     """
     t, state = start, _TourState(inst, start.validate(inst))
     while True:

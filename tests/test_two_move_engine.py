@@ -139,6 +139,8 @@ def assert_same_state(got, want):
     for key, value in vars(want.dist).items():
         mine = vars(got.dist)[key]
         assert same_array(mine, value) if isinstance(value, np.ndarray) else mine == value, key
+    # The kept edge array, which the scan's edge views read, is the state's own and was reversed too.
+    assert got.dist.edge.base is None and same_array(got.dist.edge, want.dist.edge)
     assert got.rows == want.rows and got.valid is want.valid
     assert [(b.dtype, b.size) for b in (*got.buffers, got.flags)] == [
         (b.dtype, b.size) for b in (*want.buffers, want.flags)]
@@ -206,6 +208,72 @@ def test_two_opt_order_pins_around_the_block_boundary(n, blocks, digest):
     assert hashlib.sha256(repr(order).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("n", [182, 183])
+def test_dense_verdicts_at_the_block_boundary(n):
+    """p = 3 matrix states at the last size of one block and the first of two, at the default budget.
+
+    On a 2-optimal tour and on one with a single improving move planted in
+    the last block's last rows, both verdicts equal the reference in move,
+    gain and type: block 0's wrapped columns hold no pair, and a flat hit
+    decodes to its (i, j).
+    """
+    rng = random.Random(n)
+    inst = grid_instance(rng, n, 3, grid=10**6)
+    rows = tour._block_rows(n, np.dtype(np.float64))
+    last = rows * ((n - 3) // rows)  # the last block's first row
+    assert not tour._indexed_scan(inst) and last == (0 if n == 182 else rows)
+    local = two_opt(inst, Tour(tuple(rng.sample(range(n), n))))
+    assert reference_first_2move(inst, local) is None
+    assert assert_engine_matches(inst, local).gain <= 0
+    for i in range(n - 3, last - 1, -1):
+        o = list(local.order)
+        o[i + 1], o[i + 2] = o[i + 2], o[i + 1]  # undone by the move (i, i + 2)
+        planted = Tour(tuple(o))
+        if [(a, b) for a, b, gain, threshold in _moves(inst, planted) if gain > threshold] == [(i, i + 2)]:
+            break
+    else:
+        pytest.fail("no single improving move could be planted in the last block")
+    assert i >= n - 6  # among its last rows, next to the wrapped columns
+    move = assert_engine_matches(inst, planted)
+    assert (move.i, move.j) == (i, i + 2) and move.gain > 0
+
+
+def test_matrix_block_0_reads_whole_rows():
+    """Block 0 of a float64 state is flat: every operand contiguous, or a broadcast of a contiguous array.
+
+    near and far are whole rows of the state's ring matrix and the edge
+    views read its kept edge array, so `reverse` keeps them current; later
+    blocks keep their 2-D slices, n - j0 columns wide.
+    """
+    n = 400
+    inst = gen_random(n, 10**6, seed=1)
+    state = tour._TourState(inst, random_tour(n, random.Random(1)).validate(inst))
+    rows, width, matrix, edge = state.rows, n + 1, state.dist.matrix, state.dist.edge
+    first = state.first
+    assert (rows, len(state.starts), first.fill) == (81, 5, None)
+    for view in (first.near, first.far, first.gain, first.threshold, first.valid, first.spare):
+        assert view.shape == (rows * width,) and view.flags.c_contiguous
+    assert np.shares_memory(first.near, matrix) and np.shares_memory(first.far, matrix)
+    assert first.removed.shape == (rows, width) and first.removed.flags.c_contiguous
+    assert np.shares_memory(first.removed, first.gain) and first.valid.base is state.valid
+    assert (first.tails.shape, first.tails.strides) == ((rows, 1), (8, 0))
+    assert (first.heads.shape, first.heads.strides) == ((1, width), (0, 8))
+    assert np.shares_memory(first.tails, edge) and np.shares_memory(first.heads, edge)
+    assert edge.flags.c_contiguous and not np.shares_memory(edge, matrix)
+    assert (edge[:n] == matrix.diagonal(1)).all()
+    # The valid cells are block 0's pairs, and they read their distances.
+    i, c = np.divmod(np.flatnonzero(first.valid), width)
+    assert len(i) == sum(n - 2 - r for r in range(rows)) - 1 and (c <= n - 3).all()
+    assert (first.near[i * width + c] == matrix[i, c + 2]).all()
+    assert (first.far[i * width + c] == matrix[i + 1, c + 3]).all()
+    for i0 in state.starts[1:]:
+        block = state.block(i0)
+        shape = (min(rows, n - 2 - i0), n - i0 - 2)
+        assert block.near.shape == block.far.shape == block.removed.shape == shape
+        assert block.gain.shape == block.valid.shape == block.spare.shape == shape
+        assert np.shares_memory(block.near, matrix) and np.shares_memory(block.tails, edge)
+
+
 def test_exact_scans_stay_linear_in_memory():
     """(p, q) = (1, 3), 2916 points: one n x n int64 array would be 68 MB."""
     lb = generate_lb_instance(2, 1, 3)
@@ -223,20 +291,24 @@ def test_exact_scans_stay_linear_in_memory():
     state = tour._TourState(inst, hand.validate(inst))
     assert state.dist.edge.dtype == np.int16
     assert state.valid.base is None and state.valid.size <= tour._BLOCK_CELLS * 4
-    masks = [valid for *_, valid, _ in tour._gain_blocks(state)]
+    masks = [state.first.valid] + [state.block(i0).valid for i0 in state.starts[1:]]
     assert len(masks) > 1
     assert masks[0] is state.valid and all(valid.base is state.valid for valid in masks[1:])
 
 
 def test_tours_of_one_size_share_read_only_blocks():
-    """The mask is cached per size and rows a block, so no state may write it."""
+    """The mask is cached per size, rows a block and width, so no state may write it."""
     rng = random.Random(8)
-    # An int64 coordinate scan and a float64 matrix scan: one budget of 2^15 cells.
+    # Two int64 coordinate scans and two float64 matrix scans: one budget of 2^15 cells.
     a, b = grid_instance(rng, 40, 1, grid=2**30), grid_instance(rng, 40, 2)
-    sa, sb = (tour._TourState(inst, Tour(tuple(rng.sample(range(40), 40))).validate(inst)) for inst in (a, b))
+    sa, sa2, sb, sb2 = (tour._TourState(inst, Tour(tuple(rng.sample(range(40), 40))).validate(inst))
+                        for inst in (a, a, b, b))
     assert (sa.dist.edge.dtype, sb.dist.edge.dtype) == (np.int64, np.float64)
-    assert sa.rows == sb.rows and sa.valid is sb.valid
-    assert not sa.valid.flags.writeable
+    assert sa.rows == sb.rows and sa.valid is sa2.valid and sb.valid is sb2.valid
+    # A matrix state's mask is block 0's whole rows, n + 1 wide; its first n - 2 columns are the other's.
+    assert (sa.valid.shape, sb.valid.shape) == ((sa.rows, 38), (sa.rows, 41))
+    assert (sb.valid[:, :38] == sa.valid).all() and not sb.valid[:, 38:].any()
+    assert not sa.valid.flags.writeable and not sb.valid.flags.writeable
     # Work arrays are each state's own.
     own = [(*s.buffers, s.flags) for s in (sa, sb)]
     assert not any(np.shares_memory(x, y) for x in own[0] for y in own[1])
@@ -442,26 +514,30 @@ def block_budget_instances():
 def test_scan_blocks_are_sized_in_bytes(inst, dtype):
     """A block's gains take _BLOCK_CELLS * 8 bytes: 2^17 cells of int16, 2^16 of int32, else 2^15.
 
-    The two distance buffers hold one block's distances, one row and one
-    column more than its gains.  The walk's gain and spare views are
-    contiguous fronts of the work arrays, since `argmax` would copy a
-    strided one.
+    rows x n cells, that is: block 0 of a matrix state, whole rows n + 1
+    wide, takes one cell a row more, as the two distance buffers do.  Those
+    hold one block's distances, one row and one column more than its gains.
+    The gain and spare views are contiguous fronts of the work arrays,
+    since `argmax` would copy a strided one.
     """
     n, itemsize = inst.n, np.dtype(dtype).itemsize
     state = tour._TourState(inst, Tour(tuple(range(n))).validate(inst))
     assert state.dist.edge.dtype == dtype
     rows = tour._BLOCK_CELLS * 8 // itemsize // n
+    width = n + 1 if dtype == np.float64 else n - 2
     assert state.rows == rows == tour._block_rows(n, np.dtype(dtype))
-    assert state.valid.shape == (rows, n - 2) and state.flags.size == state.valid.size
-    assert state.valid.size * itemsize <= tour._BLOCK_CELLS * 8
+    assert state.valid.shape == (rows, width) and state.flags.size == state.valid.size
+    assert rows * n * itemsize <= tour._BLOCK_CELLS * 8
     assert [b.size for b in state.buffers] == [(rows + 1) * (n + 1)] * 2
-    starts = []
-    for i0, j0, gain, _, valid, spare in tour._gain_blocks(state):
-        starts.append((i0, j0))
-        assert gain.shape == spare.shape == valid.shape == (min(rows, n - 2 - i0), n - j0)
-        assert gain.flags.c_contiguous and spare.flags.c_contiguous
-        assert np.shares_memory(gain, state.buffers[1]) and np.shares_memory(spare, state.flags)
-    assert starts == [(i0, i0 + 2) for i0 in range(0, n - 2, rows)]
+    assert list(state.starts) == list(range(0, n - 2, rows))
+    for i0 in state.starts:
+        block = state.block(i0) if i0 else state.first
+        shape = (min(rows, n - 2 - i0), width if i0 == 0 else n - i0 - 2)
+        assert block.removed.shape == shape
+        form = (shape[0] * shape[1],) if width == n + 1 and i0 == 0 else shape
+        assert block.gain.shape == block.spare.shape == block.valid.shape == form
+        assert block.gain.flags.c_contiguous and block.spare.flags.c_contiguous
+        assert np.shares_memory(block.gain, state.buffers[1]) and np.shares_memory(block.spare, state.flags)
 
 
 def state_memory(inst, t):
@@ -491,12 +567,11 @@ def test_one_row_blocks_keep_linear_memory():
     state, kept = state_memory(inst, t)
     assert state.dist.edge.dtype == np.int64 and state.rows == 1
     assert kept < 80 * n  # 58 bytes a point: 24 of coordinates and edges, 32 of work buffers
-    blocks = tour._gain_blocks(state)
-    i0, j0, gain, _, valid, spare = next(blocks)
-    assert (i0, j0, valid.shape, gain.shape, spare.shape) == (0, 2, (1, n - 2), (1, n - 2), (1, n - 2))
-    assert not valid[0, -1] and valid[0, :-1].all()
-    i0, j0, gain, _, valid, spare = next(blocks)
-    assert (i0, j0, valid.shape, gain.shape) == (1, 3, (1, n - 3), (1, n - 3)) and valid.all()
+    first, second = state.first, state.block(1)
+    assert state.starts[:2] == range(2)
+    assert (first.valid.shape, first.gain.shape, first.spare.shape) == ((1, n - 2),) * 3
+    assert not first.valid[0, -1] and first.valid[0, :-1].all()
+    assert (second.valid.shape, second.gain.shape) == ((1, n - 3),) * 2 and second.valid.all()
 
 
 def test_two_row_blocks_keep_linear_memory():
