@@ -1108,90 +1108,102 @@ class _HeldKarpBlock(NamedTuple):
     For a mask and a column c in it, the state (mask, c) takes the minimum
     over the k - 1 other columns u of the mask of cost[mask ^ bit(c), u] +
     d(u, c).  The block lists its states mask by mask, each mask's columns
-    in descending order, and holds per state:
-    - `state`: mask * m + c, its flat index in the cost table;
-    - `prev`: (mask ^ bit(c)) * m, so that prev + u indexes the state (mask ^ bit(c), u);
-    - `cell`: c * m, so that cell + u indexes d(u, c) in the transposed distances;
-    and `u`, (k - 1) x states, int8: each state's candidates u down a
-    column, in descending order.
+    in descending order, and they fill the table entries `start` onwards,
+    one contiguous run.  Per candidate, (k - 1) x states with each state's
+    u down a column in descending order, it holds:
+    - `src`: the table entry of the state (mask ^ bit(c), u), which lies
+      before `start`;
+    - `cell`: c * m + u, the index of d(u, c) in the transposed distances.
     """
 
-    state: np.ndarray
-    prev: np.ndarray
+    start: int
+    src: np.ndarray
     cell: np.ndarray
-    u: np.ndarray
 
 
 @cache
 def _held_karp_plan(m: int, block_cells: int) -> tuple:
-    """The `_HeldKarpBlock`s of the m-column DP, layer by layer, at most `block_cells` candidates each.
+    """(blocks, where): the m-column DP's `_HeldKarpBlock`s, layer by layer, and its entry map.
 
-    They depend only on m and the block budget, so one plan per pair serves
-    every instance of n = m + 1 vertices.  `state` and `prev` are int16
-    while the m 2^m table entries fit, else int32; `cell` is int16.  At
-    m = 17 (n = 18) the plan takes 10 bytes per state and 1 per candidate,
-    19 MB.
+    The cost table keeps only the m 2^(m-1) states (mask, c) with c in mask,
+    in the order the blocks enumerate them: layer k's masks in the order of
+    `itertools.combinations` over the columns m - 1 down to 0, each mask's
+    columns descending.  Layer 1 fills entries 0..m-1 (column m - 1 - i at
+    entry i) and the full mask the last m.  `where`, m 2^m entries, maps
+    mask * m + c to the entry of (mask, c) for every live state, and -1
+    elsewhere; only the walk-back reads it.  A block holds at most
+    `block_cells` candidates, or the states of one mask.
+
+    The plan depends only on m and the block budget, so one plan per pair
+    serves every instance of n = m + 1 vertices.  `src` and `where` are
+    int16 while the table's entries fit, else int32; `cell` is int16.  At
+    m = 17 (n = 18) the plan takes 6 bytes per candidate and 4 per `where`
+    entry, 62 MB.
     """
-    index = np.int16 if m << m <= 1 << 15 else np.int32
-    blocks = []
-    for k in range(2, m + 1):
+    index = np.int16 if m << (m - 1) <= 1 << 15 else np.int32
+    where = np.full(m << m, -1, dtype=index)
+    blocks, first = [], 0  # first: the entry of the layer's first state
+    for k in range(1, m + 1):
         # The masks of size k, each as its columns in descending order.
         combos = itertools.combinations(range(m - 1, -1, -1), k)
         v = np.fromiter(itertools.chain.from_iterable(combos), dtype=np.int8).reshape(-1, k)
-        j = np.arange(k - 1)
-        others = j + (j >= np.arange(k)[:, None])  # row a: 0..k-1 without a, in order
-        bit = np.left_shift(1, v, dtype=index)
-        mask = bit.sum(axis=1, dtype=index, keepdims=True)
-        state = (mask * m + v).ravel()
-        prev = ((mask ^ bit) * m).ravel()
-        cell = (v.astype(np.int16) * m).ravel()
-        u = v[:, others.T].transpose(1, 0, 2).reshape(k - 1, -1)  # u[j, (mask, a)]
-        for a in (state, prev, cell, u):
-            a.flags.writeable = False
-        step = k * max(1, block_cells // (k * (k - 1)))  # states per block, whole masks
-        for s0 in range(0, len(state), step):
-            s = slice(s0, s0 + step)
-            blocks.append(_HeldKarpBlock(state[s], prev[s], cell[s], u[:, s]))
-    return tuple(blocks)
+        bit = np.left_shift(1, v, dtype=np.int64)
+        mask = bit.sum(axis=1, keepdims=True)
+        where[(mask * m + v).ravel()] = np.arange(first, first + v.size)
+        if k > 1:
+            j = np.arange(k - 1)
+            others = j + (j >= np.arange(k)[:, None])  # row a: 0..k-1 without a, in order
+            u = v[:, others.T].transpose(1, 0, 2).reshape(k - 1, -1)  # u[j, (mask, a)]
+            src = where[((mask ^ bit) * m).ravel() + u]
+            cell = v.astype(np.int16).ravel() * m + u
+            src.flags.writeable = cell.flags.writeable = False
+            step = k * max(1, block_cells // (k * (k - 1)))  # states per block, whole masks
+            for s0 in range(0, v.size, step):
+                s = slice(s0, s0 + step)
+                blocks.append(_HeldKarpBlock(first + s0, src[:, s], cell[:, s]))
+        first += v.size
+    where.flags.writeable = False
+    return tuple(blocks), where
 
 
 def _held_karp(inst: Instance) -> tuple[Tour, object]:
     """Held-Karp over dense arrays, filled one layer of subsets per size.
 
     Vertex 0 anchors the tour; column c stands for vertex c + 1, and bit c
-    of a mask for that vertex.  cost[mask, c] is the cheapest path from 0
-    through the vertices of mask that ends at column c, as a left fold of
-    `dist` in path order.  For each mask of size k and each c in it, the
-    minimum over u of cost[mask ^ bit(c), u] + d(u, c) goes to the largest
-    u among ties, as does the closing edge into 0.  A layer is processed in
-    blocks of at most `_BLOCK_CELLS` (mask, c, u) candidates, whose indices
-    come from the plan that `_held_karp_plan` caches per size: a call only
-    gathers, adds, takes minima and scatters.  No predecessor table is
-    kept: the tour is walked back from its last column, recomputing each
-    state's candidates in the same arithmetic, and the predecessor is the
-    largest u whose candidate equals the state's cost.
+    of a mask for that vertex.  The state (mask, c) costs the cheapest path
+    from 0 through the vertices of mask that ends at column c, as a left
+    fold of `dist` in path order.  For each mask of size k and each c in it,
+    the minimum over u of cost(mask ^ bit(c), u) + d(u, c) goes to the
+    largest u among ties, as does the closing edge into 0.  The table holds
+    the live states only, m 2^(m-1) entries in the order of the plan that
+    `_held_karp_plan` caches per size, so each block of at most
+    `_BLOCK_CELLS` (mask, c, u) candidates is two gathers, an add and a
+    minimum written straight into the block's run of the table.  No
+    predecessor table is kept: the tour is walked back from its last
+    column, recomputing each state's candidates in the same arithmetic, and
+    the predecessor is the largest u whose candidate equals the state's
+    cost.
     """
     n = inst.n
     m = n - 1
     d = inst._pair_dist.outer(slice(None), slice(None))  # the values of `dist`, cached
     dt = d[1:, 1:].T.ravel()  # dt[c * m + u] = d(u, c)
-    cols = np.arange(m)
-    # A flat table: entry mask * m + c holds state (mask, c).
-    cost = np.empty(m << m, dtype=d.dtype)
-    cost[(1 << cols) * m + cols] = d[0, 1:]
-    for blk in _held_karp_plan(m, _BLOCK_CELLS):
-        cand = cost.take(blk.prev + blk.u) + dt.take(blk.cell + blk.u)
-        cost[blk.state] = cand.min(axis=0)
-    full = (1 << m) - 1
-    last = cols[::-1]
-    total = cost[full * m + last] + d[last + 1, 0]
+    blocks, where = _held_karp_plan(m, _BLOCK_CELLS)
+    cost = np.empty(m << (m - 1), dtype=d.dtype)
+    cost[:m] = d[0, :0:-1]  # layer 1: column m - 1 - i at entry i
+    for blk in blocks:
+        cand = cost.take(blk.src)
+        cand += dt.take(blk.cell)
+        cand.min(axis=0, out=cost[blk.start : blk.start + blk.src.shape[1]])
+    total = cost[-m:] + d[:0:-1, 0]  # the full mask, columns m - 1 down to 0
     pick = int(total.argmin())
-    best, c, mask = total.item(pick), int(last[pick]), full
+    best, c, mask = total.item(pick), m - 1 - pick, (1 << m) - 1
     chain = [c + 1]
     while mask != 1 << c:
-        prev, target = mask ^ (1 << c), cost.item(mask * m + c)
+        prev, target = mask ^ (1 << c), cost.item(where.item(mask * m + c))
         u = m - 1
-        while not (prev >> u & 1 and cost.item(prev * m + u) + dt.item(c * m + u) == target):
+        while not (prev >> u & 1
+                   and cost.item(where.item(prev * m + u)) + dt.item(c * m + u) == target):
             u -= 1
         chain.append(u + 1)
         mask, c = prev, u

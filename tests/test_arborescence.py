@@ -81,6 +81,17 @@ class TestConstruction:
         with pytest.raises(ChordCrossingError):
             build_arborescence(inst, path, [(0, 3), (2, 5)])
 
+    @pytest.mark.parametrize("chords, e0, message", [
+        ([(0, 7)], None, r"chord \(0, 7\) has an endpoint off the path"),
+        ([(2, 2)], None, r"degenerate chord \(2, 2\)"),
+        ([(0, 2)], (0, 5), "e0 must be one of the chords"),
+        ([(0, 2), (3, 5)], (0, 2), "e0 must span the full reference path"),
+    ], ids=["off-path", "degenerate", "e0-not-a-chord", "e0-short"])
+    def test_malformed_chords_rejected(self, chords, e0, message):
+        inst = Instance([pt(i, (3 * i + 1) % 11) for i in range(6)], PNorm(2))
+        with pytest.raises(ValueError, match=message):
+            build_arborescence(inst, [0, 1, 2, 3, 4, 5], chords, e0=e0)
+
     def test_virtual_root_adopts_top_level_chords(self):
         # no full-span chord: both chords hang off the root directly
         inst = Instance([pt(i, (3 * i + 1) % 11) for i in range(6)], PNorm(2))

@@ -120,6 +120,16 @@ class TestSolveAndCertify:
         assert f"error: {message}" in capsys.readouterr().err
         assert calls == [] and not (workdir / "c.json").exists()
 
+    def test_failed_check_exits_1(self, workdir, capsys, monkeypatch):
+        def failing(*args):
+            raise AssertionError("main lemma violated")
+
+        run("gen-random", "--n", "9", "--grid", "200", "--seed", "8", "--out", "r.tsp")
+        monkeypatch.setattr(harness, "certify_pair", failing)
+        assert run("certify", "r.tsp", "--out", "c.json") == 1
+        assert "check failed: main lemma violated\n" in capsys.readouterr().err
+        assert not (workdir / "c.json").exists()
+
     def test_missing_file_is_usage_error(self, workdir):
         assert run("solve-2opt", "missing.tsp") == 2
 

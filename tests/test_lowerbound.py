@@ -1,5 +1,7 @@
 import io
+import itertools
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -160,6 +162,23 @@ class TestEstimate:
     def test_arguments_out_of_range_rejected(self, a, b, s, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             estimate_inequality(a, b, 2, 1, 3, s)
+
+    def test_non_integer_p_agrees_with_60_digit_decimals(self):
+        verdicts = set()
+        with localcontext() as ctx:
+            ctx.prec = 60
+            for p, q, k in itertools.product((1.5, 2.5), (3, 5, 7), (2, 3)):
+                dp, dq = Decimal(str(p)), Decimal(q)
+                for a, b, s in itertools.product(range(k + 1), range(k + 1), range(q)):
+                    e = (dp + 1) * (q - s)
+                    qe = dq ** e
+                    lhs = (a * qe) ** dp + dq ** (dp * (e - 1))
+                    rhs = (a * qe + b * dq ** (e - (dp + 1))) ** dp
+                    # No case lies near a tie, where float rounding could decide.
+                    assert abs(lhs - rhs) > Decimal("1e-12") * rhs
+                    assert estimate_inequality(a, b, k, p, q, s) == (lhs > rhs), (a, b, k, p, q, s)
+                    verdicts.add(lhs > rhs)
+        assert verdicts == {True, False}
 
     def test_scan_threshold_grows_with_p(self):
         # the inequality only holds for q large enough; the threshold depends

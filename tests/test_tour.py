@@ -15,6 +15,7 @@ from kopt_lab.lowerbound import scan_2opt_optimality
 from kopt_lab.tour import (
     Instance,
     Tour,
+    TwoMove,
     apply_2move,
     exact_opt,
     find_improving_2move,
@@ -210,6 +211,12 @@ class TestTwoOpt:
         before = tour_length(inst, t)
         after = tour_length(inst, apply_2move(t, m))
         assert before - after == pytest.approx(m.gain, rel=1e-9)
+
+    @pytest.mark.parametrize("i, j", [(3, 4), (0, 9), (5, 5), (6, 2), (2, 10), (4, 12)],
+                             ids=["adjacent", "wrap", "i-eq-j", "i-gt-j", "j-eq-n", "j-gt-n"])
+    def test_apply_2move_rejects_invalid_positions(self, i, j):
+        with pytest.raises(ValueError, match=rf"invalid 2-move positions \({i}, {j}\) for tour of size 10"):
+            apply_2move(Tour(tuple(range(10))), TwoMove(i, j, 1.0))
 
     def test_local_optimum_has_no_witness(self):
         rng = random.Random(5)
