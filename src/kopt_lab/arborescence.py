@@ -278,11 +278,8 @@ def certified_ratio_bound(nprime: int) -> float:
     """Explicit upper bound on c(S)/c(T) implied by the five-set assembly."""
     if nprime < 3:
         raise ValueError("need nprime >= 3")
-    loglog = math.log2(math.log2(nprime))
-    if loglog <= 0:
-        term = 18.0
-    else:
-        term = max(18.0, 12 * math.log2(nprime) / loglog)
+    # log2(log2(3)) > 0.66, so the quotient is defined for every accepted nprime.
+    term = max(18.0, 12 * math.log2(nprime) / math.log2(math.log2(nprime)))
     return 4 * term + 1
 
 

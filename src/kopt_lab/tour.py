@@ -15,19 +15,20 @@ vectorized 2-move engine serves 2-Opt, the 2-optimality verdict and the
 lower-bound family's exhaustive scan: a `_TourState` owns one fixed layout
 (two flat work arrays, a flat bool array and a shared mask), and
 `_first_2move` and `_dense_best` walk its blocks of `_block_rows` rows
-through one gain step, `_block_gains`.  Block 0's views (`_ScanBlock`) are
-made once, with the state, so that a scan of it only computes into the
-work arrays; on a matrix state they are flat, whole rows of the ring
-matrix.  Each later block's are made as the walk reaches it.  An n x n
-distance matrix is built only up
-to `MATRIX_SCAN_MAX_N`.  On integer instances too large for one scan block,
-the two verdicts examine only the pairs that a grid index over the
-coordinates finds (`_GridTour`), with the engine's arithmetic and the same
-results.  One vectorized orientation-sign filter (`_candidate_pairs`) walks
-the pairs of the edges of its rings laid end to end: the simplicity test
-passes one ring, and the crossing search makes one pass over both tours'
-edges for both simplicity checks and the T x S candidates.  One loop
-(`_first_intersecting`) turns candidates into a simplicity witness.
+through one gain step, `_block_gains`.  Each distance backend lays out a
+block's distances as 2-D views (`scan_block`); on a matrix state block 0
+is whole rows of the ring matrix.  Block 0's views (`_ScanBlock`) are made
+once, with the state, so that a scan of it only computes into the work
+arrays; each later block's are made as the walk reaches it.  An n x n
+distance matrix is built only up to `MATRIX_SCAN_MAX_N`.  On integer
+instances too large for one scan block, the two verdicts examine only the
+pairs that a grid index over the coordinates finds (`_GridTour`), with the
+engine's arithmetic and the same results.  One vectorized orientation-sign
+filter (`_candidate_pairs`) walks the pairs of the edges of its rings laid
+end to end: the simplicity test passes one ring, and the crossing search
+makes one pass over both tours' edges for both simplicity checks and the
+T x S candidates.  One loop (`_first_intersecting`) turns candidates into a
+simplicity witness.
 """
 
 from __future__ import annotations
@@ -289,7 +290,7 @@ class _MatrixDistances:
     cache, or the k-th vertex of a tour's ring, (n + 1) x (n + 1), in a
     `_TourState`.  `edge[k]` = matrix[k, k + 1] is a contiguous copy of
     the edges, followed by three zeros that the wrapped columns of a scan's
-    `whole_rows` read.
+    block 0 read (`scan_block`).
     """
 
     def __init__(self, matrix: np.ndarray):
@@ -306,24 +307,24 @@ class _MatrixDistances:
         """d(rows[a], cols[b]) at [a, b]: a view of the matrix."""
         return self.matrix[rows, cols]
 
-    def outer_block(self, rows: slice, cols: slice, out: np.ndarray, scratch: np.ndarray) -> tuple:
-        """(fill, r) of the 2-move scan: r is `outer(rows, cols)`, a view that `reverse` keeps current.
+    def scan_block(self, i0: int, i1: int, buffers: tuple) -> tuple:
+        """(fill, near, far) of the 2-move scan's rows i0..i1-1: views of the matrix, which `reverse` keeps current.
 
-        So fill is None, and the buffers go unused.
+        So fill is None, and the buffers go unused.  A later block's near
+        and far are the strided slices d(i, j) and d(i + 1, j + 1) over
+        columns j = i0 + 2 .. n - 1.  Block 0 is whole rows, W = len(matrix)
+        wide: near is the matrix's flat cells from 2 and far those from
+        W + 3, each i1 x W and C-contiguous.  near[i, c] = d(i, 2 + c) and
+        far[i, c] = d(i + 1, 3 + c) while 3 + c < W; the other 3 cells of
+        each row wrap onto the next row.
         """
-        return None, self.outer(rows, cols)
-
-    def whole_rows(self, rows: int) -> tuple:
-        """(near, far) of the 2-move scan's block 0 as `rows` whole rows of the matrix: flat contiguous views.
-
-        With W = len(matrix), near[i W + c] is the matrix's flat cell
-        i W + 2 + c and far[i W + c] the cell W + 1 further on, so near
-        holds d(i, j) and far d(i + 1, j + 1) for j = 2 + c while j + 1 < W;
-        the other 3 cells of each row wrap onto the next row.
-        """
+        if i0:
+            r = self.matrix[i0 : i1 + 1, i0 + 2 :]
+            return None, r[:-1, :-1], r[1:, 1:]
         width = len(self.matrix)
-        flat = self.matrix.ravel()
-        return flat[2 : 2 + rows * width], flat[width + 3 : width + 3 + rows * width]
+        flat, cells = self.matrix.ravel(), i1 * width
+        near, far = flat[2 : 2 + cells], flat[width + 3 : width + 3 + cells]
+        return None, near.reshape(i1, width), far.reshape(i1, width)
 
     def reverse(self, lo: int, hi: int):
         """Reverse positions lo..hi-1 in place, 0 < lo < hi < len(matrix): the rows, the columns, then the edges, O(n (hi - lo))."""
@@ -392,23 +393,26 @@ class _CoordinateDistances:
         x, y = self.x, self.y
         return self.root(self.power(x[rows, None] - x[None, cols], y[rows, None] - y[None, cols]))
 
-    def outer_block(self, rows: slice, cols: slice, out: np.ndarray, scratch: np.ndarray) -> tuple:
-        """(fill, r) of the 2-move scan under p = 1: fill() computes `outer(rows, cols)` into r.
+    def scan_block(self, i0: int, i1: int, buffers: tuple) -> tuple:
+        """(fill, near, far) of the 2-move scan's rows i0..i1-1 under p = 1, columns j = i0 + 2 .. n - 1.
 
-        r is the front of the flat buffer `out` in that shape, and fill
-        overwrites `scratch` too.  fill reads views of x and y, which
-        `reverse` keeps current, so one (fill, r) serves every scan.
+        fill() computes `outer` of positions i0..i1 against i0 + 2 .. n
+        into the front of the first buffer, overwriting the second's
+        front, and near and far are that array less its last, or first,
+        row and column.  fill reads views of x and y, which `reverse` keeps
+        current, so one (fill, near, far) serves every scan.
         """
         x, y = self.x, self.y
+        rows, cols = slice(i0, i1 + 1), slice(i0 + 2, None)
         xr, xc, yr, yc = x[rows, None], x[None, cols], y[rows, None], y[None, cols]
         shape = len(xr), xc.size
         cells = shape[0] * shape[1]
-        out, scratch = out[:cells].reshape(shape), scratch[:cells].reshape(shape)
+        out, scratch = buffers[0][:cells].reshape(shape), buffers[1][:cells].reshape(shape)
 
         def fill():
             self.power(np.subtract(xr, xc, out=out), np.subtract(yr, yc, out=scratch))
 
-        return fill, out
+        return fill, out[:-1, :-1], out[1:, 1:]
 
     def reverse(self, lo: int, hi: int):
         """Reverse positions lo..hi-1 in place, 0 < lo < hi < len(x), and their edges, O(hi - lo)."""
@@ -583,11 +587,11 @@ def _valid_mask(n: int, rows: int, width: int) -> np.ndarray:
     Row i0 + r against column j0 + c = i0 + 2 + c is a pair with j >= i + 2
     iff c >= r, in every block, and block i0 reads mask[: i1 - i0, : n - j0];
     only block 0 reaches the last column, which holds the adjacent pair
-    (0, n - 1) in its first row.  A coordinate state's mask is n - 2
-    columns wide; a matrix state's is n + 1 wide, block 0's whole rows
-    (`_MatrixDistances.whole_rows`), whose last three columns hold no pair.
-    It depends on its arguments alone, so the last few masks are kept and
-    shared by every tour of that size and kind.
+    (0, n - 1) in its first row.  The width is block 0's, as its backend
+    lays it out (`scan_block`): n - 2 columns of a coordinate state, and
+    n + 1 of a matrix state's whole rows, whose last three columns hold no
+    pair.  It depends on its arguments alone, so the last few masks are
+    kept and shared by every tour of that size and kind.
     """
     valid = np.arange(width) >= np.arange(rows)[:, None]
     valid[:, max(n - 2, 0) :] = False  # columns past j = n - 1
@@ -599,17 +603,16 @@ def _valid_mask(n: int, rows: int, width: int) -> np.ndarray:
 class _ScanBlock(NamedTuple):
     """The views of one 2-move scan block: its pairs (i, j) = (i0 + r, j0 + c), j0 = i0 + 2, in rows x width cells.
 
-    A block's width is n - j0 columns, except block 0 of a matrix state:
-    its n + 1 columns are whole rows of the ring matrix
-    (`_MatrixDistances.whole_rows`), and every view below but `removed`,
-    `tails` and `heads` is flat, cell r * width + c.  `fill`, unless None,
-    computes the block's distances into the state's work arrays; then
-    near[r, c] = d(i, j) and far[r, c] = d(i + 1, j + 1).  `tails` and
-    `heads` are the edge views edge[i0:i1, None] and
-    edge[None, j0:j0 + width], whose sums go into `removed`, the rows x
-    width form of `gain`.  `gain` and `spare` are contiguous fronts of the
-    work arrays, and so is `threshold` on a non-exact instance; it is None
-    on an exact one.  `valid` is the block's slice of the state's mask.
+    Every view has the block's shape, or broadcasts to it, and a hit at
+    flat index k is the cell divmod(k, width).  The backend's `scan_block`
+    lays out `fill`, `near` and `far`: `fill`, unless None, computes the
+    block's distances into the state's work arrays; then near[r, c] =
+    d(i, j) and far[r, c] = d(i + 1, j + 1) for every pair.  `tails` and
+    `heads` are the edge views edge[i0:i1, None] and edge[None, j0:j0 +
+    width], whose sum goes into `gain`.  `gain` and `spare` are contiguous
+    fronts of the work arrays, and so is `threshold` on a non-exact
+    instance; it is None on an exact one.  `valid` is the block's slice of
+    the state's mask.
     """
 
     fill: Optional[Callable[[], None]]
@@ -617,7 +620,6 @@ class _ScanBlock(NamedTuple):
     far: np.ndarray
     tails: np.ndarray
     heads: np.ndarray
-    removed: np.ndarray
     gain: np.ndarray
     threshold: Optional[np.ndarray]
     valid: np.ndarray
@@ -632,7 +634,8 @@ class _TourState:
     again), gathered once from the instance's cache, and their edge
     array; `reverse` then follows each applied move in place, so every
     view of `dist` stays current.  A scan block is `rows` rows of pairs
-    (`_block_rows`), and `valid` its shared mask (`_valid_mask`).  The
+    (`_block_rows`), laid out by the backend's `scan_block` as 2-D views,
+    and `valid` its shared mask (`_valid_mask`), as wide as block 0.  The
     state's own work arrays are flat and reused by every block: `buffers`,
     two arrays of `dist`'s dtype of (rows + 1) x (n + 1) cells, and
     `flags`, a bool array of valid's size.  The second buffer holds the
@@ -641,10 +644,8 @@ class _TourState:
     and a coordinate state is 1-norm, hence exact.  `first` is block 0's
     `_ScanBlock`, built here: every view a scan of block 0 reads, made
     once for the life of the state, so that such a scan only computes,
-    through `out=`.  On a matrix state block 0 is rows x (n + 1) cells of
-    whole matrix rows, each operand one contiguous array or a broadcast of
-    one; every later block's views are made by `block` as a scan reaches
-    it, 2-D slices n - j0 columns wide.
+    through `out=`.  Every later block's views are made by `block` as a
+    scan reaches it.
     """
 
     def __init__(self, inst: Instance, ring: np.ndarray):
@@ -653,43 +654,35 @@ class _TourState:
         dtype = self.dist.edge.dtype
         self.exact = inst.exact
         self.rows = _block_rows(n, dtype)
-        whole = isinstance(self.dist, _MatrixDistances)
-        self.valid = _valid_mask(n, self.rows, n + 1 if whole else max(n - 2, 0))
         cells = (self.rows + 1) * (n + 1)
         self.buffers = np.empty(cells, dtype), np.empty(cells, dtype)
+        fill, near, far = self._layout(0)
+        self.valid = _valid_mask(n, self.rows, near.shape[1])
         self.flags = np.empty(self.valid.size, bool)
-        if whole:
-            rows = min(self.rows, max(n - 2, 0))  # no row below n = 3
-            self.first = self._views(0, (rows, n + 1), *self.dist.whole_rows(rows))
-        else:
-            self.first = self.block(0)
+        self.first = self._views(0, fill, near, far)
         # The first rows of the blocks, in scan order: a triangle has no pair, rows i > n - 3 no partner.
         self.starts = range(0, n - 2 if n > 3 else 0, self.rows)
 
-    def _views(self, i0: int, shape: tuple, near: np.ndarray, far: np.ndarray, fill=None) -> _ScanBlock:
-        """The `_ScanBlock` of rows x width = shape pairs from row i0; its gains, threshold, mask and flags take near's form."""
-        rows, width = shape
+    def _layout(self, i0: int) -> tuple:
+        """The backend's (fill, near, far) of the block whose first row is i0."""
+        # Clamped at 0 rows: a state below n = 3 has an empty block 0.
+        return self.dist.scan_block(i0, max(i0, min(i0 + self.rows, self.n - 2)), self.buffers)
+
+    def _views(self, i0: int, fill, near: np.ndarray, far: np.ndarray) -> _ScanBlock:
+        """The `_ScanBlock` of the block from row i0 whose distances these are: its other views take near's shape."""
+        rows, width = shape = near.shape
         cells = rows * width
-        form = near.shape
         edge = self.dist.edge
-        removed = gain = self.buffers[1][:cells].reshape(shape)
         valid = self.valid if shape == self.valid.shape else self.valid[:rows, :width]
-        if form != shape:  # block 0 of a matrix state: whole rows, flat
-            gain, valid = removed.ravel(), valid.ravel()
-        threshold = None if self.exact else self.buffers[0][:cells].reshape(form)
+        threshold = None if self.exact else self.buffers[0][:cells].reshape(shape)
         return _ScanBlock(
-            fill, near, far, edge[i0 : i0 + rows, None], edge[None, i0 + 2 : i0 + 2 + width], removed, gain,
-            threshold, valid, self.flags[:cells].reshape(form),
+            fill, near, far, edge[i0 : i0 + rows, None], edge[None, i0 + 2 : i0 + 2 + width],
+            self.buffers[1][:cells].reshape(shape), threshold, valid, self.flags[:cells].reshape(shape),
         )
 
     def block(self, i0: int) -> _ScanBlock:
-        """The `_ScanBlock` of the block whose first row is i0, n - i0 - 2 columns wide, its views made now."""
-        n = self.n
-        # Clamped at 0 rows and columns: a state below n = 3 has an empty block 0.
-        i1, j0 = max(i0, min(i0 + self.rows, n - 2)), i0 + 2
-        fill, r = self.dist.outer_block(slice(i0, i1 + 1), slice(j0, n + 1), *self.buffers)
-        near = r[:-1, :-1]
-        return self._views(i0, near.shape, near, r[1:, 1:], fill)
+        """The `_ScanBlock` of the block whose first row is i0, its views made now."""
+        return self._views(i0, *self._layout(i0))
 
     def reverse(self, m: TwoMove):
         """Follow `apply_2move(t, m)`: reverse tour positions m.i + 1 .. m.j."""
@@ -706,10 +699,10 @@ def _block_gains(block: _ScanBlock):
     else `block.threshold` holding DEFAULT_GAIN_EPS times the removed
     length c_ab + c_xy.  Only the cells that `block.valid` marks are pairs.
     """
-    fill, near, far, tails, heads, removed, gain, threshold, _, _ = block
+    fill, near, far, tails, heads, gain, threshold, _, _ = block
     if fill is not None:
         fill()
-    np.add(tails, heads, removed)
+    np.add(tails, heads, gain)
     # Of the removed length, before it becomes the gain.
     threshold = 0 if threshold is None else np.multiply(gain, DEFAULT_GAIN_EPS, threshold)
     gain -= near
@@ -730,7 +723,7 @@ def _first_2move(state: _TourState) -> Optional[TwoMove]:
         hit &= block.valid
         k = int(hit.argmax())
         if hit.item(k):
-            r, c = divmod(k, block.removed.shape[1])
+            r, c = divmod(k, block.gain.shape[1])
             return TwoMove(i0 + r, i0 + 2 + c, block.gain.item(k))
     return None
 
@@ -792,7 +785,7 @@ def _dense_best(inst: Instance, ring: np.ndarray) -> tuple[Optional[TwoMove], in
         np.copyto(margin, floor, where=invalid)  # every block holds a valid pair
         k = int(margin.argmax())
         if best is None or margin.item(k) > best.gain:
-            r, c = divmod(k, block.removed.shape[1])
+            r, c = divmod(k, block.gain.shape[1])
             best = TwoMove(i0 + r, i0 + 2 + c, margin.item(k))
     return best, max(0, inst.n * (inst.n - 3) // 2)
 
@@ -1042,7 +1035,7 @@ def two_opt(inst: Instance, start: Tour) -> Tour:
     Each scan, `_first_2move`, restarts at (0, 0) on one `_TourState`,
     built once from the ring and reversed in place after every move that
     `apply_2move` makes; the views of its block 0, made with it (on a
-    matrix state, flat whole rows of its ring matrix), serve every scan.
+    matrix state, whole rows of its ring matrix), serve every scan.
     """
     t, state = start, _TourState(inst, start.validate(inst))
     while True:
@@ -1123,22 +1116,21 @@ class _HeldKarpBlock(NamedTuple):
 
 @cache
 def _held_karp_plan(m: int, block_cells: int) -> tuple:
-    """(blocks, where): the m-column DP's `_HeldKarpBlock`s, layer by layer, and its entry map.
+    """The m-column DP's `_HeldKarpBlock`s, layer by layer.
 
     The cost table keeps only the m 2^(m-1) states (mask, c) with c in mask,
     in the order the blocks enumerate them: layer k's masks in the order of
     `itertools.combinations` over the columns m - 1 down to 0, each mask's
     columns descending.  Layer 1 fills entries 0..m-1 (column m - 1 - i at
-    entry i) and the full mask the last m.  `where`, m 2^m entries, maps
-    mask * m + c to the entry of (mask, c) for every live state, and -1
-    elsewhere; only the walk-back reads it.  A block holds at most
+    entry i) and the full mask the last m.  A block holds at most
     `block_cells` candidates, or the states of one mask.
 
     The plan depends only on m and the block budget, so one plan per pair
-    serves every instance of n = m + 1 vertices.  `src` and `where` are
-    int16 while the table's entries fit, else int32; `cell` is int16.  At
-    m = 17 (n = 18) the plan takes 6 bytes per candidate and 4 per `where`
-    entry, 62 MB.
+    serves every instance of n = m + 1 vertices.  `src` is int16 while the
+    table's entries fit, else int32; `cell` is int16.  At m = 17 (n = 18)
+    the plan takes 6 bytes per candidate, 53 MB.  The map from mask * m + c
+    to the entry of (mask, c), which gives `src`, lives only while the plan
+    is built.
     """
     index = np.int16 if m << (m - 1) <= 1 << 15 else np.int32
     where = np.full(m << m, -1, dtype=index)
@@ -1162,8 +1154,7 @@ def _held_karp_plan(m: int, block_cells: int) -> tuple:
                 s = slice(s0, s0 + step)
                 blocks.append(_HeldKarpBlock(first + s0, src[:, s], cell[:, s]))
         first += v.size
-    where.flags.writeable = False
-    return tuple(blocks), where
+    return tuple(blocks)
 
 
 def _held_karp(inst: Instance) -> tuple[Tour, object]:
@@ -1180,15 +1171,16 @@ def _held_karp(inst: Instance) -> tuple[Tour, object]:
     `_BLOCK_CELLS` (mask, c, u) candidates is two gathers, an add and a
     minimum written straight into the block's run of the table.  No
     predecessor table is kept: the tour is walked back from its last
-    column, recomputing each state's candidates in the same arithmetic, and
-    the predecessor is the largest u whose candidate equals the state's
-    cost.
+    state, whose block is found by stepping back through the blocks'
+    `start`s.  The state's column of `src` and `cell` lists its candidates
+    by descending u, and the predecessor is the first whose cost[src] +
+    dt[cell], in the same arithmetic, equals the state's cost.
     """
     n = inst.n
     m = n - 1
     d = inst._pair_dist.outer(slice(None), slice(None))  # the values of `dist`, cached
     dt = d[1:, 1:].T.ravel()  # dt[c * m + u] = d(u, c)
-    blocks, where = _held_karp_plan(m, _BLOCK_CELLS)
+    blocks = _held_karp_plan(m, _BLOCK_CELLS)
     cost = np.empty(m << (m - 1), dtype=d.dtype)
     cost[:m] = d[0, :0:-1]  # layer 1: column m - 1 - i at entry i
     for blk in blocks:
@@ -1197,16 +1189,17 @@ def _held_karp(inst: Instance) -> tuple[Tour, object]:
         cand.min(axis=0, out=cost[blk.start : blk.start + blk.src.shape[1]])
     total = cost[-m:] + d[:0:-1, 0]  # the full mask, columns m - 1 down to 0
     pick = int(total.argmin())
-    best, c, mask = total.item(pick), m - 1 - pick, (1 << m) - 1
-    chain = [c + 1]
-    while mask != 1 << c:
-        prev, target = mask ^ (1 << c), cost.item(where.item(mask * m + c))
-        u = m - 1
-        while not (prev >> u & 1
-                   and cost.item(where.item(prev * m + u)) + dt.item(c * m + u) == target):
-            u -= 1
-        chain.append(u + 1)
-        mask, c = prev, u
+    best, c, entry = total.item(pick), m - 1 - pick, len(cost) - m + pick
+    chain, b = [c + 1], len(blocks) - 1
+    while entry >= m:  # entries 0..m-1 are layer 1, where the path starts
+        while blocks[b].start > entry:
+            b -= 1
+        start, src, cell = blocks[b]
+        a, target, j = entry - start, cost.item(entry), 0
+        while cost.item(src.item(j, a)) + dt.item(cell.item(j, a)) != target:
+            j += 1
+        entry, c = src.item(j, a), cell.item(j, a) - c * m
+        chain.append(c + 1)
     return Tour((0,) + tuple(reversed(chain))), best
 
 

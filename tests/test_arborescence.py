@@ -193,6 +193,11 @@ class TestRatioBound:
     def test_small_n(self):
         assert certified_ratio_bound(4) == 97.0
 
+    def test_smallest_accepted_n(self):
+        # log2(log2(3)) is about 0.66: the quotient 12 log2(3) / 0.66 = 28.6 exceeds 18.
+        assert certified_ratio_bound(3) == 115.49822865355651
+        assert certified_ratio_bound(3) > certified_ratio_bound(4) > 4 * 18.0 + 1
+
     def test_formula_at_1000(self):
         expected = 4 * max(18.0, 12 * math.log2(1000) / math.log2(math.log2(1000))) + 1
         assert certified_ratio_bound(1000) == pytest.approx(expected, rel=1e-12)

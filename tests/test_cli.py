@@ -1,8 +1,13 @@
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import kopt_lab
 from kopt_lab import harness, lowerbound, tsplib
 from kopt_lab.cli import main
 from kopt_lab.harness import RejectionBudgetExceeded
@@ -25,6 +30,17 @@ class TestGenerators:
                    "--seed", "5", "--out", "r.tsp") == 0
         text = (workdir / "r.tsp").read_text()
         assert "DIMENSION : 8" in text
+
+    def test_gen_random_writes_stdout_without_out(self, workdir, capsys):
+        argv = ("gen-random", "--n", "8", "--grid", "100", "--seed", "5", "--p", "1")
+        assert run(*argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and list(workdir.iterdir()) == []
+        assert run(*argv, "--out", "r.tsp") == 0
+        text = (workdir / "r.tsp").read_text()
+        assert captured.out == text
+        got, want = tsplib.read_instance(io.StringIO(captured.out)), tsplib.read_instance(io.StringIO(text))
+        assert (got.n, got.points, got.norm.p, got.name) == (8, want.points, 1, want.name)
 
     @pytest.mark.parametrize("p", ["inf", "nan"])
     def test_gen_random_rejects_a_p_that_is_no_norm(self, workdir, capsys, monkeypatch, p):
@@ -155,6 +171,19 @@ class TestScanAndReport:
         assert rep["pairs_examined"] == 10_117
         assert "timing" in rep
 
+    def test_scan_writes_stdout_without_out(self, workdir, capsys):
+        run("gen-random", "--n", "10", "--grid", "100", "--seed", "4", "--out", "r.tsp")
+        run("solve-2opt", "r.tsp", "--seed", "2", "--out", "s.tour")
+        capsys.readouterr()
+        argv = ("scan-kopt", "--instance", "r.tsp", "--tour", "s.tour")
+        assert run(*argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and not (workdir / "scan.json").exists()
+        assert run(*argv, "--out", "scan.json") == 0
+        got, want = json.loads(captured.out), json.loads((workdir / "scan.json").read_text())
+        assert got.pop("timing").keys() == want.pop("timing").keys() == {"seconds"}
+        assert got == want and got["two_optimal"] is True and got["n"] == 10
+
     def test_scan_explicit_instance_and_tour(self, workdir):
         run("gen-random", "--n", "10", "--grid", "100", "--seed", "4",
             "--out", "r.tsp")
@@ -265,3 +294,13 @@ class TestScanAndReport:
 
     def test_unknown_command_is_usage_error(self):
         assert run("no-such-command") == 2
+
+
+def test_module_runs_as_a_script():
+    """`python -m kopt_lab.cli` reaches `main` through the module's `__main__` line."""
+    src = os.path.dirname(os.path.dirname(kopt_lab.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-m", "kopt_lab.cli", "--help"], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.startswith("usage: ") and "scan-kopt" in done.stdout

@@ -261,3 +261,26 @@ def test_index_path_checks_the_permutation(order, block_cells):
                   lambda i, t: is_k_optimal(i, t, 2), scan_2opt_optimality):
         with pytest.raises(ValueError, match="not a permutation"):
             check(inst, t)
+
+
+def test_unit_step_ring_has_no_candidates(monkeypatch):
+    """A 2 x 200 rectangle walked in unit steps under p = 1: every strict ball, radius e - 1 = 0, is empty.
+
+    The tour takes the index (int16, 327 rows a block against 398 rows of
+    pairs), whose candidate search returns no pair without a grid query.
+    """
+    inst = Instance.from_xy(np.r_[np.arange(200), np.arange(199, -1, -1)], np.repeat([0, 1], 200), PNorm(1))
+    t = Tour(np.arange(400))
+    assert tour._indexed_scan(inst) and tour._block_rows(400, np.dtype(np.int16)) == 327
+    real, found = tour._GridTour._candidates, []
+
+    def recorded(self, limit, root):
+        found.append(real(self, limit, root))
+        return found[-1]
+
+    monkeypatch.setattr(tour._GridTour, "_candidates", recorded)
+    monkeypatch.setattr(tour._GridIndex, "runs", lambda *args: pytest.fail("a grid query was made"))
+    assert find_improving_2move(inst, t) is None
+    assert found == [[]]
+    monkeypatch.undo()
+    assert reference_first_2move(inst, t) is None

@@ -74,9 +74,9 @@ def test_a_plan_serves_only_its_own_block_budget(monkeypatch):
     for cells in (tour._BLOCK_CELLS, 1, 50, tour._BLOCK_CELLS, 1):
         monkeypatch.setattr(tour, "_BLOCK_CELLS", cells)
         assert exact_opt(inst) == want
-        assert plan_blocks_fit(served[-1][0], cells)
+        assert plan_blocks_fit(served[-1], cells)
     # One block per mask under a budget of 1: 2^9 - 1 - 9 masks of size >= 2.
-    blocks = [len(plan[0]) for plan in served]
+    blocks = [len(plan) for plan in served]
     assert blocks[0] == 8 < blocks[2] < blocks[1] == 2**9 - 10
     assert served[1] is served[4] and served[0] is served[3]
 
@@ -103,40 +103,45 @@ def test_plans_are_shared_across_dtypes_and_sizes():
             got, want = exact_opt(inst), reference_held_karp(inst)
             assert got == want and type(got[1]) is type(want[1])
     for m in (11, 5):
-        blocks, where = tour._held_karp_plan(m, tour._BLOCK_CELLS)
+        blocks = tour._held_karp_plan(m, tour._BLOCK_CELLS)
         assert blocks and all(type(block.start) is int for block in blocks)
-        arrays = [where] + [a for block in blocks for a in (block.src, block.cell)]
+        arrays = [a for block in blocks for a in (block.src, block.cell)]
         assert all(not a.flags.writeable for a in arrays)
 
 
 @pytest.mark.parametrize("cells", [1, 50, tour._BLOCK_CELLS])
 @pytest.mark.parametrize("m", range(2, 10))
 def test_plan_lays_the_states_out_in_block_order(m, cells):
-    blocks, where = tour._held_karp_plan(m, cells)
+    blocks = tour._held_karp_plan(m, cells)
     size = m << (m - 1)
+    assert type(blocks) is tuple and all(type(b) is tour._HeldKarpBlock for b in blocks)
     assert plan_blocks_fit(blocks, cells)
-    # `where` maps the live states (mask, c) one-to-one onto the entries 0..size-1.
-    live = np.array([mask * m + c for mask in range(1, 1 << m) for c in range(m) if mask >> c & 1])
-    assert sorted(where[live].tolist()) == list(range(size))
-    dead = np.setdiff1d(np.arange(m << m), live)
-    assert (where[dead] == -1).all()
-    state = {int(where[key]): divmod(int(key), m) for key in live}  # entry -> (mask, c)
-    # Layer 1 holds column m - 1 - i at entry i, the full mask the last m entries, descending.
-    assert [state[i] for i in range(m)] == [(1 << c, c) for c in range(m - 1, -1, -1)]
-    assert [state[size - m + i] for i in range(m)] == [((1 << m) - 1, c) for c in range(m - 1, -1, -1)]
-    # The blocks' runs tile entries m..size-1 in order, with no gap.
+    # Layer 1 holds column m - 1 - i at entry i; each block column's state is its c with its u's.
+    state = {i: (1 << c, c) for i, c in enumerate(range(m - 1, -1, -1))}  # entry -> (mask, c)
     run = m
     for b in blocks:
+        # The blocks' runs tile entries m..size-1 in order, with no gap.
         assert b.start == run and b.src.shape == b.cell.shape
-        assert (b.src < b.start).all()
         run += b.src.shape[1]
+        for a in range(b.src.shape[1]):
+            c, u = np.divmod(b.cell[:, a], m)
+            assert (c == c[0]).all()
+            state[b.start + a] = (sum(1 << v for v in {int(c[0]), *u.tolist()}), int(c[0]))
+    assert run == size
+    # The entries map one-to-one onto the live states (mask, c), c in mask.
+    where = {key: entry for entry, key in state.items()}
+    assert len(where) == size == len(state)
+    assert set(where) == {(mask, c) for mask in range(1, 1 << m) for c in range(m) if mask >> c & 1}
+    # The full mask holds the last m entries, columns descending.
+    assert [state[size - m + i] for i in range(m)] == [((1 << m) - 1, c) for c in range(m - 1, -1, -1)]
+    for b in blocks:
+        assert (b.src < b.start).all()
         for a in range(b.src.shape[1]):
             mask, c = state[b.start + a]
             u = b.cell[:, a] - c * m
             # Every other column of the mask, descending, from the state (mask ^ bit(c), u).
             assert u.tolist() == [v for v in range(m - 1, -1, -1) if mask >> v & 1 and v != c]
-            assert b.src[:, a].tolist() == [where[(mask ^ 1 << c) * m + v] for v in u.tolist()]
-    assert run == size
+            assert b.src[:, a].tolist() == [where[mask ^ 1 << c, v] for v in u.tolist()]
 
 
 def test_instances_take_every_dtype():

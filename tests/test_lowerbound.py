@@ -6,7 +6,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from kopt_lab import geometry, tsplib
+from kopt_lab import geometry, lowerbound, tsplib
 from kopt_lab import tour as tour_module
 from kopt_lab.geometry import PNorm
 from kopt_lab.lowerbound import (
@@ -52,6 +52,12 @@ class TestLayeredGenerator:
     def test_points_are_distinct(self, lb3):
         pts = lb3.as_instance().points
         assert len(set(pts)) == len(pts)
+
+    def test_a_point_count_off_the_closed_form_is_refused(self, monkeypatch):
+        sizes = lowerbound.layered_sizes(1, 3)
+        monkeypatch.setattr(lowerbound, "layered_sizes", lambda p, q: sizes._replace(n=sizes.n + 1))
+        with pytest.raises(AssertionError, match="point count 2916 != formula value 2917"):
+            generate_lb_instance(2, 1, 3)
 
     def test_k_does_not_change_geometry(self):
         a = generate_lb_instance(2, 1, 3)
@@ -130,6 +136,12 @@ class TestSpanningTreeBound:
         width = 3 ** 6
         assert tree <= 7 * width == 5103
         assert doubled <= 14 * width == 10206
+
+    def test_a_tree_above_seven_widths_is_refused(self, lb3, monkeypatch):
+        sizes = lowerbound.layered_sizes(1, 3)
+        monkeypatch.setattr(lowerbound, "layered_sizes", lambda p, q: sizes._replace(tree=7 * 3**6 + 1))
+        with pytest.raises(AssertionError, match=r"tree length 5104 exceeds 7\*q\^\(\(p\+1\)q\) = 5103"):
+            doubled_spanning_tree_tour(lb3)
 
     def test_gap_certificate(self, lb3):
         # the hand-built tour is longer than the doubled-tree upper bound on

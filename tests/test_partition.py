@@ -99,6 +99,21 @@ class TestReferenceEdge:
         with pytest.raises(PartitionError, match="need at least 2 chords, got 1"):
             select_reference_edge([(0, 5)], fortytwo_pair.tprime)
 
+    def test_split_refuses_a_chord_off_the_path(self, fortytwo_pair):
+        s1, _, _ = classify_edges(fortytwo_pair)
+        e0, path = select_reference_edge(s1, fortytwo_pair.tprime)
+        assert orientation_split(s1, e0, path)[0]
+        a, b = next(chord for chord in s1 if chord != e0)
+        with pytest.raises(PartitionError, match=rf"chord \({a}, {b}\) has an endpoint off the reference path"):
+            orientation_split(s1, e0, [v for v in path if v != b])
+
+    def test_split_refuses_a_reversed_reference_edge(self, fortytwo_pair):
+        # Read backwards, the path runs from y0 to x0, so e0 itself is reversed.
+        s1, _, _ = classify_edges(fortytwo_pair)
+        e0, path = select_reference_edge(s1, fortytwo_pair.tprime)
+        with pytest.raises(PartitionError, match="reference edge e0 must be orientation-compatible"):
+            orientation_split(s1, e0, path[::-1])
+
 
 def chord_table(pair):
     """{class name: row} of the chord table, and S3."""

@@ -181,6 +181,10 @@ class TestArrayBornTours:
         with pytest.raises(ValueError, match="not a permutation"):
             t.validate(rand_instance(random.Random(3), 6))  # the count is made on every call
 
+    def test_repr_names_the_entries_in_either_form(self):
+        assert repr(Tour((2, 0, 1))) == repr(Tour(np.array([2, 0, 1]))) == "Tour(order=(2, 0, 1))"
+        assert repr(Tour(())) == repr(Tour(np.empty(0, np.int64))) == "Tour(order=())"
+
     def test_immutable(self):
         t = Tour(np.arange(3))
         with pytest.raises(AttributeError):

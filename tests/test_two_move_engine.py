@@ -239,11 +239,12 @@ def test_dense_verdicts_at_the_block_boundary(n):
 
 
 def test_matrix_block_0_reads_whole_rows():
-    """Block 0 of a float64 state is flat: every operand contiguous, or a broadcast of a contiguous array.
+    """Block 0 of a float64 state is whole rows: every operand contiguous, or a broadcast of a contiguous array.
 
-    near and far are whole rows of the state's ring matrix and the edge
-    views read its kept edge array, so `reverse` keeps them current; later
-    blocks keep their 2-D slices, n - j0 columns wide.
+    near and far are rows x (n + 1) views onto the state's ring matrix, from
+    its flat cells 2 and W + 3 (W = n + 1), and the edge views read its kept
+    edge array, so `reverse` keeps them current; later blocks keep their 2-D
+    slices, n - j0 columns wide.
     """
     n = 400
     inst = gen_random(n, 10**6, seed=1)
@@ -252,25 +253,34 @@ def test_matrix_block_0_reads_whole_rows():
     first = state.first
     assert (rows, len(state.starts), first.fill) == (81, 5, None)
     for view in (first.near, first.far, first.gain, first.threshold, first.valid, first.spare):
-        assert view.shape == (rows * width,) and view.flags.c_contiguous
-    assert np.shares_memory(first.near, matrix) and np.shares_memory(first.far, matrix)
-    assert first.removed.shape == (rows, width) and first.removed.flags.c_contiguous
-    assert np.shares_memory(first.removed, first.gain) and first.valid.base is state.valid
+        assert view.shape == (rows, width) and view.flags.c_contiguous
+    def address(a):
+        return a.__array_interface__["data"][0]
+
+    assert matrix.flags.c_contiguous
+    flat = matrix.ravel()
+    for view, offset in ((first.near, 2), (first.far, width + 3)):
+        assert np.shares_memory(view, matrix) and address(view) == address(flat[offset:])
+        assert (view.ravel() == flat[offset : offset + rows * width]).all()
+    # Contiguous fronts of the work arrays, and the state's one mask itself.
+    for view, work in ((first.gain, state.buffers[1]), (first.threshold, state.buffers[0]), (first.spare, state.flags)):
+        assert address(view) == address(work)
+    assert first.valid is state.valid
     assert (first.tails.shape, first.tails.strides) == ((rows, 1), (8, 0))
     assert (first.heads.shape, first.heads.strides) == ((1, width), (0, 8))
     assert np.shares_memory(first.tails, edge) and np.shares_memory(first.heads, edge)
     assert edge.flags.c_contiguous and not np.shares_memory(edge, matrix)
     assert (edge[:n] == matrix.diagonal(1)).all()
     # The valid cells are block 0's pairs, and they read their distances.
-    i, c = np.divmod(np.flatnonzero(first.valid), width)
+    i, c = np.nonzero(first.valid)
     assert len(i) == sum(n - 2 - r for r in range(rows)) - 1 and (c <= n - 3).all()
-    assert (first.near[i * width + c] == matrix[i, c + 2]).all()
-    assert (first.far[i * width + c] == matrix[i + 1, c + 3]).all()
+    assert (first.near[i, c] == matrix[i, c + 2]).all()
+    assert (first.far[i, c] == matrix[i + 1, c + 3]).all()
     for i0 in state.starts[1:]:
         block = state.block(i0)
         shape = (min(rows, n - 2 - i0), n - i0 - 2)
-        assert block.near.shape == block.far.shape == block.removed.shape == shape
-        assert block.gain.shape == block.valid.shape == block.spare.shape == shape
+        assert block.near.shape == block.far.shape == block.gain.shape == shape
+        assert block.valid.shape == block.spare.shape == block.threshold.shape == shape
         assert np.shares_memory(block.near, matrix) and np.shares_memory(block.tails, edge)
 
 
@@ -517,8 +527,9 @@ def test_scan_blocks_are_sized_in_bytes(inst, dtype):
     rows x n cells, that is: block 0 of a matrix state, whole rows n + 1
     wide, takes one cell a row more, as the two distance buffers do.  Those
     hold one block's distances, one row and one column more than its gains.
-    The gain and spare views are contiguous fronts of the work arrays,
-    since `argmax` would copy a strided one.
+    Every view of a block has its shape, and the gain and spare views are
+    contiguous fronts of the work arrays, since `argmax` would copy a
+    strided one.
     """
     n, itemsize = inst.n, np.dtype(dtype).itemsize
     state = tour._TourState(inst, Tour(tuple(range(n))).validate(inst))
@@ -533,9 +544,9 @@ def test_scan_blocks_are_sized_in_bytes(inst, dtype):
     for i0 in state.starts:
         block = state.block(i0) if i0 else state.first
         shape = (min(rows, n - 2 - i0), width if i0 == 0 else n - i0 - 2)
-        assert block.removed.shape == shape
-        form = (shape[0] * shape[1],) if width == n + 1 and i0 == 0 else shape
-        assert block.gain.shape == block.spare.shape == block.valid.shape == form
+        assert block.near.shape == block.far.shape == shape
+        assert block.gain.shape == block.spare.shape == block.valid.shape == shape
+        assert block.threshold is None if inst.exact else block.threshold.shape == shape
         assert block.gain.flags.c_contiguous and block.spare.flags.c_contiguous
         assert np.shares_memory(block.gain, state.buffers[1]) and np.shares_memory(block.spare, state.flags)
 
