@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import PNorm, Point3
-from .tour import Instance, Tour, _best_2move
+from .tour import _BLOCK_CELLS, Instance, Tour, _best_2move
 
 SQRT3_HALF = math.sqrt(3) / 2
 
@@ -124,7 +124,7 @@ def _check_size(p: int, q: int) -> LayeredSizes:
 
 
 def generate_lb_instance(k: int, p: int, q: int) -> LowerBoundInstance:
-    """The layered instance's points, built as int64 arrays group by group.
+    """The layered instance's points, written group by group into two preallocated int64 arrays.
 
     Raises ValueError naming n, before building anything, when n exceeds
     `MAX_LAYERED_N`.
@@ -132,25 +132,32 @@ def generate_lb_instance(k: int, p: int, q: int) -> LowerBoundInstance:
     _check_params(k, p, q)
     sizes = _check_size(p, q)
     w, offsets, gaps, rows = _layers(p, q)
-    row_x = np.concatenate([np.arange(r, dtype=np.int64) * g for r, g in zip(rows, gaps)])
-    row_y = np.repeat(np.array(offsets, dtype=np.int64), rows)
-    col_x, col_y = [], []
-    for i in range(q):
-        run = np.arange(offsets[i] + 1, offsets[i + 1], dtype=np.int64)
+    m = sum(rows)  # row vertices per copy
+    col_len = [offsets[i + 1] - offsets[i] - 1 for i in range(q)]  # vertices per connector column
+    groups = (m, m, w - 1, 2 * sum(col_len))
+    if sum(groups) != sizes.n:
+        raise AssertionError(f"point count {sum(groups)} != formula value {sizes.n}")
+    xs, ys = np.empty(sizes.n, dtype=np.int64), np.empty(sizes.n, dtype=np.int64)
+    at = 0
+    for r, g, y in zip(rows, gaps, offsets):
+        np.multiply(np.arange(r, dtype=np.int64), g, out=xs[at : at + r])
+        ys[at : at + r] = y
+        at += r
+    np.add(xs[:m], 2 * w, out=xs[m : 2 * m])
+    ys[m : 2 * m] = ys[:m]
+    xs[2 * m : 2 * m + w - 1] = np.arange(w + 1, 2 * w, dtype=np.int64)
+    ys[2 * m : 2 * m + w - 1] = offsets[q]
+    at = 2 * m + w - 1
+    for i, count in enumerate(col_len):
         for x in _columns(i, w):
-            col_x.append(np.full(len(run), x, dtype=np.int64))
-            col_y.append(run)
-    xs = np.concatenate([row_x, row_x + 2 * w, np.arange(w + 1, 2 * w, dtype=np.int64), *col_x])
-    ys = np.concatenate([row_y, row_y, np.full(w - 1, offsets[q], dtype=np.int64), *col_y])
-    groups = (len(row_x), len(row_x), w - 1, sum(len(c) for c in col_x))
-    lb = LowerBoundInstance(k=k, p=p, q=q, xs=xs, ys=ys, groups=groups)
-    if lb.n != sizes.n:
-        raise AssertionError(f"point count {lb.n} != formula value {sizes.n}")
-    return lb
+            xs[at : at + count] = x
+            ys[at : at + count] = np.arange(offsets[i] + 1, offsets[i + 1], dtype=np.int64)
+            at += count
+    return LowerBoundInstance(k=k, p=p, q=q, xs=xs, ys=ys, groups=groups)
 
 
 def _walk_order(lb: LowerBoundInstance) -> np.ndarray:
-    """The hand-built tour as a concatenation of index runs, from vertex 0 to vertex 1.
+    """The hand-built tour's vertex order, index run by index run into one array, from vertex 0 to vertex 1.
 
     After layer 0 of the original copy the walk crosses the bottom bridge and
     climbs the shifted copy: each even layer left to right and each odd one
@@ -166,19 +173,22 @@ def _walk_order(lb: LowerBoundInstance) -> np.ndarray:
     v2, v3 = row_start[-1], 2 * row_start[-1]
     col_start = (v3 + w - 1 + 2 * np.cumsum([0] + col_len)).tolist()
 
-    def run(start, count, forward):
-        return np.arange(start, start + count) if forward else np.arange(start + count - 1, start - 1, -1)
-
-    runs = [run(0, rows[0], True)]
+    runs = [(0, rows[0], True)]
     for i in range(q + 1):
-        runs.append(run(v2 + row_start[i], rows[i], i % 2 == 0))
+        runs.append((v2 + row_start[i], rows[i], i % 2 == 0))
         if i < q:
-            runs.append(run(col_start[i] + col_len[i], col_len[i], True))
-    runs.append(run(v3, w - 1, False))
+            runs.append((col_start[i] + col_len[i], col_len[i], True))
+    runs.append((v3, w - 1, False))
     for i in range(q, 0, -1):
-        runs.append(run(row_start[i], rows[i], i % 2 == 0))
-        runs.append(run(col_start[i - 1], col_len[i - 1], False))
-    return np.concatenate(runs)
+        runs.append((row_start[i], rows[i], i % 2 == 0))
+        runs.append((col_start[i - 1], col_len[i - 1], False))
+    order = np.empty(sum(count for _, count, _ in runs), dtype=np.int64)
+    at = 0
+    for start, count, forward in runs:
+        run = np.arange(start, start + count)
+        order[at : at + count] = run if forward else run[::-1]
+        at += count
+    return order
 
 
 def lb_tour_edges(lb: LowerBoundInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -191,34 +201,56 @@ def lb_tour_edges(lb: LowerBoundInstance) -> tuple[np.ndarray, np.ndarray, np.nd
     return order, lb.xs[order], lb.ys[order]
 
 
-def _step_lengths(wx: np.ndarray, wy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|dx| and |dy| of every tour edge of a walk."""
-    return np.abs(np.roll(wx, -1) - wx), np.abs(np.roll(wy, -1) - wy)
+def _step_lengths(walk: np.ndarray) -> np.ndarray:
+    """|walk[k + 1] - walk[k]| of every tour edge k along one axis, computed in place of `walk` and returned.
+
+    The last edge closes the cycle back to walk[0].  Each difference is
+    written over the entry it has just read, so nothing else is allocated.
+    """
+    if len(walk):
+        closing = walk[0] - walk[-1]
+        np.subtract(walk[1:], walk[:-1], out=walk[:-1])
+        walk[-1] = closing
+        np.abs(walk, out=walk)
+    return walk
 
 
 def build_lb_tour(lb: LowerBoundInstance) -> Tour:
     """The hand-built tour, checked to be a Hamiltonian cycle of axis-parallel edges of length c(S)."""
-    order, wx, wy = lb_tour_edges(lb)
+    order = _walk_order(lb)
+    _check_walk(lb, order)
+    return Tour(order)
+
+
+def _check_walk(lb: LowerBoundInstance, order: np.ndarray):
+    """AssertionError unless `order` is a permutation whose edges are axis-parallel and add up to c(S).
+
+    One axis at a time: the walk's x is gathered and differenced in place,
+    and only its sum and where it moves are kept when its y is gathered.
+    """
     seen = np.zeros(lb.n, dtype=bool)
     seen[order] = True
     if len(order) != lb.n or not seen.all():
         raise AssertionError("tour order is not a permutation of the vertices")
-    dx, dy = _step_lengths(wx, wy)
-    slanted = np.flatnonzero((dx != 0) & (dy != 0))
+    dx = _step_lengths(lb.xs[order])
+    length, moves = int(dx.sum()), dx != 0
+    del dx
+    dy = _step_lengths(lb.ys[order])
+    length += int(dy.sum())
+    moves &= dy != 0
+    slanted = np.flatnonzero(moves)
     if len(slanted):
         k = int(slanted[0])
         raise AssertionError(f"tour edge {k} from vertex {order[k]} is not axis-parallel")
-    length, want = int(dx.sum() + dy.sum()), layered_sizes(lb.p, lb.q).length
+    want = layered_sizes(lb.p, lb.q).length
     if length != want:
         raise AssertionError(f"tour length {length} != closed form c(S) = {want}")
-    return Tour(order)
 
 
 def lb_tour_length_exact(lb: LowerBoundInstance) -> int:
-    """Exact 1-norm length of the hand-built tour (integer p only for exactness)."""
-    _, wx, wy = lb_tour_edges(lb)
-    dx, dy = _step_lengths(wx, wy)
-    return int(dx.sum() + dy.sum())
+    """Exact 1-norm length of the hand-built tour (integer p only for exactness), one axis at a time."""
+    order = _walk_order(lb)
+    return sum(int(_step_lengths(coords[order]).sum()) for coords in (lb.xs, lb.ys))
 
 
 def doubled_spanning_tree_tour(lb: LowerBoundInstance) -> tuple[int, int]:
@@ -227,25 +259,28 @@ def doubled_spanning_tree_tour(lb: LowerBoundInstance) -> tuple[int, int]:
     The tree consists of the vertical connector of every non-top row vertex to
     the next layer (these segments absorb the connector-column vertices) plus
     the full top layer; its length is at most 7 * q^((p+1)q).  Every vertex
-    is checked to lie on it: on the top layer, or in the band s_i <= y < s_{i+1}
-    of some layer i < q at a multiple of that layer's row gap within a copy.
+    is checked to lie on it, in blocks of `_BLOCK_CELLS` vertices: on the top
+    layer, or in the band s_i <= y < s_{i+1} of some layer i < q at a
+    multiple of that layer's row gap within a copy.
     A tree point at y = s_{i+1} on a band-i segment needs no second test: the
     gap of layer i + 1 divides that of layer i, or i + 1 is the top layer.
     """
     p, q = lb.p, lb.q
     w, offsets, gaps, _ = _layers(p, q)
-    xs, ys = lb.xs, lb.ys
-    band = np.searchsorted(np.array(offsets, dtype=np.int64), ys, side="right") - 1
-    in_band = (band >= 0) & (band < q)
-    gap = np.array(gaps[:q], dtype=np.int64)[np.clip(band, 0, q - 1)]
-    x_in_copy = np.where(xs >= 2 * w, xs - 2 * w, xs)
-    on_column = in_band & (x_in_copy >= 0) & (x_in_copy <= w) & (x_in_copy % gap == 0)
-    on_top = (ys == offsets[q]) & (xs >= 0) & (xs <= 3 * w)
-    off_tree = np.flatnonzero(~(on_column | on_top))
-    if len(off_tree):
-        v = int(off_tree[0])
-        raise AssertionError(f"explicit spanning tree does not cover vertex {v} at "
-                             f"({int(xs[v])}, {int(ys[v])})")
+    bands, band_gap = np.array(offsets, dtype=np.int64), np.array(gaps[:q], dtype=np.int64)
+    for lo in range(0, lb.n, _BLOCK_CELLS):
+        xs, ys = lb.xs[lo : lo + _BLOCK_CELLS], lb.ys[lo : lo + _BLOCK_CELLS]
+        band = np.searchsorted(bands, ys, side="right") - 1
+        in_band = (band >= 0) & (band < q)
+        gap = band_gap[np.clip(band, 0, q - 1, out=band)]
+        x_in_copy = np.where(xs >= 2 * w, xs - 2 * w, xs)
+        on_column = in_band & (x_in_copy >= 0) & (x_in_copy <= w) & (x_in_copy % gap == 0)
+        on_top = (ys == offsets[q]) & (xs >= 0) & (xs <= 3 * w)
+        off_tree = np.flatnonzero(~(on_column | on_top))
+        if len(off_tree):
+            v = lo + int(off_tree[0])
+            raise AssertionError(f"explicit spanning tree does not cover vertex {v} at "
+                                 f"({int(lb.xs[v])}, {int(lb.ys[v])})")
     tree_len = layered_sizes(p, q).tree
     if tree_len > 7 * w:
         raise AssertionError(f"tree length {tree_len} exceeds 7*q^((p+1)q) = {7 * w}")

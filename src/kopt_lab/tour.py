@@ -103,7 +103,7 @@ class Instance:
         Keeps read-only int64 copies of the arrays, which `_xy` reads; the
         `points` are built from them only when something reads them.  The
         points must be pairwise distinct, as for `Instance(points)`; one
-        lexsort over (x, y) checks it.
+        lexsort over (x, y) checks it, gathering one axis at a time.
         """
         xs, ys = np.asarray(xs), np.asarray(ys)
         if xs.ndim != 1 or xs.shape != ys.shape:
@@ -112,8 +112,12 @@ class Instance:
             raise ValueError(f"from_xy needs integer coordinates, got {xs.dtype} and {ys.dtype}")
         xs, ys = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
         order = np.lexsort((ys, xs))
-        sx, sy = xs[order], ys[order]
-        if ((sx[1:] == sx[:-1]) & (sy[1:] == sy[:-1])).any():
+        sx = xs[order]
+        same = sx[1:] == sx[:-1]
+        del sx
+        sy = ys[order]
+        same &= sy[1:] == sy[:-1]
+        if same.any():
             raise ValueError("instance points must be pairwise distinct")
         xs.flags.writeable = ys.flags.writeable = False
         inst = cls.__new__(cls)
@@ -128,7 +132,8 @@ class Instance:
 
         `Instance(points)` sets this attribute itself.
         """
-        return list(map(Point._make, zip(*(col.tolist() for col in self._columns))))
+        xs, ys = (col.tolist() for col in self._columns)
+        return list(map(tuple.__new__, itertools.repeat(Point), zip(xs, ys)))
 
     def extended(self, points: Sequence, name: str = "") -> Instance:
         """This instance's points followed by `points`, in the same norm.
@@ -240,9 +245,10 @@ def _coordinate_arrays(xs, ys) -> tuple:
     A column is an int64 array (`Instance.from_xy`) or a list of the
     points' int or Fraction coordinates.  The result is int64, each column
     shifted to start at 0, when every coordinate is an integer and both
-    spans are below `_INT64_SPAN`.  Otherwise it is object arrays of the
-    coordinates themselves, unshifted, so that a difference, distance or
-    gain equals that of `pdist` in value and type.
+    spans are below `_INT64_SPAN`; a read-only array that already starts at
+    0 is returned as it is, not copied.  Otherwise it is object arrays of
+    the coordinates themselves, unshifted, so that a difference, distance
+    or gain equals that of `pdist` in value and type.
     """
     shifted = []
     for col in (xs, ys):
@@ -250,7 +256,7 @@ def _coordinate_arrays(xs, ys) -> tuple:
             lo, hi = (int(col.min()), int(col.max())) if len(col) else (0, 0)
             if hi - lo >= _INT64_SPAN:
                 break
-            shifted.append(col - lo)
+            shifted.append(col if lo == 0 and not col.flags.writeable else col - lo)
         else:
             if not all(c.denominator == 1 for c in col):
                 break
@@ -365,9 +371,12 @@ class _CoordinateDistances:
         """The distances whose `power` this is: the array itself, or a new float64 array under `square`."""
         return np.sqrt(power) if self.square else power
 
-    def pair(self, a, b) -> np.ndarray:
-        """D(position a, position b) over arrays or slices of positions."""
-        return self.root(self.power(self.x[a] - self.x[b], self.y[a] - self.y[b]))
+    def pair(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """D(position a, position b) over index arrays of positions, computed in the gathers of a."""
+        dx, dy = self.x[a], self.y[a]
+        dx -= self.x[b]
+        dy -= self.y[b]
+        return self.root(self.power(dx, dy))
 
     def dtype(self) -> np.dtype:
         """The dtype of a dense scan's distances: `_scan_dtype`'s under p = 1, float64 under p = 2."""

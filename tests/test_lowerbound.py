@@ -1,6 +1,5 @@
 import io
 import itertools
-import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -32,6 +31,7 @@ from kopt_lab.tour import (
     two_opt,
 )
 
+from memory import traced
 from reference_lowerbound import cycle_from_edges, three_d_tours
 from reference_scan import reference_best_2move, reference_first_2move
 
@@ -282,12 +282,7 @@ class TestScanSizeCap:
     def test_coordinate_scan_runs_past_the_matrix_cap(self, p):
         inst, tour = two_rows(10_000, p)
         assert inst.n == MATRIX_SCAN_MAX_N + 1
-        tracemalloc.start()
-        try:
-            report = scan_2opt_optimality(inst, tour)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        report, _, peak = traced(lambda: scan_2opt_optimality(inst, tour))
         assert report.pairs_scanned == inst.n * (inst.n - 3) // 2
         assert report.two_optimal and report.witness is None
         # The best pair is the one a small copy of the family has, against the reference.

@@ -11,7 +11,6 @@ layered family must not build its points on the way to its verdict and length.
 import io
 import math
 import random
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +28,7 @@ from kopt_lab.lowerbound import (
 )
 from kopt_lab.tour import Instance, Tour, tour_length
 
+from memory import traced
 from reference_tour_length import reference_tour_length
 
 
@@ -226,23 +226,21 @@ class TestLayeredLengths:
     def test_the_tour_takes_eight_bytes_a_vertex(self):
         """(2, 3), 74,190 points: `build_lb_tour` keeps its walk as the tour's int64 ring.
 
-        Traced from before the tour is built, the tour keeps 8 bytes a
-        vertex, and its length peaks below 64.  A tuple of Python ints kept
-        about 40 bytes a vertex, and the length then peaked at about 104.
+        The tour keeps 8 bytes a vertex.  Its length on a fresh instance
+        keeps nothing new, for the instance's coordinates already start at
+        0, and peaks below 26 bytes a vertex: three n-long gathers at a
+        time.  A tuple of Python ints kept about 40 bytes a vertex; a
+        shifted copy of the coordinates kept 16, and the length peaked at
+        40 with it.
         """
         lb = generate_lb_instance(2, 2, 3)
         inst, n = lb.as_instance(), lb.n
-        tracemalloc.start()
-        try:
-            tour = build_lb_tour(lb)
-            kept = tracemalloc.get_traced_memory()[0]
-            length = tour_length(inst, tour)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        tour, kept, _ = traced(lambda: build_lb_tour(lb))
+        length, grown, peak = traced(lambda: tour_length(inst, tour))
         assert length == 210456.0
         assert kept <= 8 * n + 4096
-        assert peak < 64 * n
+        assert grown <= 4096
+        assert peak < 26 * n
 
     def test_points_are_not_built(self):
         lb = generate_lb_instance(2, 1, 3)

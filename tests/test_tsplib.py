@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import io
 import random
 from fractions import Fraction
@@ -11,6 +12,8 @@ from kopt_lab.geometry import PNorm, pt
 from kopt_lab.harness import gen_random
 from kopt_lab.lowerbound import generate_3d_instance
 from kopt_lab.tour import Instance, Tour, tour_length
+
+from memory import traced
 
 
 def roundtrip(inst):
@@ -171,8 +174,10 @@ class TestInstanceIO:
 
     def test_fraction_coordinates_not_written(self):
         inst = Instance([pt(0, 0), pt(Fraction(1, 2), 4), pt(7, 1)], PNorm(2))
+        buf = io.StringIO()
         with pytest.raises(tsplib.TsplibError, match="integer coordinates only"):
-            tsplib.write_instance(io.StringIO(), inst)
+            tsplib.write_instance(buf, inst)
+        assert buf.getvalue() == ""  # every coordinate is checked before anything is written
 
 
 @pytest.mark.usefixtures("both_paths_agree")
@@ -513,3 +518,66 @@ class TestBulkPath:
         monkeypatch.setattr(tsplib, "_instance_lines", lambda t: calls.append(t) or lines(t))
         assert outcome(lambda t: tsplib.read_instance(io.StringIO(t)), text) == outcome(lines, inst_text)
         assert calls == [text]
+
+
+def gate_files(lines: int) -> tuple:
+    """An instance file and a tour file, each with `lines` lines in its section."""
+    coords = "".join(f"{i} {i} {2 * i}\n" for i in range(1, lines + 1))
+    entries = "".join(f"{i}\n" for i in range(lines, 0, -1))
+    return coord_file(coords, dim=lines), tour_file(f"TOUR_SECTION\n{entries}-1\nEOF\n", dim=lines)
+
+
+class TestBoundedGates:
+    """The gates match a section in runs of at most `_GATE_LINES` lines; where a run ends changes no verdict."""
+
+    @pytest.mark.parametrize("lines", [tsplib._GATE_LINES, tsplib._GATE_LINES + 1])
+    def test_one_run_and_one_line_more_are_read_in_bulk(self, lines):
+        inst_text, tour_text = gate_files(lines)
+        assert tsplib._bulk_instance(inst_text) is not None and tsplib._bulk_tour(tour_text) is not None
+        assert outcome(tsplib._bulk_instance, inst_text) == outcome(tsplib._instance_lines, inst_text)
+        assert outcome(tsplib._bulk_tour, tour_text) == outcome(tsplib._tour_lines, tour_text)
+        assert outcome(tsplib._bulk_instance, inst_text)[:2] == ("instance", lines)
+
+    def test_a_bad_token_opening_the_second_run_is_named_by_the_per_line_reader(self):
+        g = tsplib._GATE_LINES
+        inst_text, tour_text = gate_files(g + 1)
+        # Section line g + 1 follows the four header lines of either file; its entry is 1 in the tour.
+        inst_text = inst_text.replace(f"\n{g + 1} {g + 1} ", f"\n{g + 1} {g + 1}x ")
+        tour_text = tour_text.replace("\n1\n-1\n", "\n1x\n-1\n")
+        assert tsplib._bulk_instance(inst_text) is None and tsplib._bulk_tour(tour_text) is None
+        with pytest.raises(tsplib.TsplibError, match=f"^line {g + 5}: '{g + 1}x' is not an integer"):
+            tsplib.read_instance(io.StringIO(inst_text))
+        with pytest.raises(tsplib.TsplibError, match=f"^line {g + 5}: '1x' is not an integer"):
+            tsplib.read_tour(io.StringIO(tour_text))
+
+    def test_reading_the_layered_files_peaks_below_16_bytes_a_character(self):
+        """One repetition over the whole section kept a frame a line: 64 and 87 bytes a character."""
+        inst_text, tour_text = layered_files()
+        for read, text in ((tsplib.read_instance, inst_text), (tsplib.read_tour, tour_text)):
+            f = io.StringIO(text)
+            _, _, peak = traced(lambda: read(f))
+            assert peak <= 16 * len(text)
+
+
+def written_sha256(write, *args) -> str:
+    buf = io.StringIO()
+    write(buf, *args)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+class TestWrittenBytes:
+    """Each writer formats a section in one go; the bytes are those the line-by-line writers wrote."""
+
+    def test_layered_files(self):
+        lb = lowerbound.generate_lb_instance(2, 1, 3)
+        inst, tour = lb.as_instance(), lowerbound.build_lb_tour(lb)
+        for written in (inst, Instance(inst.points, inst.norm, inst.name)):  # from the arrays, from the points
+            assert written_sha256(tsplib.write_instance, written) == (
+                "559619900b5f965fb0797eb809624a3cb62cc553687e08a42a701a54663caa73")
+        for written in (tour, Tour(tour.order)):  # array-born, tuple-born
+            assert written_sha256(tsplib.write_tour, written) == (
+                "d6a54eed29b83a32e40ba3d8968980779d6cdb44865b11d8e2f2bbfb261124a2")
+
+    def test_3d_file(self):
+        assert written_sha256(tsplib.write_instance, generate_3d_instance(4).as_instance()) == (
+            "c54e96b231edbc29770a5bb8a3d23e61a943cc83a574c6f93f999c303440fc99")

@@ -10,7 +10,6 @@ the reference pivot's moves, one by one.
 import functools
 import hashlib
 import random
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +27,7 @@ from kopt_lab.lowerbound import (
 )
 from kopt_lab.tour import Instance, Tour, TwoMove, _best_2move, find_improving_2move, two_opt
 
+from memory import traced
 from reference_scan import _moves, reference_best_2move, reference_first_2move, reference_two_opt
 
 
@@ -288,13 +288,8 @@ def test_exact_scans_stay_linear_in_memory():
     """(p, q) = (1, 3), 2916 points: one n x n int64 array would be 68 MB."""
     lb = generate_lb_instance(2, 1, 3)
     inst, hand = lb.as_instance(), build_lb_tour(lb)
-    tracemalloc.start()
-    try:
-        assert two_opt(inst, hand) == hand
-        assert scan_2opt_optimality(inst, hand).two_optimal
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (moved, report), _, peak = traced(lambda: (two_opt(inst, hand), scan_2opt_optimality(inst, hand)))
+    assert moved == hand and report.two_optimal
     assert peak < 8 * 2**20
     # Every block's mask is the state's one mask of at most the int16 budget,
     # _BLOCK_CELLS * 8 // 2 cells, or a view of it: none is made per block.
@@ -390,14 +385,11 @@ def test_repeat_scans_allocate_no_array(p, dtype):
     assert state.dist.edge.dtype == dtype and state.rows == inst.n - 2
     assert tour._first_2move(state) is None and tour._first_2move(state) is None
     size = np.setbufsize(16)
-    tracemalloc.start()
     try:
-        before = tracemalloc.get_traced_memory()[0]
-        assert tour._first_2move(state) is None
-        grown = tracemalloc.get_traced_memory()[1] - before
+        move, _, grown = traced(lambda: tour._first_2move(state))
     finally:
-        tracemalloc.stop()
         np.setbufsize(size)
+    assert move is None
     assert grown < 2048
 
 
@@ -556,12 +548,7 @@ def state_memory(inst, t):
     inst._pair_dist  # the instance's own O(n) cache, not the state's
     ring = t.validate(inst)  # the caller's, which the state does not keep
     tour._valid_mask.cache_clear()
-    tracemalloc.start()
-    try:
-        state = tour._TourState(inst, ring)
-        kept = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+    state, kept, _ = traced(lambda: tour._TourState(inst, ring))
     return state, kept
 
 
