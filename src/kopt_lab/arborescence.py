@@ -164,24 +164,22 @@ class ArborescenceCertificate:
         return all(c.passed for c in self.triangle + self.two_opt + self.lemma_checks)
 
 
-def _eps(a, b) -> float:
-    return CERT_EPS * max(1.0, abs(float(a)), abs(float(b)))
+def _check(label: str, lhs: float, rhs: float) -> InequalityCheck:
+    """The one pass/fail rule of the certificate: lhs <= rhs within CERT_EPS * max(1, |lhs|, |rhs|).
+
+    Its slack is rhs - lhs, negative when lhs exceeds rhs.
+    """
+    return InequalityCheck(label, lhs <= rhs + CERT_EPS * max(1.0, abs(lhs), abs(rhs)), rhs - lhs)
 
 
 def verify_combined_inequalities(arb: Arborescence) -> ArborescenceCertificate:
     """Check the combined triangle inequality and combined 2-optimality per edge."""
     cert = ArborescenceCertificate()
     for idx, e in enumerate(arb.edges):
-        rhs = e.w + arb.child_c_sum[idx]
-        slack = rhs - e.c
-        cert.triangle.append(InequalityCheck(
-            f"triangle[{idx}] chord {e.chord}", slack >= -_eps(e.c, rhs), slack))
+        cert.triangle.append(_check(f"triangle[{idx}] chord {e.chord}", e.c, e.w + arb.child_c_sum[idx]))
         for f in arb.child_edges(e.head):
-            rhs4 = e.w + (arb.child_c_sum[idx] - arb.edges[f].c)
-            lhs4 = e.c + arb.edges[f].c
-            slack = rhs4 - lhs4
-            cert.two_opt.append(InequalityCheck(
-                f"2opt[{idx},{f}] chords {e.chord} {arb.edges[f].chord}", slack >= -_eps(lhs4, rhs4), slack))
+            cert.two_opt.append(_check(f"2opt[{idx},{f}] chords {e.chord} {arb.edges[f].chord}",
+                                       e.c + arb.edges[f].c, e.w + (arb.child_c_sum[idx] - arb.edges[f].c)))
     return cert
 
 
@@ -206,10 +204,11 @@ def verify_lemma_suite(arb: Arborescence) -> ArborescenceCertificate:
     cert = ArborescenceCertificate()
     checks = cert.lemma_checks
 
-    def check(label, passed, slack, members, noun="chords"):
-        if not passed:
-            label += f" {noun} " + " ".join(str(arb.edges[i].chord) for i in sorted(members))
-        checks.append(InequalityCheck(label, passed, slack))
+    def check(label, lhs, rhs, members, noun="chords"):
+        chk = _check(label, lhs, rhs)
+        if not chk.passed:
+            chk.label += f" {noun} " + " ".join(str(arb.edges[i].chord) for i in sorted(members))
+        checks.append(chk)
 
     cA, wA = arb.c_total(), arb.w_total()
     n_edges = len(arb.edges)
@@ -228,7 +227,7 @@ def verify_lemma_suite(arb: Arborescence) -> ArborescenceCertificate:
         bound = (l / 2) * wA
         eprime = subset_E_prime(arb, l)
         val = c_of(eprime)
-        check(f"E'(l={l:g}): c(E') <= l/2*w(A)", val <= bound + _eps(val, bound), bound - val, eprime)
+        check(f"E'(l={l:g}): c(E') <= l/2*w(A)", val, bound, eprime)
         rest = [(idx, e.c) for idx, e in enumerate(arb.edges) if idx not in eprime]
         for i in range(1, math.floor(l / 6) + 1):
             r = (4 / l) ** i * wA
@@ -236,24 +235,20 @@ def verify_lemma_suite(arb: Arborescence) -> ArborescenceCertificate:
                 break
             er = {idx for idx, c in rest if r < c <= (l / 4) * r}
             val = c_of(er)
-            check(f"E_r(l={l:g},i={i}): c(E_r) <= 2*w(A)", val <= 2 * wA + _eps(val, wA), 2 * wA - val, er)
+            check(f"E_r(l={l:g},i={i}): c(E_r) <= 2*w(A)", val, 2 * wA, er)
             # The minimal-cover decomposition used in the E_r proof.
             cover = _topmost(arb, er)
             wsum = sum(arb.subtree_w(e) for e in cover)
-            check(f"cover(l={l:g},i={i}): sum w(A_e) <= w(A)", wsum <= wA + _eps(wsum, wA), wA - wsum, cover)
+            check(f"cover(l={l:g},i={i}): sum w(A_e) <= w(A)", wsum, wA, cover)
 
     for idx in range(n_edges):
-        wae = arb.subtree_w(idx)
-        c = arb.edges[idx].c
-        check(f"A_e[{idx}]: c(e) <= w(A_e)", c <= wae + _eps(c, wae), wae - c, [idx], "chord")
+        check(f"A_e[{idx}]: c(e) <= w(A_e)", arb.edges[idx].c, arb.subtree_w(idx), [idx], "chord")
 
     # Main implication (base-2 logarithms): applies only when c(A) >= 18 w(A).
     if wA > 0 and cA >= 18 * wA:
         if n_edges >= 3:
             ratio_bound = 12 * math.log2(n_edges) / math.log2(math.log2(n_edges)) * wA
-            checks.append(InequalityCheck(
-                "main: c(A) <= 12*log/loglog(|E|)*w(A)",
-                cA <= ratio_bound + _eps(cA, ratio_bound), ratio_bound - cA))
+            checks.append(_check("main: c(A) <= 12*log/loglog(|E|)*w(A)", cA, ratio_bound))
         else:
             checks.append(InequalityCheck("main: |E(A)| too small for log log", False, -1.0))
         cert.params["main_lemma"] = "checked"
@@ -325,8 +320,9 @@ def certify_pair(inst: Instance, t_opt: Tour, s_2opt: Tour) -> PairCertificate:
             chord_len = float(vp.dist(*chords[0]))
             stat["note"] = "triangle-inequality bound"
             stat["c_total"] = chord_len
-            if chord_len > len_t + _eps(chord_len, len_t):
-                failures.append(f"{name}: single chord {chords[0]} longer than c(T)")
+            chk = _check(f"{name}: single chord {chords[0]} longer than c(T)", chord_len, len_t)
+            if not chk.passed:
+                failures.append(chk.label)
         else:
             arb = build_arborescence(vp, path, chords, e0=root)
             cert_ineq = verify_combined_inequalities(arb)
@@ -348,8 +344,9 @@ def certify_pair(inst: Instance, t_opt: Tour, s_2opt: Tour) -> PairCertificate:
     nprime = vp.n
     bound = certified_ratio_bound(nprime)
     ratio = len_s / len_t
-    if ratio > bound + CERT_EPS * bound:
-        failures.append(f"ratio {ratio} exceeds certified bound {bound}")
+    chk = _check(f"ratio {ratio} exceeds certified bound {bound}", ratio, bound)
+    if not chk.passed:
+        failures.append(chk.label)
 
     return PairCertificate(
         passed=not failures,

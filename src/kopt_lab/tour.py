@@ -350,8 +350,7 @@ class _CoordinateDistances:
     coordinates gives the doubles `pdist` computes.  O(n) memory: no matrix
     is kept.  The instance's copy (`Instance._coordinates`) holds `_xy` in
     index order; `take` gives copies in tour-ring order, the only ones with
-    edges: `edge_power[k]` and `edge[k]` are the power and the distance
-    from position k to position k + 1, one array under p = 1.
+    edges: `edge[k]` is the distance from position k to position k + 1.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, square: bool):
@@ -393,8 +392,7 @@ class _CoordinateDistances:
             dtype = _scan_dtype(self.x, self.y)
             x, y = x.astype(dtype, copy=False), y.astype(dtype, copy=False)
         ring = _CoordinateDistances(x, y, self.square)
-        ring.edge_power = ring.power(x[:-1] - x[1:], y[:-1] - y[1:])
-        ring.edge = ring.root(ring.edge_power)
+        ring.edge = ring.root(ring.power(x[:-1] - x[1:], y[:-1] - y[1:]))
         return ring
 
     def outer(self, rows: slice, cols: slice) -> np.ndarray:
@@ -429,8 +427,8 @@ class _CoordinateDistances:
         x[lo:hi] = x[lo:hi][::-1]
         y[lo:hi] = y[lo:hi][::-1]
         # Edges lo - 1 .. hi - 1 are those with an end among the reversed positions.
-        power = self.power(x[lo - 1 : hi] - x[lo : hi + 1], y[lo - 1 : hi] - y[lo : hi + 1])
-        self.edge_power[lo - 1 : hi], self.edge[lo - 1 : hi] = power, self.root(power)
+        dx, dy = x[lo - 1 : hi] - x[lo : hi + 1], y[lo - 1 : hi] - y[lo : hi + 1]
+        self.edge[lo - 1 : hi] = self.root(self.power(dx, dy))
 
 
 class Tour:
@@ -917,12 +915,17 @@ class _GridTour:
         self.position = np.empty(n, dtype=np.intp)
         self.position[self.ring[:-1]] = np.arange(n)
 
-    def _gains(self, keys: np.ndarray) -> tuple:
-        """(i, j, gain, threshold) of the pairs i * n + j, in the arithmetic of `_block_gains`."""
+    def _margins(self, keys: np.ndarray) -> tuple:
+        """(i, j, gain, margin) of the pairs i * n + j, in the arithmetic of `_block_gains`.
+
+        margin = gain - threshold, positive iff the move improves; on an
+        exact instance the threshold is 0, and the margin the gain's value.
+        """
         i, j = np.divmod(keys, self.n)
         removed = self.dist.edge[i] + self.dist.edge[j]
         threshold = _gain_threshold(self.inst, removed)
-        return i, j, removed - self.dist.pair(i, j) - self.dist.pair(i + 1, j + 1), threshold
+        gain = removed - self.dist.pair(i, j) - self.dist.pair(i + 1, j + 1)
+        return i, j, gain, gain - threshold
 
     def _candidates(self, limit: np.ndarray, root: bool) -> Optional[list]:
         """Key arrays i * n + j of the pairs (i, j), j >= i + 2, that the balls of edge k find, radius bound limit[k].
@@ -988,13 +991,15 @@ class _GridTour:
         An improving move has gain > 0 (g -> 0+), so its pair lies in a ball
         D < e, tested exactly on the integer powers as power(D) <=
         power(e) - 1: D <= e - 1 under p = 1, D^2 <= e^2 - 1 under p = 2.
+        The edges' powers come from the ring coordinates.
         """
-        parts = self._candidates(self.dist.edge_power - 1, root=False)
+        x, y = self.dist.x, self.dist.y
+        parts = self._candidates(self.dist.power(x[:-1] - x[1:], y[:-1] - y[1:]) - 1, root=False)
         if parts is None:
             return _first_2move(_TourState(self.inst, self.ring))
         keys = self._pairs(parts)
-        i, j, gain, threshold = self._gains(keys)
-        hit = np.flatnonzero(gain > threshold)
+        i, j, gain, margin = self._margins(keys)
+        hit = np.flatnonzero(margin > 0)
         if not len(hit):
             return None
         h = int(hit[0])
@@ -1013,21 +1018,14 @@ class _GridTour:
         """
         n = self.n
         seeds = np.concatenate([np.arange(n - 2) * (n + 1) + 2, [n - 2, n + n - 1]])
-        margin = self._margins(seeds)[2]
+        margin = self._margins(seeds)[3]
         parts = self._candidates(self.dist.edge - margin.max().item() / 2, root=True)
         if parts is None:
             return _dense_best(self.inst, self.ring)
         keys = self._pairs([seeds, *parts])
-        i, j, margin = self._margins(keys)
+        i, j, _, margin = self._margins(keys)
         h = int(margin.argmax())
         return TwoMove(int(i[h]), int(j[h]), margin.item(h)), len(keys)
-
-    def _margins(self, keys: np.ndarray) -> tuple:
-        """(i, j, gain - threshold) of the pairs i * n + j, as `_best_2move` computes it."""
-        i, j, gain, threshold = self._gains(keys)
-        if not self.inst.exact:
-            gain -= threshold
-        return i, j, gain
 
 
 def apply_2move(t: Tour, m: TwoMove) -> Tour:

@@ -14,15 +14,24 @@ tree below an edge for w(A_e), `reference_topmost` walks from each member
 towards the root, and `reference_combined_inequalities` re-sums the
 sibling chords for every 2-optimality pair.  `reference_subset_E_r` is the
 band E_r as the lemma suite took it before it kept one E' per l: it
-computes E' afresh on every call.
+computes E' afresh on every call.  `reference_lemma_suite` is the lemma
+suite on those traversals.  Both suites decide each inequality in the form
+it took at its own site before `arborescence._check` decided them all:
+`_eps` of the two sides, except E_r's, scaled by w(A) and not 2 w(A).
 """
 
+import math
 from typing import Optional
 
-from kopt_lab.arborescence import (Arborescence, ArbEdge, ArborescenceCertificate, ChordCrossingError,
-                                   InequalityCheck, _eps, subset_E_prime)
+from kopt_lab.arborescence import (CERT_EPS, Arborescence, ArbEdge, ArborescenceCertificate, ChordCrossingError,
+                                   InequalityCheck, subset_E_prime)
 from kopt_lab.partition import PartitionError
 from kopt_lab.tour import Instance, Tour
+
+
+def _eps(a, b) -> float:
+    """The tolerance of the combined checks' old form, rhs - lhs >= -_eps(lhs, rhs)."""
+    return CERT_EPS * max(1.0, abs(float(a)), abs(float(b)))
 
 
 def reference_tour_paths(tprime: Tour, a: int, b: int) -> tuple[list, list]:
@@ -180,3 +189,49 @@ def reference_subset_E_r(arb: Arborescence, l: float, r: float) -> set[int]:
         idx for idx, e in enumerate(arb.edges)
         if idx not in eprime and r < e.c <= (l / 4) * r
     }
+
+
+def reference_lemma_suite(arb: Arborescence) -> ArborescenceCertificate:
+    """The E', E_r, cover, A_e and main checks of `verify_lemma_suite`, each in its old per-site form."""
+    cert = ArborescenceCertificate()
+    checks = cert.lemma_checks
+
+    def check(label, passed, slack, members, noun="chords"):
+        if not passed:
+            label += f" {noun} " + " ".join(str(arb.edges[i].chord) for i in sorted(members))
+        checks.append(InequalityCheck(label, passed, slack))
+
+    if not arb.edges:
+        return cert
+    cA, wA = arb.c_total(), arb.w_total()
+    for l in [2.0, 6.0, 18.0] + ([cA / wA] if wA > 0 and cA / wA > 0 else []):
+        bound = (l / 2) * wA
+        eprime = subset_E_prime(arb, l)
+        val = sum(arb.edges[i].c for i in eprime)
+        check(f"E'(l={l:g}): c(E') <= l/2*w(A)", val <= bound + _eps(val, bound), bound - val, eprime)
+        for i in range(1, math.floor(l / 6) + 1):
+            r = (4 / l) ** i * wA
+            if r <= 0:
+                break
+            er = reference_subset_E_r(arb, l, r)
+            val = sum(arb.edges[k].c for k in er)
+            check(f"E_r(l={l:g},i={i}): c(E_r) <= 2*w(A)", val <= 2 * wA + _eps(val, wA), 2 * wA - val, er)
+            cover = reference_topmost(arb, er)
+            wsum = sum(reference_subtree_w(arb, k) for k in cover)
+            check(f"cover(l={l:g},i={i}): sum w(A_e) <= w(A)", wsum <= wA + _eps(wsum, wA), wA - wsum, cover)
+    for idx, e in enumerate(arb.edges):
+        wae = reference_subtree_w(arb, idx)
+        check(f"A_e[{idx}]: c(e) <= w(A_e)", e.c <= wae + _eps(e.c, wae), wae - e.c, [idx], "chord")
+    if wA > 0 and cA >= 18 * wA:
+        n_edges = len(arb.edges)
+        if n_edges >= 3:
+            ratio_bound = 12 * math.log2(n_edges) / math.log2(math.log2(n_edges)) * wA
+            checks.append(InequalityCheck("main: c(A) <= 12*log/loglog(|E|)*w(A)",
+                                          cA <= ratio_bound + _eps(cA, ratio_bound), ratio_bound - cA))
+        else:
+            checks.append(InequalityCheck("main: |E(A)| too small for log log", False, -1.0))
+        cert.params["main_lemma"] = "checked"
+    else:
+        checks.append(InequalityCheck("main: vacuous (c(A) < 18*w(A))", True, 0.0))
+        cert.params["main_lemma"] = "vacuous"
+    return cert

@@ -169,6 +169,11 @@ class TestEdgeSubsets:
         arb = self.hand_arb()
         assert subset_E_prime(arb, 1.25) == set()  # 10 < 1.25 * 8 is false
 
+    @pytest.mark.parametrize("l", [0.0, -2.0])
+    def test_E_prime_refuses_a_non_positive_l(self, l):
+        with pytest.raises(ValueError, match="l must be positive"):
+            subset_E_prime(self.hand_arb(), l)
+
     def test_band_subset(self):
         arb = self.hand_arb()
         # l=8: E' = {0}; band (1, 2] catches only the c=2 edge
@@ -187,6 +192,24 @@ class TestEdgeSubsets:
         for _ in range(50):
             arb = random_feasible_arborescence(rng)
             assert verify_lemma_suite(arb).all_pass
+
+    def test_lemma_suite_on_an_edgeless_arborescence(self):
+        cert = verify_lemma_suite(Arborescence(edges=[]))
+        assert (cert.lemma_checks, cert.params, cert.all_pass) == ([], {}, True)
+
+    def test_no_E_r_band_when_w_is_zero(self):
+        """w(A) = 0 makes every band radius r = (4/l)^i w(A) zero, so no E_r or cover check is made."""
+        arb = Arborescence(edges=[ArbEdge(tail=0, head=1, c=1.0, w=0.0, chord=(0, 1)),
+                                  ArbEdge(tail=1, head=2, c=1.0, w=0.0, chord=(1, 2))])
+        cert = verify_lemma_suite(arb)
+        assert [(c.label, c.passed) for c in cert.lemma_checks] == [
+            ("E'(l=2): c(E') <= l/2*w(A) chords (0, 1)", False),  # c(E') = 1 > 0: edge 0 is in E'
+            ("E'(l=6): c(E') <= l/2*w(A) chords (0, 1)", False),
+            ("E'(l=18): c(E') <= l/2*w(A) chords (0, 1)", False),
+            ("A_e[0]: c(e) <= w(A_e) chord (0, 1)", False),
+            ("A_e[1]: c(e) <= w(A_e) chord (1, 2)", False),
+            ("main: vacuous (c(A) < 18*w(A))", True),
+        ]
 
 
 class TestRatioBound:
@@ -414,3 +437,86 @@ class TestChecksFire:
         cert = verify_lemma_suite(lopsided_arb(n_edges, 18.0))
         assert cert.params["main_lemma"] == "checked"
         assert cert.lemma_checks[-1] == InequalityCheck("main: |E(A)| too small for log log", False, -1.0)
+
+
+def over(rhs: float, k: float) -> float:
+    """A left side past rhs by k tolerances: slack -k / (1 + k * CERT_EPS) times CERT_EPS * max(1, |lhs|, |rhs|)."""
+    return rhs + k * arb_module.CERT_EPS * max(1.0, abs(rhs))
+
+
+def star(cs: list, ws: list) -> Arborescence:
+    """Chords (0, 1), (0, 2), ... all on the root, of the given c and w."""
+    return Arborescence(edges=[ArbEdge(tail=0, head=k, c=c, w=w, chord=(0, k))
+                               for k, (c, w) in enumerate(zip(cs, ws), 1)])
+
+
+def passes(checks: list, prefix: str) -> bool:
+    """The verdict of the one check whose label starts with prefix."""
+    [check] = [c for c in checks if c.label.startswith(prefix)]
+    return check.passed
+
+
+def triangle_at(k, monkeypatch):
+    return verify_combined_inequalities(star([over(3.0, k)], [3.0])).triangle[0].passed
+
+
+def two_opt_at(k, monkeypatch):
+    # 2opt[0,1]: c(e) + c(f) against w(e) plus the other child chords, here none: w(e) = 5.
+    arb = Arborescence(edges=[ArbEdge(tail=0, head=1, c=over(5.0, k) - 1.0, w=5.0, chord=(0, 1)),
+                              ArbEdge(tail=1, head=2, c=1.0, w=1.0, chord=(1, 2))])
+    return verify_combined_inequalities(arb).two_opt[0].passed
+
+
+def e_prime_at(k, monkeypatch):
+    # At l = 2 edge 0 (c < 2 c(child)) is E', and its c is l/2 w(A) = 3.
+    arb = Arborescence(edges=[ArbEdge(tail=0, head=1, c=over(3.0, k), w=2.0, chord=(0, 1)),
+                              ArbEdge(tail=1, head=2, c=10.0, w=1.0, chord=(1, 2))])
+    return passes(verify_lemma_suite(arb).lemma_checks, "E'(l=2)")
+
+
+def e_r_at(k, monkeypatch):
+    # w(A) = 3; at l = 6, i = 1 the band (2, 3] holds all three chords, which sum to 2 w(A) = 6.
+    return passes(verify_lemma_suite(star([over(6.0, k) / 3] * 3, [1.0] * 3)).lemma_checks, "E_r(l=6,i=1)")
+
+
+def cover_at(k, monkeypatch):
+    # Three band chords of w = 1 cover w = 3; a fourth chord of c = 0 and w = -3k CERT_EPS lowers w(A) below 3.
+    arb = star([2.5] * 3 + [0.0], [1.0] * 3 + [-3 * k * arb_module.CERT_EPS])
+    return passes(verify_lemma_suite(arb).lemma_checks, "cover(l=6,i=1)")
+
+
+def a_e_at(k, monkeypatch):
+    return passes(verify_lemma_suite(star([over(2.0, k)], [2.0])).lemma_checks, "A_e[0]")
+
+
+def main_at(k, monkeypatch):
+    # |E| = 4, w(A) = 4: the bound is 12 * 2 / 1 * 4 = 96, and c(A) >= 18 w(A) makes it apply.
+    return passes(verify_lemma_suite(star([over(96.0, k) / 4] * 4, [1.0] * 4)).lemma_checks, "main")
+
+
+def single_chord_at(k, monkeypatch):
+    inst = Instance([pt(x, y) for x, y in LONE_CHORD_POINTS], PNorm(2))
+    t, s = Tour(LONE_CHORD_T), Tour(LONE_CHORD_S)
+    [chord] = [a["c_total"] for a in certify_pair(inst, t, s).arb_stats if a["class"] == "S2'"]
+    monkeypatch.setattr(arb_module, "tour_length",
+                        lambda i, tour: chord / (1 + k * arb_module.CERT_EPS) if tour is t else tour_length(i, tour))
+    return "S2': single chord (0, 2) longer than c(T)" not in certify_pair(inst, t, s).failures
+
+
+def ratio_at(k, monkeypatch):
+    inst, t, s = fortytwo_point_pair()
+    ratio = certify_pair(inst, t, s).ratio
+    monkeypatch.setattr(arb_module, "certified_ratio_bound", lambda nprime: ratio / (1 + k * arb_module.CERT_EPS))
+    return certify_pair(inst, t, s).passed
+
+
+@pytest.mark.parametrize("kind", [triangle_at, two_opt_at, e_prime_at, e_r_at, cover_at, a_e_at, main_at,
+                                  single_chord_at, ratio_at], ids=lambda f: f.__name__[:-3])
+def test_every_inequality_passes_within_one_tolerance(kind, monkeypatch):
+    """lhs <= rhs passes within CERT_EPS * max(1, |lhs|, |rhs|): half a tolerance over passes, two fail.
+
+    E_r's tolerance scales with its right side 2 w(A), and the ratio's with
+    max(1, ratio, bound), as every other check's does.
+    """
+    assert kind(0.5, monkeypatch)
+    assert not kind(2.0, monkeypatch)

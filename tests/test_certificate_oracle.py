@@ -7,7 +7,8 @@ and bit-identical c and w.  The inputs are both chord sides of seeded 2-Opt
 pairs under p = 1 and p = 2, and random chord sets, crossing ones included.
 The certificate checks, which read the tables an `Arborescence` builds,
 must give the verdicts of the per-edge walks and sibling re-sums they
-replaced, on those arborescences and on random trees, and the lemma suite
+replaced, each inequality decided in its old per-site form, on those
+arborescences and on random trees, and the lemma suite
 the E_r sets, in their iteration order, that a fresh E' per band gives.
 """
 
@@ -26,8 +27,8 @@ from kopt_lab.partition import PartitionError, classify_edges, orientation_split
 from kopt_lab.tour import Instance, Tour, two_opt
 
 from reference_certificate import (reference_build_arborescence, reference_combined_inequalities,
-                                   reference_select_reference_edge, reference_subset_E_r, reference_subtree_w,
-                                   reference_topmost)
+                                   reference_lemma_suite, reference_select_reference_edge, reference_subset_E_r,
+                                   reference_subtree_w, reference_topmost)
 from synthetic import random_feasible_arborescence
 
 N_SEEDS = 480  # about one pair in six is refused: p = 1 tours that cross themselves
@@ -111,10 +112,7 @@ def match_old_traversals(arb, monkeypatch, rng) -> bool:
         recorded.setattr(arb_module, "_topmost", lambda a, members: bands.append(members) or topmost(a, members))
         got = verify_lemma_suite(arb)
     assert [list(er) for er in bands] == [list(er) for er in reference_E_r_sets(arb)]
-    with monkeypatch.context() as old:
-        old.setattr(Arborescence, "subtree_w", reference_subtree_w)
-        old.setattr(arb_module, "_topmost", reference_topmost)
-        want = verify_lemma_suite(arb)
+    want = reference_lemma_suite(arb)
     assert verdicts(got.lemma_checks) == verdicts(want.lemma_checks) and got.params == want.params
     return got.all_pass and verify_combined_inequalities(arb).all_pass
 

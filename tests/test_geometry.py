@@ -132,6 +132,12 @@ class TestSegmentRelation:
         )
         assert isinstance(rel, Disjoint)
 
+    @pytest.mark.parametrize("first", [True, False])
+    def test_degenerate_segment_is_refused(self, first):
+        point, proper = Segment(pt(1, 1), pt(1, 1)), Segment(pt(0, 0), pt(2, 1))
+        with pytest.raises(ValueError, match="degenerate segment"):
+            segment_relation(*((point, proper) if first else (proper, point)))
+
 
 class TestPointInPolygon:
     square = [pt(0, 0), pt(2, 0), pt(2, 2), pt(0, 2)]

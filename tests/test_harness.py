@@ -72,6 +72,10 @@ class TestGenRandom:
         with pytest.raises(ValueError, match="n must be at least 0, got -1"):
             gen_random(-1, 1000, seed=1)
 
+    def test_grid_below_n_is_refused(self):
+        with pytest.raises(ValueError, match="grid bound must be at least n"):
+            gen_random(5, 4, seed=1)
+
     def test_empty_instance(self):
         inst = gen_random(0, 1000, seed=1)
         assert inst.n == 0 and inst.name == "rand-n0-seed1"

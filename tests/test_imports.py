@@ -19,6 +19,9 @@ cache: in `tour.py`, the oracle `Instance.dist` is read only where
 
 And every oracle kept in `tests/reference_*.py` is imported by some test
 module: an oracle that no test compares against checks nothing.
+
+And the one certificate tolerance: in `arborescence.py`, `CERT_EPS` is read
+only inside `_check`, the pass/fail rule of every certificate inequality.
 """
 
 import ast
@@ -265,6 +268,25 @@ def test_checker_flags_an_oracle_read_outside_the_cache():
            "def tour_length(inst, t, state):\n    return inst.dist(0, 1) + state.dist.edge[0]\n")
     assert owned_matches(src, is_oracle_read) == [(6, "Instance._pair_dist"), (9, "Instance.extended"),
                                                   (17, "_find_improving_3move"), (20, "tour_length")]
+
+
+def is_tolerance_read(node: ast.AST, owner: str) -> bool:
+    """Whether `node` reads `CERT_EPS`, by name or as an attribute."""
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+    return name == "CERT_EPS" and isinstance(node.ctx, ast.Load)
+
+
+def test_the_certificate_tolerance_is_read_in_one_rule():
+    source = (Path(kopt_lab.__file__).parent / "arborescence.py").read_text()
+    assert [owner for _, owner in owned_matches(source, is_tolerance_read)] == ["_check"]
+
+
+def test_checker_flags_a_tolerance_read_outside_the_rule():
+    src = ("CERT_EPS = 1e-9\n\ndef _check(label, lhs, rhs):\n    return lhs <= rhs + CERT_EPS\n\n"
+           "def certify(ratio, bound):\n    return ratio > bound + CERT_EPS * bound\n\n"
+           "class Suite:\n    def run(self, eps=CERT_EPS):\n        return arborescence.CERT_EPS\n")
+    assert owned_matches(src, is_tolerance_read) == [(4, "_check"), (7, "certify"), (10, "Suite.run"),
+                                                       (11, "Suite.run")]
 
 
 def unimported_oracles(sources: dict) -> list:

@@ -10,7 +10,7 @@ import pytest
 
 from kopt_lab import crossing
 from kopt_lab import tour as tour_module
-from kopt_lab.geometry import PNorm, pt
+from kopt_lab.geometry import PNorm, Point3, pt
 from kopt_lab.lowerbound import scan_2opt_optimality
 from kopt_lab.tour import (
     Instance,
@@ -89,6 +89,11 @@ class TestInstance:
     def test_exact_flag(self):
         assert Instance([pt(0, 0), pt(1, 0), pt(0, 1)], PNorm(1)).exact
         assert not Instance([pt(0, 0), pt(1, 0), pt(0, 1)], PNorm(2)).exact
+
+    @pytest.mark.parametrize("p", [1, 3, 1.5])
+    def test_3d_needs_the_euclidean_norm(self, p):
+        with pytest.raises(ValueError, match="3-D instances support the Euclidean norm only"):
+            Instance([Point3(0, 0, 0), Point3(1, 2, 2), Point3(3, 0, 1)], PNorm(p))
 
     def test_tour_validation(self):
         inst = Instance([pt(0, 0), pt(1, 0), pt(0, 1)], PNorm(2))
