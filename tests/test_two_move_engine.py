@@ -208,6 +208,39 @@ def test_two_opt_order_pins_around_the_block_boundary(n, blocks, digest):
     assert hashlib.sha256(repr(order).encode()).hexdigest() == digest
 
 
+def nearest_neighbour_tour(inst):
+    """From vertex 0, always on to the nearest unvisited vertex, the least index among ties.
+
+    Distances are compared exactly on the integer points: |dx| + |dy|
+    under p = 1, dx^2 + dy^2 under p = 2.
+    """
+    x, y = (np.array(c, dtype=np.int64) for c in zip(*inst.points))
+    left = np.ones(inst.n, dtype=bool)
+    order = [0]
+    for _ in range(inst.n - 1):
+        v = order[-1]
+        left[v] = False
+        dx, dy = np.abs(x - x[v]), np.abs(y - y[v])
+        d = dx + dy if inst.norm.is_one else dx * dx + dy * dy
+        order.append(int(np.where(left, d, np.iinfo(np.int64).max).argmin()))
+    return Tour(tuple(order))
+
+
+# n = 1000 from a nearest-neighbour start: a float64 matrix state of 32 blocks
+# of 32 rows under p = 2, an int32 coordinate state of 16 blocks of 65 rows under p = 1.
+@pytest.mark.parametrize("p,dtype,blocks,digest", [
+    (2, np.float64, 32, "07c985ca17d9c8fc43b9b617df4297b3709c84f6621f91886f590d08c53de63b"),
+    (1, np.int32, 16, "b5cfea09d6456723fed255bce830aad85808bc422e983e352a12cec01cfb0b72"),
+], ids=["p2", "p1"])
+def test_two_opt_order_pins_at_n_1000(p, dtype, blocks, digest):
+    n = 1000
+    inst = gen_random(n, 10**6, seed=1, p=p)
+    state = tour._TourState(inst, nearest_neighbour_tour(inst).validate(inst))
+    assert state.dist.edge.dtype == dtype and len(state.starts) == blocks
+    order = two_opt(inst, nearest_neighbour_tour(inst)).order
+    assert hashlib.sha256(repr(order).encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("n", [182, 183])
 def test_dense_verdicts_at_the_block_boundary(n):
     """p = 3 matrix states at the last size of one block and the first of two, at the default budget.
