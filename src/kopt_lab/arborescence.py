@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .crossing import make_crossing_free
 from .partition import partition_edges
 from .tour import Instance, Tour, is_k_optimal, tour_length
@@ -104,17 +106,22 @@ def build_arborescence(
     is the first crossing pair in path order, a ChordCrossingError.  Each
     path edge adds its length to the w of the innermost interval open over
     it, the root when there is none, in path order.
+
+    The lengths of the path edges and the chords, in the value of `dist`,
+    come from one `pair` pass of the instance's `_coordinates` backend,
+    the one that `tour_length` reads; an instance without it calls `dist`
+    on each.
     """
     pos = {v: i for i, v in enumerate(path)}
     m = len(path) - 1
     intervals = []
-    for a, b in chords:
+    for idx, (a, b) in enumerate(chords):
         if a not in pos or b not in pos:
             raise ValueError(f"chord {(a, b)} has an endpoint off the path")
         lo, hi = sorted((pos[a], pos[b]))
         if hi - lo < 1:
             raise ValueError(f"degenerate chord {(a, b)}")
-        intervals.append((lo, hi, (a, b)))
+        intervals.append((lo, hi, (a, b), m + idx))
     if e0 is not None:
         if e0 not in chords:
             raise ValueError("e0 must be one of the chords")
@@ -122,6 +129,13 @@ def build_arborescence(
         if (lo, hi) != (0, m):
             raise ValueError("e0 must span the full reference path")
     intervals.sort(key=lambda t: (t[0], -t[1]))
+    # Path edge t has length t, and a chord the length its interval names last.
+    ends = path[:-1] + [a for a, _ in chords], path[1:] + [b for _, b in chords]
+    coordinates = inst._coordinates
+    if coordinates is None:
+        lengths = list(map(inst.dist, *ends))
+    else:
+        lengths = coordinates.pair(*np.array(ends, dtype=np.intp)).tolist()
 
     stack = [(m, 0, None)]  # open intervals (hi, node, chord), innermost last; the root spans the path
     parents, w = [], [0.0] * (len(intervals) + 1)
@@ -130,17 +144,17 @@ def build_arborescence(
         while stack[-1][0] <= t:
             stack.pop()
         while k < len(intervals) and intervals[k][0] == t:
-            _, hi, ch = intervals[k]
+            _, hi, ch, _ = intervals[k]
             if stack[-1][0] < hi:
                 raise ChordCrossingError(f"chords {stack[-1][2]} and {ch} cross")
             parents.append(stack[-1][1])
             k += 1
             stack.append((hi, k, ch))
-        w[stack[-1][1]] += float(inst.dist(path[t], path[t + 1]))
+        w[stack[-1][1]] += float(lengths[t])
 
     edges = [
-        ArbEdge(tail=parent, head=node, c=float(inst.dist(*ch)), w=w[node], chord=ch)
-        for node, (parent, (_, _, ch)) in enumerate(zip(parents, intervals), 1)
+        ArbEdge(tail=parent, head=node, c=float(lengths[idx]), w=w[node], chord=ch)
+        for node, (parent, (_, _, ch, idx)) in enumerate(zip(parents, intervals), 1)
     ]
     return Arborescence(edges=edges)
 

@@ -13,7 +13,7 @@ from the coordinate arrays instead comes from one backend keyed on the
 norm, `_CoordinateDistances`: p = 1, and p = 2 on exact squares.  One
 vectorized 2-move engine serves 2-Opt, the 2-optimality verdict and the
 lower-bound family's exhaustive scan: a `_TourState` owns one fixed layout
-(two flat work arrays, a flat bool array and a shared mask), and
+(two flat work arrays, a flat bool array and a shared gain bound), and
 `_first_2move` and `_dense_best` walk its blocks of `_block_rows` rows
 through one gain step, `_block_gains`.  Each distance backend lays out a
 block's distances as 2-D views (`scan_block`); on a matrix state block 0
@@ -588,23 +588,30 @@ def _block_rows(n: int, dtype: np.dtype) -> int:
 
 
 @lru_cache(maxsize=32)
-def _valid_mask(n: int, rows: int, width: int) -> np.ndarray:
-    """The read-only validity mask of the 2-move scan's blocks of `rows` rows over n vertices, `width` columns.
+def _scan_bound(n: int, rows: int, width: int, dtype: np.dtype) -> np.ndarray:
+    """The read-only bound that a 2-move scan block of `rows` rows over n vertices, `width` columns, tests its gains against.
 
+    A move can improve only where its gain is positive, so the bound is 0
+    on the cells that hold a pair, and on every other cell a value that no
+    gain exceeds: +inf in float64 and object, the dtype's maximum in an
+    integer dtype.  One `np.greater` against it thus marks the pairs of
+    positive gain, and `bound > 0` marks the cells that hold no pair.
     Row i0 + r against column j0 + c = i0 + 2 + c is a pair with j >= i + 2
-    iff c >= r, in every block, and block i0 reads mask[: i1 - i0, : n - j0];
+    iff c >= r, in every block, and block i0 reads bound[: i1 - i0, : n - j0];
     only block 0 reaches the last column, which holds the adjacent pair
     (0, n - 1) in its first row.  The width is block 0's, as its backend
     lays it out (`scan_block`): n - 2 columns of a coordinate state, and
     n + 1 of a matrix state's whole rows, whose last three columns hold no
-    pair.  It depends on its arguments alone, so the last few masks are
-    kept and shared by every tour of that size and kind.
+    pair.  It depends on its arguments alone, so the last few bounds are
+    kept and shared by every tour of that size and dtype.
     """
-    valid = np.arange(width) >= np.arange(rows)[:, None]
-    valid[:, max(n - 2, 0) :] = False  # columns past j = n - 1
-    valid[0, max(n - 3, 0) :] = False  # (0, n - 1); no column at all below n = 3
-    valid.flags.writeable = False
-    return valid
+    pair = np.arange(width) >= np.arange(rows)[:, None]
+    pair[:, max(n - 2, 0) :] = False  # columns past j = n - 1
+    pair[0, max(n - 3, 0) :] = False  # (0, n - 1); no column at all below n = 3
+    bound = np.full((rows, width), np.iinfo(dtype).max if dtype.kind == "i" else np.inf, dtype)
+    bound[pair] = 0
+    bound.flags.writeable = False
+    return bound
 
 
 class _ScanBlock(NamedTuple):
@@ -618,8 +625,8 @@ class _ScanBlock(NamedTuple):
     `heads` are the edge views edge[i0:i1, None] and edge[None, j0:j0 +
     width], whose sum goes into `gain`.  `gain` and `spare` are contiguous
     fronts of the work arrays, and so is `threshold` on a non-exact
-    instance; it is None on an exact one.  `valid` is the block's slice of
-    the state's mask.
+    instance, which only `_dense_best` fills; it is None on an exact one.
+    `bound` is the block's slice of the state's `_scan_bound`.
     """
 
     fill: Optional[Callable[[], None]]
@@ -629,7 +636,7 @@ class _ScanBlock(NamedTuple):
     heads: np.ndarray
     gain: np.ndarray
     threshold: Optional[np.ndarray]
-    valid: np.ndarray
+    bound: np.ndarray
     spare: np.ndarray
 
 
@@ -642,17 +649,17 @@ class _TourState:
     array; `reverse` then follows each applied move in place, so every
     view of `dist` stays current.  A scan block is `rows` rows of pairs
     (`_block_rows`), laid out by the backend's `scan_block` as 2-D views,
-    and `valid` its shared mask (`_valid_mask`), as wide as block 0.  The
-    state's own work arrays are flat and reused by every block: `buffers`,
-    two arrays of `dist`'s dtype of (rows + 1) x (n + 1) cells, and
-    `flags`, a bool array of valid's size.  The second buffer holds the
-    gains; the first holds a coordinate state's distances or a matrix
-    state's threshold, since a matrix state reads its distances in place
-    and a coordinate state is 1-norm, hence exact.  `first` is block 0's
-    `_ScanBlock`, built here: every view a scan of block 0 reads, made
-    once for the life of the state, so that such a scan only computes,
-    through `out=`.  Every later block's views are made by `block` as a
-    scan reaches it.
+    and `bound` the gain bound that its pairs share (`_scan_bound`), as
+    wide as block 0.  The state's own work arrays are flat and reused by
+    every block: `buffers`, two arrays of `dist`'s dtype of (rows + 1) x
+    (n + 1) cells, and `flags`, a bool array of bound's size.  The second
+    buffer holds the gains; the first holds a coordinate state's distances
+    or the threshold of a matrix state's best-gain scan, since a matrix
+    state reads its distances in place and a coordinate state is 1-norm,
+    hence exact.  `first` is block 0's `_ScanBlock`, built here: every
+    view a scan of block 0 reads, made once for the life of the state, so
+    that such a scan only computes, through `out=`.  Every later block's
+    views are made by `block` as a scan reaches it.
     """
 
     def __init__(self, inst: Instance, ring: np.ndarray):
@@ -664,8 +671,8 @@ class _TourState:
         cells = (self.rows + 1) * (n + 1)
         self.buffers = np.empty(cells, dtype), np.empty(cells, dtype)
         fill, near, far = self._layout(0)
-        self.valid = _valid_mask(n, self.rows, near.shape[1])
-        self.flags = np.empty(self.valid.size, bool)
+        self.bound = _scan_bound(n, self.rows, near.shape[1], dtype)
+        self.flags = np.empty(self.bound.size, bool)
         self.first = self._views(0, fill, near, far)
         # The first rows of the blocks, in scan order: a triangle has no pair, rows i > n - 3 no partner.
         self.starts = range(0, n - 2 if n > 3 else 0, self.rows)
@@ -680,11 +687,11 @@ class _TourState:
         rows, width = shape = near.shape
         cells = rows * width
         edge = self.dist.edge
-        valid = self.valid if shape == self.valid.shape else self.valid[:rows, :width]
+        bound = self.bound if shape == self.bound.shape else self.bound[:rows, :width]
         threshold = None if self.exact else self.buffers[0][:cells].reshape(shape)
         return _ScanBlock(
             fill, near, far, edge[i0 : i0 + rows, None], edge[None, i0 + 2 : i0 + 2 + width],
-            self.buffers[1][:cells].reshape(shape), threshold, valid, self.flags[:cells].reshape(shape),
+            self.buffers[1][:cells].reshape(shape), threshold, bound, self.flags[:cells].reshape(shape),
         )
 
     def block(self, i0: int) -> _ScanBlock:
@@ -697,41 +704,43 @@ class _TourState:
 
 
 def _block_gains(block: _ScanBlock):
-    """The 2-move engine's one step: the gains of a block's pairs into `block.gain`, and their threshold.
+    """The 2-move engine's one step: the gains of a block's cells into `block.gain`.
 
     gain[r, c] = (c_ab + c_xy) - c_ax - c_by for the move on tour
     positions (i0 + r, i0 + 2 + c), in the arithmetic of `inst.dist` (on
     the coordinate path in `dist`'s integer dtype, which `_scan_dtype`
-    keeps exact).  The threshold it returns is 0 on an exact instance,
-    else `block.threshold` holding DEFAULT_GAIN_EPS times the removed
-    length c_ab + c_xy.  Only the cells that `block.valid` marks are pairs.
+    keeps exact).  Only the cells where `block.bound` is 0 are pairs.
     """
-    fill, near, far, tails, heads, gain, threshold, _, _ = block
+    fill, near, far, tails, heads, gain, _, _, _ = block
     if fill is not None:
         fill()
     np.add(tails, heads, gain)
-    # Of the removed length, before it becomes the gain.
-    threshold = 0 if threshold is None else np.multiply(gain, DEFAULT_GAIN_EPS, threshold)
     gain -= near
     gain -= far
-    return threshold
 
 
 def _first_2move(state: _TourState) -> Optional[TwoMove]:
     """First improving 2-move in lexicographic (i, j) scan order, if any.
 
     Walks the blocks in order, block 0 from `state.first` and each later
-    one from `state.block`, and stops at the first block with a hit.
+    one from `state.block`.  One `np.greater` against the block's bound
+    marks its pairs of positive gain, and `argmax` finds the first.  That
+    pair is the move on an exact instance, or where its gain exceeds the
+    threshold DEFAULT_GAIN_EPS * (edge[i] + edge[j]), taken in Python
+    floats: the IEEE sum and product of `_gain_threshold` on the removed
+    length.  Else its mark is cleared and `argmax` runs again.
     """
+    edge = state.dist.edge
     for i0 in state.starts:
         block = state.block(i0) if i0 else state.first
-        threshold = _block_gains(block)
-        hit = np.greater(block.gain, threshold, block.spare)
-        hit &= block.valid
-        k = int(hit.argmax())
-        if hit.item(k):
-            r, c = divmod(k, block.gain.shape[1])
-            return TwoMove(i0 + r, i0 + 2 + c, block.gain.item(k))
+        _block_gains(block)
+        gain, hit = block.gain, np.greater(block.gain, block.bound, block.spare)
+        while hit.item(k := int(hit.argmax())):
+            r, c = divmod(k, gain.shape[1])
+            i, j = i0 + r, i0 + 2 + c
+            if state.exact or gain.item(k) > DEFAULT_GAIN_EPS * (edge.item(i) + edge.item(j)):
+                return TwoMove(i, j, gain.item(k))
+            hit[r, c] = False  # a positive gain within its threshold
     return None
 
 
@@ -784,12 +793,14 @@ def _dense_best(inst: Instance, ring: np.ndarray) -> tuple[Optional[TwoMove], in
     best = None
     for i0 in state.starts:
         block = state.block(i0) if i0 else state.first
-        threshold = _block_gains(block)
+        _block_gains(block)
         margin = block.gain
         if not inst.exact:
+            threshold = np.add(block.tails, block.heads, block.threshold)  # the removed length
+            threshold *= DEFAULT_GAIN_EPS
             margin -= threshold
-        invalid = np.logical_not(block.valid, out=block.spare)
-        np.copyto(margin, floor, where=invalid)  # every block holds a valid pair
+        invalid = np.greater(block.bound, 0, block.spare)
+        np.copyto(margin, floor, where=invalid)  # every block holds a pair
         k = int(margin.argmax())
         if best is None or margin.item(k) > best.gain:
             r, c = divmod(k, block.gain.shape[1])

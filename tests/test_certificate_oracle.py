@@ -63,16 +63,33 @@ def test_reference_chord_matches_the_oracle(chord_sides):
         assert select_reference_edge(chords, tprime) == reference_select_reference_edge(chords, tprime), (seed, p)
 
 
-def test_arborescences_match_the_oracle(chord_sides):
-    built = 0
+def test_arborescences_match_the_oracle(chord_sides, monkeypatch):
+    """Bit-identical c and w, from lengths that make no `dist` call where V' has the `_coordinates` backend.
+
+    Without the backend, as on a V' with Fraction points under p = 2, each
+    path edge and chord length is one `dist` call.
+    """
+    real, calls = Instance.dist, []
+
+    def counting_dist(self, i, j):
+        calls.append((i, j))
+        return real(self, i, j)
+
+    monkeypatch.setattr(Instance, "dist", counting_dist)
+    built, backends = 0, set()
     for seed, p, vp, tprime, chords in chord_sides:
         e0, path = select_reference_edge(chords, tprime)
         compat, rest = orientation_split(chords, e0, path)
         for cls, root in ((compat, e0), (rest, None)):
+            calls.clear()
             got = build_arborescence(vp, path, cls, e0=root)
+            backend = vp._coordinates is not None
+            assert len(calls) == (0 if backend else len(path) - 1 + len(cls)), (seed, p)
+            backends.add(backend)
             assert same_arborescence(got, reference_build_arborescence(vp, path, cls, e0=root)), (seed, p)
             built += len(got.edges) > 0
     assert built > len(chord_sides)
+    assert backends == {True, False}
 
 
 def verdicts(checks):

@@ -27,6 +27,7 @@ from kopt_lab.lowerbound import (
 )
 from kopt_lab.tour import Instance, Tour, TwoMove, _best_2move, find_improving_2move, two_opt
 
+import reference_scan
 from memory import traced
 from reference_scan import _moves, reference_best_2move, reference_first_2move, reference_two_opt
 
@@ -141,7 +142,7 @@ def assert_same_state(got, want):
         assert same_array(mine, value) if isinstance(value, np.ndarray) else mine == value, key
     # The kept edge array, which the scan's edge views read, is the state's own and was reversed too.
     assert got.dist.edge.base is None and same_array(got.dist.edge, want.dist.edge)
-    assert got.rows == want.rows and got.valid is want.valid
+    assert got.rows == want.rows and got.bound is want.bound
     assert [(b.dtype, b.size) for b in (*got.buffers, got.flags)] == [
         (b.dtype, b.size) for b in (*want.buffers, want.flags)]
 
@@ -276,8 +277,9 @@ def test_matrix_block_0_reads_whole_rows():
 
     near and far are rows x (n + 1) views onto the state's ring matrix, from
     its flat cells 2 and W + 3 (W = n + 1), and the edge views read its kept
-    edge array, so `reverse` keeps them current; later blocks keep their 2-D
-    slices, n - j0 columns wide.
+    edge array, so `reverse` keeps them current; the gain bound is the
+    state's own, 0 on the pairs and +inf on every other cell.  Later blocks
+    keep their 2-D slices, n - j0 columns wide.
     """
     n = 400
     inst = gen_random(n, 10**6, seed=1)
@@ -285,7 +287,7 @@ def test_matrix_block_0_reads_whole_rows():
     rows, width, matrix, edge = state.rows, n + 1, state.dist.matrix, state.dist.edge
     first = state.first
     assert (rows, len(state.starts), first.fill) == (81, 5, None)
-    for view in (first.near, first.far, first.gain, first.threshold, first.valid, first.spare):
+    for view in (first.near, first.far, first.gain, first.threshold, first.bound, first.spare):
         assert view.shape == (rows, width) and view.flags.c_contiguous
     def address(a):
         return a.__array_interface__["data"][0]
@@ -295,17 +297,18 @@ def test_matrix_block_0_reads_whole_rows():
     for view, offset in ((first.near, 2), (first.far, width + 3)):
         assert np.shares_memory(view, matrix) and address(view) == address(flat[offset:])
         assert (view.ravel() == flat[offset : offset + rows * width]).all()
-    # Contiguous fronts of the work arrays, and the state's one mask itself.
+    # Contiguous fronts of the work arrays, and the state's one bound itself.
     for view, work in ((first.gain, state.buffers[1]), (first.threshold, state.buffers[0]), (first.spare, state.flags)):
         assert address(view) == address(work)
-    assert first.valid is state.valid
+    assert first.bound is state.bound and first.bound.dtype == np.float64
     assert (first.tails.shape, first.tails.strides) == ((rows, 1), (8, 0))
     assert (first.heads.shape, first.heads.strides) == ((1, width), (0, 8))
     assert np.shares_memory(first.tails, edge) and np.shares_memory(first.heads, edge)
     assert edge.flags.c_contiguous and not np.shares_memory(edge, matrix)
     assert (edge[:n] == matrix.diagonal(1)).all()
-    # The valid cells are block 0's pairs, and they read their distances.
-    i, c = np.nonzero(first.valid)
+    # The cells of bound 0 are block 0's pairs, and they read their distances; no gain exceeds the others'.
+    assert set(np.unique(first.bound).tolist()) == {0.0, np.inf}
+    i, c = np.nonzero(first.bound == 0)
     assert len(i) == sum(n - 2 - r for r in range(rows)) - 1 and (c <= n - 3).all()
     assert (first.near[i, c] == matrix[i, c + 2]).all()
     assert (first.far[i, c] == matrix[i + 1, c + 3]).all()
@@ -313,7 +316,7 @@ def test_matrix_block_0_reads_whole_rows():
         block = state.block(i0)
         shape = (min(rows, n - 2 - i0), n - i0 - 2)
         assert block.near.shape == block.far.shape == block.gain.shape == shape
-        assert block.valid.shape == block.spare.shape == block.threshold.shape == shape
+        assert block.bound.shape == block.spare.shape == block.threshold.shape == shape
         assert np.shares_memory(block.near, matrix) and np.shares_memory(block.tails, edge)
 
 
@@ -324,29 +327,32 @@ def test_exact_scans_stay_linear_in_memory():
     (moved, report), _, peak = traced(lambda: (two_opt(inst, hand), scan_2opt_optimality(inst, hand)))
     assert moved == hand and report.two_optimal
     assert peak < 8 * 2**20
-    # Every block's mask is the state's one mask of at most the int16 budget,
+    # Every block's bound is the state's one int16 bound of at most the int16 budget,
     # _BLOCK_CELLS * 8 // 2 cells, or a view of it: none is made per block.
     state = tour._TourState(inst, hand.validate(inst))
-    assert state.dist.edge.dtype == np.int16
-    assert state.valid.base is None and state.valid.size <= tour._BLOCK_CELLS * 4
-    masks = [state.first.valid] + [state.block(i0).valid for i0 in state.starts[1:]]
-    assert len(masks) > 1
-    assert masks[0] is state.valid and all(valid.base is state.valid for valid in masks[1:])
+    assert state.dist.edge.dtype == state.bound.dtype == np.int16
+    assert state.bound.base is None and state.bound.size <= tour._BLOCK_CELLS * 4
+    bounds = [state.first.bound] + [state.block(i0).bound for i0 in state.starts[1:]]
+    assert len(bounds) > 1
+    assert bounds[0] is state.bound and all(bound.base is state.bound for bound in bounds[1:])
 
 
 def test_tours_of_one_size_share_read_only_blocks():
-    """The mask is cached per size, rows a block and width, so no state may write it."""
+    """The gain bound is cached per size, rows a block, width and dtype, so no state may write it."""
     rng = random.Random(8)
     # Two int64 coordinate scans and two float64 matrix scans: one budget of 2^15 cells.
     a, b = grid_instance(rng, 40, 1, grid=2**30), grid_instance(rng, 40, 2)
     sa, sa2, sb, sb2 = (tour._TourState(inst, Tour(tuple(rng.sample(range(40), 40))).validate(inst))
                         for inst in (a, a, b, b))
     assert (sa.dist.edge.dtype, sb.dist.edge.dtype) == (np.int64, np.float64)
-    assert sa.rows == sb.rows and sa.valid is sa2.valid and sb.valid is sb2.valid
-    # A matrix state's mask is block 0's whole rows, n + 1 wide; its first n - 2 columns are the other's.
-    assert (sa.valid.shape, sb.valid.shape) == ((sa.rows, 38), (sa.rows, 41))
-    assert (sb.valid[:, :38] == sa.valid).all() and not sb.valid[:, 38:].any()
-    assert not sa.valid.flags.writeable and not sb.valid.flags.writeable
+    assert sa.rows == sb.rows and sa.bound is sa2.bound and sb.bound is sb2.bound
+    # A matrix state's bound is block 0's whole rows, n + 1 wide; its first n - 2 columns
+    # hold the other's pairs.  Every other cell holds the dtype's top: no gain exceeds it.
+    assert (sa.bound.shape, sb.bound.shape) == ((sa.rows, 38), (sa.rows, 41))
+    assert (sa.bound.dtype, sb.bound.dtype) == (np.int64, np.float64)
+    assert ((sb.bound[:, :38] == 0) == (sa.bound == 0)).all() and np.isinf(sb.bound[:, 38:]).all()
+    assert set(np.unique(sa.bound).tolist()) == {0, np.iinfo(np.int64).max}
+    assert not sa.bound.flags.writeable and not sb.bound.flags.writeable
     # Work arrays are each state's own.
     own = [(*s.buffers, s.flags) for s in (sa, sb)]
     assert not any(np.shares_memory(x, y) for x in own[0] for y in own[1])
@@ -378,6 +384,43 @@ def test_rational_scans_call_no_pdist(monkeypatch):
     report = scan_2opt_optimality(inst, got)
     assert len(calls) == 0
     assert got == want and report.two_optimal
+
+
+@pytest.mark.parametrize("eps", [0.02, 0.2])
+def test_positive_gains_within_the_threshold_are_passed_over(eps, monkeypatch):
+    """With the threshold at eps times the removed length, a scan's first positive gain is often no move.
+
+    `_first_2move` finds the first pair of positive gain in a block, and
+    when its gain is within its threshold, clears it and looks again.  On
+    random tours of 300 seeded instances of 5-40 points under p = 2, 3 and
+    1.5, both verdicts and 2-Opt's moves match the reference, which reads
+    the same threshold, and some first scans pass over a positive gain
+    before their move, or before finding none.
+    """
+    for module in (tour, reference_scan):
+        monkeypatch.setattr(module, "DEFAULT_GAIN_EPS", eps)
+    real_apply, applied = tour.apply_2move, []
+
+    def counting_apply(t, m):
+        applied.append(m)
+        return real_apply(t, m)
+
+    monkeypatch.setattr(tour, "apply_2move", counting_apply)
+    rng = random.Random(f"pass-over-{eps}")
+    passed = 0
+    for _ in range(300):
+        inst = grid_instance(rng, rng.randint(5, 40), rng.choice([2, 3, 1.5]))
+        start = Tour(tuple(rng.sample(range(inst.n), inst.n)))
+        assert_engine_matches(inst, start)
+        for _, _, gain, threshold in _moves(inst, start):
+            if gain > 0:
+                passed += gain <= threshold
+                break
+        final, moves = reference_two_opt(inst, start)
+        applied.clear()
+        assert two_opt(inst, start) == final
+        assert [(m.i, m.j, m.gain) for m in applied] == [(m.i, m.j, m.gain) for m in moves]
+    assert passed > 0
 
 
 def test_rational_gain_below_the_float_threshold_improves():
@@ -562,7 +605,8 @@ def test_scan_blocks_are_sized_in_bytes(inst, dtype):
     rows = tour._BLOCK_CELLS * 8 // itemsize // n
     width = n + 1 if dtype == np.float64 else n - 2
     assert state.rows == rows == tour._block_rows(n, np.dtype(dtype))
-    assert state.valid.shape == (rows, width) and state.flags.size == state.valid.size
+    assert state.bound.shape == (rows, width) and state.flags.size == state.bound.size
+    assert state.bound.dtype == dtype
     assert rows * n * itemsize <= tour._BLOCK_CELLS * 8
     assert [b.size for b in state.buffers] == [(rows + 1) * (n + 1)] * 2
     assert list(state.starts) == list(range(0, n - 2, rows))
@@ -570,17 +614,17 @@ def test_scan_blocks_are_sized_in_bytes(inst, dtype):
         block = state.block(i0) if i0 else state.first
         shape = (min(rows, n - 2 - i0), width if i0 == 0 else n - i0 - 2)
         assert block.near.shape == block.far.shape == shape
-        assert block.gain.shape == block.spare.shape == block.valid.shape == shape
+        assert block.gain.shape == block.spare.shape == block.bound.shape == shape
         assert block.threshold is None if inst.exact else block.threshold.shape == shape
         assert block.gain.flags.c_contiguous and block.spare.flags.c_contiguous
         assert np.shares_memory(block.gain, state.buffers[1]) and np.shares_memory(block.spare, state.flags)
 
 
 def state_memory(inst, t):
-    """(state, bytes it keeps): a `_TourState` built under tracemalloc, its mask not yet cached."""
+    """(state, bytes it keeps): a `_TourState` built under tracemalloc, its gain bound not yet cached."""
     inst._pair_dist  # the instance's own O(n) cache, not the state's
     ring = t.validate(inst)  # the caller's, which the state does not keep
-    tour._valid_mask.cache_clear()
+    tour._scan_bound.cache_clear()
     state, kept, _ = traced(lambda: tour._TourState(inst, ring))
     return state, kept
 
@@ -590,26 +634,26 @@ def test_one_row_blocks_keep_linear_memory():
 
     20,001 points whose 1-norm span D reaches 2^30 scan in int64, 2^15 cells
     a block.  A tuple and two views per row took about 12 MB here; the state
-    keeps its O(n) arrays and the n cells of one mask.
+    keeps its O(n) arrays and the n int64 cells of one gain bound.
     """
     n = 20_001
     inst = Instance.from_xy(np.arange(n) * 2**16, np.arange(n) % 2, PNorm(1))
     t = Tour(tuple(range(n)))
     state, kept = state_memory(inst, t)
     assert state.dist.edge.dtype == np.int64 and state.rows == 1
-    assert kept < 80 * n  # 58 bytes a point: 24 of coordinates and edges, 32 of work buffers
+    assert kept < 80 * n  # 65 bytes a point: 24 of coordinates and edges, 32 of work buffers, 8 of bound
     first, second = state.first, state.block(1)
     assert state.starts[:2] == range(2)
-    assert (first.valid.shape, first.gain.shape, first.spare.shape) == ((1, n - 2),) * 3
-    assert not first.valid[0, -1] and first.valid[0, :-1].all()
-    assert (second.valid.shape, second.gain.shape) == ((1, n - 3),) * 2 and second.valid.all()
+    assert (first.bound.shape, first.gain.shape, first.spare.shape) == ((1, n - 2),) * 3
+    assert first.bound[0, -1] > 0 and not first.bound[0, :-1].any()
+    assert (second.bound.shape, second.gain.shape) == ((1, n - 3),) * 2 and not second.bound.any()
 
 
 def test_two_row_blocks_keep_linear_memory():
     """50,001 points of D = 7148 scan in int16, two rows a block: 25,000 blocks and no object per block.
 
     Prebuilt blocks, a tuple and two views each, kept 15.8 MB of Python
-    objects, against about 1 MB of coordinates, edges, work buffers and mask.
+    objects, against about 1.2 MB of coordinates, edges, work buffers and gain bound.
     """
     n = 50_001
     inst = Instance.from_xy(np.arange(n) // 7, np.arange(n) % 7, PNorm(1))
