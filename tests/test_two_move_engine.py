@@ -236,9 +236,10 @@ def nearest_neighbour_tour(inst):
 def test_two_opt_order_pins_at_n_1000(p, dtype, blocks, digest):
     n = 1000
     inst = gen_random(n, 10**6, seed=1, p=p)
-    state = tour._TourState(inst, nearest_neighbour_tour(inst).validate(inst))
+    start = nearest_neighbour_tour(inst)
+    state = tour._TourState(inst, start.validate(inst))
     assert state.dist.edge.dtype == dtype and len(state.starts) == blocks
-    order = two_opt(inst, nearest_neighbour_tour(inst)).order
+    order = two_opt(inst, start).order
     assert hashlib.sha256(repr(order).encode()).hexdigest() == digest
 
 
