@@ -299,11 +299,10 @@ def estimate_inequality(a: int, b: int, k: int, p: int, q: int, s: int) -> bool:
     e = (p + 1) * (q - s)
     if p == int(p):
         p = int(p)
-        lhs = (a * q ** e) ** p + q ** (p * (e - 1))
-        rhs = (a * q ** e + b * q ** (e - (p + 1))) ** p
-        return lhs > rhs
-    lhs = (a * float(q) ** e) ** p + float(q) ** (p * (e - 1))
-    rhs = (a * float(q) ** e + b * float(q) ** (e - (p + 1))) ** p
+    else:
+        q = float(q)
+    lhs = (a * q ** e) ** p + q ** (p * (e - 1))
+    rhs = (a * q ** e + b * q ** (e - (p + 1))) ** p
     return lhs > rhs
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from functools import cache, cached_property, lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -1143,40 +1144,47 @@ def _held_karp_plan(m: int, block_cells: int) -> tuple:
     entry i) and the full mask the last m.  A block holds at most
     `block_cells` candidates, or the states of one mask.
 
+    No map from states to entries is built: a mask of columns u_0 > ... >
+    u_{k-1} has rank C(m, k) - 1 - sum_j C(u_j, k - j) (from 0) in its
+    layer, so `src` holds first(k) + k * rank + j for the state (mask, u_j),
+    where first(k) is the entry of the layer's first state.
+
     The plan depends only on m and the block budget, so one plan per pair
     serves every instance of n = m + 1 vertices.  `src` is int16 while the
     table's entries fit, else int32; `cell` is int16.  At m = 17 (n = 18)
-    the plan takes 6 bytes per candidate, 53 MB.  The map from mask * m + c
-    to the entry of (mask, c), which gives `src`, lives only while the plan
-    is built.
+    the plan takes 6 bytes per candidate, 53 MB.
     """
     index = np.int16 if m << (m - 1) <= 1 << 15 else np.int32
-    where = np.full(m << m, -1, dtype=index)
-    blocks, first = [], 0  # first: the entry of the layer's first state
+    comb = np.array([[math.comb(x, r) for r in range(m + 1)] for x in range(m)], dtype=index)
+    blocks, first, below = [], 0, 0  # the entries of the first states of layers k and k - 1
     for k in range(1, m + 1):
         # The masks of size k, each as its columns in descending order.
         combos = itertools.combinations(range(m - 1, -1, -1), k)
         v = np.fromiter(itertools.chain.from_iterable(combos), dtype=np.int8).reshape(-1, k)
-        bit = np.left_shift(1, v, dtype=np.int64)
-        mask = bit.sum(axis=1, keepdims=True)
-        where[(mask * m + v).ravel()] = np.arange(first, first + v.size)
         if k > 1:
             j = np.arange(k - 1)
             others = j + (j >= np.arange(k)[:, None])  # row a: 0..k-1 without a, in order
             u = v[:, others.T].transpose(1, 0, 2).reshape(k - 1, -1)  # u[j, (mask, a)]
-            src = where[((mask ^ bit) * m).ravel() + u]
+            # Without column a, the rank terms are C(v_i, k - 1 - i) for i < a
+            # and, one place down, C(v_i, k - i) for i > a.
+            i = np.arange(k)
+            kept, moved = comb[v, k - 1 - i], comb[v, k - i]
+            terms = (kept - moved).cumsum(axis=1, dtype=index) - kept
+            terms += moved.sum(axis=1, keepdims=True, dtype=index)
+            rank = math.comb(m, k - 1) - 1 - terms  # of mask ^ bit(v_a) in layer k - 1
+            src = (below + (k - 1) * rank).reshape(1, -1) + j[:, None].astype(index)
             cell = v.astype(np.int16).ravel() * m + u
             src.flags.writeable = cell.flags.writeable = False
             step = k * max(1, block_cells // (k * (k - 1)))  # states per block, whole masks
             for s0 in range(0, v.size, step):
                 s = slice(s0, s0 + step)
                 blocks.append(_HeldKarpBlock(first + s0, src[:, s], cell[:, s]))
-        first += v.size
+        below, first = first, first + v.size
     return tuple(blocks)
 
 
-def _held_karp(inst: Instance) -> tuple[Tour, object]:
-    """Held-Karp over dense arrays, filled one layer of subsets per size.
+def exact_opt(inst: Instance) -> tuple[Tour, object]:
+    """Provably optimal tour via Held-Karp (n <= 18), over dense arrays filled one layer of subsets per size.
 
     Vertex 0 anchors the tour; column c stands for vertex c + 1, and bit c
     of a mask for that vertex.  The state (mask, c) costs the cheapest path
@@ -1194,6 +1202,7 @@ def _held_karp(inst: Instance) -> tuple[Tour, object]:
     by descending u, and the predecessor is the first whose cost[src] +
     dt[cell], in the same arithmetic, equals the state's cost.
     """
+    _check_exact_n(inst.n)
     n = inst.n
     m = n - 1
     d = inst._pair_dist.outer(slice(None), slice(None))  # the values of `dist`, cached
@@ -1227,12 +1236,6 @@ def _check_exact_n(n: int):
         raise ValueError("need n >= 3")
     if n > EXACT_MAX_N:
         raise ValueError(f"exact_opt limited to n <= {EXACT_MAX_N}, got {n}")
-
-
-def exact_opt(inst: Instance) -> tuple[Tour, object]:
-    """Provably optimal tour via Held-Karp (n <= 18)."""
-    _check_exact_n(inst.n)
-    return _held_karp(inst)
 
 
 class SimpleVerdict(NamedTuple):

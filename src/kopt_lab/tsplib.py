@@ -12,12 +12,13 @@ The readers accept in bulk and diagnose per line.  The per-line loop
 (`_scan_instance`, `_scan_tour`) reads the header, up to the first section
 keyword.  If that keyword is a line of its own and the lines after it are
 a run of "\n"-ended lines of ASCII integers of at most 18 digits (so
-below 2**63), separated by spaces or tabs, one compiled pattern checks the
-run, `_GATE_LINES` lines a match, one `np.fromstring` parses it and one
+below 2**63), separated by spaces or tabs, one match of one compiled
+pattern checks the run and its end, one `np.fromstring` parses it and one
 `bincount` checks its ids.  A 2-D coordinate run must end the file, but
-for an EOF line; the first tour must be ended by a -1 line.  Any other file, or one whose run fails a
-check, is read whole by the per-line loop, which gives the same result or
-names the fault; the loop and the checks after it are the only raisers.
+for an EOF line; the first tour must be ended by a -1 line.  Any other
+file, or one whose run fails a check, is read whole by the per-line loop,
+which gives the same result or names the fault; the loop and the checks
+after it are the only raisers.
 """
 
 from __future__ import annotations
@@ -47,34 +48,27 @@ def _number(kind, token: str, lineno: int, raw: str):
         raise TsplibError(f"line {lineno}: {token!r} is not {noun} in {raw.strip()!r}") from None
 
 
-# The gate of the bulk readers.  At most 18 digits keeps each value below
-# 2**63, past which np.fromstring would clamp it without a word.  Each
-# pattern matches one run of 1.._GATE_LINES section lines, and `_gated`
-# repeats it: one repetition over a whole section keeps a backtracking frame
-# a line, about 800 bytes, 2.3 MB over the 2,916 lines of the (1, 3) file.
-_GATE_LINES = 64
+# The gates of the bulk readers: a section's lines, group 1, then its end.
+# At most 18 digits keeps each value below 2**63, past which np.fromstring
+# would clamp it without a word.  The line repeat is possessive: a greedy
+# one, or an atomic group, keeps a backtracking frame a line, about 800
+# bytes, 2.3 MB over the 2,916 lines of the (1, 3) file.
 _INT = r"[+-]?[0-9]{1,18}"
-_COORD_RUN = re.compile(rf"(?:[ \t]*{_INT}[ \t]+{_INT}[ \t]+{_INT}[ \t]*\n){{1,{_GATE_LINES}}}")
-_COORD_END = re.compile(r"(?:EOF\n?)?\Z")
-_TOUR_RUN = re.compile(rf"(?:[ \t]*\+?[0-9]{{1,18}}[ \t]*\n){{1,{_GATE_LINES}}}")
-_TOUR_END = re.compile(r"[ \t]*-1[ \t]*(?:\n|\Z)")
+_COORD_GATE = re.compile(rf"((?:[ \t]*{_INT}[ \t]+{_INT}[ \t]+{_INT}[ \t]*\n)*+)(?:EOF\n?)?\Z")
+_TOUR_GATE = re.compile(r"((?:[ \t]*\+?[0-9]{1,18}[ \t]*\n)*+)[ \t]*-1[ \t]*(?:\n|\Z)")
 
 
-def _gated(text: str, start: int, run: re.Pattern, end: re.Pattern) -> str | None:
-    """The lines from `start` that `run` matches, run after run, if `end` matches right after them."""
-    at = start
-    while match := run.match(text, at):
-        at = match.end()
-    return text[start:at] if end.match(text, at) else None
+def _section(text: str, keyword: str, gate: re.Pattern) -> tuple[int, np.ndarray] | None:
+    """Where the lines after `keyword` begin, and their integers, if `gate` matches them.
 
-
-def _section_start(text: str, keyword: str) -> int | None:
-    """Where the lines after `keyword` begin, if its first occurrence in `text` is a "\\n"-ended line."""
+    Only the first occurrence of `keyword` counts, and it must be a "\\n"-ended line.
+    """
     at = text.find(keyword)
-    end = at + len(keyword)
-    if at < 0 or (at and text[at - 1] != "\n") or not text.startswith("\n", end):
+    start = at + len(keyword) + 1
+    if at < 0 or (at and text[at - 1] != "\n") or not text.startswith("\n", start - 1):
         return None
-    return end + 1
+    gated = gate.match(text, start)
+    return None if gated is None else (start, np.fromstring(gated[1], np.int64, sep=" "))
 
 
 def _is_permutation(ids: np.ndarray) -> bool:
@@ -145,14 +139,14 @@ def _bulk_instance(text: str) -> Instance | None:
     raises what it would raise there.  The coordinate lines must pass the
     gate, and only an EOF line may follow them.
     """
-    start = _section_start(text, "NODE_COORD_SECTION")
-    run = None if start is None else _gated(text, start, _COORD_RUN, _COORD_END)
-    if run is None:
+    section = _section(text, "NODE_COORD_SECTION", _COORD_GATE)
+    if section is None:
         return None
+    start, values = section
     name, dim, ewt, pnorm, _ = _scan_instance(text[:start].splitlines())
     if dim is None or ewt in (None, "EUC_3D") or (ewt == "SPECIAL" and pnorm is None):
         return None
-    rows = np.fromstring(run, np.int64, sep=" ").reshape(-1, 3)
+    rows = values.reshape(-1, 3)
     if len(rows) != dim or not _is_permutation(rows[:, 0]):
         return None
     xy = np.empty((dim, 2), np.int64)
@@ -275,12 +269,11 @@ def _bulk_tour(text: str) -> Tour | None:
     what it would raise there.  The first tour's entries must pass the gate
     and be ended by a -1 line.
     """
-    start = _section_start(text, "TOUR_SECTION")
-    run = None if start is None else _gated(text, start, _TOUR_RUN, _TOUR_END)
-    if run is None:
+    section = _section(text, "TOUR_SECTION", _TOUR_GATE)
+    if section is None:
         return None
+    start, entries = section
     dim, _, _ = _scan_tour(text[:start].splitlines())
-    entries = np.fromstring(run, np.int64, sep=" ")
     if (dim is not None and len(entries) != dim) or not _is_permutation(entries):
         return None
     entries -= 1

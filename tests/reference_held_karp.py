@@ -5,6 +5,11 @@ unchanged: one dict of (cost, predecessor) per subset mask, each path cost
 a left fold of `inst.dist` in path order, and a strict `<` so that ties
 keep the first candidate seen, the largest predecessor.
 
+`reference_held_karp_plan` is the builder of `tour._held_karp_plan` that
+found each candidate's source entry in a map from mask * m + c to the
+entry of (mask, c), filled layer by layer; the plan computes it from the
+mask's rank instead.
+
 `brute_force_check` compares `exact_opt`'s length with the shortest of all
 (n - 1)! tours: exactly on 2-D 1-norm instances, whose lengths are ints or
 Fractions, and within 1e-12 relative otherwise.
@@ -12,7 +17,9 @@ Fractions, and within 1e-12 relative otherwise.
 
 import itertools
 
-from kopt_lab.tour import Instance, Tour, exact_opt, tour_length
+import numpy as np
+
+from kopt_lab.tour import Instance, Tour, _HeldKarpBlock, exact_opt, tour_length
 
 
 def reference_held_karp(inst: Instance) -> tuple[Tour, object]:
@@ -52,6 +59,33 @@ def reference_held_karp(inst: Instance) -> tuple[Tour, object]:
         last = prev
     order += list(reversed(chain))
     return Tour(tuple(order)), best
+
+
+def reference_held_karp_plan(m: int, block_cells: int) -> tuple:
+    """The `_HeldKarpBlock`s of `tour._held_karp_plan(m, block_cells)`, with `src` read from an entry map."""
+    index = np.int16 if m << (m - 1) <= 1 << 15 else np.int32
+    where = np.full(m << m, -1, dtype=index)
+    blocks, first = [], 0  # first: the entry of the layer's first state
+    for k in range(1, m + 1):
+        # The masks of size k, each as its columns in descending order.
+        combos = itertools.combinations(range(m - 1, -1, -1), k)
+        v = np.fromiter(itertools.chain.from_iterable(combos), dtype=np.int8).reshape(-1, k)
+        bit = np.left_shift(1, v, dtype=np.int64)
+        mask = bit.sum(axis=1, keepdims=True)
+        where[(mask * m + v).ravel()] = np.arange(first, first + v.size)
+        if k > 1:
+            j = np.arange(k - 1)
+            others = j + (j >= np.arange(k)[:, None])  # row a: 0..k-1 without a, in order
+            u = v[:, others.T].transpose(1, 0, 2).reshape(k - 1, -1)  # u[j, (mask, a)]
+            src = where[((mask ^ bit) * m).ravel() + u]
+            cell = v.astype(np.int16).ravel() * m + u
+            src.flags.writeable = cell.flags.writeable = False
+            step = k * max(1, block_cells // (k * (k - 1)))  # states per block, whole masks
+            for s0 in range(0, v.size, step):
+                s = slice(s0, s0 + step)
+                blocks.append(_HeldKarpBlock(first + s0, src[:, s], cell[:, s]))
+        first += v.size
+    return tuple(blocks)
 
 
 def brute_force_opt(inst: Instance) -> tuple[Tour, object]:

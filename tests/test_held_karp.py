@@ -1,4 +1,4 @@
-"""The numpy Held-Karp against the dict-based reference DP.
+"""The numpy Held-Karp against the dict-based reference DP, and its plan against the map-based builder.
 
 `exact_opt` must return the identical tour and an identical length, equal
 in value and type (int, float or Fraction), on every norm, on 3-D and
@@ -15,7 +15,7 @@ from kopt_lab import tour
 from kopt_lab.geometry import PNorm, Point3, pt
 from kopt_lab.tour import EXACT_MAX_N, Instance, Tour, exact_opt, is_k_optimal, two_opt
 
-from reference_held_karp import brute_force_check, reference_held_karp
+from reference_held_karp import brute_force_check, reference_held_karp, reference_held_karp_plan
 
 
 def grid_instance(rng, n, p, grid):
@@ -144,6 +144,17 @@ def test_plan_lays_the_states_out_in_block_order(m, cells):
             assert b.src[:, a].tolist() == [where[mask ^ 1 << c, v] for v in u.tolist()]
 
 
+@pytest.mark.parametrize("cells", [1, 50, tour._BLOCK_CELLS])
+@pytest.mark.parametrize("m", range(2, 14))
+def test_plan_equals_the_entry_map_builder(m, cells):
+    got, want = tour._held_karp_plan(m, cells), reference_held_karp_plan(m, cells)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.start == w.start and type(g.start) is int
+        for a, b in ((g.src, w.src), (g.cell, w.cell)):
+            assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all()
+
+
 def test_instances_take_every_dtype():
     kinds = {}
     for _, inst in instances():
@@ -185,14 +196,13 @@ def test_largest_instance_is_2_and_3_optimal():
 def test_cross_check_compares_exact_lengths_exactly(monkeypatch):
     inst = Instance([pt(0, 0), pt(2**60, 0), pt(2**60, 2**60), pt(0, 2**60)], PNorm(1))
     assert brute_force_check(inst)[1] == 2**62
-    held_karp = tour._held_karp
 
     def off_by_one(inst):
-        t, length = held_karp(inst)
+        t, length = exact_opt(inst)
         return t, length + 1
 
     # 2^62 + 1 and 2^62 are the same float: a relative tolerance would pass it.
-    monkeypatch.setattr(tour, "_held_karp", off_by_one)
+    monkeypatch.setattr("reference_held_karp.exact_opt", off_by_one)
     with pytest.raises(AssertionError, match="disagrees"):
         brute_force_check(inst)
 

@@ -528,27 +528,36 @@ def gate_files(lines: int) -> tuple:
 
 
 class TestBoundedGates:
-    """The gates match a section in runs of at most `_GATE_LINES` lines; where a run ends changes no verdict."""
+    """Each gate matches a whole section at once; its length changes no verdict and no frame is kept a line."""
 
-    @pytest.mark.parametrize("lines", [tsplib._GATE_LINES, tsplib._GATE_LINES + 1])
-    def test_one_run_and_one_line_more_are_read_in_bulk(self, lines):
+    @pytest.mark.parametrize("lines", [1, 2, 10_000])
+    def test_sections_of_any_length_are_read_in_bulk(self, lines):
         inst_text, tour_text = gate_files(lines)
         assert tsplib._bulk_instance(inst_text) is not None and tsplib._bulk_tour(tour_text) is not None
         assert outcome(tsplib._bulk_instance, inst_text) == outcome(tsplib._instance_lines, inst_text)
         assert outcome(tsplib._bulk_tour, tour_text) == outcome(tsplib._tour_lines, tour_text)
         assert outcome(tsplib._bulk_instance, inst_text)[:2] == ("instance", lines)
 
-    def test_a_bad_token_opening_the_second_run_is_named_by_the_per_line_reader(self):
-        g = tsplib._GATE_LINES
-        inst_text, tour_text = gate_files(g + 1)
-        # Section line g + 1 follows the four header lines of either file; its entry is 1 in the tour.
-        inst_text = inst_text.replace(f"\n{g + 1} {g + 1} ", f"\n{g + 1} {g + 1}x ")
-        tour_text = tour_text.replace("\n1\n-1\n", "\n1x\n-1\n")
+    @pytest.mark.parametrize("line", [1, 10_000])
+    def test_a_bad_token_is_named_by_the_per_line_reader(self, line):
+        inst_text, tour_text = gate_files(10_000)
+        # Section line `line` follows the four header lines of either file; its tour entry is 10,001 - line.
+        inst_text = inst_text.replace(f"\n{line} {line} ", f"\n{line} {line}x ")
+        entry = 10_001 - line
+        tour_text = tour_text.replace(f"\n{entry}\n", f"\n{entry}x\n")
         assert tsplib._bulk_instance(inst_text) is None and tsplib._bulk_tour(tour_text) is None
-        with pytest.raises(tsplib.TsplibError, match=f"^line {g + 5}: '{g + 1}x' is not an integer"):
+        with pytest.raises(tsplib.TsplibError, match=f"^line {line + 4}: '{line}x' is not an integer"):
             tsplib.read_instance(io.StringIO(inst_text))
-        with pytest.raises(tsplib.TsplibError, match=f"^line {g + 5}: '1x' is not an integer"):
+        with pytest.raises(tsplib.TsplibError, match=f"^line {line + 4}: '{entry}x' is not an integer"):
             tsplib.read_tour(io.StringIO(tour_text))
+
+    def test_one_match_of_a_gate_peaks_below_4_kb(self):
+        """A greedy repeat or an atomic group keeps a frame a line; one 64-line run, 45 KB of them."""
+        for text, gate in zip(gate_files(100_000), (tsplib._COORD_GATE, tsplib._TOUR_GATE)):
+            start = text.index("SECTION\n") + len("SECTION\n")
+            gated, _, peak = traced(lambda: gate.match(text, start))
+            assert gated is not None and gated[1].count("\n") == 100_000
+            assert peak < 4096
 
     def test_reading_the_layered_files_peaks_below_16_bytes_a_character(self):
         """One repetition over the whole section kept a frame a line: 64 and 87 bytes a character."""
