@@ -42,7 +42,8 @@ def find_crossings(inst: Instance, t: Tour, s: Tour) -> list[tuple[tuple, tuple,
     One `_candidate_pairs` pass over T's edges followed by S's gives the
     candidates of both simplicity checks and of the T x S search: with n
     edges in T, a pair (i, j) is T x T when j < n, S x S when i >= n, and
-    otherwise T's edge i against S's edge j - n.  Both tours must be simple,
+    otherwise T's edge i against S's edge j - n; an edge of both tours is
+    settled there, as no crossing.  Both tours must be simple,
     T checked first (ValueError naming that tour's first witness).  A T x S
     pair that touches or overlaps raises `GeneralPositionViolation`, an
     invariant guard: such a pair puts a vertex, which both tours visit,
@@ -68,8 +69,6 @@ def find_crossings(inst: Instance, t: Tour, s: Tour) -> list[tuple[tuple, tuple,
     out = []
     for i, j in t_by_s:
         te, se = edges[i], edges[j]
-        if frozenset(te) == frozenset(se):
-            continue  # shared identical edge, not a crossing
         rel = segment_relation(inst.segment(*te), inst.segment(*se))
         if isinstance(rel, Cross):
             out.append((te, se, rel.point))

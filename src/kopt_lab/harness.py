@@ -8,7 +8,7 @@ import time
 from dataclasses import dataclass
 
 from .arborescence import certify_pair
-from .geometry import PNorm, pt
+from .geometry import PNorm, Point
 from .tour import EXACT_MAX_N, Instance, Tour, _check_exact_n, _check_planar, exact_opt, two_opt
 
 SCHEMA = "kopt-lab/1"
@@ -19,22 +19,22 @@ class RejectionBudgetExceeded(RuntimeError):
     pass
 
 
-def _on_common_line(cand, points) -> bool:
-    """Is cand collinear with two of the points?  O(len(points)).
+def _on_common_line(cx: int, cy: int, xs: list, ys: list) -> bool:
+    """Is (cx, cy) collinear with two of the points (xs[k], ys[k])?  O(len(xs)).
 
-    Two points lie on one line through cand iff their gcd-reduced,
-    sign-normalized directions from cand are equal.
+    Two points lie on one line through (cx, cy) iff their gcd-reduced,
+    sign-normalized directions from it are equal.
     """
     seen = set()
-    for p in points:
-        dx, dy = p.x - cand.x, p.y - cand.y
+    for x, y in zip(xs, ys):
+        dx, dy = x - cx, y - cy
         g = math.gcd(dx, dy)
-        dx, dy = dx // g, dy // g
         if dx < 0 or (dx == 0 and dy < 0):
-            dx, dy = -dx, -dy
-        if (dx, dy) in seen:
+            g = -g
+        direction = dx // g, dy // g
+        if direction in seen:
             return True
-        seen.add((dx, dy))
+        seen.add(direction)
     return False
 
 
@@ -42,26 +42,29 @@ def gen_random(n: int, grid: int, seed: int, p: float = 2, name: str = "",
                budget: int = 100000) -> Instance:
     """n distinct integer-grid points in general position (no collinear triple).
 
-    Each candidate is tested in O(n) against the points placed so far, so
-    generation is O(n^2) overall when few candidates are rejected.
+    Each candidate is tested in O(n) against the points placed so far, on
+    plain ints, so generation is O(n^2) overall when few candidates are
+    rejected.  The points are built once, at the end.
     """
     if n < 0:
         raise ValueError(f"n must be at least 0, got {n}")
     if grid < n:
         raise ValueError("grid bound must be at least n")
     norm = PNorm(p)  # a bad p fails before any point is placed
-    rng = random.Random(seed)
-    points = []
+    randrange = random.Random(seed).randrange
+    xs, ys, placed = [], [], set()
     tries = 0
-    while len(points) < n:
+    while len(xs) < n:
         tries += 1
         if tries > budget:
             raise RejectionBudgetExceeded(f"could not place {n} points after {budget} tries")
-        cand = pt(rng.randrange(grid + 1), rng.randrange(grid + 1))
-        if cand in points or _on_common_line(cand, points):
+        cx, cy = randrange(grid + 1), randrange(grid + 1)
+        if (cx, cy) in placed or _on_common_line(cx, cy, xs, ys):
             continue
-        points.append(cand)
-    return Instance(points, norm, name or f"rand-n{n}-seed{seed}")
+        placed.add((cx, cy))
+        xs.append(cx)
+        ys.append(cy)
+    return Instance([Point(x, y) for x, y in zip(xs, ys)], norm, name or f"rand-n{n}-seed{seed}")
 
 
 def random_tour(n: int, rng: random.Random) -> Tour:

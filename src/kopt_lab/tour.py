@@ -24,8 +24,9 @@ distance matrix is built only up to `MATRIX_SCAN_MAX_N`.  On integer
 instances too large for one scan block, the two verdicts examine only the
 pairs that a grid index over the coordinates finds (`_GridTour`), with the
 engine's arithmetic and the same results.  One vectorized orientation-sign
-filter (`_candidate_pairs`) walks the pairs of the edges of its rings laid
-end to end: the simplicity test passes one ring, and the crossing search
+filter (`_candidate_pairs`) reads one side table, each vertex against each
+edge's line, to walk the pairs of the edges of its rings laid end to end:
+the simplicity test passes one ring, and the crossing search
 makes one pass over both tours' edges for both simplicity checks and the
 T x S candidates.  One loop (`_first_intersecting`) turns candidates into a
 simplicity witness.
@@ -59,9 +60,10 @@ DEFAULT_GAIN_EPS = 1e-9
 # Largest n that Held-Karp (exact_opt) accepts.
 EXACT_MAX_N = 18
 # Upper bound on the cells of one block: (mask, c, u) candidates of Held-Karp,
-# edge pairs of the orientation-sign filter, rows of squares of a Euclidean
-# matrix.  The 2-move scan sizes its blocks in bytes, the same _BLOCK_CELLS * 8
-# bytes a work array, so a narrower dtype gets more cells a block (`_block_rows`).
+# edge pairs and vertex-edge sides of the orientation-sign filter, rows of
+# squares of a Euclidean matrix.  The 2-move scan sizes its blocks in bytes,
+# the same _BLOCK_CELLS * 8 bytes a work array, so a narrower dtype gets more
+# cells a block (`_block_rows`).
 _BLOCK_CELLS = 1 << 15
 # Largest n for which `Instance._pair_dist` builds an n x n distance matrix: its
 # float64 matrix and a scan's ring-ordered copy take 3.2 GB each here.
@@ -1246,47 +1248,60 @@ class SimpleVerdict(NamedTuple):
 def _candidate_pairs(inst: Instance, *rings: np.ndarray):
     """The orientation-sign filter: edge pairs that need `segment_relation`, a block at a time.
 
-    The edges are those of the rings (from `Tour.validate`) laid end to
-    end: ring 0's edges are 0..n0 - 1, ring 1's follow, and so on, where
-    edge i of a ring joins its positions i and i + 1.  Yields, in
-    lexicographic order, every pair (i, j) with i < j that the four
-    orientation signs of `segment_relation` leave open.  The signs settle
-    two kinds of pair, for which `segment_relation` would return Disjoint or
-    SharedEndpoint:
+    The edges are those of the rings (from `Tour.validate`, n edges each)
+    laid end to end: ring 0's edges are 0..n - 1, ring 1's follow, and so
+    on, where edge i of a ring joins its positions i and i + 1.  Yields, in
+    lexicographic order, every pair (i, j) with i < j that the orientation
+    signs of `segment_relation` leave open.  They settle three kinds of pair:
     - both endpoints of one segment lie strictly on one side of the other's
       line, so the segments are disjoint;
     - the segments share one vertex and their other endpoints are not
-      collinear with it, so they meet only there.
-    The signs are exact; `Instance._xy` gives the arithmetic.
+      collinear with it, so they meet only there;
+    - the segments join the same two vertices in different rings: one edge
+      of two tours, which is no crossing.  A ring of two vertices runs along
+      its one segment twice; that pair stays open.
+    Every sign is read from one int8 side table, side[v, k], the sign of
+    vertex v against edge k's line.  It is computed once, on the exact
+    coordinates of `Instance._xy`, a block of at most `_BLOCK_CELLS`
+    vertex-edge cells at a time, and takes n * m bytes for m edges.  For
+    edges e and f, let u be |side[e's tail, f] + side[e's head, f]| and w
+    the same for f's ends against e's line.  The pair is open exactly when
+    u + w <= 1: u = 2 or w = 2 puts one segment strictly on one side of the
+    other's line, and u = w = 1 puts one end of each on the other's line,
+    so both at the one point where the lines meet: they are one vertex
+    (the points are distinct), and the other ends are off the lines.
     """
     xs, ys = inst._xy
     tail = np.concatenate([ring[:-1] for ring in rings])
     head = np.concatenate([ring[1:] for ring in rings])
     x, y = xs[tail], ys[tail]
-    edges = tail, head, x, y, xs[head] - x, ys[head] - y
-    m = len(tail)
+    dx, dy = xs[head] - x, ys[head] - y
+    n, m = len(xs), len(tail)
     step = max(1, _BLOCK_CELLS // max(m, 1))
+    # Each cell is an orientation, which `Instance._xy`'s dtype rule keeps in int64.
+    side = np.empty((n, m), np.int8)
+    for v0 in range(0, n, step):
+        v = slice(v0, v0 + step)
+        cell = dx * (ys[v, None] - y)
+        cell -= dy * (xs[v, None] - x)
+        side[v] = np.sign(cell, out=cell)
+    # One key per segment, whichever way an edge runs along it.
+    key = np.minimum(tail, head) * n + np.maximum(tail, head)
     for i0 in range(0, m - 1, step):
-        j0 = i0 + 1
-        ea, eb, ex, ey, edx, edy = (v[i0 : i0 + step, None] for v in edges)
-        fa, fb, fx, fy, fdx, fdy = (v[None, j0:] for v in edges)
-        gx, gy = ex - fx, ey - fy  # f's tail -> e's tail
-        cross = fdx * edy - fdy * edx
-        # Side of e's tail, then head, against f's line; side of f's tail, then
-        # head, against e's line, both negated.  Each sum is itself an
-        # orientation, so no value leaves the int64 range.
-        e_side = fdx * gy - fdy * gx
-        f_side = edx * gy - edy * gx
-        s1, s2 = np.sign(e_side), np.sign(e_side + cross)
-        s3, s4 = np.sign(f_side), np.sign(f_side + cross)
-        settled = (s1 * s2 > 0) | (s3 * s4 > 0)
-        # A shared vertex lies on the other's line: a zero sign beside a nonzero one.
-        shared = (ea == fa) | (ea == fb) | (eb == fa) | (eb == fb)
-        settled |= shared & (s1 != s2)
-        # Row r, column c is the pair (i0 + r, j0 + c): keep j > i, that is c >= r.
-        r, c = np.nonzero(~settled)
+        i1, j0 = min(i0 + step, m), i0 + 1
+        # Row r, column c is the pair (i0 + r, j0 + c).  u and w are squared:
+        # u * u + w * w <= 1 exactly when u + w <= 1.
+        u = side[tail[i0:i1], j0:] + side[head[i0:i1], j0:]
+        u *= u
+        w = side[tail[j0:], i0:i1] + side[head[j0:], i0:i1]
+        w *= w
+        u += w.T
+        r, c = np.nonzero(u <= 1)
         upper = c >= r
-        yield from zip((r[upper] + i0).tolist(), (c[upper] + j0).tolist())
+        i, j = r[upper] + i0, c[upper] + j0
+        # An edge of two rings (one segment, two keys alike) is no crossing.
+        keep = (key[i] != key[j]) | (i // n == j // n)
+        yield from zip(i[keep].tolist(), j[keep].tolist())
 
 
 def _first_intersecting(inst: Instance, edges: list, pairs) -> Optional[tuple]:

@@ -40,9 +40,9 @@ UNTRACED = {
 }
 
 
-def statement_lines(path: Path) -> set:
+def statement_lines(source: str, path: Path) -> set:
     """The line numbers at which some statement of the module's code objects starts."""
-    lines, codes = set(), [compile(path.read_text(), str(path), "exec")]
+    lines, codes = set(), [compile(source, str(path), "exec")]
     while codes:
         code = codes.pop()
         lines.update(line for _, line in dis.findlinestarts(code) if line)
@@ -83,12 +83,15 @@ def run_traced(args: list) -> tuple:
 
 def main(argv: list) -> int:
     quiet = ["-q", "-p", "no:cacheprovider"]
+    # Read before the run, so that a file edited while it runs is judged by the code that ran.
+    sources = {path: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    statements = {path: statement_lines(source, path) for path, source in sources.items()}
     status, ran = run_traced([*quiet, str(ROOT / "tests"), *(f"--deselect={node}" for node in UNTRACED), *argv])
     untraced = pytest.main([*quiet, *(str(ROOT / node) for node in UNTRACED)])
     unexpected = 0
-    for path in sorted(SRC.glob("*.py")):
-        source = path.read_text().splitlines()
-        for line in sorted(statement_lines(path) - ran.get(path, set())):
+    for path, source in sources.items():
+        source = source.splitlines()
+        for line in sorted(statements[path] - ran.get(path, set())):
             text = source[line - 1].strip()
             reason = ALLOWED.get((path.name, text))
             unexpected += reason is None

@@ -1,17 +1,23 @@
 """Reference predicates: the pair-by-pair loops the orientation-sign filter replaced.
 
 `reference_is_simple` and `reference_find_crossings` call `segment_relation`
-on every edge pair in (i, j) order.  `reference_classify_edges` places each
-chord by exact ray casting from its midpoint (`point_in_polygon`).  The tests
-use them as the oracle for `tour.is_simple`, `crossing.find_crossings` and
-`partition.classify_edges`.  `is_simple_polygon` is the polygon simplicity
+on every edge pair in (i, j) order.  `reference_candidate_pairs` is the
+orientation-sign filter that computed the four signs of each block of edge
+pairs from the coordinates, before `tour._candidate_pairs` read them from a
+side table.  `reference_classify_edges` places each chord by exact ray
+casting from its midpoint (`point_in_polygon`).  The tests use them as the
+oracle for `tour.is_simple`, `crossing.find_crossings`,
+`tour._candidate_pairs` and `partition.classify_edges`.  `is_simple_polygon` is the polygon simplicity
 check that `point_in_polygon` used to run on its input.
 """
 
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from kopt_lab import geometry
+from kopt_lab import tour as tour_module
 from kopt_lab.crossing import GeneralPositionViolation
 from kopt_lab.geometry import (
     Cross,
@@ -102,6 +108,43 @@ def reference_find_crossings(inst, t, s) -> list:
             elif isinstance(rel, (Touch, Overlap)):
                 raise GeneralPositionViolation(te, se, rel)
     return out
+
+
+def reference_candidate_pairs(inst, *rings):
+    """The edge pairs (i, j), i < j, of the rings laid end to end that the
+    four orientation signs of `segment_relation` leave open, in (i, j) order.
+
+    A pair is settled when both endpoints of one segment lie strictly on one
+    side of the other's line, or when the segments share a vertex and one
+    of the other endpoints is not collinear with it.  Each block of rows
+    computes its signs from the coordinates, in at most `tour._BLOCK_CELLS`
+    cells.
+    """
+    xs, ys = inst._xy
+    tail = np.concatenate([ring[:-1] for ring in rings])
+    head = np.concatenate([ring[1:] for ring in rings])
+    x, y = xs[tail], ys[tail]
+    edges = tail, head, x, y, xs[head] - x, ys[head] - y
+    m = len(tail)
+    step = max(1, tour_module._BLOCK_CELLS // max(m, 1))
+    for i0 in range(0, m - 1, step):
+        j0 = i0 + 1
+        ea, eb, ex, ey, edx, edy = (v[i0 : i0 + step, None] for v in edges)
+        fa, fb, fx, fy, fdx, fdy = (v[None, j0:] for v in edges)
+        gx, gy = ex - fx, ey - fy  # f's tail -> e's tail
+        cross = fdx * edy - fdy * edx
+        # Side of e's tail, then head, against f's line; side of f's tail, then
+        # head, against e's line, both negated.
+        e_side = fdx * gy - fdy * gx
+        f_side = edx * gy - edy * gx
+        s1, s2 = np.sign(e_side), np.sign(e_side + cross)
+        s3, s4 = np.sign(f_side), np.sign(f_side + cross)
+        settled = (s1 * s2 > 0) | (s3 * s4 > 0)
+        shared = (ea == fa) | (ea == fb) | (eb == fa) | (eb == fb)
+        settled |= shared & (s1 != s2)
+        r, c = np.nonzero(~settled)
+        upper = c >= r
+        yield from zip((r[upper] + i0).tolist(), (c[upper] + j0).tolist())
 
 
 def reference_classify_edges(pair) -> tuple[list, list, list]:

@@ -2,7 +2,8 @@
 
 Every case compares the verdict, the first witness, the crossing list and
 its order, or the error raised, with `reference_predicates`, under block
-sizes of 1, 7 and 2**15 cells.
+sizes of 1, 7 and 2**15 cells.  `TestSideTable` compares the filter's
+pairs themselves with the coordinate-block filter it replaced.
 """
 
 import itertools
@@ -20,7 +21,8 @@ from kopt_lab.harness import gen_random, random_tour
 from kopt_lab.tour import Instance, SimpleVerdict, Tour, is_simple, two_opt
 
 import reference_predicates
-from reference_predicates import reference_find_crossings, reference_is_simple
+from memory import traced
+from reference_predicates import reference_candidate_pairs, reference_find_crossings, reference_is_simple
 
 
 @pytest.fixture(params=[1, 7, 1 << 15], ids=lambda c: f"cells{c}", autouse=True)
@@ -244,3 +246,77 @@ class TestSmallTours:
         inst = gen_random(10, 100, seed=4)
         t = two_opt(inst, random_tour(10, random.Random(4)))
         assert find_crossings(inst, t, t) == [] == reference_find_crossings(inst, t, t)
+
+
+def oracle_pairs(inst, rings):
+    """`reference_candidate_pairs`, less the pairs that join the same two
+    vertices in different rings: an edge of two tours."""
+    ends = [frozenset(e) for ring in rings for e in zip(ring[:-1].tolist(), ring[1:].tolist())]
+    return [(i, j) for i, j in reference_candidate_pairs(inst, *rings)
+            if ends[i] != ends[j] or i // inst.n == j // inst.n]
+
+
+class TestSideTable:
+    """`_candidate_pairs` yields exactly the oracle's pairs, in order, for
+    each tour's ring alone (`is_simple`) and each ordered pair of rings
+    (`find_crossings`)."""
+
+    def assert_matches_oracle(self, inst, ts):
+        rings = [t.validate(inst) for t in ts]
+        groups = [(r,) for r in rings] + list(itertools.product(rings, repeat=2))
+        for group in groups:
+            assert list(tour_module._candidate_pairs(inst, *group)) == oracle_pairs(inst, group)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_tiny_tours(self, n):
+        # n = 2: a ring that runs along its one segment twice keeps that pair.
+        inst = Instance([pt(0, 0), pt(3, 1), pt(1, 4), pt(5, 5)][:n], PNorm(2))
+        self.assert_matches_oracle(inst, [Tour(order) for order in itertools.permutations(range(n))])
+
+    @pytest.mark.parametrize("side", [3, 4, 6])
+    def test_collinear_grids(self, side):
+        inst = grid_instance(side)
+        rng = random.Random(side)
+        self.assert_matches_oracle(inst, tours(inst, rng, count=2) + [snake_tour(side)])
+
+    @pytest.mark.parametrize("n,grid", [(9, 20), (30, 40)])
+    def test_small_grids(self, n, grid):
+        inst = gen_random(n, grid, seed=n)
+        rng = random.Random(n)
+        ts = tours(inst, rng, count=2)
+        self.assert_matches_oracle(inst, ts + [two_opt(inst, random_tour(n, rng))])
+
+    def test_rational_vertices(self):
+        inst = gen_random(14, 10**6, seed=1)
+        pair = make_crossing_free(inst, monotone_tour(inst, 0), monotone_tour(inst, 1))
+        assert pair.crossings > 0 and pair.instance._xy[0].dtype == object
+        rng = random.Random(2)
+        ts = [random_tour(pair.instance.n, rng) for _ in range(2)]
+        self.assert_matches_oracle(pair.instance, ts + [pair.tprime, pair.sprime])
+
+    def test_several_row_blocks(self):
+        # 400 edges: five row blocks of the default 2**15 cells, more below it.
+        inst = gen_random(200, 10**6, seed=5)
+        rng = random.Random(5)
+        t, s = monotone_tour(inst, 0), monotone_tour(inst, 1)
+        for group in [(t, s), (t, t), (random_tour(200, rng), s)]:
+            rings = [tour.validate(inst) for tour in group]
+            assert list(tour_module._candidate_pairs(inst, *rings)) == oracle_pairs(inst, rings)
+
+
+class TestSideTableMemory:
+    @pytest.fixture
+    def block_cells(self):
+        """The default block only: the bound below is in its cells."""
+        return tour_module._BLOCK_CELLS
+
+    def test_peak_is_the_table_and_one_block(self):
+        # The side table's n * m int8 cells, and one vertex block's work
+        # arrays, of at most _BLOCK_CELLS int64 cells each; a second n x m
+        # table or an unblocked m x m gather exceeds it.
+        inst = gen_random(1000, 10**6, seed=1)
+        rings = monotone_tour(inst, 0).validate(inst), monotone_tour(inst, 1).validate(inst)
+        inst._xy
+        count, _, peak = traced(lambda: sum(1 for _ in tour_module._candidate_pairs(inst, *rings)))
+        assert count > 0
+        assert peak <= inst.n * 2 * inst.n + 4 * tour_module._BLOCK_CELLS * 8
