@@ -549,8 +549,9 @@ def tour_length(inst: Instance, t: Tour):
     """The sum of `inst.dist` over the tour's edges, added left to right from position 0.
 
     Both paths walk the ring of `Tour.validate`.  An instance with the
-    `_coordinates` backend computes the edges from the coordinates in ring
-    order, in the value and type of `dist`: int64 under p = 1, the doubles
+    `_coordinates` backend gathers the coordinates in ring order, once per
+    axis, and computes the edges from the differences of adjacent entries,
+    in the value and type of `dist`: int64 under p = 1, the doubles
     `pdist` computes under p = 2, and ints and Fractions in an object array
     over rational points.  `np.add.accumulate` adds a numeric array in
     order; an object array and the other instances, which fold `inst.dist`
@@ -561,7 +562,10 @@ def tour_length(inst: Instance, t: Tour):
     coordinates = inst._coordinates
     ring = t.validate(inst)
     if coordinates is not None:
-        edges = coordinates.pair(ring[:-1], ring[1:])
+        x, y = coordinates.x[ring], coordinates.y[ring]
+        # Edge k's differences overwrite entry k, which no later edge reads: no copy.
+        dx, dy = np.subtract(x[:-1], x[1:], out=x[:-1]), np.subtract(y[:-1], y[1:], out=y[:-1])
+        edges = coordinates.root(coordinates.power(dx, dy))
         if edges.dtype.kind == "O":
             return _left_fold(edges.tolist())
         return np.add.accumulate(edges, out=edges).item(-1) if len(edges) else 0
@@ -811,9 +815,14 @@ def _dense_best(inst: Instance, ring: np.ndarray) -> tuple[Optional[TwoMove], in
     return best, max(0, inst.n * (inst.n - 3) // 2)
 
 
-# Incidences of one chunk of grid queries: about 16 int64 work arrays of that
-# length live at once, as many bytes as the dense scan's two work arrays.
-_CHUNK = _BLOCK_CELLS // 8
+# The grid queries run in chunks of whole queries.  A chunk's live work arrays
+# take at most _CHUNK_BYTES, at _FOUND_BYTES a vertex found: at most seven int64
+# arrays of its length live at once (the vertices, their queries and distances,
+# and the filtered copies of these three with their index), all freed before the
+# next chunk is made.  16,384 vertices a chunk: the layered (1, 3) best-margin
+# pass takes 2.  tests/test_grid_index.py pins the traced peak.
+_CHUNK_BYTES = 1 << 20
+_FOUND_BYTES = 64
 
 
 def _grid_pays(inst: Instance, visits: int) -> bool:
@@ -833,8 +842,11 @@ class _GridIndex:
 
     Level s files vertex v under the cell (x_v >> s, y_v >> s) and sorts
     the vertices by cell, column by column, so that the cells of one column
-    between two rows are one run of the sorted vertices.  A level is built
-    the first time a query needs it and kept.
+    between two rows are one run of the sorted vertices.  The vertices of
+    one cell come in no set order (numpy's default, unstable sort), which no
+    verdict can see: `_GridTour._pairs` sorts and deduplicates the keys that
+    the runs give, and `first`, `best` and the pairs examined read only those
+    keys.  A level is built the first time a query needs it and kept.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray):
@@ -846,7 +858,7 @@ class _GridIndex:
         if level is None:
             stride = (int(self.y.max(initial=0)) >> s) + 1
             keys = (self.x >> s) * stride + (self.y >> s)
-            order = np.argsort(keys, kind="stable")
+            order = np.argsort(keys)
             level = self._levels[s] = stride, keys[order], order
         return level
 
@@ -857,31 +869,32 @@ class _GridIndex:
         the cells that its square of half-side reach[q] meets, at most five
         columns of them, one run of the level's sorted vertices each.
         Returns (rank, size, start, order) for `_chunks`: the query indices
-        level by level, then each of those queries' five run sizes and
-        starts into `order`, the levels' vertex orders one after another,
-        as int32.
+        level by level, in increasing order within a level, then each of
+        those queries' five run sizes and starts into `order`, the levels'
+        vertex orders one after another, as int32.
         """
         level = np.maximum(np.frexp(reach - 1)[1] - 1, 0)  # the least s with 2^(s+1) >= reach
         xq, yq = self.x[vertices], self.y[vertices]
-        orders, starts, sizes, offset = [], [], [], 0
+        ranks, orders, starts, sizes, offset = [], [], [], [], 0
         for s in np.flatnonzero(np.bincount(level)).tolist():
             stride, keys, order = self.level(s)
-            sel = level == s
-            x, y, r = xq[sel, None], yq[sel, None], reach[sel, None]
-            column = (np.maximum(x - r, 0) >> s) + np.arange(5)
+            rank = np.flatnonzero(level == s)
+            x, y, r = xq[rank], yq[rank], reach[rank]
+            column = (np.maximum(x - r, 0) >> s)[:, None] + np.arange(5)
             bottom, top = np.maximum(y - r, 0) >> s, np.minimum((y + r) >> s, stride - 1)
-            empty = column > (x + r) >> s
+            empty = column > ((x + r) >> s)[:, None]
             column *= stride
-            start = np.searchsorted(keys, column + bottom, "left").astype(np.int32)
-            size = np.searchsorted(keys, column + top, "right").astype(np.int32)
+            start = np.searchsorted(keys, column + bottom[:, None], "left").astype(np.int32)
+            size = np.searchsorted(keys, column + top[:, None], "right").astype(np.int32)
             size -= start
             size[empty] = 0
             start += offset
+            ranks.append(rank)
             orders.append(order)
             starts.append(start)
             sizes.append(size)
             offset += len(order)
-        return np.argsort(level, kind="stable"), np.concatenate(sizes), np.concatenate(starts), np.concatenate(orders)
+        return np.concatenate(ranks), np.concatenate(sizes), np.concatenate(starts), np.concatenate(orders)
 
 
 def _chunks(runs: tuple, budget: int):
@@ -969,27 +982,27 @@ class _GridTour:
         cx, cy = dist.x[centres], dist.y[centres]
         tail_c, head_c, either = tail[centres], head[centres], either[centres]
         before = np.where(centres == 0, n, centres) - 1  # the edge whose head ball is centred there
-        out = []
-        runs = grid.runs(self.ring[centres], reach[centres].astype(np.int64))  # >= 1: truncation floors
-        if not _grid_pays(self.inst, int(runs[1].sum())):
-            return None
-        for queries, count, found in _chunks(runs, _CHUNK):
+
+        def chunk_keys(queries, count, found) -> tuple:
+            """The tail-ball and head-ball keys of one chunk; its work arrays are freed on return."""
             q = np.repeat(queries, count)
-            dx, dy = x[found], y[found]
-            dx -= cx[q]
-            dy -= cy[q]
-            d = dist.root(dist.power(dx, dy)) if root else dist.power(dx, dy)
+            d = dist.power(x[found] - cx[q], y[found] - cy[q])
+            d = dist.root(d) if root else d
             inside = np.flatnonzero(d <= either[q])
             q, found, d = q[inside], found[inside], d[inside]
             i, j = centres[q], position[found]
             keep = d <= tail_c[q]
             keep &= j - i >= 2
-            out.append((i * n + j)[keep])
+            tails = (i * n + j)[keep]
             i, j = position_head[found], before[q]  # i is one past the pair's first edge
             keep = d <= head_c[q]
             keep &= i < j
-            out.append(((i - 1) * n + j)[keep])
-        return out
+            return tails, ((i - 1) * n + j)[keep]
+
+        runs = grid.runs(self.ring[centres], reach[centres].astype(np.int64))  # >= 1: truncation floors
+        if not _grid_pays(self.inst, int(runs[1].sum())):
+            return None
+        return [part for chunk in _chunks(runs, _CHUNK_BYTES // _FOUND_BYTES) for part in chunk_keys(*chunk)]
 
     def _pairs(self, parts: list) -> np.ndarray:
         """The distinct keys of `parts`, in increasing (i, j) order, less the adjacent pair (0, n - 1)."""

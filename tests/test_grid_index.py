@@ -11,6 +11,7 @@ shrinks the block budget.
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from kopt_lab.geometry import PNorm, pt
 from kopt_lab.lowerbound import build_lb_tour, generate_lb_instance, scan_2opt_optimality
 from kopt_lab.tour import Instance, Tour, _best_2move, find_improving_2move, is_k_optimal, two_opt
 
+from memory import traced
 from reference_scan import _moves, reference_best_2move, reference_first_2move
 
 
@@ -284,3 +286,116 @@ def test_unit_step_ring_has_no_candidates(monkeypatch):
     assert found == [[]]
     monkeypatch.undo()
     assert reference_first_2move(inst, t) is None
+
+
+def outcomes(inst, tours):
+    """Per tour: the improving move, the best-margin move, the pairs examined and the `ScanReport`."""
+    out = []
+    for t in tours:
+        best, examined = _best_2move(inst, t)
+        out.append((find_improving_2move(inst, t), best, examined, scan_2opt_optimality(inst, t)))
+    return out
+
+
+def reordered_outcomes(monkeypatch, build, tours, tiebreak):
+    """`outcomes` on a fresh `build()` whose grid levels list each cell's vertices in `tiebreak(n)` order.
+
+    Keys stay sorted and each cell keeps its vertices; the patched level is
+    kept as the real one is.  Also returns whether any level's order moved.
+    """
+    real, moved = tour._GridIndex.level, []
+
+    def level(self, s):
+        if s not in self._levels:
+            stride, keys, order = real(self, s)
+            within = np.lexsort((tiebreak(len(keys)), keys))  # keys are sorted: only ties move
+            moved.append(not np.array_equal(order[within], order))
+            self._levels[s] = stride, keys, order[within]
+        return self._levels[s]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(tour._GridIndex, "level", level)
+        got = outcomes(build(), tours)
+    return got, any(moved)
+
+
+def assert_within_cell_order_is_invisible(monkeypatch, build, tours):
+    """The verdicts under reversed and shuffled cells equal the default's and, but for the count, the dense engine's."""
+    want = outcomes(build(), tours)
+    with monkeypatch.context() as mp:
+        mp.setattr(tour, "_indexed_scan", lambda inst: False)
+        dense = outcomes(build(), tours)
+    rng = np.random.default_rng(17)
+    for tiebreak in (lambda n: -np.arange(n), rng.permutation):
+        got, moved = reordered_outcomes(monkeypatch, build, tours, tiebreak)
+        assert moved  # some cell holds two vertices
+        for g, w, d in zip(got, want, dense):
+            assert all(map(same, g[:2], w[:2])) and all(map(same, g[:2], d[:2]))
+            assert g[2] == w[2] and g[3] == w[3] == d[3]
+
+
+def test_within_cell_order_never_changes_a_layered_verdict(monkeypatch):
+    lb = generate_lb_instance(2, 1, 3)
+    hand = build_lb_tour(lb)
+    o, rng = hand.order, random.Random(29)
+    planted = []
+    for _ in range(2):
+        i, j = sorted(rng.sample(range(lb.n), 2))
+        planted.append(Tour(o[:i] + o[i:j + 1][::-1] + o[j + 1:]))
+    assert_within_cell_order_is_invisible(monkeypatch, lb.as_instance, [hand, *planted])
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_within_cell_order_never_changes_a_random_verdict(p, monkeypatch):
+    rng = random.Random(700 + p)
+    inst = random_instance(rng, 700, p)
+    xs, ys = inst._xy
+    build = lambda: Instance.from_xy(xs, ys, PNorm(p))
+    t = snake(inst)
+    assert tour._indexed_scan(inst)
+    tours = [Tour(tuple(rng.sample(range(700), 700))), *variants(rng, t)]
+    assert_within_cell_order_is_invisible(monkeypatch, build, tours)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_within_cell_order_never_changes_a_five_point_verdict(p, monkeypatch, block_cells):
+    inst = random_instance(random.Random(50 + p), 5, p, grid=6)
+    xs, ys = inst._xy
+    build = lambda: Instance.from_xy(xs, ys, PNorm(p))
+    assert tour._indexed_scan(inst)
+    assert_within_cell_order_is_invisible(monkeypatch, build, [Tour(o) for o in itertools.permutations(range(5))])
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_candidate_chunks_stay_within_their_byte_budget(p, monkeypatch):
+    """The chunk loop's traced peak stays within `_CHUNK_BYTES` over what `_candidates` holds when it starts, and what it keeps.
+
+    What it holds then is the run arrays of `_GridIndex.runs` and the
+    per-query arrays beside them; what it keeps, the candidate keys.  Both
+    queries of a 4000-point snake find 70,000 vertices or more, over four
+    chunks' worth, so a budget four times larger breaks the pin.
+    """
+    inst = random_instance(random.Random(4000 + p), 4000, p, grid=10_000)
+    grid_tour = tour._GridTour(inst, snake(inst).validate(inst))
+    real_candidates, calls = tour._GridTour._candidates, []
+
+    def recorded(self, limit, root):
+        calls.append((limit, root))
+        return real_candidates(self, limit, root)
+
+    monkeypatch.setattr(tour._GridTour, "_candidates", recorded)
+    grid_tour.first(), grid_tour.best()  # also builds the levels, which stay on the instance
+    assert [root for _, root in calls] == [False, True]
+    real_chunks, loop = tour._chunks, {}
+
+    def chunks(runs, budget):
+        loop["start"] = tracemalloc.get_traced_memory()[0]
+        loop["found"], loop["largest"] = int(runs[1].sum()), int(runs[1].sum(axis=1).max())
+        yield from real_chunks(runs, budget)
+
+    monkeypatch.setattr(tour, "_chunks", chunks)
+    vertices = tour._CHUNK_BYTES // tour._FOUND_BYTES
+    for limit, root in calls:
+        parts, kept, peak = traced(lambda: real_candidates(grid_tour, limit, root))
+        assert parts and loop["found"] > 4 * vertices >= 4 * loop["largest"]
+        assert peak <= loop["start"] + tour._CHUNK_BYTES + kept
