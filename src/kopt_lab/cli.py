@@ -7,6 +7,7 @@ failed, 2 usage or I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
 import sys
@@ -115,19 +116,10 @@ def cmd_scan_kopt(args) -> int:
         inst = lb.as_instance()
         tour = lowerbound.build_lb_tour(lb)
     t0 = time.perf_counter()
-    rep, examined = lowerbound._scan_2opt(inst, tour)
+    report = lowerbound.scan_2opt_optimality(inst, tour)
     elapsed = time.perf_counter() - t0
-    _write_json({
-        "schema": SCHEMA,
-        "instance": inst.name,
-        "n": rep.n,
-        "pairs_scanned": rep.pairs_scanned,
-        "pairs_examined": examined,
-        "two_optimal": rep.two_optimal,
-        "witness": rep.witness,
-        "best_gain": rep.best_gain,
-        "timing": {"seconds": elapsed},
-    }, args.out)
+    _write_json({"schema": SCHEMA, "instance": inst.name, **dataclasses.asdict(report),
+                 "timing": {"seconds": elapsed}}, args.out)
     return EXIT_OK
 
 

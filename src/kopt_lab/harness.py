@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .arborescence import certify_pair
 from .geometry import PNorm, Point
@@ -13,6 +13,7 @@ from .tour import EXACT_MAX_N, Instance, Tour, _check_exact_n, _check_planar, ex
 
 SCHEMA = "kopt-lab/1"
 GENERATOR = "python-random-mt19937"
+REJECTION_BUDGET = 100_000  # candidates `gen_random` draws before it raises RejectionBudgetExceeded
 
 
 class RejectionBudgetExceeded(RuntimeError):
@@ -38,8 +39,7 @@ def _on_common_line(cx: int, cy: int, xs: list, ys: list) -> bool:
     return False
 
 
-def gen_random(n: int, grid: int, seed: int, p: float = 2, name: str = "",
-               budget: int = 100000) -> Instance:
+def gen_random(n: int, grid: int, seed: int, p: float = 2, name: str = "") -> Instance:
     """n distinct integer-grid points in general position (no collinear triple).
 
     Each candidate is tested in O(n) against the points placed so far, on
@@ -56,8 +56,8 @@ def gen_random(n: int, grid: int, seed: int, p: float = 2, name: str = "",
     tries = 0
     while len(xs) < n:
         tries += 1
-        if tries > budget:
-            raise RejectionBudgetExceeded(f"could not place {n} points after {budget} tries")
+        if tries > REJECTION_BUDGET:
+            raise RejectionBudgetExceeded(f"could not place {n} points after {REJECTION_BUDGET} tries")
         cx, cy = randrange(grid + 1), randrange(grid + 1)
         if (cx, cy) in placed or _on_common_line(cx, cy, xs, ys):
             continue
@@ -153,10 +153,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     report = {
         "schema": SCHEMA,
         "generator": GENERATOR,
-        "config": {
-            "seed": config.seed, "n_min": config.n_min, "n_max": config.n_max,
-            "grid": config.grid, "p": config.p, "trials": config.trials,
-        },
+        "config": asdict(config),
         "trials": records,
         "aggregate": {
             "completed": len(ok),

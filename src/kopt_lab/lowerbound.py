@@ -316,8 +316,15 @@ def estimate_scan(k: int, p: int, q: int) -> bool:
 
 @dataclass
 class ScanReport:
+    """`scan_2opt_optimality`'s verdict, the record that `scan-kopt` writes.
+
+    `pairs_scanned` counts the n(n - 3)/2 pairs that the verdict decides,
+    `pairs_examined` those whose gain it computed: all of them on the dense
+    engine, the candidate pairs on the grid index, which prunes the rest.
+    """
     n: int
     pairs_scanned: int
+    pairs_examined: int
     two_optimal: bool
     witness: tuple | None   # ((a, b), (x, y)) edge pair with positive gain
     best_gain: float | int
@@ -338,11 +345,6 @@ def scan_2opt_optimality(inst: Instance, tour: Tour) -> ScanReport:
     (`Instance._pair_dist`), checked before any distance is computed; the
     coordinate and index paths take O(n) memory at every n.
     """
-    return _scan_2opt(inst, tour)[0]
-
-
-def _scan_2opt(inst: Instance, tour: Tour) -> tuple[ScanReport, int]:
-    """`scan_2opt_optimality`'s report and the number of pairs whose gain it computed."""
     n = inst.n
     best, examined = _best_2move(inst, tour)
     improving = best is not None and best.gain > 0
@@ -351,14 +353,14 @@ def _scan_2opt(inst: Instance, tour: Tour) -> tuple[ScanReport, int]:
         # Ring position n is position 0 again; `tolist` gives Python ints, as JSON wants.
         a, b, c, d = tour.validate(inst)[[best.i, best.i + 1, best.j, best.j + 1]].tolist()
         witness = ((a, b), (c, d))
-    report = ScanReport(
+    return ScanReport(
         n=n,
         pairs_scanned=max(0, n * (n - 3) // 2),  # every non-adjacent pair of the n edges
+        pairs_examined=examined,
         two_optimal=not improving,
         witness=witness,
         best_gain=best.gain if best is not None else 0,
     )
-    return report, examined
 
 
 @dataclass

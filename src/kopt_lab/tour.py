@@ -1,4 +1,4 @@
-"""Tours, 2-Opt/3-Opt local search, k-optimality checks, exact small solvers.
+"""Tours, 2-Opt local search, 2- and 3-optimality checks, exact small solvers.
 
 Everything is parametrized by the instance's distance oracle, so 2-D p-norm
 instances and 3-D Euclidean instances share the same engine.  A `Tour`

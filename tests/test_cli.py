@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -170,6 +172,30 @@ class TestScanAndReport:
         # The grid index computes the gains of 10,117 of those pairs: its candidate sets, pinned.
         assert rep["pairs_examined"] == 10_117
         assert "timing" in rep
+
+    @pytest.mark.parametrize("mode", ["family", "instance"])
+    def test_scan_prints_the_library_record(self, workdir, mode):
+        """The JSON is `scan_2opt_optimality`'s `ScanReport` with `schema`, `instance` and `timing` added."""
+        if mode == "family":
+            lb = lowerbound.generate_lb_instance(2, 1, 3)
+            inst, tour = lb.as_instance(), lowerbound.build_lb_tour(lb)
+            argv = ("--p", "1", "--q", "3")
+        else:
+            inst = harness.gen_random(40, 1000, seed=6)
+            tour = harness.random_tour(40, random.Random(3))
+            with open("r.tsp", "w") as f:
+                tsplib.write_instance(f, inst)
+            with open("s.tour", "w") as f:
+                tsplib.write_tour(f, tour)
+            argv = ("--instance", "r.tsp", "--tour", "s.tour")
+        assert run("scan-kopt", *argv, "--out", "scan.json") == 0
+        rep = json.loads((workdir / "scan.json").read_text())
+        assert (rep.pop("schema"), rep.pop("instance")) == (harness.SCHEMA, inst.name)
+        assert rep.pop("timing").keys() == {"seconds"}
+        want = dataclasses.asdict(lowerbound.scan_2opt_optimality(inst, tour))
+        assert rep == json.loads(json.dumps(want))
+        # The random start has an improving move, so its witness is written too.
+        assert rep["two_optimal"] is (mode == "family")
 
     def test_scan_writes_stdout_without_out(self, workdir, capsys):
         run("gen-random", "--n", "10", "--grid", "100", "--seed", "4", "--out", "r.tsp")

@@ -64,9 +64,10 @@ class TestGenRandom:
     def test_seeds_differ(self):
         assert gen_random(10, 1000, seed=1).points != gen_random(10, 1000, seed=2).points
 
-    def test_budget_exhaustion(self):
-        with pytest.raises(RejectionBudgetExceeded):
-            gen_random(5, 10, seed=1, budget=3)
+    def test_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(harness, "REJECTION_BUDGET", 3)
+        with pytest.raises(RejectionBudgetExceeded, match="^could not place 5 points after 3 tries$"):
+            gen_random(5, 10, seed=1)
 
     def test_negative_n_is_refused(self):
         with pytest.raises(ValueError, match="n must be at least 0, got -1"):
@@ -90,12 +91,12 @@ class TestGenRandom:
         (30, 10**6, 100000, False),
         (24, 24, 55, True),
     ])
-    def test_matches_reference_generator(self, n, grid, budget, both_outcomes):
+    def test_matches_reference_generator(self, n, grid, budget, both_outcomes, monkeypatch):
+        monkeypatch.setattr(harness, "REJECTION_BUDGET", budget)
         outcomes = set()
         for seed in range(40):
             want = _outcome(reference_gen_points, n, grid, seed, budget)
-            got = _outcome(lambda *a: gen_random(*a, budget=budget).points,
-                           n, grid, seed)
+            got = _outcome(lambda *a: gen_random(*a).points, n, grid, seed)
             assert got == want, seed
             outcomes.add(type(want))
         assert outcomes == ({list, str} if both_outcomes else {list})

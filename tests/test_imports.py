@@ -22,6 +22,10 @@ module: an oracle that no test compares against checks nothing.
 
 And the one certificate tolerance: in `arborescence.py`, `CERT_EPS` is read
 only inside `_check`, the pass/fail rule of every certificate inequality.
+
+And the front door reads only public names: `cli.py` neither imports nor
+reads an `_`-prefixed name of another `kopt_lab` module.  It prints the
+records that the library returns, not fields it gathers from helpers.
 """
 
 import ast
@@ -318,3 +322,55 @@ def test_checker_flags_an_oracle_no_test_imports():
         "helper": "import reference_d\n",
     }
     assert unimported_oracles(sources) == ["reference_a", "reference_d"]
+
+
+def is_private(name: str) -> bool:
+    """Whether `name` is `_`-prefixed and not a dunder."""
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def root_name(node: ast.AST):
+    """The name at the root of an attribute chain such as `a.b.c`, or None."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def foreign_private_reads(source: str) -> list:
+    """(line, name) of every private name that `source` imports from `kopt_lab` or reads off a name imported from it.
+
+    A read is an attribute chain from such a name (`lowerbound._x`,
+    `kopt_lab.tour._x`).  The module's own private names are not foreign,
+    and neither are dunders.
+    """
+    tree = ast.parse(source)
+    ours, out = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.partition(".")[0] == "kopt_lab"):
+            for alias in node.names:
+                if is_private(alias.name):
+                    out.append((node.lineno, alias.name))
+                ours.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            ours.update(alias.asname or alias.name.partition(".")[0] for alias in node.names
+                        if alias.name.partition(".")[0] == "kopt_lab")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and is_private(node.attr) and root_name(node) in ours:
+            out.append((node.lineno, node.attr))
+    return sorted(out)
+
+
+def test_the_cli_reads_only_public_names():
+    source = (Path(kopt_lab.__file__).parent / "cli.py").read_text()
+    assert foreign_private_reads(source) == []
+
+
+def test_checker_flags_a_private_name_of_another_module():
+    src = ("import json\nimport kopt_lab.tour\nfrom . import lowerbound, tsplib as tl\n"
+           "from .harness import SCHEMA, _check as check\nfrom .tour import Tour\n\n"
+           "def _write_json(obj):\n    return json._default_encoder, obj.__dict__\n\n"
+           "def cmd(inst, tour):\n    rep, examined = lowerbound._scan_2opt(inst, tour)\n"
+           "    _write_json(lowerbound.scan_2opt_optimality(inst, tour))\n"
+           "    return tl.__name__, tl._parse, Tour._closed, kopt_lab.tour._best_2move\n")
+    assert foreign_private_reads(src) == [(4, "_check"), (11, "_scan_2opt"), (13, "_best_2move"),
+                                          (13, "_closed"), (13, "_parse")]

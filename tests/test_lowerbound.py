@@ -9,7 +9,6 @@ from kopt_lab import geometry, lowerbound, tsplib
 from kopt_lab import tour as tour_module
 from kopt_lab.geometry import PNorm
 from kopt_lab.lowerbound import (
-    _scan_2opt,
     build_lb_tour,
     doubled_spanning_tree_tour,
     estimate_inequality,
@@ -250,7 +249,7 @@ def test_pins_the_2_3_verdict():
     assert report.best_gain == -1.000045086630854 and type(report.best_gain) is float
     assert tour_module._best_2move(inst, tour)[0][:2] == (0, 74_188)
     # The grid index's candidate sets, pinned: the gains of 325,740 pairs are computed.
-    assert _scan_2opt(inst, tour)[1] == 325_740
+    assert report.pairs_examined == 325_740
 
 
 def test_the_family_path_reads_only_the_ring(lb3, no_tuple_build):
