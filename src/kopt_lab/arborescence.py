@@ -17,7 +17,7 @@ import numpy as np
 
 from .crossing import make_crossing_free
 from .partition import partition_edges
-from .tour import Instance, Tour, is_k_optimal, tour_length
+from .tour import Instance, Tour, _left_fold, is_k_optimal, tour_length
 
 CERT_EPS = 1e-9
 
@@ -76,10 +76,10 @@ class Arborescence:
         return self._children[node]
 
     def c_total(self) -> float:
-        return sum(e.c for e in self.edges)
+        return _left_fold(e.c for e in self.edges)
 
     def w_total(self) -> float:
-        return sum(e.w for e in self.edges)
+        return _left_fold(e.w for e in self.edges)
 
     def subtree_w(self, edge_idx: int) -> float:
         """w(A_e): the edge itself plus all edges below its head."""
@@ -235,7 +235,7 @@ def verify_lemma_suite(arb: Arborescence) -> ArborescenceCertificate:
         l_values.append(l_main)
 
     def c_of(idxs):
-        return sum(arb.edges[i].c for i in idxs)
+        return _left_fold(arb.edges[i].c for i in idxs)
 
     for l in l_values:
         bound = (l / 2) * wA
@@ -252,7 +252,7 @@ def verify_lemma_suite(arb: Arborescence) -> ArborescenceCertificate:
             check(f"E_r(l={l:g},i={i}): c(E_r) <= 2*w(A)", val, 2 * wA, er)
             # The minimal-cover decomposition used in the E_r proof.
             cover = _topmost(arb, er)
-            wsum = sum(arb.subtree_w(e) for e in cover)
+            wsum = _left_fold(arb.subtree_w(e) for e in cover)
             check(f"cover(l={l:g},i={i}): sum w(A_e) <= w(A)", wsum, wA, cover)
 
     for idx in range(n_edges):

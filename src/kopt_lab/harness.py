@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass
 
 from .arborescence import certify_pair
 from .geometry import PNorm, Point
-from .tour import EXACT_MAX_N, Instance, Tour, _check_exact_n, _check_planar, exact_opt, two_opt
+from .tour import EXACT_MAX_N, Instance, Tour, _check_exact_n, _check_planar, _left_fold, exact_opt, two_opt
 
 SCHEMA = "kopt-lab/1"
 GENERATOR = "python-random-mt19937"
@@ -161,7 +161,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
             # Nothing completed is nothing certified.
             "all_certificates_passed": bool(ok) and all(r["certificate_passed"] for r in ok),
             "max_ratio": max((r["ratio"] for r in ok), default=None),
-            "mean_ratio": (sum(r["ratio"] for r in ok) / len(ok)) if ok else None,
+            "mean_ratio": (_left_fold(r["ratio"] for r in ok) / len(ok)) if ok else None,
         },
     }
     return report

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .geometry import PNorm, Point3
-from .tour import _BLOCK_CELLS, Instance, Tour, _best_2move
+from .tour import _BLOCK_CELLS, Instance, Tour, _best_2move, _is_permutation
 
 SQRT3_HALF = math.sqrt(3) / 2
 
@@ -228,9 +228,7 @@ def _check_walk(lb: LowerBoundInstance, order: np.ndarray):
     One axis at a time: the walk's x is gathered and differenced in place,
     and only its sum and where it moves are kept when its y is gathered.
     """
-    seen = np.zeros(lb.n, dtype=bool)
-    seen[order] = True
-    if len(order) != lb.n or not seen.all():
+    if not _is_permutation(order, lb.n):
         raise AssertionError("tour order is not a permutation of the vertices")
     dx = _step_lengths(lb.xs[order])
     length, moves = int(dx.sum()), dx != 0

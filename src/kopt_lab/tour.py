@@ -515,26 +515,36 @@ class Tour:
     def validate(self, inst: Instance) -> np.ndarray:
         """The tour's vertices at ring positions 0..n (position n is position 0 again), a read-only int array.
 
-        The one permutation check: ValueError unless one `bincount` of the n
-        entries fills each of the bins 0..n-1.  It raises on a non-int entry
-        (1.0 equals 1 but is no index), a negative one or one too large to
-        count to, and an entry >= n adds a bin past n - 1.  The empty tour of
-        an empty instance passes, with an empty ring.  The count is made on
-        every call; a tuple-born tour's ring is built on the first and kept.
+        ValueError unless its n entries pass `_is_permutation` against
+        `inst.n`, tested on every call; the empty tour of an empty instance
+        passes, with an empty ring.  A tuple-born tour's ring is built on
+        the first call and kept.
         """
         ring = self._ring
         if ring is None:
             ring = self._ring = self._closed(self._order)
-        entries, n = ring[:-1], inst.n
-        try:
-            ok = (len(entries) == n
-                  and len(counts := np.bincount(entries, minlength=n)) == n
-                  and np.count_nonzero(counts) == n)
-        except (TypeError, ValueError, MemoryError):
-            ok = False
-        if not ok:
+        if not _is_permutation(ring[:-1], inst.n):
             raise ValueError("tour is not a permutation of the instance vertices")
         return ring
+
+
+def _is_permutation(entries: Sequence | np.ndarray, n: int) -> bool:
+    """Are `entries`, an array or a list, the integers 0..n-1 once each?  The one permutation test.
+
+    One `bincount` of an integer dtype must fill each of the bins 0..n-1.
+    Float and bool entries are refused (1.0 == True == 1, but neither is an
+    index); a negative entry (an unsigned one >= 2^63 wraps to one) or one
+    too large to count to makes it raise, and one >= n adds a bin.
+    """
+    entries = np.asarray(entries)
+    kind = entries.dtype.kind
+    if len(entries) != n or n and kind not in "iu":
+        return False
+    try:
+        counts = np.bincount(entries if kind == "i" else entries.astype(np.intp), minlength=n)
+    except (ValueError, MemoryError):
+        return False
+    return len(counts) == n and int(np.count_nonzero(counts)) == n
 
 
 class TwoMove(NamedTuple):
@@ -553,10 +563,9 @@ def tour_length(inst: Instance, t: Tour):
     axis, and computes the edges from the differences of adjacent entries,
     in the value and type of `dist`: int64 under p = 1, the doubles
     `pdist` computes under p = 2, and ints and Fractions in an object array
-    over rational points.  `np.add.accumulate` adds a numeric array in
-    order; an object array and the other instances, which fold `inst.dist`
-    edge by edge, take `_left_fold`.  Python's `sum` is not used: from 3.12
-    on it compensates a float sum, which gives another value.
+    over rational points.  `np.add.accumulate` adds any of these arrays in
+    order; the other instances fold `inst.dist` edge by edge with
+    `_left_fold`.
     """
     # Cached arrays before the ring: the other order left a 74,190-point length 0.5 MB more peak RSS.
     coordinates = inst._coordinates
@@ -566,15 +575,13 @@ def tour_length(inst: Instance, t: Tour):
         # Edge k's differences overwrite entry k, which no later edge reads: no copy.
         dx, dy = np.subtract(x[:-1], x[1:], out=x[:-1]), np.subtract(y[:-1], y[1:], out=y[:-1])
         edges = coordinates.root(coordinates.power(dx, dy))
-        if edges.dtype.kind == "O":
-            return _left_fold(edges.tolist())
         return np.add.accumulate(edges, out=edges).item(-1) if len(edges) else 0
     o = ring.tolist()
     return _left_fold(inst.dist(a, b) for a, b in zip(o, o[1:]))
 
 
 def _left_fold(values):
-    """0 + v0 + v1 + ..., added left to right."""
+    """0 + v0 + v1 + ..., left to right: every float total, alike on every Python (3.12's `sum` compensates)."""
     return functools.reduce(operator.add, values, 0)
 
 

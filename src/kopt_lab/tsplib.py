@@ -13,12 +13,12 @@ The readers accept in bulk and diagnose per line.  The per-line loop
 keyword.  If that keyword is a line of its own and the lines after it are
 a run of "\n"-ended lines of ASCII integers of at most 18 digits (so
 below 2**63), separated by spaces or tabs, one match of one compiled
-pattern checks the run and its end, one `np.fromstring` parses it and one
-`bincount` checks its ids.  A 2-D coordinate run must end the file, but
-for an EOF line; the first tour must be ended by a -1 line.  Any other
-file, or one whose run fails a check, is read whole by the per-line loop,
-which gives the same result or names the fault; the loop and the checks
-after it are the only raisers.
+pattern checks the run and its end, one `np.fromstring` parses it and
+`tour._is_permutation` checks its ids.  A 2-D coordinate run must end the
+file, but for an EOF line; the first tour must be ended by a -1 line.  Any
+other file, or one whose run fails a check, is read whole by the per-line
+loop, which gives the same result or names the fault; the loop and the
+checks after it are the only raisers.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import TextIO
 import numpy as np
 
 from .geometry import PNorm, Point3, pt
-from .tour import Instance, Tour
+from .tour import Instance, Tour, _is_permutation
 
 
 class TsplibError(ValueError):
@@ -69,12 +69,6 @@ def _section(text: str, keyword: str, gate: re.Pattern) -> tuple[int, np.ndarray
         return None
     gated = gate.match(text, start)
     return None if gated is None else (start, np.fromstring(gated[1], np.int64, sep=" "))
-
-
-def _is_permutation(ids: np.ndarray) -> bool:
-    """Are the 1-based `ids` a permutation of 1..len(ids)?  One bincount; ids out of range fill no bin."""
-    n = len(ids)
-    return bool((np.bincount(ids.clip(0, n + 1), minlength=n + 2)[1:n + 1] == 1).all())
 
 
 def _lines(fmt: str, *columns) -> str:
@@ -147,10 +141,10 @@ def _bulk_instance(text: str) -> Instance | None:
     if dim is None or ewt in (None, "EUC_3D") or (ewt == "SPECIAL" and pnorm is None):
         return None
     rows = values.reshape(-1, 3)
-    if len(rows) != dim or not _is_permutation(rows[:, 0]):
+    if not _is_permutation(vertices := rows[:, 0] - 1, dim):
         return None
     xy = np.empty((dim, 2), np.int64)
-    xy[rows[:, 0] - 1] = rows[:, 1:]
+    xy[vertices] = rows[:, 1:]
     try:
         return Instance.from_xy(xy[:, 0], xy[:, 1], pnorm if ewt == "SPECIAL" else PNorm(2), name)
     except ValueError:  # duplicate points
@@ -274,9 +268,9 @@ def _bulk_tour(text: str) -> Tour | None:
         return None
     start, entries = section
     dim, _, _ = _scan_tour(text[:start].splitlines())
-    if (dim is not None and len(entries) != dim) or not _is_permutation(entries):
-        return None
     entries -= 1
+    if not _is_permutation(entries, len(entries) if dim is None else dim):
+        return None
     return Tour(entries)
 
 
@@ -313,6 +307,6 @@ def _tour_lines(text: str) -> Tour:
         raise TsplibError("no TOUR_SECTION found")
     if dim is not None and len(order) != dim:
         raise TsplibError(f"DIMENSION {dim} but the first tour has {len(order)} entries")
-    if sorted(order) != list(range(len(order))):
+    if not _is_permutation(order, len(order)):
         raise TsplibError("tour section is not a permutation")
     return Tour(tuple(order))

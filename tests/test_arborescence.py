@@ -450,6 +450,12 @@ def star(cs: list, ws: list) -> Arborescence:
                                for k, (c, w) in enumerate(zip(cs, ws), 1)])
 
 
+def test_totals_are_left_folds():
+    """c(A) and w(A) add left to right on every Python version; 3.12's `sum` gives 1.0000000000000002 here."""
+    arb = star([1.0, 1e-16, 1e-16], [1.0, 1e-16, 1e-16])
+    assert arb.c_total() == 1.0 and arb.w_total() == 1.0
+
+
 def passes(checks: list, prefix: str) -> bool:
     """The verdict of the one check whose label starts with prefix."""
     [check] = [c for c in checks if c.label.startswith(prefix)]

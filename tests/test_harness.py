@@ -156,6 +156,14 @@ class TestExperiment:
         assert agg["completed"] == 0 and agg["failed"] == 2
         assert agg["all_certificates_passed"] is False
 
+    def test_mean_ratio_is_a_left_fold(self, monkeypatch):
+        """The mean adds the ratios left to right; 3.12's `sum` would make it (1.0 + 2**-52) / 3."""
+        ratios = [1.0, 1e-16, 1e-16]
+        monkeypatch.setattr(harness, "run_trial",
+                            lambda config, trial: {"trial": trial, "ratio": ratios[trial], "certificate_passed": True})
+        agg = run_experiment(ExperimentConfig(seed=3, trials=3))["aggregate"]
+        assert agg["mean_ratio"] == 1.0 / 3 and agg["max_ratio"] == 1.0
+
     def test_strip_timing_removes_all_timing(self):
         report = run_experiment(ExperimentConfig(seed=2, trials=2))
         stripped = strip_timing(report)

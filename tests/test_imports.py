@@ -23,6 +23,13 @@ module: an oracle that no test compares against checks nothing.
 And the one certificate tolerance: in `arborescence.py`, `CERT_EPS` is read
 only inside `_check`, the pass/fail rule of every certificate inequality.
 
+And the one permutation test: `np.bincount` is read only in
+`tour._is_permutation`, which `Tour.validate`, the TSPLIB readers and
+`lowerbound._check_walk` call, and in `tour._GridIndex.runs`, which counts
+grid levels.  And the one summation order: no module but `lowerbound.py`,
+whose closed forms add ints, calls builtin `sum`, which compensates a float
+sum from Python 3.12 on; every float total is a `tour._left_fold`.
+
 And the front door reads only public names: `cli.py` neither imports nor
 reads an `_`-prefixed name of another `kopt_lab` module.  It prints the
 records that the library returns, not fields it gathers from helpers.
@@ -291,6 +298,42 @@ def test_checker_flags_a_tolerance_read_outside_the_rule():
            "class Suite:\n    def run(self, eps=CERT_EPS):\n        return arborescence.CERT_EPS\n")
     assert owned_matches(src, is_tolerance_read) == [(4, "_check"), (7, "certify"), (10, "Suite.run"),
                                                        (11, "Suite.run")]
+
+
+def bincount_reads(source: str) -> list:
+    """(line, owner) of every read of `np.bincount` in `source`."""
+    return owned_matches(source, lambda node, owner: isinstance(node, ast.Attribute) and node.attr == "bincount"
+                         and isinstance(node.value, ast.Name) and node.value.id == "np")
+
+
+def test_bincount_is_read_in_one_permutation_test():
+    found = {f"{path.stem}.{owner}" for path in MODULES for _, owner in bincount_reads(path.read_text())}
+    assert found == {"tour._is_permutation", "tour._GridIndex.runs"}
+
+
+def test_checker_flags_a_second_permutation_test():
+    src = ("def _is_permutation(ids: np.ndarray) -> bool:\n    n = len(ids)\n"
+           "    return bool((np.bincount(ids.clip(0, n + 1), minlength=n + 2)[1:n + 1] == 1).all())\n\n"
+           "class _GridIndex:\n    def runs(self, level):\n        return np.bincount(level), bincount(level)\n\n"
+           "count = np.bincount\n")
+    assert bincount_reads(src) == [(3, "_is_permutation"), (7, "_GridIndex.runs"), (9, "")]
+
+
+def builtin_sums(source: str) -> list:
+    """(line, owner) of every read of the name `sum`, Python's builtin; `np.sum` and `.sum()` are attributes."""
+    return owned_matches(source, lambda node, owner: isinstance(node, ast.Name) and node.id == "sum"
+                         and isinstance(node.ctx, ast.Load))
+
+
+def test_floats_are_added_by_one_fold():
+    assert [path.name for path in MODULES if path.name != "lowerbound.py" and builtin_sums(path.read_text())] == []
+
+
+def test_checker_flags_a_builtin_sum():
+    src = ("class Arborescence:\n    def c_total(self) -> float:\n        return sum(e.c for e in self.edges)\n\n"
+           "    def w_total(self, w):\n        return _left_fold(e.w for e in self.edges) + np.sum(w) + w.sum()\n\n"
+           "add = sum\n")
+    assert builtin_sums(src) == [(3, "Arborescence.c_total"), (8, "")]
 
 
 def unimported_oracles(sources: dict) -> list:

@@ -73,6 +73,13 @@ ENTRIES = {
 }
 
 
+# Bool rings of n = 1 and 2 vertices: False and True equal 0 and 1, but are no entries.
+BOOL_RINGS = {
+    "tuple": lambda n: tuple(bool(v) for v in range(n)),
+    "array": lambda n: np.arange(n).astype(bool),
+}
+
+
 @functools.cache
 def bad_tour_instances() -> tuple:
     """Eight points under p = 1, 2 and 3, and 200 points whose verdicts take the grid index."""
@@ -120,6 +127,63 @@ class TestInstance:
         if bad == "empty":
             answers = [entry(Instance([], PNorm(p)), Tour(())) for p in (1, 2, 3)]
             assert answers == [answers[0]] * 3
+
+    @pytest.mark.parametrize("entry", list(ENTRIES.values()), ids=list(ENTRIES))
+    @pytest.mark.parametrize("form", list(BOOL_RINGS))
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_bool_rings_rejected(self, entry, form, n):
+        for p in (1, 2, 3):
+            inst = Instance([pt(v, 2 * v) for v in range(n)], PNorm(p))
+            with pytest.raises(ValueError, match="not a permutation"):
+                entry(inst, Tour(BOOL_RINGS[form](n)))
+
+
+def is_permutation_by_definition(entries, n: int) -> bool:
+    """Whether the entries, Python ints and no bools, sorted, are 0..n-1."""
+    values = entries.tolist() if isinstance(entries, np.ndarray) else list(entries)
+    return all(type(v) is int for v in values) and sorted(values) == list(range(n))
+
+
+# Each makes a permutation o of 0..n-1 into a list that may not be one.
+MUTATIONS = {
+    "none": lambda o, n, rng: o,
+    "repeated": lambda o, n, rng: o[:-1] + o[:1],
+    "negative": lambda o, n, rng: o[:-1] + [-rng.randint(1, 3)],
+    "n": lambda o, n, rng: o[:-1] + [n],
+    "2**40": lambda o, n, rng: o[:-1] + [2**40],
+    "2**63": lambda o, n, rng: o[:-1] + [2**63],
+    "2**70": lambda o, n, rng: o[:-1] + [2**70],
+    "short": lambda o, n, rng: o[1:],
+    "long": lambda o, n, rng: o + o[:1],
+    "empty": lambda o, n, rng: [],
+}
+
+
+def typed_forms(values: list, dtype) -> list:
+    """`values` as a list of the dtype's Python type, and as an array of it where every value fits."""
+    dtype = np.dtype(dtype)
+    if dtype.kind == "b":
+        values = [bool(v) for v in values]
+    elif dtype.kind == "f":
+        values = [float(v) for v in values]
+    elif not all(np.iinfo(dtype).min <= v <= np.iinfo(dtype).max for v in values):
+        return [values]
+    return [values, np.array(values, dtype=dtype)]
+
+
+def test_is_permutation_matches_the_definition():
+    """`tour._is_permutation`, on lists and arrays of ints, floats and bools, answers as sorting does."""
+    rng, answers = random.Random(35), set()
+    for _ in range(400):
+        n = rng.randint(0, 9)
+        mutation = rng.choice(list(MUTATIONS))
+        values = MUTATIONS[mutation](rng.sample(range(n), n), n, rng)
+        for dtype in (np.int8, np.uint32, np.int64, np.uint64, np.float64, np.bool_):
+            for entries in typed_forms(values, dtype):
+                want = is_permutation_by_definition(entries, n)
+                assert tour_module._is_permutation(entries, n) is want, (mutation, dtype, entries, n)
+                answers.add((want, np.dtype(dtype).kind))
+    assert {(True, "i"), (True, "u"), (False, "i"), (False, "u"), (False, "f"), (False, "b")} <= answers
 
 
 class TestArrayBornTours:
